@@ -376,6 +376,9 @@ class MockHandle:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out in separate writes; with Nagle on, a reply on
+    # a reused connection waits for the client's delayed ACK
+    disable_nagle_algorithm = True
     hub: MockHandle  # bound by serve()
 
     def log_message(self, fmt: str, *args: Any) -> None:  # silence stderr
@@ -679,7 +682,10 @@ def serve(script: ScenarioScript) -> MockHandle:
     handler = type("BoundHandler", (_Handler,), {})
     server = _QuietServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the next poll, 0.5 s apart by default
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     hub = MockHandle(server, thread, script)
     handler.hub = hub
     thread.start()

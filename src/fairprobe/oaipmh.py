@@ -16,6 +16,7 @@ from typing import Callable
 
 import requests
 
+from . import http
 from .throttle import HostGate
 
 logger = logging.getLogger(__name__)
@@ -149,22 +150,17 @@ def list_metadata_formats(
     policy: HarvestPolicy | None = None,
     *,
     gate: HostGate | None = None,
-    session: requests.Session | None = None,
+    session: http.Sessions | None = None,
 ) -> list[MetadataFormatInfo]:
     """Ask the endpoint which metadata formats it serves."""
     policy = policy or HarvestPolicy()
     gate = gate or HostGate(policy.politeness_delay)
-    own_session = session is None
-    http = session or requests.Session()
-    try:
+    with http.scope(session) as current:
         reply = _request(
-            endpoint, {"verb": "ListMetadataFormats"}, policy, gate, http
+            endpoint, {"verb": "ListMetadataFormats"}, policy, gate, current()
         )
-    finally:
-        if own_session:
-            http.close()
     try:
-        root = ET.fromstring(reply.text)
+        root = ET.fromstring(http.xml_payload(reply))
     except ET.ParseError as exc:
         raise PageParseError(f"{endpoint}: {exc}") from exc
     error = _first(root, "error")
@@ -218,13 +214,17 @@ def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
     return None
 
 
-def _parse_page(text: str) -> tuple[list[RawRecord], str | None, int | None, str | None]:
+def _parse_page(
+    body: bytes | str,
+) -> tuple[list[RawRecord], str | None, int | None, str | None]:
     """One ListRecords body -> (records, token, completeListSize, error code).
 
     The token is None when the element is absent and "" when present but
     empty; both end the chain, but only an absent/empty token means done.
+    ``http.xml_payload`` decides whether the reply's charset or the XML
+    declaration sets the encoding.
     """
-    root = ET.fromstring(text)
+    root = ET.fromstring(body)
     error = _first(root, "error")
     if error is not None:
         raise ProtocolError(error.get("code", ""), (error.text or "").strip())
@@ -288,7 +288,7 @@ def harvest_records(
     *,
     gate: HostGate | None = None,
     seen: set[str] | None = None,
-    session: requests.Session | None = None,
+    session: http.Sessions | None = None,
 ) -> HarvestSummary:
     """Walk the full ListRecords chain, feeding each new record to the sink.
 
@@ -299,14 +299,13 @@ def harvest_records(
     """
     gate = gate or HostGate(policy.politeness_delay)
     seen = set() if seen is None else seen
-    own_session = session is None
-    http = session or requests.Session()
     summary = HarvestSummary()
     restart_budget = 1
     first_page_params = {"verb": "ListRecords", "metadataPrefix": prefix}
     params = dict(first_page_params)
 
-    try:
+    with http.scope(session) as current:
+        client = current()
         while True:
             if policy.max_pages is not None and summary.pages >= policy.max_pages:
                 logger.warning(
@@ -316,12 +315,12 @@ def harvest_records(
                 )
                 return summary
             try:
-                reply = _request(endpoint, params, policy, gate, http)
+                reply = _request(endpoint, params, policy, gate, client)
             except EndpointUnresponsiveError as exc:
                 logger.warning("%s: %s, harvest is partial", endpoint, exc)
                 return summary
             try:
-                records, token, size, _ = _parse_page(reply.text)
+                records, token, size, _ = _parse_page(http.xml_payload(reply))
             except ET.ParseError as exc:
                 # a skipped page would silently bias the corpus, so stop here
                 logger.warning("%s: unparseable page (%s), harvest is partial",
@@ -367,9 +366,6 @@ def harvest_records(
                 summary.completed = True
                 return summary
             params = {"verb": "ListRecords", "resumptionToken": token}
-    finally:
-        if own_session:
-            http.close()
 
 
 def estimate_list_size(
@@ -378,7 +374,7 @@ def estimate_list_size(
     policy: HarvestPolicy,
     *,
     gate: HostGate | None = None,
-    session: requests.Session | None = None,
+    session: http.Sessions | None = None,
 ) -> int | None:
     """Size estimate from the first page's completeListSize, if advertised.
 
@@ -386,24 +382,20 @@ def estimate_list_size(
     is the exact size then. Returns None when no estimate is possible.
     """
     gate = gate or HostGate(policy.politeness_delay)
-    own_session = session is None
-    http = session or requests.Session()
-    try:
-        reply = _request(
-            endpoint,
-            {"verb": "ListRecords", "metadataPrefix": prefix},
-            policy,
-            gate,
-            http,
-        )
-        records, token, size, _ = _parse_page(reply.text)
-    except (EndpointUnresponsiveError, ET.ParseError):
-        return None
-    except ProtocolError as exc:
-        return 0 if exc.code == "noRecordsMatch" else None
-    finally:
-        if own_session:
-            http.close()
+    with http.scope(session) as current:
+        try:
+            reply = _request(
+                endpoint,
+                {"verb": "ListRecords", "metadataPrefix": prefix},
+                policy,
+                gate,
+                current(),
+            )
+            records, token, size, _ = _parse_page(http.xml_payload(reply))
+        except (EndpointUnresponsiveError, ET.ParseError):
+            return None
+        except ProtocolError as exc:
+            return 0 if exc.code == "noRecordsMatch" else None
     if size is not None:
         return size
     if not token:

@@ -17,9 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-import requests
-
-from . import assessor, datacite, oaipmh, probe, registry, scoring
+from . import assessor, datacite, http, oaipmh, probe, registry, scoring
 from .config import RunConfig
 from .report import ApiRow, ScoreReport, write_report
 from .store import (
@@ -90,6 +88,7 @@ class PipelineRun:
             save_manifest(self.manifest, self.run_dir)
         self.store = CatalogueStore(self.run_dir)
         self._manifest_lock = threading.Lock()
+        self.sessions = http.Sessions()
 
     # -- manifest bookkeeping ---------------------------------------------
 
@@ -138,6 +137,8 @@ class PipelineRun:
             state.finished = now_iso()
             self._save()
             raise
+        finally:
+            self.sessions.close()
         state.status = status
         state.detail.update(detail)
         state.finished = now_iso()
@@ -169,6 +170,7 @@ class PipelineRun:
             allow_seed_fallback=self.config.allow_seed_fallback,
             timeout=self.config.timeout,
             detail_workers=self.config.detail_workers,
+            session=self.sessions,
         )
         write_ndjson(
             self.run_dir / REPOSITORIES_FILE,
@@ -193,7 +195,7 @@ class PipelineRun:
             with meter.slot():
                 try:
                     formats = oaipmh.list_metadata_formats(
-                        endpoint, policy, gate=gate
+                        endpoint, policy, gate=gate, session=self.sessions
                     )
                 except oaipmh.OaiError as exc:
                     logger.warning("%s: not usable (%s)", repo.registry_id, exc)
@@ -255,12 +257,6 @@ class PipelineRun:
         gate = HostGate(self.config.politeness_delay)
         meter = ConcurrencyMeter()
         workers = max(1, self.config.workers_harvest)
-        session_local = threading.local()
-
-        def session() -> requests.Session:
-            if not hasattr(session_local, "http"):
-                session_local.http = requests.Session()
-            return session_local.http
 
         def endpoint_of(repo: registry.RepositoryDescriptor) -> str:
             return next(
@@ -275,7 +271,7 @@ class PipelineRun:
                 repo.datacite_support.prefix or "",
                 policy,
                 gate=gate,
-                session=session(),
+                session=self.sessions,
             )
             return size if size is not None else 0
 
@@ -323,7 +319,7 @@ class PipelineRun:
                         sink,
                         gate=gate,
                         seen=seen,
-                        session=session(),
+                        session=self.sessions,
                     )
                     with self._manifest_lock:
                         done[name] = {
@@ -425,12 +421,6 @@ class PipelineRun:
         meter = ConcurrencyMeter()
         stats_lock = threading.Lock()
         stats = {"probed": 0, "retrievable": 0}
-        session_local = threading.local()
-
-        def session() -> requests.Session:
-            if not hasattr(session_local, "http"):
-                session_local.http = requests.Session()
-            return session_local.http
 
         def probe_entry(name: str, entry: dict) -> None:
             with meter.slot():
@@ -440,7 +430,7 @@ class PipelineRun:
                     policy,
                     resolver_base=self.config.doi_resolver,
                     gate=gate,
-                    session=session(),
+                    session=self.sessions,
                 )
                 result = assessor.AssessmentResult(
                     doi=entry["doi"],

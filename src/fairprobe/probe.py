@@ -18,6 +18,7 @@ from urllib.parse import urljoin, urlparse
 import requests
 from requests.utils import parse_header_links
 
+from . import http
 from .datacite import DataciteRecord
 from .throttle import HostGate
 
@@ -192,7 +193,7 @@ def f_ret(
     *,
     resolver_base: str = DEFAULT_RESOLVER,
     gate: HostGate | None = None,
-    session: requests.Session | None = None,
+    session: http.Sessions | None = None,
 ) -> tuple[bool, ProbeTrace]:
     """Is the image behind this record's DOI machine-retrievable?
 
@@ -201,56 +202,55 @@ def f_ret(
     """
     policy = policy or ProbePolicy()
     gate = gate or HostGate(policy.per_host_delay)
-    own_session = session is None
-    http = session or requests.Session()
     trace = ProbeTrace()
     started = time.monotonic()
-    try:
-        reply, reason = _follow_chain(
-            doi_url(record.doi, resolver_base), "image/*", policy, gate, http, trace
-        )
-
-        if reply is not None and reason is None:
-            if reply.status_code == 200 and _is_image_type(
-                reply.headers.get("Content-Type")
-            ):
-                trace.outcome = OUTCOME_CLIENT
-                return True, trace
-            reason = (
-                REASON_NO_IMAGE if reply.status_code == 200 else REASON_NON_200
+    with http.scope(session) as current:
+        client = current()
+        try:
+            reply, reason = _follow_chain(
+                doi_url(record.doi, resolver_base), "image/*", policy, gate, client, trace
             )
 
-        # server-side fallback: only with a failed phase 1 and a Link header
-        link_header = reply.headers.get("Link") if reply is not None else None
-        if link_header:
-            match = _match_link(link_header, record.formats)
-            if match is None:
-                trace.reason = REASON_NO_LINK_MATCH
-                return False, trace
-            target, matched_format = match
-            target_url = urljoin(trace.steps[-1].url, target)
-            reply2, reason2 = _follow_chain(
-                target_url, matched_format, policy, gate, http, trace
-            )
-            if reply2 is not None and reason2 is None:
-                served = _bare_type(reply2.headers.get("Content-Type") or "")
-                if reply2.status_code == 200 and served == _bare_type(matched_format):
-                    trace.outcome = OUTCOME_LINK
+            if reply is not None and reason is None:
+                if reply.status_code == 200 and _is_image_type(
+                    reply.headers.get("Content-Type")
+                ):
+                    trace.outcome = OUTCOME_CLIENT
                     return True, trace
-                reason2 = (
-                    REASON_NO_IMAGE
-                    if reply2.status_code == 200
-                    else REASON_NON_200
+                reason = (
+                    REASON_NO_IMAGE if reply.status_code == 200 else REASON_NON_200
                 )
-            trace.reason = reason2
-            return False, trace
 
-        trace.reason = reason
-        return False, trace
-    finally:
-        trace.elapsed = (time.monotonic() - started) * 1000.0
-        if own_session:
-            http.close()
+            # server-side fallback: only with a failed phase 1 and a Link header
+            link_header = reply.headers.get("Link") if reply is not None else None
+            if link_header:
+                match = _match_link(link_header, record.formats)
+                if match is None:
+                    trace.reason = REASON_NO_LINK_MATCH
+                    return False, trace
+                target, matched_format = match
+                target_url = urljoin(trace.steps[-1].url, target)
+                reply2, reason2 = _follow_chain(
+                    target_url, matched_format, policy, gate, client, trace
+                )
+                if reply2 is not None and reason2 is None:
+                    served = _bare_type(reply2.headers.get("Content-Type") or "")
+                    matched = _bare_type(matched_format)
+                    if reply2.status_code == 200 and served == matched:
+                        trace.outcome = OUTCOME_LINK
+                        return True, trace
+                    reason2 = (
+                        REASON_NO_IMAGE
+                        if reply2.status_code == 200
+                        else REASON_NON_200
+                    )
+                trace.reason = reason2
+                return False, trace
+
+            trace.reason = reason
+            return False, trace
+        finally:
+            trace.elapsed = (time.monotonic() - started) * 1000.0
 
 
 def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:

@@ -18,6 +18,8 @@ from urllib.parse import urlparse
 
 import requests
 
+from . import http
+
 logger = logging.getLogger(__name__)
 
 KNOWN_KINDS = {"oai-pmh": "OAI-PMH", "rest": "REST", "soap": "SOAP", "sparql": "SPARQL"}
@@ -81,7 +83,7 @@ def _find_text(element: ET.Element, name: str) -> str:
 
 # --- XML payloads -------------------------------------------------------------
 
-def parse_repository_list(xml_text: str) -> list[dict[str, str]]:
+def parse_repository_list(xml_text: str | bytes) -> list[dict[str, str]]:
     """Ids and names from the list payload; malformed entries skipped."""
     try:
         root = ET.fromstring(xml_text)
@@ -102,7 +104,7 @@ def parse_repository_list(xml_text: str) -> list[dict[str, str]]:
 QUALITY_TAGS = ("certificate", "qualityManagement", "policyName")
 
 
-def parse_repository_detail(xml_text: str) -> dict[str, Any]:
+def parse_repository_detail(xml_text: str | bytes) -> dict[str, Any]:
     """Endpoints and quality tags from one detail payload."""
     root = ET.fromstring(xml_text)
     registry_id = _find_text(root, "id") or _find_text(root, "re3data.orgIdentifier")
@@ -191,7 +193,7 @@ def fetch_repository_list(
     allow_seed_fallback: bool = False,
     timeout: float = 20.0,
     detail_workers: int = 4,
-    session: requests.Session | None = None,
+    session: http.Sessions | None = None,
 ) -> list[RepositoryDescriptor]:
     """Candidate repositories from the registry, or from the seed file.
 
@@ -204,15 +206,13 @@ def fetch_repository_list(
             return load_seed_file(fallback_seed)
         raise RegistryUnreachableError("no registry endpoint and no seed file")
 
-    own_session = session is None
-    http = session or requests.Session()
-    try:
+    with http.scope(session) as current:
         try:
-            reply = http.get(
+            reply = current().get(
                 registry_endpoint.rstrip("/") + "/repositories", timeout=timeout
             )
             reply.raise_for_status()
-            entries = parse_repository_list(reply.text)
+            entries = parse_repository_list(http.xml_payload(reply))
         except (requests.RequestException, RegistryError) as exc:
             if fallback_seed and allow_seed_fallback:
                 logger.warning(
@@ -229,9 +229,10 @@ def fetch_repository_list(
                 + entry["registry_id"]
             )
             try:
-                detail_reply = http.get(url, timeout=timeout)
+                detail_reply = current().get(url, timeout=timeout)
                 detail_reply.raise_for_status()
-                return index, parse_repository_detail(detail_reply.text)
+                detail = parse_repository_detail(http.xml_payload(detail_reply))
+                return index, detail
             except (requests.RequestException, ET.ParseError) as exc:
                 logger.warning(
                     "registry entry %d (%s) detail failed, skipped: %s",
@@ -243,9 +244,6 @@ def fetch_repository_list(
 
         with ThreadPoolExecutor(max_workers=max(detail_workers, 1)) as pool:
             details = list(pool.map(fetch_detail, enumerate(entries)))
-    finally:
-        if own_session:
-            http.close()
 
     # merge in list order regardless of fetch completion order
     descriptors: list[RepositoryDescriptor] = []

@@ -61,10 +61,14 @@ def scripted_http():
 
     Covers protocol corners the scenario server does not script, like a
     resumption chain without a token element or an unparseable Retry-After.
+    Request targets are appended to ``targets`` when one is given.
     """
     running: list[tuple[ThreadingHTTPServer, threading.Thread]] = []
 
-    def launch(replies: list[tuple[int, dict[str, str], bytes]]) -> str:
+    def launch(
+        replies: list[tuple[int, dict[str, str], bytes]],
+        targets: list[str] | None = None,
+    ) -> str:
         queue = list(replies)
         lock = threading.Lock()
 
@@ -74,6 +78,8 @@ def scripted_http():
 
             def do_GET(self):
                 with lock:
+                    if targets is not None:
+                        targets.append(self.path)
                     if queue:
                         status, headers, body = queue.pop(0)
                     else:
@@ -87,7 +93,9 @@ def scripted_http():
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         server.daemon_threads = True
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         running.append((server, thread))
         host, port = server.server_address[0], server.server_address[1]

@@ -318,6 +318,46 @@ def test_page_without_token_element_completes(scripted_http):
     assert summary.complete_list_size is None
 
 
+def test_xml_declaration_sets_the_encoding(scripted_http):
+    # text/xml without a charset: the declaration, not ISO-8859-1, decides
+    # (RFC 7303 section 3.2, XML 1.0 section 4.3.3)
+    record = OAI_RECORD.replace(
+        "</identifier></resource>",
+        "</identifier><geoLocations><geoLocation><geoLocationPlace>Zürich"
+        "</geoLocationPlace></geoLocation></geoLocations></resource>",
+    )
+    body = oai_body(record).replace(
+        b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="UTF-8"?>'
+    )
+    base = scripted_http([(200, {"Content-Type": "text/xml"}, body)])
+    got: list[RawRecord] = []
+    harvest_records(base, "datacite", fast_policy(), got.append)
+    assert "Zürich<" in got[0].payload
+
+
+def test_charset_parameter_outranks_the_default_encoding(scripted_http):
+    # a charset in the Content-Type comes before the XML declaration's
+    # default of UTF-8 (RFC 7303 section 3)
+    record = OAI_RECORD.replace(
+        "</identifier></resource>",
+        "</identifier><geoLocations><geoLocation><geoLocationPlace>Zürich"
+        "</geoLocationPlace></geoLocation></geoLocations></resource>",
+    )
+    body = (
+        oai_body(record)
+        .decode()
+        .replace('<?xml version="1.0"?>', "")
+        .encode("iso-8859-1")
+    )
+    base = scripted_http(
+        [(200, {"Content-Type": "text/xml; charset=ISO-8859-1"}, body)]
+    )
+    got: list[RawRecord] = []
+    summary = harvest_records(base, "datacite", fast_policy(), got.append)
+    assert summary.completed
+    assert "Zürich<" in got[0].payload
+
+
 def test_unparseable_retry_after_counts_as_unresponsive(scripted_http):
     base = scripted_http([(503, {"Retry-After": "in a while"}, b"busy")])
     summary = harvest_records(base, "datacite", fast_policy(), lambda r: None)
