@@ -12,7 +12,7 @@ import logging
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import requests
 
@@ -87,11 +87,28 @@ def _local_name(tag: object) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _first(element: ET.Element, name: str) -> ET.Element | None:
-    for child in element.iter():
-        if _local_name(child.tag) == name:
-            return child
-    return None
+def _children(element: ET.Element | None, name: str) -> Iterator[ET.Element]:
+    if element is not None:
+        for child in element:
+            if _local_name(child.tag) == name:
+                yield child
+
+
+def _child(element: ET.Element | None, name: str) -> ET.Element | None:
+    return next(_children(element, name), None)
+
+
+def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
+    """The reply's verb element, after raising the OAI error if there is one.
+
+    Errors and the verb element are children of the root (OAI-PMH 2.0
+    section 3.6), so a payload element with the same local name is never
+    taken for either.
+    """
+    error = _child(root, "error")
+    if error is not None:
+        raise ProtocolError(error.get("code", ""), (error.text or "").strip())
+    return _child(root, verb)
 
 
 def _request(
@@ -163,14 +180,10 @@ def list_metadata_formats(
         root = ET.fromstring(http.xml_payload(reply))
     except ET.ParseError as exc:
         raise PageParseError(f"{endpoint}: {exc}") from exc
-    error = _first(root, "error")
-    if error is not None:
-        raise ProtocolError(error.get("code", ""), (error.text or "").strip())
     formats: list[MetadataFormatInfo] = []
     seen: set[str] = set()
-    for el in root.iter():
-        if _local_name(el.tag) != "metadataFormat":
-            continue
+    verb = _verb_element(root, "ListMetadataFormats")
+    for el in _children(verb, "metadataFormat"):
         prefix = ""
         schema_url = ""
         namespace = ""
@@ -224,16 +237,10 @@ def _parse_page(
     ``http.xml_payload`` decides whether the reply's charset or the XML
     declaration sets the encoding.
     """
-    root = ET.fromstring(body)
-    error = _first(root, "error")
-    if error is not None:
-        raise ProtocolError(error.get("code", ""), (error.text or "").strip())
-
+    list_records = _verb_element(ET.fromstring(body), "ListRecords")
     records: list[RawRecord] = []
-    for el in root.iter():
-        if _local_name(el.tag) != "record":
-            continue
-        header = next((c for c in el if _local_name(c.tag) == "header"), None)
+    for el in _children(list_records, "record"):
+        header = _child(el, "header")
         if header is None:
             continue
         identifier = ""
@@ -247,9 +254,7 @@ def _parse_page(
         deleted = header.get("status") == "deleted"
         payload = ""
         if not deleted:
-            metadata = next(
-                (c for c in el if _local_name(c.tag) == "metadata"), None
-            )
+            metadata = _child(el, "metadata")
             if metadata is not None:
                 inner = next(iter(metadata), None)
                 if inner is not None:
@@ -267,7 +272,7 @@ def _parse_page(
             )
         )
 
-    token_el = _first(root, "resumptionToken")
+    token_el = _child(list_records, "resumptionToken")
     token = None if token_el is None else (token_el.text or "").strip()
     size: int | None = None
     if token_el is not None:

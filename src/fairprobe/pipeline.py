@@ -13,6 +13,7 @@ import logging
 import threading
 import time
 import uuid
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -139,6 +140,7 @@ class PipelineRun:
             raise
         finally:
             self.sessions.close()
+            self.store.close_all()
         state.status = status
         state.detail.update(detail)
         state.finished = now_iso()
@@ -321,6 +323,7 @@ class PipelineRun:
                         seen=seen,
                         session=self.sessions,
                     )
+                    self.store.close("raw", name)
                     with self._manifest_lock:
                         done[name] = {
                             "completed": summary.completed,
@@ -402,6 +405,7 @@ class PipelineRun:
                         },
                     )
                     local["parsed"] += 1
+                self.store.close("parsed", name)
                 with counts_lock:
                     for key, value in local.items():
                         counts[key] += value
@@ -448,6 +452,10 @@ class PipelineRun:
                     stats["probed"] += 1
                     if retrievable:
                         stats["retrievable"] += 1
+                    unprobed[name] -= 1
+                    finished = unprobed[name] == 0
+                if finished:
+                    self.store.close("assessed", name)
 
         jobs: list[tuple[str, dict]] = []
         for name in partitions:
@@ -457,6 +465,8 @@ class PipelineRun:
             for entry in self.store.read("parsed", name):
                 if entry["doi"] not in already:
                     jobs.append((name, entry))
+        # a partition's handle closes when its last probe job finishes
+        unprobed = Counter(name for name, _ in jobs)
 
         if jobs:
             with ThreadPoolExecutor(

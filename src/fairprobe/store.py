@@ -1,10 +1,11 @@
 """Run persistence: the append-only catalogue store and the run manifest.
 
 Catalogue files are newline-delimited JSON, one file per (run, repository,
-stage). Appends are one write each, so after a crash only the final line
-can be damaged; readers drop a final line without its newline and treat
-anything else unparseable as real corruption. The manifest is a single JSON
-document replaced atomically on every update.
+stage). A file stays open while a step writes to it, and each append is one
+flushed write, so after a crash only the final line can be damaged; readers
+drop a final line without its newline and treat anything else unparseable as
+real corruption. The manifest is a single JSON document replaced atomically
+on every update.
 
 The on-disk layout is versioned so later tooling can detect old runs.
 """
@@ -15,10 +16,10 @@ import json
 import logging
 import os
 import threading
-import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 from urllib.parse import quote, unquote
 
 logger = logging.getLogger(__name__)
@@ -47,38 +48,75 @@ class StoreCorruptError(StoreError):
     """A catalogue line other than a truncated tail failed to parse."""
 
 
+class _Partition:
+    """One catalogue file: its writer lock and, while a step writes to it,
+    its open append handle."""
+
+    __slots__ = ("path", "lock", "handle")
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.lock = threading.Lock()
+        self.handle: BinaryIO | None = None
+
+
 class CatalogueStore:
-    """Append-only ndjson partitions under {run_dir}/catalogue/{stage}/."""
+    """Append-only ndjson partitions under {run_dir}/catalogue/{stage}/.
+
+    A partition is opened on its first append and stays open until ``close``
+    or ``close_all``. Each line is one write, flushed before ``append``
+    returns, so readers in this process see every line.
+    """
 
     def __init__(self, run_dir: str | Path):
         self.root = Path(run_dir) / "catalogue"
         self._mutex = threading.Lock()
-        self._partition_locks: dict[Path, threading.Lock] = {}
-        self._repaired: set[Path] = set()
+        self._partitions: dict[tuple[str, str], _Partition] = {}
 
     def _path(self, stage: str, repository: str) -> Path:
         if stage not in STAGES:
             raise StoreError(f"unknown stage {stage!r}")
         return self.root / stage / (quote(repository, safe="") + ".ndjson")
 
-    def _lock_for(self, path: Path) -> threading.Lock:
+    def _partition(self, stage: str, repository: str) -> _Partition:
         with self._mutex:
-            lock = self._partition_locks.get(path)
-            if lock is None:
-                lock = threading.Lock()
-                self._partition_locks[path] = lock
-            return lock
+            partition = self._partitions.get((stage, repository))
+            if partition is None:
+                partition = _Partition(self._path(stage, repository))
+                self._partitions[(stage, repository)] = partition
+            return partition
 
     def append(self, stage: str, repository: str, record: dict[str, Any]) -> None:
-        path = self._path(stage, repository)
+        partition = self._partition(stage, repository)
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with self._lock_for(path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path not in self._repaired:
-                self._truncate_partial_tail(path)
-                self._repaired.add(path)
-            with open(path, "ab") as handle:
-                handle.write(line)
+        with partition.lock:
+            handle = partition.handle
+            if handle is None:
+                partition.path.parent.mkdir(parents=True, exist_ok=True)
+                self._truncate_partial_tail(partition.path)
+                handle = partition.handle = open(partition.path, "ab")
+            handle.write(line)
+            handle.flush()
+
+    def close(self, stage: str, repository: str) -> None:
+        """Close one partition's handle; a later append opens it again."""
+        with self._mutex:
+            partition = self._partitions.get((stage, repository))
+        if partition is not None:
+            self._close(partition)
+
+    def close_all(self) -> None:
+        with self._mutex:
+            partitions = list(self._partitions.values())
+        for partition in partitions:
+            self._close(partition)
+
+    @staticmethod
+    def _close(partition: _Partition) -> None:
+        with partition.lock:
+            if partition.handle is not None:
+                partition.handle.close()
+                partition.handle = None
 
     @staticmethod
     def _truncate_partial_tail(path: Path) -> None:
@@ -180,7 +218,8 @@ class RunManifest:
 
 
 def now_iso() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime())
+    """The current UTC time to the second, with its offset."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def new_manifest(run_id: str, config_snapshot: dict[str, Any]) -> RunManifest:

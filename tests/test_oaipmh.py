@@ -358,6 +358,45 @@ def test_charset_parameter_outranks_the_default_encoding(scripted_http):
     assert "Zürich<" in got[0].payload
 
 
+@pytest.mark.parametrize(
+    "nested",
+    [
+        '<c:error xmlns:c="urn:calib" code="calib">drift</c:error>',
+        '<c:resumptionToken xmlns:c="urn:calib" completeListSize="9">nope'
+        "</c:resumptionToken>",
+    ],
+    ids=["error", "resumptionToken"],
+)
+def test_payload_elements_cannot_steer_paging(scripted_http, nested):
+    # only children of the root and of ListRecords are protocol elements
+    # (OAI-PMH 2.0 sections 3.5 and 3.6), whatever a payload holds
+    first = OAI_RECORD.replace(
+        "</identifier></resource>",
+        "</identifier><descriptions><description descriptionType=\"Other\">"
+        f"{nested}</description></descriptions></resource>",
+    )
+    second = OAI_RECORD.replace("oai:x:1", "oai:x:2").replace("10.1/1", "10.1/2")
+    targets: list[str] = []
+    base = scripted_http(
+        [
+            (200, {}, oai_body(
+                first + '<resumptionToken completeListSize="2">tok-2'
+                "</resumptionToken>"
+            )),
+            (200, {}, oai_body(second + "<resumptionToken/>")),
+        ],
+        targets,
+    )
+    got: list[RawRecord] = []
+    summary = harvest_records(base, "datacite", fast_policy(), got.append)
+    assert summary.completed
+    assert (summary.pages, summary.records) == (2, 2)
+    assert summary.complete_list_size == 2
+    assert [r.oai_identifier for r in got] == ["oai:x:1", "oai:x:2"]
+    assert "drift" in got[0].payload or "nope" in got[0].payload
+    assert targets[1].endswith("resumptionToken=tok-2")
+
+
 def test_unparseable_retry_after_counts_as_unresponsive(scripted_http):
     base = scripted_http([(503, {"Retry-After": "in a while"}, b"busy")])
     summary = harvest_records(base, "datacite", fast_policy(), lambda r: None)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from fairprobe import mockrdr, pipeline
+from fairprobe import assessor, mockrdr, oaipmh, pipeline, probe
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
 from fairprobe.registry import RegistryError
@@ -15,6 +19,7 @@ from fairprobe.store import (
     STATUS_COMPLETE,
     STATUS_PARTIAL,
     STATUS_PENDING,
+    CatalogueStore,
     load_manifest,
     save_manifest,
 )
@@ -367,3 +372,141 @@ def test_exception_in_late_step_marks_partial(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run.run_step(3)
     assert load_manifest(run.run_dir).status(3) == STATUS_PARTIAL
+
+
+FD_DIR = Path("/proc/self/fd")
+needs_proc = pytest.mark.skipif(
+    not FD_DIR.is_dir(), reason="no /proc/self/fd to list open files"
+)
+
+
+def open_catalogue_files(run_dir: Path, writers_only: bool = False) -> list[str]:
+    """Catalogue files this process has open, one entry per descriptor."""
+    catalogue = str(run_dir / "catalogue") + os.sep
+    found = []
+    for fd in os.listdir(FD_DIR):
+        try:
+            target = os.readlink(FD_DIR / fd)
+            info = (FD_DIR.parent / "fdinfo" / fd).read_text()
+        except OSError:  # closed since the listing
+            continue
+        if not target.startswith(catalogue):
+            continue
+        flags = int(info.split("flags:", 1)[1].split()[0], 8)
+        if writers_only and flags & os.O_ACCMODE == os.O_RDONLY:
+            continue
+        found.append(target)
+    return found
+
+
+def stacked_landscape(count: int = 6) -> mockrdr.ScenarioScript:
+    return mockrdr.ScenarioScript(
+        repositories=[
+            mockrdr.MockRepository(
+                name=f"stack-{i}",
+                records=[
+                    mockrdr.MockRecord(doi=f"10.20/stack-{i}-{j}", retrieval="client")
+                    for j in range(4)
+                ],
+                page_size=2,
+            )
+            for i in range(count)
+        ]
+    )
+
+
+POOL = 2
+
+
+@needs_proc
+def test_catalogue_handles_are_bounded_and_closed(
+    serve_script, make_config, monkeypatch
+):
+    hub = serve_script(stacked_landscape())
+    config = make_config(
+        hub, workers_harvest=POOL, workers_select=POOL, workers_probe=POOL
+    )
+    run = PipelineRun(config)
+    writers: Counter[str] = Counter()  # most files open for writing, per stage
+    appended: Counter[tuple[str, str]] = Counter()
+    unseen: list[tuple[str, str, int, int]] = []
+    lock = threading.Lock()
+    original = CatalogueStore.append
+
+    def watched(store, stage, repository, record):
+        with lock:
+            original(store, stage, repository, record)
+            appended[stage, repository] += 1
+            open_now = len(open_catalogue_files(run.run_dir, writers_only=True))
+            writers[stage] = max(writers[stage], open_now)
+            lines = CatalogueStore(run.run_dir).count(stage, repository)
+            if lines != appended[stage, repository]:
+                unseen.append((stage, repository, appended[stage, repository], lines))
+
+    monkeypatch.setattr(CatalogueStore, "append", watched)
+    for step in (1, 2, 3, 4, 5):
+        run.run_step(step)
+        assert open_catalogue_files(run.run_dir) == []
+
+    assert all(run.manifest.status(n) == STATUS_COMPLETE for n in (1, 2, 3, 4, 5))
+    assert sum(appended.values()) == 3 * 24
+    # a second store reading mid-step saw every line appended so far
+    assert unseen == []
+    # handles are bounded by the partitions in progress, not by the six
+    # repositories: one per harvest or assessment worker, and one more in
+    # step 5 for a partition whose last job is queued behind the others
+    assert 1 <= writers["raw"] <= POOL
+    assert 1 <= writers["parsed"] <= POOL
+    assert 1 <= writers["assessed"] <= POOL + 1
+
+
+def fail_after(function, calls: int):
+    lock = threading.Lock()
+    made = {"calls": 0}
+
+    def counted(*args, **kwargs):
+        with lock:
+            made["calls"] += 1
+            if made["calls"] > calls:
+                raise RuntimeError("injected failure")
+        return function(*args, **kwargs)
+
+    return counted
+
+
+@needs_proc
+@pytest.mark.parametrize("step", [3, 4, 5])
+def test_failed_step_leaves_no_catalogue_file_open(
+    serve_script, make_config, monkeypatch, step
+):
+    hub = serve_script(stacked_landscape())
+    config = make_config(
+        hub, workers_harvest=POOL, workers_select=POOL, workers_probe=POOL
+    )
+    run = PipelineRun(config)
+    for earlier in range(1, step):
+        run.run_step(earlier)
+
+    if step == 3:
+        harvest = oaipmh.harvest_records
+        trip = fail_after(lambda: None, 5)  # counts records across repositories
+
+        def failing_harvest(endpoint, prefix, policy, sink, **kwargs):
+            def tripping_sink(record):
+                trip()
+                sink(record)
+
+            return harvest(endpoint, prefix, policy, tripping_sink, **kwargs)
+
+        monkeypatch.setattr(oaipmh, "harvest_records", failing_harvest)
+    elif step == 4:
+        monkeypatch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
+    else:
+        monkeypatch.setattr(probe, "f_ret", fail_after(probe.f_ret, 5))
+
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run.run_step(step)
+    assert run.manifest.status(step) == STATUS_PARTIAL
+    stage = {3: "raw", 4: "parsed", 5: "assessed"}[step]
+    assert run.store.partitions(stage)  # lines were written before the failure
+    assert open_catalogue_files(run.run_dir) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from datetime import datetime
 
 import pytest
 
@@ -139,6 +140,10 @@ def test_manifest_round_trip(tmp_path):
     assert again.status(3) == STATUS_PARTIAL
     assert again.steps[3].detail == {"repositories": {"r": {"records": 3}}}
     assert again.status(5) == STATUS_PENDING
+
+
+def test_now_iso_carries_its_offset():
+    assert datetime.fromisoformat(now_iso()).tzinfo is not None
 
 
 def test_manifest_document_is_keyed_by_step_number(tmp_path):
