@@ -109,6 +109,9 @@ class MockRepository:
     prefixes: tuple[str, ...] = ("oai_dc", "datacite")
     apis: tuple[str, ...] = ("OAI-PMH",)
     faults: list[Fault] = field(default_factory=list)
+    # seconds a resumption token is honoured after it was issued; None keeps
+    # every token valid (OAI-PMH 2.0 §3.5 lets a token expire)
+    token_ttl: float | None = None
 
     def pages(self) -> int:
         if not self.records:
@@ -140,6 +143,8 @@ def validate(script: ScenarioScript) -> None:
         names.add(repo.name)
         if repo.page_size < 1:
             raise ScriptError(f"{repo.name}: page_size must be at least 1")
+        if repo.token_ttl is not None and repo.token_ttl <= 0:
+            raise ScriptError(f"{repo.name}: token_ttl must be positive")
         dois: set[str] = set()
         for record in repo.records:
             if not record.doi:
@@ -570,7 +575,14 @@ class _Handler(BaseHTTPRequestHandler):
             if not token.startswith("page:"):
                 self._oai_error(entry, "badResumptionToken")
                 return
-            page = int(token.split(":", 1)[1])
+            page_part, _, issued = token[len("page:"):].partition("@")
+            page = int(page_part)
+            if (
+                repo.token_ttl is not None
+                and time.monotonic() - float(issued or 0) > repo.token_ttl
+            ):
+                self._oai_error(entry, "badResumptionToken")
+                return
         else:
             prefix = query.get("metadataPrefix", "")
             if prefix not in repo.prefixes:
@@ -609,9 +621,11 @@ class _Handler(BaseHTTPRequestHandler):
                     f"<metadata>{record_payload(record)}</metadata></record>"
                 )
         if page < pages:
+            # a token that can expire carries the time it was issued
+            issued = "" if repo.token_ttl is None else f"@{time.monotonic():.6f}"
             token_xml = (
                 f'<resumptionToken completeListSize="{len(repo.records)}" '
-                f'cursor="{start}">page:{page + 1}</resumptionToken>'
+                f'cursor="{start}">page:{page + 1}{issued}</resumptionToken>'
             )
         else:
             token_xml = (
@@ -786,6 +800,7 @@ def script_to_dict(script: ScenarioScript) -> dict[str, Any]:
                 "page_size": repo.page_size,
                 "prefixes": list(repo.prefixes),
                 "apis": list(repo.apis),
+                "token_ttl": repo.token_ttl,
                 "faults": [
                     {
                         "kind": f.kind,
@@ -841,6 +856,7 @@ def script_from_dict(data: dict[str, Any]) -> ScenarioScript:
                 page_size=repo.get("page_size", 10),
                 prefixes=tuple(repo.get("prefixes", ("oai_dc", "datacite"))),
                 apis=tuple(repo.get("apis", ("OAI-PMH",))),
+                token_ttl=repo.get("token_ttl"),
                 faults=[
                     Fault(
                         kind=f["kind"],

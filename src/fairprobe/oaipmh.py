@@ -74,11 +74,31 @@ class HarvestPolicy:
 
 @dataclass
 class HarvestSummary:
+    """What one ``harvest_records`` call fetched; ``a + b`` sums two calls.
+
+    ``token`` is where a chain stopped by ``first_page_only`` continues.
+    """
+
     pages: int = 0
     records: int = 0
     deleted: int = 0
     completed: bool = False
     complete_list_size: int | None = None
+    token: str | None = None
+
+    def __add__(self, later: HarvestSummary) -> HarvestSummary:
+        return HarvestSummary(
+            pages=self.pages + later.pages,
+            records=self.records + later.records,
+            deleted=self.deleted + later.deleted,
+            completed=later.completed,
+            complete_list_size=(
+                self.complete_list_size
+                if self.complete_list_size is not None
+                else later.complete_list_size
+            ),
+            token=later.token,
+        )
 
 
 def _local_name(tag: object) -> str:
@@ -228,9 +248,9 @@ def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
 
 
 def _parse_page(
-    body: bytes | str,
-) -> tuple[list[RawRecord], str | None, int | None, str | None]:
-    """One ListRecords body -> (records, token, completeListSize, error code).
+    body: bytes | str, endpoint: str
+) -> tuple[list[RawRecord], str | None, int | None]:
+    """One ListRecords body -> (records, token, completeListSize).
 
     The token is None when the element is absent and "" when present but
     empty; both end the chain, but only an absent/empty token means done.
@@ -268,7 +288,7 @@ def _parse_page(
                 datestamp=datestamp,
                 deleted=deleted,
                 payload=payload,
-                source_endpoint="",
+                source_endpoint=endpoint,
             )
         )
 
@@ -282,7 +302,7 @@ def _parse_page(
                 size = int(raw_size)
             except ValueError:
                 size = None
-    return records, token, size, None
+    return records, token, size
 
 
 def harvest_records(
@@ -294,25 +314,43 @@ def harvest_records(
     gate: HostGate | None = None,
     seen: set[str] | None = None,
     session: http.Sessions | None = None,
+    first_page_only: bool = False,
+    after: HarvestSummary | None = None,
 ) -> HarvestSummary:
-    """Walk the full ListRecords chain, feeding each new record to the sink.
+    """Walk the ListRecords chain, feeding each new record to the sink.
 
     Every non-deleted record reaches the sink at most once per identifier
     (first occurrence wins; pass ``seen`` to carry that state across calls).
     Deleted records are only counted. A chain that cannot be finished
     returns completed=False with the counts that were obtained.
+
+    A chain may be walked in two calls: ``first_page_only`` ends the first
+    call after page 1, with the next resumption token in the summary, and
+    ``after`` (that summary) continues from the token. ``policy.max_pages``
+    applies to the whole chain, and so does the one bad-token restart, which
+    the second call is the only one to need; the returned summary counts
+    only this call's pages.
     """
     gate = gate or HostGate(policy.politeness_delay)
     seen = set() if seen is None else seen
+    earlier = after or HarvestSummary()
     summary = HarvestSummary()
     restart_budget = 1
     first_page_params = {"verb": "ListRecords", "metadataPrefix": prefix}
-    params = dict(first_page_params)
+    if after is None:
+        params = dict(first_page_params)
+    elif after.token:
+        params = {"verb": "ListRecords", "resumptionToken": after.token}
+    else:
+        raise ValueError(f"{endpoint}: the earlier call left no chain to continue")
 
     with http.scope(session) as current:
         client = current()
         while True:
-            if policy.max_pages is not None and summary.pages >= policy.max_pages:
+            if (
+                policy.max_pages is not None
+                and earlier.pages + summary.pages >= policy.max_pages
+            ):
                 logger.warning(
                     "%s: page cap %d reached, harvest is partial",
                     endpoint,
@@ -325,7 +363,7 @@ def harvest_records(
                 logger.warning("%s: %s, harvest is partial", endpoint, exc)
                 return summary
             try:
-                records, token, size, _ = _parse_page(http.xml_payload(reply))
+                records, token, size = _parse_page(http.xml_payload(reply), endpoint)
             except ET.ParseError as exc:
                 # a skipped page would silently bias the corpus, so stop here
                 logger.warning("%s: unparseable page (%s), harvest is partial",
@@ -356,19 +394,14 @@ def harvest_records(
                 if record.deleted:
                     summary.deleted += 1
                     continue
-                sink(
-                    RawRecord(
-                        oai_identifier=record.oai_identifier,
-                        datestamp=record.datestamp,
-                        deleted=False,
-                        payload=record.payload,
-                        source_endpoint=endpoint,
-                    )
-                )
+                sink(record)
                 summary.records += 1
 
             if not token:
                 summary.completed = True
+                return summary
+            if first_page_only:
+                summary.token = token
                 return summary
             params = {"verb": "ListRecords", "resumptionToken": token}
 
@@ -386,23 +419,12 @@ def estimate_list_size(
     Single-page lists have no resumption token; the page's own record count
     is the exact size then. Returns None when no estimate is possible.
     """
-    gate = gate or HostGate(policy.politeness_delay)
-    with http.scope(session) as current:
-        try:
-            reply = _request(
-                endpoint,
-                {"verb": "ListRecords", "metadataPrefix": prefix},
-                policy,
-                gate,
-                current(),
-            )
-            records, token, size, _ = _parse_page(http.xml_payload(reply))
-        except (EndpointUnresponsiveError, ET.ParseError):
-            return None
-        except ProtocolError as exc:
-            return 0 if exc.code == "noRecordsMatch" else None
-    if size is not None:
-        return size
-    if not token:
-        return len(records)
+    first = harvest_records(
+        endpoint, prefix, policy, lambda record: None,
+        gate=gate, session=session, first_page_only=True,
+    )
+    if first.complete_list_size is not None:
+        return first.complete_list_size
+    if first.completed:
+        return first.records + first.deleted
     return None

@@ -17,6 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from . import assessor, datacite, http, oaipmh, probe, registry, scoring
 from .config import RunConfig
@@ -48,6 +49,15 @@ class PipelineError(Exception):
 
 class PredecessorIncompleteError(PipelineError):
     """A step was requested before the step it depends on finished."""
+
+
+class _Chain(NamedTuple):
+    """A harvest chain left unfinished by its first page."""
+
+    repo: registry.RepositoryDescriptor
+    recovered: int  # records in the catalogue before page 1 was fetched
+    first: oaipmh.HarvestSummary
+    page_ids: set[str]  # ids new on page 1, deleted ones included
 
 
 class ConcurrencyMeter:
@@ -265,77 +275,92 @@ class PipelineRun:
                 ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
             )
 
-        # size estimates drive the allocation: big repositories get their
-        # own worker, small ones are bundled
-        def estimate(repo: registry.RepositoryDescriptor) -> int:
-            size = oaipmh.estimate_list_size(
-                endpoint_of(repo),
-                repo.datacite_support.prefix or "",
-                policy,
-                gate=gate,
-                session=self.sessions,
+        def stored_ids(repo: registry.RepositoryDescriptor) -> set[str]:
+            return {
+                entry["oai_identifier"]
+                for entry in self.store.read("raw", repo.registry_id)
+            }
+
+        def harvest(
+            repo: registry.RepositoryDescriptor,
+            seen: set[str],
+            *,
+            first_page_only: bool = False,
+            after: oaipmh.HarvestSummary | None = None,
+        ) -> oaipmh.HarvestSummary:
+            name = repo.registry_id
+
+            def sink(record: oaipmh.RawRecord) -> None:
+                self.store.append(
+                    "raw",
+                    name,
+                    {
+                        "oai_identifier": record.oai_identifier,
+                        "datestamp": record.datestamp,
+                        "payload": record.payload,
+                        "source_endpoint": record.source_endpoint,
+                    },
+                )
+
+            with meter.slot():
+                summary = oaipmh.harvest_records(
+                    endpoint_of(repo),
+                    repo.datacite_support.prefix or "",
+                    policy,
+                    sink,
+                    gate=gate,
+                    seen=seen,
+                    session=self.sessions,
+                    first_page_only=first_page_only,
+                    after=after,
+                )
+                self.store.close("raw", name)
+            return summary
+
+        def finish(
+            repo: registry.RepositoryDescriptor,
+            recovered: int,
+            summary: oaipmh.HarvestSummary,
+        ) -> None:
+            with self._manifest_lock:
+                done[repo.registry_id] = {
+                    "completed": summary.completed,
+                    "records": summary.records + recovered,
+                    "deleted": summary.deleted,
+                    "pages": summary.pages,
+                }
+                save_manifest(self.manifest, self.run_dir)
+
+        # pass 1: page 1 of every chain. Its completeListSize is the size
+        # estimate; the token and the ids new on page 1 are all that is kept
+        def start(repo: registry.RepositoryDescriptor) -> _Chain | None:
+            recovered_ids = stored_ids(repo)
+            seen = set(recovered_ids)
+            first = harvest(repo, seen, first_page_only=True)
+            if first.token:
+                return _Chain(repo, len(recovered_ids), first, seen - recovered_ids)
+            finish(repo, len(recovered_ids), first)
+            return None
+
+        # pass 2: the unfinished chains, largest first, on one shared queue.
+        # The seen set is rebuilt from the catalogue, so waiting chains hold
+        # no more than one page of ids each. A token that expired while its
+        # chain waited is rejected, and the chain spends its one restart to
+        # start again at page 1.
+        def resume(chain: _Chain) -> None:
+            seen = stored_ids(chain.repo) | chain.page_ids
+            rest = harvest(chain.repo, seen, after=chain.first)
+            finish(chain.repo, chain.recovered, chain.first + rest)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            unfinished = [chain for chain in pool.map(start, pending) if chain]
+            unfinished.sort(
+                key=lambda chain: (
+                    -(chain.first.complete_list_size or 0),
+                    chain.repo.registry_id,
+                )
             )
-            return size if size is not None else 0
-
-        if pending:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                sizes = list(pool.map(estimate, pending))
-        else:
-            sizes = []
-
-        bins: list[list[registry.RepositoryDescriptor]] = [[] for _ in range(workers)]
-        loads = [0] * workers
-        for size, repo in sorted(
-            zip(sizes, pending), key=lambda p: (-p[0], p[1].registry_id)
-        ):
-            lightest = loads.index(min(loads))
-            bins[lightest].append(repo)
-            loads[lightest] += max(size, 1)
-
-        def harvest_bin(bundle: list[registry.RepositoryDescriptor]) -> None:
-            for repo in bundle:
-                with meter.slot():
-                    name = repo.registry_id
-                    seen = {
-                        entry["oai_identifier"]
-                        for entry in self.store.read("raw", name)
-                    }
-                    recovered = len(seen)
-
-                    def sink(record: oaipmh.RawRecord) -> None:
-                        self.store.append(
-                            "raw",
-                            name,
-                            {
-                                "oai_identifier": record.oai_identifier,
-                                "datestamp": record.datestamp,
-                                "payload": record.payload,
-                                "source_endpoint": record.source_endpoint,
-                            },
-                        )
-
-                    summary = oaipmh.harvest_records(
-                        endpoint_of(repo),
-                        repo.datacite_support.prefix or "",
-                        policy,
-                        sink,
-                        gate=gate,
-                        seen=seen,
-                        session=self.sessions,
-                    )
-                    self.store.close("raw", name)
-                    with self._manifest_lock:
-                        done[name] = {
-                            "completed": summary.completed,
-                            "records": summary.records + recovered,
-                            "deleted": summary.deleted,
-                            "pages": summary.pages,
-                        }
-                        save_manifest(self.manifest, self.run_dir)
-
-        if pending:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(harvest_bin, [b for b in bins if b]))
+            list(pool.map(resume, unfinished))
         incomplete = [
             name
             for name, info in done.items()

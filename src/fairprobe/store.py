@@ -252,8 +252,10 @@ def save_manifest(manifest: RunManifest, run_dir: str | Path) -> None:
     path = manifest_path(run_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_suffix(".json.tmp")
+    # compact: an indent would force the pure-Python encoder on every save
     scratch.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8",
     )
     os.replace(scratch, path)
 

@@ -277,6 +277,17 @@ def test_script_document_round_trip(tmp_path):
     assert mockrdr.load_script(path) == script
 
 
+def test_token_ttl_round_trips_and_must_be_positive():
+    repo = mockrdr.MockRepository(
+        name="r", records=[mockrdr.MockRecord(doi="10.9/t")], token_ttl=2.5
+    )
+    script = mockrdr.ScenarioScript(repositories=[repo])
+    assert mockrdr.script_from_dict(mockrdr.script_to_dict(script)) == script
+    repo.token_ttl = 0.0
+    with pytest.raises(mockrdr.ScriptError, match="token_ttl"):
+        mockrdr.validate(script)
+
+
 @pytest.mark.parametrize(
     "name", ["scenario_small.json", "scenario_faults.json", "scenario_styles.json"]
 )

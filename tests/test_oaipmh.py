@@ -10,6 +10,7 @@ import pytest
 from fairprobe import mockrdr
 from fairprobe.oaipmh import (
     HarvestPolicy,
+    HarvestSummary,
     MetadataFormatInfo,
     ProtocolError,
     RawRecord,
@@ -201,6 +202,80 @@ def test_seen_set_carries_across_calls(serve_script):
     assert second.records == 1
     assert len(got) == 5
     assert len({r.oai_identifier for r in got}) == 5
+
+
+def test_chain_walked_in_two_calls_matches_one_walk(serve_script):
+    repo = make_repo(n=7, page_size=3)
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
+    endpoint = hub.oai_endpoint(repo.name)
+    whole, _ = harvest(hub, repo.name)
+    got: list[RawRecord] = []
+    seen: set[str] = set()
+    first = harvest_records(
+        endpoint, "datacite", fast_policy(), got.append, seen=seen,
+        first_page_only=True,
+    )
+    assert (first.pages, first.records, first.completed) == (1, 3, False)
+    assert first.token and first.complete_list_size == 7
+    rest = harvest_records(
+        endpoint, "datacite", fast_policy(), got.append, seen=seen, after=first
+    )
+    assert (rest.pages, rest.records, rest.token) == (2, 4, None)
+    assert first + rest == whole
+    assert {r.oai_identifier for r in got} == expected_ids(repo)
+    assert {r.source_endpoint for r in got} == {endpoint}
+    assert len(hub.requests_to("/oai/")) == 3 + 3  # the one walk, then 1 + 2
+
+
+def test_page_cap_spans_both_calls_of_a_chain(serve_script):
+    repo = make_repo(n=7, page_size=3)
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
+    endpoint = hub.oai_endpoint(repo.name)
+    policy = fast_policy(max_pages=2)
+    first = harvest_records(
+        endpoint, "datacite", policy, lambda r: None, first_page_only=True
+    )
+    rest = harvest_records(endpoint, "datacite", policy, lambda r: None, after=first)
+    assert (first.pages, rest.pages, rest.completed) == (1, 1, False)
+    assert len(hub.requests_to("/oai/")) == 2
+
+
+def test_expired_token_spends_the_one_restart(serve_script):
+    # tokens live 0.3 s and each chain waits 0.5 s between its two calls:
+    # "expiring" then completes one page late, "expiring-flaky" also has its
+    # page-3 token rejected afterwards, with no restart left for it
+    ok = make_repo(name="expiring", n=9, page_size=3)
+    flaky = make_repo(
+        name="expiring-flaky",
+        n=12,
+        page_size=3,
+        faults=[mockrdr.Fault(kind="badtoken", page=3)],
+    )
+    ok.token_ttl = flaky.token_ttl = 0.3
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[ok, flaky]))
+
+    def walk(name):
+        endpoint = hub.oai_endpoint(name)
+        seen: set[str] = set()
+        first = harvest_records(
+            endpoint, "datacite", fast_policy(), lambda r: None, seen=seen,
+            first_page_only=True,
+        )
+        time.sleep(0.5)
+        rest = harvest_records(
+            endpoint, "datacite", fast_policy(), lambda r: None, seen=seen,
+            after=first,
+        )
+        return first + rest
+
+    # page 1; the expired page-2 token, then pages 1-3
+    assert walk("expiring") == HarvestSummary(
+        pages=4, records=9, completed=True, complete_list_size=9
+    )
+    assert [r.target for r in hub.requests_to("/oai/")] == ["/oai/expiring"] * 5
+    # page 1; the expired page-2 token, pages 1-2, the rejected page-3 token
+    partial = walk("expiring-flaky")
+    assert (partial.pages, partial.records, partial.completed) == (3, 6, False)
 
 
 def test_politeness_spacing_per_endpoint(serve_script):

@@ -329,6 +329,160 @@ def test_partial_harvest_is_reported_as_warning(serve_script, make_config):
     assert load_manifest(run_dir).status(3) == STATUS_PARTIAL
 
 
+def sized_landscape() -> mockrdr.ScenarioScript:
+    """Five providers of 1 to 5 pages, listed in no particular size order."""
+    sizes = {"alpha": 3, "bravo": 9, "charlie": 1, "delta": 6, "echo": 9}
+    return mockrdr.ScenarioScript(
+        repositories=[
+            mockrdr.MockRepository(
+                name=name,
+                records=[
+                    mockrdr.MockRecord(doi=f"10.24/{name}-{i}") for i in range(size)
+                ],
+                page_size=2,
+            )
+            for name, size in sizes.items()
+        ]
+    )
+
+
+def list_records_requests(hub: mockrdr.MockHandle) -> list[str]:
+    """The repository of every ListRecords request, in arrival order."""
+    return [
+        entry.target.rsplit("/", 1)[-1]
+        for entry in hub.requests_to("/oai/")
+        if "verb=ListRecords" in entry.path
+    ]
+
+
+def test_step3_fetches_every_page_once(serve_script, make_config):
+    hub = serve_script(sized_landscape())
+    run = PipelineRun(make_config(hub, workers_harvest=2))
+    run.run_step(1)
+    run.run_step(2)
+    assert list_records_requests(hub) == []
+    run.run_step(3)
+    assert run.manifest.status(3) == STATUS_COMPLETE
+    detail = run.manifest.steps[3].detail["repositories"]
+    assert {name: info["pages"] for name, info in detail.items()} == {
+        "alpha": 2, "bravo": 5, "charlie": 1, "delta": 3, "echo": 5,
+    }
+    # the first page is both the size estimate and the start of the harvest
+    assert len(list_records_requests(hub)) == sum(
+        info["pages"] for info in detail.values()
+    )
+
+
+def test_step3_continues_the_largest_chains_first(serve_script, make_config):
+    hub = serve_script(sized_landscape())
+    run = PipelineRun(make_config(hub, workers_harvest=1))
+    for step in (1, 2, 3):
+        run.run_step(step)
+    order = list_records_requests(hub)
+    # pass 1: page 1 of every provider; pass 2: the rest of each unfinished
+    # chain, by completeListSize, ties by registry id
+    assert sorted(order[:5]) == ["alpha", "bravo", "charlie", "delta", "echo"]
+    assert order[5:] == ["bravo"] * 4 + ["echo"] * 4 + ["delta"] * 2 + ["alpha"]
+
+
+def test_token_that_expired_in_the_queue_costs_one_request(
+    serve_script, make_config
+):
+    # "small" waits behind the 30-page chain of "large" (at least 1.45 s at
+    # 50 ms spacing), longer than its tokens live; its chain then starts
+    # again at page 1
+    large = mockrdr.MockRepository(
+        name="large",
+        records=[mockrdr.MockRecord(doi=f"10.26/large-{i}") for i in range(30)],
+        page_size=1,
+    )
+    small = mockrdr.MockRepository(
+        name="small",
+        records=[mockrdr.MockRecord(doi=f"10.26/small-{i}") for i in range(6)],
+        page_size=2,
+        token_ttl=0.8,
+    )
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[large, small]))
+    run = PipelineRun(make_config(hub, workers_harvest=1, politeness_delay=50.0))
+    for step in (1, 2, 3):
+        run.run_step(step)
+    assert run.manifest.status(3) == STATUS_COMPLETE
+    # page 1; the expired page-2 token, then pages 1-3
+    assert run.manifest.steps[3].detail["repositories"]["small"] == {
+        "completed": True, "records": 6, "deleted": 0, "pages": 4,
+    }
+    assert list_records_requests(hub).count("small") == 5
+    got = [e["oai_identifier"] for e in run.store.read("raw", "small")]
+    assert sorted(got) == sorted(mockrdr.oai_identifier("small", i) for i in range(6))
+
+
+def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_config):
+    # the first attempt stops after two pages; on resume, the chain waiting
+    # in pass 2 holds no ids of its own, yet the restart forced on page 3
+    # must not deliver the recovered records again
+    repo = mockrdr.MockRepository(
+        name="halfway",
+        records=[mockrdr.MockRecord(doi=f"10.27/{i}") for i in range(8)],
+        page_size=2,
+        faults=[mockrdr.Fault(kind="badtoken", page=3)],
+    )
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
+    first = PipelineRun(make_config(hub, run_id="halfway", max_pages=2))
+    for step in (1, 2, 3):
+        first.run_step(step)
+    assert first.store.count("raw", "halfway") == 4
+
+    resumed = PipelineRun(make_config(hub, run_id="halfway", max_pages=None))
+    resumed.run_step(3)
+    assert resumed.manifest.status(3) == STATUS_COMPLETE
+    # page 1 in pass 1; pages 2, rejected 3, then 1-4 in pass 2
+    assert resumed.manifest.steps[3].detail["repositories"]["halfway"] == {
+        "completed": True, "records": 8, "deleted": 0, "pages": 6,
+    }
+    got = [e["oai_identifier"] for e in resumed.store.read("raw", "halfway")]
+    assert sorted(got) == sorted(mockrdr.oai_identifier("halfway", i) for i in range(8))
+
+
+def test_page_cap_of_one_sends_one_request_per_provider(serve_script, make_config):
+    hub = serve_script(sized_landscape())
+    run = PipelineRun(make_config(hub, max_pages=1))
+    for step in (1, 2, 3):
+        run.run_step(step)
+    assert sorted(list_records_requests(hub)) == [
+        "alpha", "bravo", "charlie", "delta", "echo",
+    ]
+    assert run.manifest.status(3) == STATUS_PARTIAL
+    assert run.manifest.steps[3].detail["incomplete"] == [
+        "alpha", "bravo", "delta", "echo",
+    ]
+
+
+def test_restart_after_the_first_page_counts_deleted_records_once(
+    serve_script, make_config
+):
+    records = [mockrdr.MockRecord(doi=f"10.25/{i}") for i in range(7)]
+    records[1] = mockrdr.MockRecord(doi="10.25/gone", deleted=True)
+    repo = mockrdr.MockRepository(
+        name="handoff",
+        records=records,
+        page_size=3,
+        faults=[mockrdr.Fault(kind="badtoken", page=2)],
+    )
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
+    run = PipelineRun(make_config(hub))
+    for step in (1, 2, 3):
+        run.run_step(step)
+    assert run.manifest.status(3) == STATUS_COMPLETE
+    # page 1, the rejected token, page 1 again after the restart, pages 2-3
+    assert run.manifest.steps[3].detail["repositories"]["handoff"] == {
+        "completed": True, "records": 6, "deleted": 1, "pages": 4,
+    }
+    got = [e["oai_identifier"] for e in run.store.read("raw", "handoff")]
+    assert sorted(got) == sorted(
+        mockrdr.oai_identifier("handoff", i) for i in range(7) if i != 1
+    )
+
+
 def test_module_level_run_step(fixtures_dir, serve_script, make_config):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
     hub = serve_script(script)

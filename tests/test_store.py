@@ -35,6 +35,7 @@ def test_append_read_round_trip(tmp_path):
     assert list(store.read("raw", "Some Archive")) == rows
     assert store.count("raw", "Some Archive") == 5
     assert list(store.read("raw", "never written")) == []
+    store.close_all()
 
 
 def test_partition_names_survive_awkward_repositories(tmp_path):
@@ -42,6 +43,7 @@ def test_partition_names_survive_awkward_repositories(tmp_path):
     names = ["plain", "with space", "slash/inside", "ümlaut-ärchive", "a:b?c"]
     for name in names:
         store.append("parsed", name, {"repo": name})
+    store.close_all()
     assert store.partitions("parsed") == sorted(names)
     for name in names:
         assert [r["repo"] for r in store.read("parsed", name)] == [name]
@@ -59,16 +61,19 @@ def test_reader_drops_truncated_tail(tmp_path):
     with open(path, "ab") as handle:
         handle.write(b'{"n": 3, "cut in ha')
     assert [r["n"] for r in store.read("raw", "r")] == [1, 2]
+    store.close_all()
 
 
 def test_append_repairs_truncated_tail_first(tmp_path):
     store = CatalogueStore(tmp_path)
     store.append("raw", "r", {"n": 1})
+    store.close_all()
     path = tmp_path / "catalogue" / "raw" / "r.ndjson"
     with open(path, "ab") as handle:
         handle.write(b'{"n": 2, "cut')
     fresh = CatalogueStore(tmp_path)  # new instance, repair not yet done
     fresh.append("raw", "r", {"n": 3})
+    fresh.close_all()
     assert [r["n"] for r in fresh.read("raw", "r")] == [1, 3]
     # the file itself holds exactly two intact lines now
     assert path.read_bytes().count(b"\n") == 2
@@ -80,6 +85,7 @@ def test_truncated_only_line_becomes_empty_file(tmp_path):
     path.parent.mkdir(parents=True)
     path.write_bytes(b'{"half of a single line')
     store.append("raw", "r", {"n": 1})
+    store.close_all()
     assert [r["n"] for r in store.read("raw", "r")] == [1]
 
 
@@ -113,6 +119,7 @@ def test_concurrent_appends_stay_line_atomic(tmp_path):
         t.start()
     for t in threads:
         t.join()
+    store.close_all()
     rows = list(store.read("raw", "shared"))
     assert len(rows) == 400
     for worker in range(8):
