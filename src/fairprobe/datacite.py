@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any, Union
 from xml.sax.saxutils import escape, quoteattr
 
+from .xmltree import attr, child, children, local_name
+
 
 class RecordParseError(Exception):
     """Base class for payloads that cannot become a DataciteRecord."""
@@ -99,30 +101,6 @@ class DataciteRecord:
     oai_identifier: str = ""
 
 
-def _local_name(tag: object) -> str:
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
-
-
-def _children(element: ET.Element, name: str) -> list[ET.Element]:
-    return [child for child in element if _local_name(child.tag) == name]
-
-
-def _first_child(element: ET.Element, name: str) -> ET.Element | None:
-    for child in element:
-        if _local_name(child.tag) == name:
-            return child
-    return None
-
-
-def _attr(element: ET.Element, name: str) -> str | None:
-    for key, value in element.attrib.items():
-        if _local_name(key) == name:
-            return value
-    return None
-
-
 def _text(element: ET.Element | None) -> str:
     if element is None or element.text is None:
         return ""
@@ -134,8 +112,8 @@ def _flat_text(element: ET.Element) -> str:
 
 
 def _parse_point(element: ET.Element) -> GeoLocation:
-    lat_el = _first_child(element, "pointLatitude")
-    lon_el = _first_child(element, "pointLongitude")
+    lat_el = child(element, "pointLatitude")
+    lon_el = child(element, "pointLongitude")
     if lat_el is not None or lon_el is not None:
         parts = [_text(lat_el), _text(lon_el)]
     else:
@@ -155,7 +133,7 @@ def _parse_box(element: ET.Element) -> GeoLocation:
         "northBoundLatitude",
         "eastBoundLongitude",
     )
-    child_els = [_first_child(element, name) for name in names]
+    child_els = [child(element, name) for name in names]
     if any(el is not None for el in child_els):
         parts = [_text(el) for el in child_els]
     else:
@@ -170,14 +148,14 @@ def _parse_box(element: ET.Element) -> GeoLocation:
 
 def _parse_geo_location(element: ET.Element) -> list[GeoLocation]:
     out: list[GeoLocation] = []
-    for child in element:
-        name = _local_name(child.tag)
+    for el in element:
+        name = local_name(el.tag)
         if name == "geoLocationPoint":
-            out.append(_parse_point(child))
+            out.append(_parse_point(el))
         elif name == "geoLocationBox":
-            out.append(_parse_box(child))
+            out.append(_parse_box(el))
         elif name == "geoLocationPlace":
-            out.append(GeoPlace(text=_flat_text(child)))
+            out.append(GeoPlace(text=_flat_text(el)))
         # polygons and anything newer are not modelled
     if not out and element.text and element.text.strip():
         # a bare geoLocation with loose text is still an annotation attempt
@@ -201,18 +179,18 @@ def parse_record(
     except ET.ParseError as exc:
         raise XmlMalformedError(str(exc)) from exc
 
-    if _local_name(root.tag) == "resource":
+    if local_name(root.tag) == "resource":
         resource = root
     else:
         resource = next(
-            (el for el in root.iter() if _local_name(el.tag) == "resource"), None
+            (el for el in root.iter() if local_name(el.tag) == "resource"), None
         )
         if resource is None:
             raise NotDataciteError(
-                f"no resource element (root is {_local_name(root.tag)!r})"
+                f"no resource element (root is {local_name(root.tag)!r})"
             )
 
-    doi = _text(_first_child(resource, "identifier"))
+    doi = _text(child(resource, "identifier"))
     if not doi:
         raise MissingIdentifierError("record carries no identifier")
 
@@ -220,33 +198,33 @@ def parse_record(
         doi=doi, repository=repository, oai_identifier=oai_identifier
     )
 
-    resource_type = _first_child(resource, "resourceType")
+    resource_type = child(resource, "resourceType")
     if resource_type is not None:
-        record.resource_type_general = _attr(resource_type, "resourceTypeGeneral")
+        record.resource_type_general = attr(resource_type, "resourceTypeGeneral")
 
-    formats = _first_child(resource, "formats")
+    formats = child(resource, "formats")
     if formats is not None:
-        record.formats = [_text(el) for el in _children(formats, "format")]
+        record.formats = [_text(el) for el in children(formats, "format")]
 
-    dates = _first_child(resource, "dates")
+    dates = child(resource, "dates")
     if dates is not None:
         record.dates = [
-            DateEntry(value=_text(el), date_type=_attr(el, "dateType") or "")
-            for el in _children(dates, "date")
+            DateEntry(value=_text(el), date_type=attr(el, "dateType") or "")
+            for el in children(dates, "date")
         ]
 
-    geo = _first_child(resource, "geoLocations")
+    geo = child(resource, "geoLocations")
     if geo is not None:
-        for loc in _children(geo, "geoLocation"):
+        for loc in children(geo, "geoLocation"):
             record.geo_locations.extend(_parse_geo_location(loc))
 
-    rights_list = _first_child(resource, "rightsList")
+    rights_list = child(resource, "rightsList")
     rights_elements = (
-        _children(rights_list, "rights") if rights_list is not None
-        else _children(resource, "rights")
+        children(rights_list, "rights") if rights_list is not None
+        else children(resource, "rights")
     )
     record.rights = [
-        RightsEntry(text=_flat_text(el), rights_uri=_attr(el, "rightsURI"))
+        RightsEntry(text=_flat_text(el), rights_uri=attr(el, "rightsURI"))
         for el in rights_elements
     ]
 
@@ -261,11 +239,6 @@ def media_type(value: str) -> str:
 def is_image_format(value: str) -> bool:
     bare = media_type(value)
     return bare.startswith("image/") and len(bare) > len("image/")
-
-
-def has_wildcard_image_format(record: DataciteRecord) -> bool:
-    """True when interest hinges on a literal ``image/*`` annotation."""
-    return any(media_type(f) == "image/*" for f in record.formats)
 
 
 def is_of_interest(record: DataciteRecord) -> bool:

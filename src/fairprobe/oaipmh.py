@@ -12,12 +12,13 @@ import logging
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import requests
 
 from . import http
 from .throttle import HostGate
+from .xmltree import child, children, local_name
 
 logger = logging.getLogger(__name__)
 
@@ -101,23 +102,6 @@ class HarvestSummary:
         )
 
 
-def _local_name(tag: object) -> str:
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
-
-
-def _children(element: ET.Element | None, name: str) -> Iterator[ET.Element]:
-    if element is not None:
-        for child in element:
-            if _local_name(child.tag) == name:
-                yield child
-
-
-def _child(element: ET.Element | None, name: str) -> ET.Element | None:
-    return next(_children(element, name), None)
-
-
 def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
     """The reply's verb element, after raising the OAI error if there is one.
 
@@ -125,10 +109,10 @@ def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
     section 3.6), so a payload element with the same local name is never
     taken for either.
     """
-    error = _child(root, "error")
+    error = child(root, "error")
     if error is not None:
         raise ProtocolError(error.get("code", ""), (error.text or "").strip())
-    return _child(root, verb)
+    return child(root, verb)
 
 
 def _request(
@@ -203,13 +187,13 @@ def list_metadata_formats(
     formats: list[MetadataFormatInfo] = []
     seen: set[str] = set()
     verb = _verb_element(root, "ListMetadataFormats")
-    for el in _children(verb, "metadataFormat"):
+    for el in children(verb, "metadataFormat"):
         prefix = ""
         schema_url = ""
         namespace = ""
-        for child in el:
-            name = _local_name(child.tag)
-            text = (child.text or "").strip()
+        for field in el:
+            name = local_name(field.tag)
+            text = (field.text or "").strip()
             if name == "metadataPrefix":
                 prefix = text
             elif name == "schema":
@@ -259,22 +243,22 @@ def _parse_page(
     """
     list_records = _verb_element(ET.fromstring(body), "ListRecords")
     records: list[RawRecord] = []
-    for el in _children(list_records, "record"):
-        header = _child(el, "header")
+    for el in children(list_records, "record"):
+        header = child(el, "header")
         if header is None:
             continue
         identifier = ""
         datestamp = ""
-        for child in header:
-            name = _local_name(child.tag)
+        for field in header:
+            name = local_name(field.tag)
             if name == "identifier":
-                identifier = (child.text or "").strip()
+                identifier = (field.text or "").strip()
             elif name == "datestamp":
-                datestamp = (child.text or "").strip()
+                datestamp = (field.text or "").strip()
         deleted = header.get("status") == "deleted"
         payload = ""
         if not deleted:
-            metadata = _child(el, "metadata")
+            metadata = child(el, "metadata")
             if metadata is not None:
                 inner = next(iter(metadata), None)
                 if inner is not None:
@@ -292,7 +276,7 @@ def _parse_page(
             )
         )
 
-    token_el = _child(list_records, "resumptionToken")
+    token_el = child(list_records, "resumptionToken")
     token = None if token_el is None else (token_el.text or "").strip()
     size: int | None = None
     if token_el is not None:

@@ -380,67 +380,52 @@ class PipelineRun:
         }
 
     def _step4_assess(self) -> tuple[str, dict]:
-        partitions = self.store.partitions("raw")
-        meter = ConcurrencyMeter()
-        counts_lock = threading.Lock()
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
         assess_config = assessor.AssessorConfig(
             geo_require_coordinates=self.config.geo_require_coordinates
         )
-
-        def assess_partition(name: str) -> None:
-            with meter.slot():
-                seen_dois = {
-                    entry["doi"] for entry in self.store.read("parsed", name)
-                }
-                local = {"parsed": 0, "errors": 0, "not_of_interest": 0,
-                         "duplicates": 0}
-                for entry in self.store.read("raw", name):
-                    try:
-                        record = datacite.parse_record(
-                            entry["payload"],
-                            repository=name,
-                            oai_identifier=entry["oai_identifier"],
-                        )
-                    except datacite.RecordParseError as exc:
-                        logger.warning(
-                            "%s %s: %s", name, entry["oai_identifier"], exc
-                        )
-                        local["errors"] += 1
-                        continue
-                    if not datacite.is_of_interest(record):
-                        local["not_of_interest"] += 1
-                        continue
-                    if record.doi in seen_dois:
-                        local["duplicates"] += 1
-                        continue
-                    seen_dois.add(record.doi)
-                    result = assessor.assess(record, assess_config)
-                    self.store.append(
-                        "parsed",
-                        name,
-                        {
-                            "doi": record.doi,
-                            "repository": name,
-                            "oai_identifier": entry["oai_identifier"],
-                            "record": datacite.record_to_dict(record),
-                            "chrono": result.chrono,
-                            "geo": result.geo,
-                            "lic": result.lic,
-                        },
+        for name in self.store.partitions("raw"):
+            # a resumed step recounts every raw record: the first occurrence
+            # of a DOI an earlier attempt already parsed counts as parsed
+            # again, without a second line
+            already = {entry["doi"] for entry in self.store.read("parsed", name)}
+            seen_dois: set[str] = set()
+            for entry in self.store.read("raw", name):
+                try:
+                    record = datacite.parse_record(
+                        entry["payload"],
+                        repository=name,
+                        oai_identifier=entry["oai_identifier"],
                     )
-                    local["parsed"] += 1
-                self.store.close("parsed", name)
-                with counts_lock:
-                    for key, value in local.items():
-                        counts[key] += value
-
-        if partitions:
-            with ThreadPoolExecutor(
-                max_workers=max(1, self.config.workers_select)
-            ) as pool:
-                list(pool.map(assess_partition, partitions))
-        counts["peak_workers"] = meter.peak
+                except datacite.RecordParseError as exc:
+                    logger.warning("%s %s: %s", name, entry["oai_identifier"], exc)
+                    counts["errors"] += 1
+                    continue
+                if not datacite.is_of_interest(record):
+                    counts["not_of_interest"] += 1
+                    continue
+                if record.doi in seen_dois:
+                    counts["duplicates"] += 1
+                    continue
+                seen_dois.add(record.doi)
+                counts["parsed"] += 1
+                if record.doi in already:
+                    continue
+                result = assessor.assess(record, assess_config)
+                self.store.append(
+                    "parsed",
+                    name,
+                    {
+                        "doi": record.doi,
+                        "repository": name,
+                        "oai_identifier": entry["oai_identifier"],
+                        "record": datacite.record_to_dict(record),
+                        "chrono": result.chrono,
+                        "geo": result.geo,
+                        "lic": result.lic,
+                    },
+                )
+            self.store.close("parsed", name)
         return STATUS_COMPLETE, counts
 
     def _step5_probe(self) -> tuple[str, dict]:
@@ -576,12 +561,6 @@ class PipelineRun:
             logger.warning("%s", warning)
         write_report(report, self.run_dir.parent)
         return self.run_dir
-
-
-def run_step(step: int, manifest: RunManifest, config: RunConfig) -> RunManifest:
-    """Execute one workflow step against an existing run."""
-    bound = RunConfig(**{**config.snapshot(), "run_id": manifest.run_id})
-    return PipelineRun(bound).run_step(step)
 
 
 def run_all(config: RunConfig) -> Path:

@@ -19,6 +19,7 @@ from urllib.parse import urlparse
 import requests
 
 from . import http
+from .xmltree import attr, local_name
 
 logger = logging.getLogger(__name__)
 
@@ -68,15 +69,9 @@ def _valid_url(url: str) -> bool:
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 
 
-def _local_name(tag: object) -> str:
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
-
-
 def _find_text(element: ET.Element, name: str) -> str:
     for child in element.iter():
-        if _local_name(child.tag) == name and child.text:
+        if local_name(child.tag) == name and child.text:
             return child.text.strip()
     return ""
 
@@ -91,7 +86,7 @@ def parse_repository_list(xml_text: str | bytes) -> list[dict[str, str]]:
         raise RegistryError(f"registry list payload is not XML: {exc}") from exc
     entries: list[dict[str, str]] = []
     for index, el in enumerate(
-        e for e in root.iter() if _local_name(e.tag) == "repository"
+        e for e in root.iter() if local_name(e.tag) == "repository"
     ):
         registry_id = _find_text(el, "id") or _find_text(el, "re3data.orgIdentifier")
         if not registry_id:
@@ -111,12 +106,10 @@ def parse_repository_detail(xml_text: str | bytes) -> dict[str, Any]:
     name = _find_text(root, "repositoryName") or _find_text(root, "name")
     endpoints: list[ApiEndpoint] = []
     for el in root.iter():
-        if _local_name(el.tag) != "api":
+        if local_name(el.tag) != "api":
             continue
         url = (el.text or "").strip()
-        kind_raw = next(
-            (v for k, v in el.attrib.items() if _local_name(k) == "apiType"), ""
-        )
+        kind_raw = attr(el, "apiType") or ""
         if not _valid_url(url):
             logger.warning("dropping api endpoint with invalid url %r", url)
             continue
@@ -124,7 +117,7 @@ def parse_repository_detail(xml_text: str | bytes) -> dict[str, Any]:
     quality = [
         (el.text or "").strip()
         for el in root.iter()
-        if _local_name(el.tag) in QUALITY_TAGS and el.text and el.text.strip()
+        if local_name(el.tag) in QUALITY_TAGS and el.text and el.text.strip()
     ]
     return {
         "registry_id": registry_id,

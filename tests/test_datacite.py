@@ -17,7 +17,6 @@ from fairprobe.datacite import (
     NotDataciteError,
     RightsEntry,
     XmlMalformedError,
-    has_wildcard_image_format,
     is_image_format,
     is_of_interest,
     media_type,
@@ -202,12 +201,6 @@ def test_is_of_interest(type_general, formats, interesting):
         doi="10.1/x", resource_type_general=type_general, formats=list(formats)
     )
     assert is_of_interest(record) is interesting
-
-
-def test_wildcard_annotation_detected():
-    record = DataciteRecord(doi="10.1/x", formats=["Image/* ; q=1"])
-    assert has_wildcard_image_format(record)
-    assert not has_wildcard_image_format(DataciteRecord(doi="10.1/y", formats=["image/png"]))
 
 
 @pytest.mark.parametrize(

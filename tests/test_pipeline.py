@@ -308,6 +308,12 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
     assert parsed[0]["chrono"] is True  # the first occurrence won
     assert parsed[0]["lic"] is False
 
+    # running over the same catalogue again, as a resumed step does, keeps
+    # the counts and appends nothing
+    counted = dict(detail)
+    assert run.run_step(4).steps[4].detail == counted
+    assert list(run.store.read("parsed", "dup-repo")) == parsed
+
 
 def test_partial_harvest_is_reported_as_warning(serve_script, make_config):
     repo = mockrdr.MockRepository(
@@ -483,16 +489,6 @@ def test_restart_after_the_first_page_counts_deleted_records_once(
     )
 
 
-def test_module_level_run_step(fixtures_dir, serve_script, make_config):
-    script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
-    hub = serve_script(script)
-    config = make_config(hub, run_id="functional")
-    run = PipelineRun(config)
-    manifest = pipeline.run_step(1, run.manifest, config)
-    assert manifest.status(1) == STATUS_COMPLETE
-    assert load_manifest(run.run_dir).status(1) == STATUS_COMPLETE
-
-
 def test_failed_step1_stays_pending(tmp_path):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -607,10 +603,11 @@ def test_catalogue_handles_are_bounded_and_closed(
     # a second store reading mid-step saw every line appended so far
     assert unseen == []
     # handles are bounded by the partitions in progress, not by the six
-    # repositories: one per harvest or assessment worker, and one more in
-    # step 5 for a partition whose last job is queued behind the others
+    # repositories: one per harvest worker, one in step 4, which assesses
+    # one partition after the other, and one more than the pool in step 5
+    # for a partition whose last job is queued behind the others
     assert 1 <= writers["raw"] <= POOL
-    assert 1 <= writers["parsed"] <= POOL
+    assert writers["parsed"] == 1
     assert 1 <= writers["assessed"] <= POOL + 1
 
 
@@ -664,3 +661,71 @@ def test_failed_step_leaves_no_catalogue_file_open(
     stage = {3: "raw", 4: "parsed", 5: "assessed"}[step]
     assert run.store.partitions(stage)  # lines were written before the failure
     assert open_catalogue_files(run.run_dir) == []
+
+
+def mixed_landscape() -> mockrdr.ScenarioScript:
+    flags = [(True, False, True), (False, True, True), (True, True, False)]
+    return mockrdr.ScenarioScript(
+        repositories=[
+            mockrdr.MockRepository(
+                name=f"mixed-{i}",
+                records=[
+                    mockrdr.MockRecord(
+                        doi=f"10.21/mixed-{i}-{j}",
+                        of_interest=j % 3 != 2,
+                        chrono=flags[j % 3][0],
+                        geo=flags[(i + j) % 3][1],
+                        lic=flags[j % 3][2],
+                        retrieval="client" if j % 2 else "landing",
+                    )
+                    for j in range(6)
+                ],
+                page_size=3,
+            )
+            for i in range(3)
+        ]
+    )
+
+
+def test_resumed_step4_counts_like_a_clean_run(
+    serve_script, make_config, tmp_path, monkeypatch
+):
+    hub = serve_script(mixed_landscape())
+
+    def run_in(directory: str) -> PipelineRun:
+        return PipelineRun(make_config(hub, out=str(tmp_path / directory),
+                                       run_id="same"))
+
+    clean = run_in("clean")
+    for step in (1, 2, 3, 4, 5):
+        clean.run_step(step)
+    clean.finalize()
+
+    crashed = run_in("crashed")
+    for step in (1, 2, 3):
+        crashed.run_step(step)
+    with monkeypatch.context() as patch:
+        patch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            crashed.run_step(4)
+    assert crashed.manifest.status(4) == STATUS_PARTIAL
+    resumed = run_in("crashed")
+    for step in (4, 5):
+        resumed.run_step(step)
+    resumed.finalize()
+
+    assert clean.manifest.steps[4].detail == {
+        "parsed": 12, "errors": 0, "not_of_interest": 6, "duplicates": 0
+    }
+    assert resumed.manifest.steps[4].detail == clean.manifest.steps[4].detail
+    names = clean.store.partitions("parsed")
+    assert resumed.store.partitions("parsed") == names
+    for name in names:
+        assert list(resumed.store.read("parsed", name)) == list(
+            clean.store.read("parsed", name)
+        )
+    for name in ("repositories.csv", "criteria.csv", "apis.csv",
+                 "fair_coverage.txt", "report.json"):
+        assert (resumed.run_dir / name).read_bytes() == (
+            clean.run_dir / name
+        ).read_bytes()
