@@ -6,7 +6,7 @@ the network; retrievability is decided elsewhere and merged into the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 from urllib.parse import urlparse
 
@@ -23,16 +23,6 @@ class AssessmentResult:
     ret: bool = False
     probe_trace: dict[str, Any] | None = None
 
-    def met_count(self) -> int:
-        return int(self.chrono) + int(self.geo) + int(self.lic) + int(self.ret)
-
-
-@dataclass
-class AssessorConfig:
-    # Place names count as geo annotation unless the run insists on
-    # machine-usable coordinates.
-    geo_require_coordinates: bool = False
-
 
 def f_chrono(record: DataciteRecord) -> bool:
     """Does the record say when the image was created?
@@ -43,15 +33,15 @@ def f_chrono(record: DataciteRecord) -> bool:
     return any(d.date_type == "Created" and d.value.strip() for d in record.dates)
 
 
-def f_geo(record: DataciteRecord, config: AssessorConfig | None = None) -> bool:
+def f_geo(record: DataciteRecord, *, require_coordinates: bool = False) -> bool:
     """Does the record say where the image belongs?
 
     At least one valid location: a point or box within coordinate bounds,
-    or a non-empty place name when the configuration accepts those.
+    or a non-empty place name unless the run insists on machine-usable
+    coordinates.
     """
-    config = config or AssessorConfig()
     for loc in record.geo_locations:
-        if isinstance(loc, GeoPlace) and config.geo_require_coordinates:
+        if isinstance(loc, GeoPlace) and require_coordinates:
             continue
         if loc.valid():
             return True
@@ -73,13 +63,15 @@ def f_lic(record: DataciteRecord) -> bool:
     return False
 
 
-def assess(record: DataciteRecord, config: AssessorConfig | None = None) -> AssessmentResult:
+def assess(
+    record: DataciteRecord, *, require_coordinates: bool = False
+) -> AssessmentResult:
     """Evaluate the metadata-only predicates; ret stays False until probed."""
     return AssessmentResult(
         doi=record.doi,
         repository=record.repository,
         chrono=f_chrono(record),
-        geo=f_geo(record, config),
+        geo=f_geo(record, require_coordinates=require_coordinates),
         lic=f_lic(record),
         ret=False,
         probe_trace=None,
@@ -96,15 +88,3 @@ def assessment_to_dict(result: AssessmentResult) -> dict[str, Any]:
         "ret": result.ret,
         "probe_trace": result.probe_trace,
     }
-
-
-def assessment_from_dict(data: dict[str, Any]) -> AssessmentResult:
-    return AssessmentResult(
-        doi=data["doi"],
-        repository=data["repository"],
-        chrono=bool(data["chrono"]),
-        geo=bool(data["geo"]),
-        lic=bool(data["lic"]),
-        ret=bool(data.get("ret", False)),
-        probe_trace=data.get("probe_trace"),
-    )

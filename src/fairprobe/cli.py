@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline, registry
@@ -31,7 +32,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, metavar="SECONDS",
                         help="HTTP request timeout (default 20)")
     parser.add_argument("--retries", type=int, metavar="N",
-                        help="retries after a timed-out request (default 1)")
+                        help="retries of an OAI request after a timeout, a transport "
+                        "error or a non-200 reply other than 503 (default 1)")
     parser.add_argument("--max-pages", type=int, metavar="N",
                         help="page cap per harvest, for testing")
     parser.add_argument("--doi-resolver", metavar="URL",
@@ -45,19 +47,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cli_settings(args: argparse.Namespace) -> dict:
-    mapping = {
-        "out": args.out,
-        "workers_harvest": args.workers_harvest,
-        "workers_select": args.workers_select,
-        "workers_probe": args.workers_probe,
-        "timeout": args.timeout,
-        "retries": args.retries,
-        "max_pages": args.max_pages,
-        "doi_resolver": args.doi_resolver,
-        "geo_require_coordinates": args.geo_require_coordinates,
-        "allow_seed_fallback": args.allow_seed_fallback,
+    """The flags that were given and name a ``RunConfig`` field."""
+    names = {f.name for f in fields(RunConfig)}
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key in names and value is not None
     }
-    return {key: value for key, value in mapping.items() if value is not None}
 
 
 def _resolve_run_id(config: RunConfig, create: bool) -> str:

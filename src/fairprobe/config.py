@@ -25,6 +25,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Every setting of a run.
+
+    ``RunConfig(...)`` converts every field to its annotated type and checks
+    its range, and ``apply_settings`` does the same for each key it sets; a
+    bad value raises ``ConfigError`` naming the key.
+    """
+
     registry_url: str | None = None
     seed_file: str | None = None
     out: str = "runs"
@@ -43,37 +50,45 @@ class RunConfig:
     politeness_delay: float = 1000.0  # ms between requests to one endpoint
     per_host_delay: float = 1000.0  # ms between probe requests to one host
     max_redirects: int = 10
-    max_body_bytes: int = 0
     detail_workers: int = 4
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            setattr(self, f.name, _checked(f.name, getattr(self, f.name)))
 
     def snapshot(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# each field's annotation: "int", "float", "bool" or "str", maybe "| None"
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-_INT_FIELDS = {
-    "workers_harvest",
-    "workers_select",
-    "workers_probe",
-    "retries",
-    "max_redirects",
-    "max_body_bytes",
-    "detail_workers",
+# the smallest value each bounded setting may take; timeout must exceed 0
+_AT_LEAST = {
+    "workers_harvest": 1,
+    "workers_select": 1,
+    "workers_probe": 1,
+    "detail_workers": 1,
+    "retries": 0,
+    "max_redirects": 1,
+    "politeness_delay": 0.0,
+    "per_host_delay": 0.0,
 }
-_OPTIONAL_INT_FIELDS = {"max_pages"}
-_FLOAT_FIELDS = {"timeout", "politeness_delay", "per_host_delay"}
-_BOOL_FIELDS = {"geo_require_coordinates", "allow_seed_fallback", "allow_partial"}
-_OPTIONAL_STR_FIELDS = {"registry_url", "seed_file", "run_id"}
-
-_ALL_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _convert(key: str, value: Any) -> Any:
+    kind = _TYPES[key]
     if isinstance(value, str):
         value = value.strip()
-    if key in _BOOL_FIELDS:
+    if kind.endswith(" | None"):
+        kind = kind.removesuffix(" | None")
+        # "none" unsets a number; for a string it is a value like any other
+        if value is None or value == "" or (value == "none" and kind != "str"):
+            return None
+    if kind == "bool":
         if isinstance(value, bool):
             return value
         lowered = str(value).lower()
@@ -81,28 +96,28 @@ def _convert(key: str, value: Any) -> Any:
             return True
         if lowered in _BOOL_FALSE:
             return False
-        raise ConfigError(f"{key}: {value!r} is not a boolean")
-    if key in _OPTIONAL_INT_FIELDS:
-        if value in (None, "", "none"):
-            return None
-        return int(value)
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key in _OPTIONAL_STR_FIELDS:
-        return None if value in (None, "") else str(value)
-    return str(value)
+        raise ValueError(f"{value!r} is not a boolean")
+    return {"int": int, "float": float, "str": str}[kind](value)
+
+
+def _checked(key: str, value: Any) -> Any:
+    """``value`` converted to ``key``'s type, after its range check."""
+    try:
+        value = _convert(key, value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if key == "timeout" and not value > 0:
+        raise ConfigError(f"{key}: {value!r} must be greater than 0")
+    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+        raise ConfigError(f"{key}: {value!r} must be at least {_AT_LEAST[key]}")
+    return value
 
 
 def apply_settings(config: RunConfig, settings: Mapping[str, Any]) -> RunConfig:
     for key, value in settings.items():
-        if key not in _ALL_FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
-        try:
-            setattr(config, key, _convert(key, value))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+        setattr(config, key, _checked(key, value))
     return config
 
 
@@ -140,7 +155,7 @@ def env_settings(environ: Mapping[str, str] | None = None) -> dict[str, str]:
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower()
-        if name in _ALL_FIELDS:
+        if name in _TYPES:
             out[name] = value
         else:
             logger.warning("ignoring unknown environment override %s", key)

@@ -1,8 +1,9 @@
 """OAI-PMH 2.0 client: format discovery and resumption-token harvesting.
 
-Recovery is deliberately minimal and bounded: one retry after a timeout or
-transport failure, one full-chain restart after a bad resumption token, and
-503 flow control honoured only up to the request timeout. Anything beyond
+Recovery is deliberately minimal and bounded: ``retries`` retries (one by
+default) after a timeout, a transport failure or a non-200 reply other than
+503, one full-chain restart after a bad resumption token, and 503 flow
+control honoured only up to the request timeout. Anything beyond
 that ends the harvest as partial with honest counts rather than guessing.
 """
 
@@ -17,6 +18,7 @@ from typing import Callable
 import requests
 
 from . import http
+from .config import RunConfig
 from .throttle import HostGate
 from .xmltree import child, children, local_name
 
@@ -57,20 +59,6 @@ class RawRecord:
     deleted: bool
     payload: str  # XML text of the metadata element, empty when deleted
     source_endpoint: str
-
-
-@dataclass
-class HarvestPolicy:
-    request_timeout: float = 20.0
-    retries_after_timeout: int = 1
-    politeness_delay: float = 1000.0  # milliseconds between request starts
-    max_pages: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
-        if self.retries_after_timeout < 0:
-            raise ValueError("retries_after_timeout must be non-negative")
 
 
 @dataclass
@@ -118,7 +106,7 @@ def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
 def _request(
     endpoint: str,
     params: dict[str, str],
-    policy: HarvestPolicy,
+    config: RunConfig,
     gate: HostGate,
     session: requests.Session,
 ) -> requests.Response:
@@ -127,14 +115,14 @@ def _request(
     Politeness is per endpoint: one in-flight request and a minimum delay
     between request starts, independent of other endpoints on the host.
     """
-    attempts = 1 + policy.retries_after_timeout
+    attempts = 1 + config.retries
     waited_503 = 0.0
     last_error: Exception | None = None
     while attempts > 0:
         try:
             with gate.slot(endpoint):
                 reply = session.get(
-                    endpoint, params=params, timeout=policy.request_timeout
+                    endpoint, params=params, timeout=config.timeout
                 )
         except requests.RequestException as exc:
             attempts -= 1
@@ -148,8 +136,8 @@ def _request(
             try:
                 delay = float(reply.headers.get("Retry-After", ""))
             except ValueError:
-                delay = policy.request_timeout + 1.0
-            if delay < 0 or waited_503 + delay > policy.request_timeout:
+                delay = config.timeout + 1.0
+            if delay < 0 or waited_503 + delay > config.timeout:
                 raise EndpointUnresponsiveError(
                     f"{endpoint} kept asking to retry beyond the timeout budget"
                 )
@@ -168,17 +156,17 @@ def _request(
 
 def list_metadata_formats(
     endpoint: str,
-    policy: HarvestPolicy | None = None,
+    config: RunConfig | None = None,
     *,
     gate: HostGate | None = None,
     session: http.Sessions | None = None,
 ) -> list[MetadataFormatInfo]:
     """Ask the endpoint which metadata formats it serves."""
-    policy = policy or HarvestPolicy()
-    gate = gate or HostGate(policy.politeness_delay)
+    config = config or RunConfig()
+    gate = gate or HostGate(config.politeness_delay)
     with http.scope(session) as current:
         reply = _request(
-            endpoint, {"verb": "ListMetadataFormats"}, policy, gate, current()
+            endpoint, {"verb": "ListMetadataFormats"}, config, gate, current()
         )
     try:
         root = ET.fromstring(http.xml_payload(reply))
@@ -292,7 +280,7 @@ def _parse_page(
 def harvest_records(
     endpoint: str,
     prefix: str,
-    policy: HarvestPolicy,
+    config: RunConfig,
     sink: Callable[[RawRecord], None],
     *,
     gate: HostGate | None = None,
@@ -310,12 +298,12 @@ def harvest_records(
 
     A chain may be walked in two calls: ``first_page_only`` ends the first
     call after page 1, with the next resumption token in the summary, and
-    ``after`` (that summary) continues from the token. ``policy.max_pages``
+    ``after`` (that summary) continues from the token. ``config.max_pages``
     applies to the whole chain, and so does the one bad-token restart, which
     the second call is the only one to need; the returned summary counts
     only this call's pages.
     """
-    gate = gate or HostGate(policy.politeness_delay)
+    gate = gate or HostGate(config.politeness_delay)
     seen = set() if seen is None else seen
     earlier = after or HarvestSummary()
     summary = HarvestSummary()
@@ -332,17 +320,17 @@ def harvest_records(
         client = current()
         while True:
             if (
-                policy.max_pages is not None
-                and earlier.pages + summary.pages >= policy.max_pages
+                config.max_pages is not None
+                and earlier.pages + summary.pages >= config.max_pages
             ):
                 logger.warning(
                     "%s: page cap %d reached, harvest is partial",
                     endpoint,
-                    policy.max_pages,
+                    config.max_pages,
                 )
                 return summary
             try:
-                reply = _request(endpoint, params, policy, gate, client)
+                reply = _request(endpoint, params, config, gate, client)
             except EndpointUnresponsiveError as exc:
                 logger.warning("%s: %s, harvest is partial", endpoint, exc)
                 return summary
@@ -393,7 +381,7 @@ def harvest_records(
 def estimate_list_size(
     endpoint: str,
     prefix: str,
-    policy: HarvestPolicy,
+    config: RunConfig,
     *,
     gate: HostGate | None = None,
     session: http.Sessions | None = None,
@@ -404,7 +392,7 @@ def estimate_list_size(
     is the exact size then. Returns None when no estimate is possible.
     """
     first = harvest_records(
-        endpoint, prefix, policy, lambda record: None,
+        endpoint, prefix, config, lambda record: None,
         gate=gate, session=session, first_page_only=True,
     )
     if first.complete_list_size is not None:

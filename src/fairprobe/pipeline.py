@@ -84,6 +84,10 @@ def new_run_id() -> str:
     return time.strftime("%Y%m%dT%H%M%S") + "-" + uuid.uuid4().hex[:8]
 
 
+def _oai_endpoint(repo: registry.RepositoryDescriptor) -> str:
+    return next(ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH")
+
+
 class PipelineRun:
     """One run directory: its manifest, its catalogue, its report."""
 
@@ -159,22 +163,6 @@ class PipelineRun:
 
     # -- the five steps -------------------------------------------------------
 
-    def _harvest_policy(self) -> oaipmh.HarvestPolicy:
-        return oaipmh.HarvestPolicy(
-            request_timeout=self.config.timeout,
-            retries_after_timeout=self.config.retries,
-            politeness_delay=self.config.politeness_delay,
-            max_pages=self.config.max_pages,
-        )
-
-    def _probe_policy(self) -> probe.ProbePolicy:
-        return probe.ProbePolicy(
-            max_redirects=self.config.max_redirects,
-            request_timeout=self.config.timeout,
-            max_body_bytes=self.config.max_body_bytes,
-            per_host_delay=self.config.per_host_delay,
-        )
-
     def _step1_registry(self) -> tuple[str, dict]:
         repos = registry.fetch_repository_list(
             self.config.registry_url,
@@ -196,18 +184,17 @@ class PipelineRun:
             for d in read_ndjson(self.run_dir / REPOSITORIES_FILE)
         ]
         candidates = registry.filter_by_api(descriptors, "OAI-PMH")
-        policy = self._harvest_policy()
         gate = HostGate(self.config.politeness_delay)
         meter = ConcurrencyMeter()
 
         def classify(repo: registry.RepositoryDescriptor) -> None:
-            endpoint = next(
-                ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
-            )
             with meter.slot():
                 try:
                     formats = oaipmh.list_metadata_formats(
-                        endpoint, policy, gate=gate, session=self.sessions
+                        _oai_endpoint(repo),
+                        self.config,
+                        gate=gate,
+                        session=self.sessions,
                     )
                 except oaipmh.OaiError as exc:
                     logger.warning("%s: not usable (%s)", repo.registry_id, exc)
@@ -226,9 +213,7 @@ class PipelineRun:
                 )
 
         if candidates:
-            with ThreadPoolExecutor(
-                max_workers=max(1, self.config.workers_select)
-            ) as pool:
+            with ThreadPoolExecutor(max_workers=self.config.workers_select) as pool:
                 list(pool.map(classify, candidates))
 
         write_ndjson(
@@ -265,15 +250,8 @@ class PipelineRun:
             for r in providers
             if not done.get(r.registry_id, {}).get("completed", False)
         ]
-        policy = self._harvest_policy()
         gate = HostGate(self.config.politeness_delay)
         meter = ConcurrencyMeter()
-        workers = max(1, self.config.workers_harvest)
-
-        def endpoint_of(repo: registry.RepositoryDescriptor) -> str:
-            return next(
-                ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
-            )
 
         def stored_ids(repo: registry.RepositoryDescriptor) -> set[str]:
             return {
@@ -304,9 +282,9 @@ class PipelineRun:
 
             with meter.slot():
                 summary = oaipmh.harvest_records(
-                    endpoint_of(repo),
+                    _oai_endpoint(repo),
                     repo.datacite_support.prefix or "",
-                    policy,
+                    self.config,
                     sink,
                     gate=gate,
                     seen=seen,
@@ -352,7 +330,7 @@ class PipelineRun:
             rest = harvest(chain.repo, seen, after=chain.first)
             finish(chain.repo, chain.recovered, chain.first + rest)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
             unfinished = [chain for chain in pool.map(start, pending) if chain]
             unfinished.sort(
                 key=lambda chain: (
@@ -381,9 +359,6 @@ class PipelineRun:
 
     def _step4_assess(self) -> tuple[str, dict]:
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
-        assess_config = assessor.AssessorConfig(
-            geo_require_coordinates=self.config.geo_require_coordinates
-        )
         for name in self.store.partitions("raw"):
             # a resumed step recounts every raw record: the first occurrence
             # of a DOI an earlier attempt already parsed counts as parsed
@@ -411,7 +386,10 @@ class PipelineRun:
                 counts["parsed"] += 1
                 if record.doi in already:
                     continue
-                result = assessor.assess(record, assess_config)
+                result = assessor.assess(
+                    record,
+                    require_coordinates=self.config.geo_require_coordinates,
+                )
                 self.store.append(
                     "parsed",
                     name,
@@ -430,7 +408,6 @@ class PipelineRun:
 
     def _step5_probe(self) -> tuple[str, dict]:
         partitions = self.store.partitions("parsed")
-        policy = self._probe_policy()
         gate = HostGate(self.config.per_host_delay)
         meter = ConcurrencyMeter()
         stats_lock = threading.Lock()
@@ -440,11 +417,7 @@ class PipelineRun:
             with meter.slot():
                 record = datacite.record_from_dict(entry["record"])
                 retrievable, trace = probe.f_ret(
-                    record,
-                    policy,
-                    resolver_base=self.config.doi_resolver,
-                    gate=gate,
-                    session=self.sessions,
+                    record, self.config, gate=gate, session=self.sessions
                 )
                 result = assessor.AssessmentResult(
                     doi=entry["doi"],
@@ -469,9 +442,12 @@ class PipelineRun:
 
         jobs: list[tuple[str, dict]] = []
         for name in partitions:
-            already = {
-                entry["doi"] for entry in self.store.read("assessed", name)
-            }
+            # a resumed step counts what an earlier attempt probed, too
+            already: set[str] = set()
+            for entry in self.store.read("assessed", name):
+                already.add(entry["doi"])
+                stats["probed"] += 1
+                stats["retrievable"] += bool(entry["ret"])
             for entry in self.store.read("parsed", name):
                 if entry["doi"] not in already:
                     jobs.append((name, entry))
@@ -479,9 +455,7 @@ class PipelineRun:
         unprobed = Counter(name for name, _ in jobs)
 
         if jobs:
-            with ThreadPoolExecutor(
-                max_workers=max(1, self.config.workers_probe)
-            ) as pool:
+            with ThreadPoolExecutor(max_workers=self.config.workers_probe) as pool:
                 futures = [
                     pool.submit(probe_entry, name, entry) for name, entry in jobs
                 ]

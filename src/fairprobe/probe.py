@@ -19,6 +19,7 @@ import requests
 from requests.utils import parse_header_links
 
 from . import http
+from .config import RunConfig
 from .datacite import DataciteRecord
 from .throttle import HostGate
 
@@ -36,8 +37,6 @@ REASON_TIMEOUT = "timeout"
 REASON_NO_LINK_MATCH = "no-link-match"
 REASON_TRANSPORT = "transport"
 REASON_NON_200 = "non-200"
-
-DEFAULT_RESOLVER = "https://doi.org/"
 
 
 @dataclass
@@ -58,18 +57,6 @@ class ProbeTrace:
     elapsed: float = 0.0  # milliseconds
 
 
-@dataclass
-class ProbePolicy:
-    max_redirects: int = 10
-    request_timeout: float = 20.0
-    max_body_bytes: int = 0  # 0 means headers only, abort before any body
-    per_host_delay: float = 1000.0  # milliseconds
-
-    def __post_init__(self) -> None:
-        if self.max_redirects < 1:
-            raise ValueError("max_redirects must be at least 1")
-
-
 def _bare_type(value: str) -> str:
     """Media type without parameters, trimmed; case preserved."""
     return value.split(";", 1)[0].strip()
@@ -84,7 +71,7 @@ def _is_image_type(value: str | None) -> bool:
 def _core_fetch(
     url: str,
     accept: str,
-    policy: ProbePolicy,
+    config: RunConfig,
     gate: HostGate,
     session: requests.Session,
 ) -> requests.Response:
@@ -95,21 +82,17 @@ def _core_fetch(
             headers={"Accept": accept},
             allow_redirects=False,
             stream=True,
-            timeout=policy.request_timeout,
+            timeout=config.timeout,
         )
-    # touch at most max_body_bytes, then drop the connection
-    try:
-        if policy.max_body_bytes > 0:
-            reply.raw.read(policy.max_body_bytes)
-    finally:
-        reply.close()
+    # headers are all a probe reads: drop the connection before the body
+    reply.close()
     return reply
 
 
 def _follow_chain(
     start_url: str,
     accept: str,
-    policy: ProbePolicy,
+    config: RunConfig,
     gate: HostGate,
     session: requests.Session,
     trace: ProbeTrace,
@@ -121,10 +104,10 @@ def _follow_chain(
     None exactly when the chain ended in some non-3xx status.
     """
     url = start_url
-    redirects_left = policy.max_redirects
+    redirects_left = config.max_redirects
     while True:
         try:
-            reply = _core_fetch(url, accept, policy, gate, session)
+            reply = _core_fetch(url, accept, config, gate, session)
         except requests.RequestException as exc:
             # no response: status 0 keeps the attempt visible in the trace
             trace.steps.append(
@@ -183,15 +166,14 @@ def _match_link(link_header: str, formats: list[str]) -> tuple[str, str] | None:
     return None
 
 
-def doi_url(doi: str, resolver_base: str = DEFAULT_RESOLVER) -> str:
+def doi_url(doi: str, resolver_base: str) -> str:
     return resolver_base.rstrip("/") + "/" + doi.lstrip("/")
 
 
 def f_ret(
     record: DataciteRecord,
-    policy: ProbePolicy | None = None,
+    config: RunConfig | None = None,
     *,
-    resolver_base: str = DEFAULT_RESOLVER,
     gate: HostGate | None = None,
     session: http.Sessions | None = None,
 ) -> tuple[bool, ProbeTrace]:
@@ -200,15 +182,16 @@ def f_ret(
     True when either negotiation phase ends in a 200 with an acceptable
     Content-Type; the trace tells which phase and why otherwise.
     """
-    policy = policy or ProbePolicy()
-    gate = gate or HostGate(policy.per_host_delay)
+    config = config or RunConfig()
+    gate = gate or HostGate(config.per_host_delay)
     trace = ProbeTrace()
     started = time.monotonic()
     with http.scope(session) as current:
         client = current()
         try:
             reply, reason = _follow_chain(
-                doi_url(record.doi, resolver_base), "image/*", policy, gate, client, trace
+                doi_url(record.doi, config.doi_resolver), "image/*",
+                config, gate, client, trace,
             )
 
             if reply is not None and reason is None:
@@ -231,7 +214,7 @@ def f_ret(
                 target, matched_format = match
                 target_url = urljoin(trace.steps[-1].url, target)
                 reply2, reason2 = _follow_chain(
-                    target_url, matched_format, policy, gate, client, trace
+                    target_url, matched_format, config, gate, client, trace
                 )
                 if reply2 is not None and reason2 is None:
                     served = _bare_type(reply2.headers.get("Content-Type") or "")
@@ -270,12 +253,3 @@ def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:
         "reason": trace.reason,
         "elapsed": trace.elapsed,
     }
-
-
-def trace_from_dict(data: dict[str, Any]) -> ProbeTrace:
-    return ProbeTrace(
-        steps=[ProbeStep(**s) for s in data.get("steps", [])],
-        outcome=data.get("outcome", OUTCOME_FAILED),
-        reason=data.get("reason"),
-        elapsed=data.get("elapsed", 0.0),
-    )

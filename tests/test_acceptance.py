@@ -20,7 +20,7 @@ from fairprobe.assessor import AssessmentResult
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.pipeline import PipelineRun
-from fairprobe.probe import ProbePolicy, f_ret
+from fairprobe.probe import f_ret
 from fairprobe.report import render_criterion_table, render_repository_table
 from fairprobe.scoring import (
     CRITERIA,
@@ -312,16 +312,15 @@ def test_criterion_5_probe_decision_matrix(serve_script):
                 },
             )
         )
-        policy = ProbePolicy(
-            max_redirects=4, request_timeout=2.0, per_host_delay=0.0
+        config = RunConfig(
+            doi_resolver=hub.resolver_base,
+            max_redirects=4,
+            timeout=2.0,
+            per_host_delay=0.0,
         )
 
         def probe(doi: str, formats=("image/png",)):
-            ok, trace = f_ret(
-                DataciteRecord(doi=doi, formats=list(formats)),
-                policy,
-                resolver_base=hub.resolver_base,
-            )
+            ok, trace = f_ret(DataciteRecord(doi=doi, formats=list(formats)), config)
             return ok, trace.outcome, trace.reason
 
         matrix = {
@@ -349,8 +348,9 @@ def test_criterion_5_probe_decision_matrix(serve_script):
             dead = f"http://127.0.0.1:{sock.getsockname()[1]}/resolve/"
         ok, trace = f_ret(
             DataciteRecord(doi="10.82/dark", formats=["image/png"]),
-            ProbePolicy(max_redirects=4, request_timeout=0.5, per_host_delay=0.0),
-            resolver_base=dead,
+            RunConfig(
+                doi_resolver=dead, max_redirects=4, timeout=0.5, per_host_delay=0.0
+            ),
         )
         assert (ok, trace.outcome, trace.reason) == (False, "failed", "transport")
         assert [s.status for s in trace.steps] == [0]

@@ -8,9 +8,7 @@ import pytest
 
 from fairprobe.assessor import (
     AssessmentResult,
-    AssessorConfig,
     assess,
-    assessment_from_dict,
     assessment_to_dict,
     f_chrono,
     f_geo,
@@ -67,14 +65,13 @@ def test_f_geo(locations, ok):
 
 
 def test_f_geo_coordinate_requirement_drops_places():
-    strict = AssessorConfig(geo_require_coordinates=True)
     named_only = record(geo_locations=[GeoPlace("Atlantic Ocean")])
     assert f_geo(named_only)
-    assert not f_geo(named_only, strict)
+    assert not f_geo(named_only, require_coordinates=True)
     with_point = record(
         geo_locations=[GeoPlace("Atlantic Ocean"), GeoPoint(1.0, 2.0)]
     )
-    assert f_geo(with_point, strict)
+    assert f_geo(with_point, require_coordinates=True)
 
 
 @pytest.mark.parametrize(
@@ -124,29 +121,18 @@ def test_assess_never_sets_retrievability(fixtures_dir):
         lic=True,
         ret=False,
     )
-    assert result.met_count() == 3
-
-
-@pytest.mark.parametrize(
-    "flags,count",
-    [
-        ((False, False, False, False), 0),
-        ((True, False, False, False), 1),
-        ((True, True, False, True), 3),
-        ((True, True, True, True), 4),
-    ],
-)
-def test_met_count(flags, count):
-    chrono, geo, lic, ret = flags
-    result = AssessmentResult(
-        doi="10.1/x", repository="r", chrono=chrono, geo=geo, lic=lic, ret=ret
-    )
-    assert result.met_count() == count
 
 
 def test_assessment_dict_round_trip():
     result = AssessmentResult(
         doi="10.1/x", repository="r", chrono=True, geo=False, lic=True, ret=True
     )
-    wire = json.loads(json.dumps(assessment_to_dict(result)))
-    assert assessment_from_dict(wire) == result
+    assert json.loads(json.dumps(assessment_to_dict(result))) == {
+        "doi": "10.1/x",
+        "repository": "r",
+        "chrono": True,
+        "geo": False,
+        "lic": True,
+        "ret": True,
+        "probe_trace": None,
+    }

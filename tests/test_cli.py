@@ -155,3 +155,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["run-all", "--config", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_setting_exits_before_the_run_starts(tmp_path, small_hub, capsys):
+    out = tmp_path / "runs"
+    config_file = write_config(tmp_path, small_hub, max_redirects=0)
+    code = main(["run-all", "--config", config_file, "--out", str(out)])
+    assert code == 2
+    assert "error: max_redirects" in capsys.readouterr().err
+    assert not out.exists()

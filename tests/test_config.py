@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,6 @@ def test_defaults():
     assert config.politeness_delay == 1000.0
     assert config.per_host_delay == 1000.0
     assert config.max_redirects == 10
-    assert config.max_body_bytes == 0
 
 
 def test_key_value_file(tmp_path):
@@ -182,3 +184,38 @@ def test_snapshot_rebuilds_equal_config():
     snap = json.loads(json.dumps(config.snapshot()))
     rebuilt = apply_settings(RunConfig(), snap)
     assert rebuilt == config
+
+
+RANGES = {  # setting: (lowest value accepted, a value rejected)
+    "timeout": (0.001, 0),
+    "retries": (0, -1),
+    "max_redirects": (1, 0),
+    "workers_harvest": (1, 0),
+    "workers_select": (1, 0),
+    "workers_probe": (1, 0),
+    "detail_workers": (1, 0),
+    "politeness_delay": (0.0, -1.0),
+    "per_host_delay": (0.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("key", list(RANGES))
+def test_out_of_range_setting_is_a_config_error(key):
+    lowest, bad = RANGES[key]
+    assert getattr(RunConfig(**{key: lowest}), key) == lowest
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: bad})
+    config = RunConfig()
+    with pytest.raises(ConfigError, match=key):
+        apply_settings(config, {key: str(bad)})
+    assert config == RunConfig()
+    with pytest.raises(ConfigError, match=key):
+        build_config(environ={"FAIRPROBE_" + key.upper(): str(bad)})
+
+
+def test_readme_table_lists_every_setting():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    section = section.split("\n## ")[0]
+    keys = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
+    assert keys == [f.name for f in fields(RunConfig)]

@@ -10,6 +10,7 @@ import pytest
 import requests
 
 from fairprobe import http, mockrdr, oaipmh, pipeline
+from fairprobe.config import RunConfig
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
@@ -31,8 +32,8 @@ def clean_env(monkeypatch):
 
 
 def list_formats(endpoint: str, session=None) -> list[str]:
-    policy = oaipmh.HarvestPolicy(request_timeout=5.0, politeness_delay=0.0)
-    formats = oaipmh.list_metadata_formats(endpoint, policy, session=session)
+    config = RunConfig(timeout=5.0, politeness_delay=0.0)
+    formats = oaipmh.list_metadata_formats(endpoint, config, session=session)
     return [info.prefix for info in formats]
 
 

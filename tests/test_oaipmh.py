@@ -8,8 +8,8 @@ import time
 import pytest
 
 from fairprobe import mockrdr
+from fairprobe.config import RunConfig
 from fairprobe.oaipmh import (
-    HarvestPolicy,
     HarvestSummary,
     MetadataFormatInfo,
     ProtocolError,
@@ -30,16 +30,16 @@ def make_repo(name="orchard", n=7, page_size=3, faults=(), records=None):
     )
 
 
-def fast_policy(**overrides) -> HarvestPolicy:
-    settings = dict(request_timeout=5.0, retries_after_timeout=1, politeness_delay=0.0)
+def fast_config(**overrides) -> RunConfig:
+    settings = dict(timeout=5.0, retries=1, politeness_delay=0.0)
     settings.update(overrides)
-    return HarvestPolicy(**settings)
+    return RunConfig(**settings)
 
 
-def harvest(hub, name, policy=None, prefix="datacite"):
+def harvest(hub, name, config=None, prefix="datacite"):
     got: list[RawRecord] = []
     summary = harvest_records(
-        hub.oai_endpoint(name), prefix, policy or fast_policy(), got.append
+        hub.oai_endpoint(name), prefix, config or fast_config(), got.append
     )
     return summary, got
 
@@ -129,7 +129,7 @@ def test_503_beyond_timeout_budget_gives_partial(serve_script):
         faults=[mockrdr.Fault(kind="503", page=2, retry_after=9.0)]
     )
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    summary, got = harvest(hub, repo.name, fast_policy(request_timeout=0.5))
+    summary, got = harvest(hub, repo.name, fast_config(timeout=0.5))
     assert not summary.completed
     assert summary.pages == 1
     assert summary.records == 3
@@ -140,7 +140,7 @@ def test_timeout_is_retried(serve_script):
     hub = serve_script(
         mockrdr.ScenarioScript(repositories=[repo], timeout_stall=1.2)
     )
-    summary, got = harvest(hub, repo.name, fast_policy(request_timeout=0.4))
+    summary, got = harvest(hub, repo.name, fast_config(timeout=0.4))
     assert summary.completed
     assert summary.records == 7
 
@@ -151,7 +151,7 @@ def test_timeout_exhaustion_gives_partial(serve_script):
         mockrdr.ScenarioScript(repositories=[repo], timeout_stall=1.2)
     )
     summary, got = harvest(
-        hub, repo.name, fast_policy(request_timeout=0.4, retries_after_timeout=1)
+        hub, repo.name, fast_config(timeout=0.4, retries=1)
     )
     assert not summary.completed
     assert summary.records == 3
@@ -177,7 +177,7 @@ def test_malformed_page_stops_the_chain(serve_script):
 def test_page_cap_yields_partial(serve_script):
     repo = make_repo(n=7, page_size=3)
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    summary, got = harvest(hub, repo.name, fast_policy(max_pages=1))
+    summary, got = harvest(hub, repo.name, fast_config(max_pages=1))
     assert not summary.completed
     assert summary.pages == 1
     assert summary.records == 3
@@ -189,12 +189,12 @@ def test_seen_set_carries_across_calls(serve_script):
     seen: set[str] = set()
     got: list[RawRecord] = []
     first = harvest_records(
-        hub.oai_endpoint(repo.name), "datacite", fast_policy(max_pages=2),
+        hub.oai_endpoint(repo.name), "datacite", fast_config(max_pages=2),
         got.append, seen=seen,
     )
     assert not first.completed and first.records == 4
     second = harvest_records(
-        hub.oai_endpoint(repo.name), "datacite", fast_policy(), got.append,
+        hub.oai_endpoint(repo.name), "datacite", fast_config(), got.append,
         seen=seen,
     )
     assert second.completed
@@ -212,13 +212,13 @@ def test_chain_walked_in_two_calls_matches_one_walk(serve_script):
     got: list[RawRecord] = []
     seen: set[str] = set()
     first = harvest_records(
-        endpoint, "datacite", fast_policy(), got.append, seen=seen,
+        endpoint, "datacite", fast_config(), got.append, seen=seen,
         first_page_only=True,
     )
     assert (first.pages, first.records, first.completed) == (1, 3, False)
     assert first.token and first.complete_list_size == 7
     rest = harvest_records(
-        endpoint, "datacite", fast_policy(), got.append, seen=seen, after=first
+        endpoint, "datacite", fast_config(), got.append, seen=seen, after=first
     )
     assert (rest.pages, rest.records, rest.token) == (2, 4, None)
     assert first + rest == whole
@@ -231,11 +231,11 @@ def test_page_cap_spans_both_calls_of_a_chain(serve_script):
     repo = make_repo(n=7, page_size=3)
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
     endpoint = hub.oai_endpoint(repo.name)
-    policy = fast_policy(max_pages=2)
+    config = fast_config(max_pages=2)
     first = harvest_records(
-        endpoint, "datacite", policy, lambda r: None, first_page_only=True
+        endpoint, "datacite", config, lambda r: None, first_page_only=True
     )
-    rest = harvest_records(endpoint, "datacite", policy, lambda r: None, after=first)
+    rest = harvest_records(endpoint, "datacite", config, lambda r: None, after=first)
     assert (first.pages, rest.pages, rest.completed) == (1, 1, False)
     assert len(hub.requests_to("/oai/")) == 2
 
@@ -258,12 +258,12 @@ def test_expired_token_spends_the_one_restart(serve_script):
         endpoint = hub.oai_endpoint(name)
         seen: set[str] = set()
         first = harvest_records(
-            endpoint, "datacite", fast_policy(), lambda r: None, seen=seen,
+            endpoint, "datacite", fast_config(), lambda r: None, seen=seen,
             first_page_only=True,
         )
         time.sleep(0.5)
         rest = harvest_records(
-            endpoint, "datacite", fast_policy(), lambda r: None, seen=seen,
+            endpoint, "datacite", fast_config(), lambda r: None, seen=seen,
             after=first,
         )
         return first + rest
@@ -282,7 +282,7 @@ def test_politeness_spacing_per_endpoint(serve_script):
     repo = make_repo(n=7, page_size=3)
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
     delay_ms = 120.0
-    harvest(hub, repo.name, fast_policy(politeness_delay=delay_ms))
+    harvest(hub, repo.name, fast_config(politeness_delay=delay_ms))
     starts = [e.t for e in hub.requests_to("/oai/")]
     assert len(starts) == 3
     gaps = [b - a for a, b in zip(starts, starts[1:])]
@@ -296,11 +296,11 @@ def test_politeness_does_not_serialise_distinct_endpoints(serve_script):
     hub = serve_script(mockrdr.ScenarioScript(repositories=repos))
     delay_ms = 150.0
     gate = HostGate(delay_ms)
-    policy = fast_policy(politeness_delay=delay_ms)
+    config = fast_config(politeness_delay=delay_ms)
 
     def run(name):
         harvest_records(
-            hub.oai_endpoint(name), "datacite", policy, lambda r: None, gate=gate
+            hub.oai_endpoint(name), "datacite", config, lambda r: None, gate=gate
         )
 
     threads = [threading.Thread(target=run, args=(r.name,)) for r in repos]
@@ -330,7 +330,7 @@ def test_politeness_does_not_serialise_distinct_endpoints(serve_script):
 def test_list_metadata_formats(serve_script):
     repo = make_repo()
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    formats = list_metadata_formats(hub.oai_endpoint(repo.name), fast_policy())
+    formats = list_metadata_formats(hub.oai_endpoint(repo.name), fast_config())
     assert [f.prefix for f in formats] == ["oai_dc", "datacite"]
     assert all(f.schema_url for f in formats)
 
@@ -360,16 +360,16 @@ def test_estimate_list_size_variants(serve_script):
     single = make_repo(name="single", n=2, page_size=10)
     empty = make_repo(name="empty", n=0)
     hub = serve_script(mockrdr.ScenarioScript(repositories=[multi, single, empty]))
-    policy = fast_policy()
-    assert estimate_list_size(hub.oai_endpoint("multi"), "datacite", policy) == 7
-    assert estimate_list_size(hub.oai_endpoint("single"), "datacite", policy) == 2
-    assert estimate_list_size(hub.oai_endpoint("empty"), "datacite", policy) == 0
+    config = fast_config()
+    assert estimate_list_size(hub.oai_endpoint("multi"), "datacite", config) == 7
+    assert estimate_list_size(hub.oai_endpoint("single"), "datacite", config) == 2
+    assert estimate_list_size(hub.oai_endpoint("empty"), "datacite", config) == 0
 
 
 def test_estimate_list_size_unreachable_is_unknown():
-    policy = fast_policy(request_timeout=0.3, retries_after_timeout=0)
+    config = fast_config(timeout=0.3, retries=0)
     assert (
-        estimate_list_size("http://127.0.0.1:9/oai", "datacite", policy) is None
+        estimate_list_size("http://127.0.0.1:9/oai", "datacite", config) is None
     )
 
 
@@ -393,7 +393,7 @@ def oai_body(inner: str) -> bytes:
 def test_page_without_token_element_completes(scripted_http):
     base = scripted_http([(200, {}, oai_body(OAI_RECORD))])
     got: list[RawRecord] = []
-    summary = harvest_records(base, "datacite", fast_policy(), got.append)
+    summary = harvest_records(base, "datacite", fast_config(), got.append)
     assert summary.completed
     assert summary.records == 1
     assert summary.complete_list_size is None
@@ -412,7 +412,7 @@ def test_xml_declaration_sets_the_encoding(scripted_http):
     )
     base = scripted_http([(200, {"Content-Type": "text/xml"}, body)])
     got: list[RawRecord] = []
-    harvest_records(base, "datacite", fast_policy(), got.append)
+    harvest_records(base, "datacite", fast_config(), got.append)
     assert "Zürich<" in got[0].payload
 
 
@@ -434,7 +434,7 @@ def test_charset_parameter_outranks_the_default_encoding(scripted_http):
         [(200, {"Content-Type": "text/xml; charset=ISO-8859-1"}, body)]
     )
     got: list[RawRecord] = []
-    summary = harvest_records(base, "datacite", fast_policy(), got.append)
+    summary = harvest_records(base, "datacite", fast_config(), got.append)
     assert summary.completed
     assert "Zürich<" in got[0].payload
 
@@ -469,7 +469,7 @@ def test_payload_elements_cannot_steer_paging(scripted_http, nested):
         targets,
     )
     got: list[RawRecord] = []
-    summary = harvest_records(base, "datacite", fast_policy(), got.append)
+    summary = harvest_records(base, "datacite", fast_config(), got.append)
     assert summary.completed
     assert (summary.pages, summary.records) == (2, 2)
     assert summary.complete_list_size == 2
@@ -480,7 +480,7 @@ def test_payload_elements_cannot_steer_paging(scripted_http, nested):
 
 def test_unparseable_retry_after_counts_as_unresponsive(scripted_http):
     base = scripted_http([(503, {"Retry-After": "in a while"}, b"busy")])
-    summary = harvest_records(base, "datacite", fast_policy(), lambda r: None)
+    summary = harvest_records(base, "datacite", fast_config(), lambda r: None)
     assert not summary.completed
     assert summary.pages == 0
 
@@ -490,7 +490,7 @@ def test_transient_http_error_is_retried(scripted_http):
         [(500, {}, b"boom"), (200, {}, oai_body(OAI_RECORD))]
     )
     summary = harvest_records(
-        base, "datacite", fast_policy(retries_after_timeout=1), lambda r: None
+        base, "datacite", fast_config(retries=1), lambda r: None
     )
     assert summary.completed
     assert summary.records == 1
@@ -499,7 +499,7 @@ def test_transient_http_error_is_retried(scripted_http):
 def test_persistent_http_error_exhausts_attempts(scripted_http):
     base = scripted_http([(500, {}, b"boom"), (500, {}, b"boom")])
     summary = harvest_records(
-        base, "datacite", fast_policy(retries_after_timeout=1), lambda r: None
+        base, "datacite", fast_config(retries=1), lambda r: None
     )
     assert not summary.completed
     assert summary.pages == 0
@@ -512,7 +512,7 @@ def test_oai_error_other_than_known_codes_is_partial(scripted_http):
         '<error code="cannotDisseminateFormat">nope</error></OAI-PMH>'
     ).encode()
     base = scripted_http([(200, {}, body)])
-    summary = harvest_records(base, "datacite", fast_policy(), lambda r: None)
+    summary = harvest_records(base, "datacite", fast_config(), lambda r: None)
     assert not summary.completed
     assert summary.records == 0
 
@@ -525,11 +525,4 @@ def test_list_metadata_formats_protocol_error(scripted_http):
     ).encode()
     base = scripted_http([(200, {}, body)])
     with pytest.raises(ProtocolError):
-        list_metadata_formats(base, fast_policy())
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        HarvestPolicy(request_timeout=0.0)
-    with pytest.raises(ValueError):
-        HarvestPolicy(retries_after_timeout=-1)
+        list_metadata_formats(base, fast_config())

@@ -687,37 +687,43 @@ def mixed_landscape() -> mockrdr.ScenarioScript:
     )
 
 
-def test_resumed_step4_counts_like_a_clean_run(
-    serve_script, make_config, tmp_path, monkeypatch
+@pytest.mark.parametrize("step", [4, 5])
+def test_resumed_step_counts_like_a_clean_run(
+    serve_script, make_config, tmp_path, monkeypatch, step
 ):
     hub = serve_script(mixed_landscape())
+    module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
 
     def run_in(directory: str) -> PipelineRun:
         return PipelineRun(make_config(hub, out=str(tmp_path / directory),
                                        run_id="same"))
 
     clean = run_in("clean")
-    for step in (1, 2, 3, 4, 5):
-        clean.run_step(step)
+    for number in (1, 2, 3, 4, 5):
+        clean.run_step(number)
     clean.finalize()
 
     crashed = run_in("crashed")
-    for step in (1, 2, 3):
-        crashed.run_step(step)
+    for number in range(1, step):
+        crashed.run_step(number)
     with monkeypatch.context() as patch:
-        patch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
+        patch.setattr(module, function, fail_after(getattr(module, function), 5))
         with pytest.raises(RuntimeError, match="injected failure"):
-            crashed.run_step(4)
-    assert crashed.manifest.status(4) == STATUS_PARTIAL
+            crashed.run_step(step)
+    assert crashed.manifest.status(step) == STATUS_PARTIAL
     resumed = run_in("crashed")
-    for step in (4, 5):
-        resumed.run_step(step)
+    for number in range(step, 6):
+        resumed.run_step(number)
     resumed.finalize()
 
     assert clean.manifest.steps[4].detail == {
         "parsed": 12, "errors": 0, "not_of_interest": 6, "duplicates": 0
     }
     assert resumed.manifest.steps[4].detail == clean.manifest.steps[4].detail
+    probed = {"probed": 12, "retrievable": 6}
+    for run in (clean, resumed):
+        detail = run.manifest.steps[5].detail
+        assert {key: detail[key] for key in probed} == probed
     names = clean.store.partitions("parsed")
     assert resumed.store.partitions("parsed") == names
     for name in names:

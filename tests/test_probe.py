@@ -9,17 +9,16 @@ import time
 import pytest
 
 from fairprobe import mockrdr
+from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import (
     OUTCOME_CLIENT,
     OUTCOME_FAILED,
     OUTCOME_LINK,
-    ProbePolicy,
     ProbeStep,
     ProbeTrace,
     doi_url,
     f_ret,
-    trace_from_dict,
     trace_to_dict,
 )
 
@@ -30,14 +29,16 @@ def record(doi: str, formats=("image/png",)) -> DataciteRecord:
     return DataciteRecord(doi=doi, formats=list(formats))
 
 
-def quick_policy(**overrides) -> ProbePolicy:
-    settings = dict(request_timeout=5.0, per_host_delay=0.0, max_redirects=10)
+def quick_config(resolver: str, **overrides) -> RunConfig:
+    settings = dict(
+        doi_resolver=resolver, timeout=5.0, per_host_delay=0.0, max_redirects=10
+    )
     settings.update(overrides)
-    return ProbePolicy(**settings)
+    return RunConfig(**settings)
 
 
-def run(hub, rec, policy=None):
-    return f_ret(rec, policy or quick_policy(), resolver_base=hub.resolver_base)
+def run(hub, rec, **overrides):
+    return f_ret(rec, quick_config(hub.resolver_base, **overrides))
 
 
 def hops(*hop_list):
@@ -136,7 +137,7 @@ def test_redirect_chain_preserves_accept(routes_hub):
 
 
 def test_redirect_loop_hits_the_limit(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/loop"), quick_policy(max_redirects=4))
+    ok, trace = run(routes_hub, record("10.9/loop"), max_redirects=4)
     assert not ok
     assert trace.outcome == OUTCOME_FAILED
     assert trace.reason == "redirect-limit"
@@ -221,7 +222,7 @@ def test_timeout_leaves_a_status_zero_step(serve_script):
         response_delay=0.8,
     )
     hub = serve_script(script)
-    ok, trace = run(hub, record("10.9/slow"), quick_policy(request_timeout=0.3))
+    ok, trace = run(hub, record("10.9/slow"), timeout=0.3)
     assert not ok
     assert trace.reason == "timeout"
     assert [s.status for s in trace.steps] == [0]
@@ -233,9 +234,7 @@ def test_connection_refused_is_transport():
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     dead = f"http://127.0.0.1:{port}/resolve/"
-    ok, trace = f_ret(
-        record("10.9/x"), quick_policy(request_timeout=0.5), resolver_base=dead
-    )
+    ok, trace = f_ret(record("10.9/x"), quick_config(dead, timeout=0.5))
     assert not ok
     assert trace.reason == "transport"
     assert [s.status for s in trace.steps] == [0]
@@ -244,9 +243,7 @@ def test_connection_refused_is_transport():
 def test_per_host_delay_spaces_requests(routes_hub):
     delay_ms = 120.0
     before = len(routes_hub.requests_to("/resolve/"))
-    ok, trace = run(
-        routes_hub, record("10.9/chain"), quick_policy(per_host_delay=delay_ms)
-    )
+    ok, trace = run(routes_hub, record("10.9/chain"), per_host_delay=delay_ms)
     assert ok
     chain = [
         e for e in routes_hub.requests_to("/resolve/") if "chain" in e.target
@@ -278,24 +275,17 @@ def test_large_bodies_are_not_downloaded(serve_script):
 
 
 def test_doi_url_joins():
-    assert doi_url("10.1/x") == "https://doi.org/10.1/x"
+    assert doi_url("10.1/x", "https://doi.org/") == "https://doi.org/10.1/x"
     assert doi_url("/10.1/x", "http://h:1/resolve/") == "http://h:1/resolve/10.1/x"
     assert doi_url("10.1/x", "http://h:1/resolve") == "http://h:1/resolve/10.1/x"
 
 
 def test_redirect_without_location_is_non_200(scripted_http):
     base = scripted_http([(302, {}, b"")])
-    ok, trace = f_ret(
-        record("10.9/x"), quick_policy(), resolver_base=base + "/"
-    )
+    ok, trace = f_ret(record("10.9/x"), quick_config(base + "/"))
     assert not ok
     assert trace.reason == "non-200"
     assert [s.status for s in trace.steps] == [302]
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        ProbePolicy(max_redirects=0)
 
 
 def test_trace_round_trip():
@@ -314,5 +304,18 @@ def test_trace_round_trip():
         reason=None,
         elapsed=12.5,
     )
-    wire = json.loads(json.dumps(trace_to_dict(trace)))
-    assert trace_from_dict(wire) == trace
+    assert json.loads(json.dumps(trace_to_dict(trace))) == {
+        "steps": [
+            {
+                "url": "http://h/x",
+                "method": "GET",
+                "request_accept": "image/*",
+                "status": 200,
+                "content_type": "image/png",
+                "link_header": None,
+            }
+        ],
+        "outcome": "client_negotiated",
+        "reason": None,
+        "elapsed": 12.5,
+    }
