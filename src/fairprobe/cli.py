@@ -116,8 +116,9 @@ def main(argv: list[str] | None = None) -> int:
             repos = registry.fetch_repository_list(
                 args.registry_url,
                 args.seed_file,
-                allow_seed_fallback=bool(args.seed_file),
-                timeout=args.timeout,
+                RunConfig(
+                    timeout=args.timeout, allow_seed_fallback=bool(args.seed_file)
+                ),
             )
             write_ndjson(args.out, [registry.descriptor_to_dict(r) for r in repos])
             print(f"{len(repos)} repositories -> {args.out}")

@@ -66,8 +66,10 @@ _TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-# the smallest value each bounded setting may take; timeout must exceed 0
+# the smallest value each bounded setting may take (an unset max_pages is no
+# cap); timeout must exceed 0
 _AT_LEAST = {
+    "max_pages": 1,
     "workers_harvest": 1,
     "workers_select": 1,
     "workers_probe": 1,
@@ -97,6 +99,11 @@ def _convert(key: str, value: Any) -> Any:
         if lowered in _BOOL_FALSE:
             return False
         raise ValueError(f"{value!r} is not a boolean")
+    # int() and float() would take True as 1 and cut 2.5 to 2
+    if kind != "str" and isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    if kind == "int" and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
     return {"int": int, "float": float, "str": str}[kind](value)
 
 
@@ -108,7 +115,7 @@ def _checked(key: str, value: Any) -> Any:
         raise ConfigError(f"{key}: {exc}") from exc
     if key == "timeout" and not value > 0:
         raise ConfigError(f"{key}: {value!r} must be greater than 0")
-    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+    if key in _AT_LEAST and value is not None and not value >= _AT_LEAST[key]:
         raise ConfigError(f"{key}: {value!r} must be at least {_AT_LEAST[key]}")
     return value
 

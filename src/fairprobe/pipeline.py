@@ -102,14 +102,11 @@ class PipelineRun:
             self.manifest = new_manifest(run_id, config.snapshot())
             save_manifest(self.manifest, self.run_dir)
         self.store = CatalogueStore(self.run_dir)
-        self._manifest_lock = threading.Lock()
         self.sessions = http.Sessions()
 
     # -- manifest bookkeeping ---------------------------------------------
-
-    def _save(self) -> None:
-        with self._manifest_lock:
-            save_manifest(self.manifest, self.run_dir)
+    # The manifest is saved only here, from the calling thread, when a step
+    # starts and when it ends; progress within a step is in the catalogue.
 
     def _check_predecessor(self, step: int) -> None:
         if step <= 1:
@@ -135,7 +132,7 @@ class PipelineRun:
         self._check_predecessor(step)
         state = self.manifest.steps[step]
         state.started = now_iso()
-        self._save()
+        save_manifest(self.manifest, self.run_dir)
         runner = {
             1: self._step1_registry,
             2: self._step2_select_providers,
@@ -150,7 +147,7 @@ class PipelineRun:
             if step >= 3:
                 state.status = STATUS_PARTIAL
             state.finished = now_iso()
-            self._save()
+            save_manifest(self.manifest, self.run_dir)
             raise
         finally:
             self.sessions.close()
@@ -158,7 +155,7 @@ class PipelineRun:
         state.status = status
         state.detail.update(detail)
         state.finished = now_iso()
-        self._save()
+        save_manifest(self.manifest, self.run_dir)
         return self.manifest
 
     # -- the five steps -------------------------------------------------------
@@ -167,9 +164,7 @@ class PipelineRun:
         repos = registry.fetch_repository_list(
             self.config.registry_url,
             self.config.seed_file,
-            allow_seed_fallback=self.config.allow_seed_fallback,
-            timeout=self.config.timeout,
-            detail_workers=self.config.detail_workers,
+            self.config,
             session=self.sessions,
         )
         write_ndjson(
@@ -243,8 +238,11 @@ class PipelineRun:
             for r in self._providers()
             if r.datacite_support.status == registry.SUPPORT_SUPPORTED
         ]
-        state = self.manifest.steps[3]
-        done: dict = state.detail.setdefault("repositories", {})
+        # a repository's outcome is the last line of its harvested partition
+        done: dict[str, dict] = {}
+        for name in self.store.partitions("harvested"):
+            for outcome in self.store.read("harvested", name):
+                done[name] = outcome
         pending = [
             r
             for r in providers
@@ -300,14 +298,15 @@ class PipelineRun:
             recovered: int,
             summary: oaipmh.HarvestSummary,
         ) -> None:
-            with self._manifest_lock:
-                done[repo.registry_id] = {
-                    "completed": summary.completed,
-                    "records": summary.records + recovered,
-                    "deleted": summary.deleted,
-                    "pages": summary.pages,
-                }
-                save_manifest(self.manifest, self.run_dir)
+            name = repo.registry_id
+            done[name] = {
+                "completed": summary.completed,
+                "records": summary.records + recovered,
+                "deleted": summary.deleted,
+                "pages": summary.pages,
+            }
+            self.store.append("harvested", name, done[name])
+            self.store.close("harvested", name)
 
         # pass 1: page 1 of every chain. Its completeListSize is the size
         # estimate; the token and the ids new on page 1 are all that is kept
@@ -339,22 +338,21 @@ class PipelineRun:
                 )
             )
             list(pool.map(resume, unfinished))
-        incomplete = [
-            name
-            for name, info in done.items()
-            if not info.get("completed", False)
-        ]
+        incomplete = sorted(
+            name for name, info in done.items() if not info["completed"]
+        )
         status = STATUS_PARTIAL if incomplete else STATUS_COMPLETE
         if incomplete:
             logger.warning(
                 "harvest incomplete for %d repositories: %s",
                 len(incomplete),
-                ", ".join(sorted(incomplete)),
+                ", ".join(incomplete),
             )
         return status, {
             "providers": len(providers),
-            "incomplete": sorted(incomplete),
+            "incomplete": incomplete,
             "peak_workers": meter.peak,
+            "repositories": done,
         }
 
     def _step4_assess(self) -> tuple[str, dict]:
@@ -410,8 +408,7 @@ class PipelineRun:
         partitions = self.store.partitions("parsed")
         gate = HostGate(self.config.per_host_delay)
         meter = ConcurrencyMeter()
-        stats_lock = threading.Lock()
-        stats = {"probed": 0, "retrievable": 0}
+        unprobed_lock = threading.Lock()
 
         def probe_entry(name: str, entry: dict) -> None:
             with meter.slot():
@@ -431,10 +428,7 @@ class PipelineRun:
                 self.store.append(
                     "assessed", name, assessor.assessment_to_dict(result)
                 )
-                with stats_lock:
-                    stats["probed"] += 1
-                    if retrievable:
-                        stats["retrievable"] += 1
+                with unprobed_lock:
                     unprobed[name] -= 1
                     finished = unprobed[name] == 0
                 if finished:
@@ -442,12 +436,7 @@ class PipelineRun:
 
         jobs: list[tuple[str, dict]] = []
         for name in partitions:
-            # a resumed step counts what an earlier attempt probed, too
-            already: set[str] = set()
-            for entry in self.store.read("assessed", name):
-                already.add(entry["doi"])
-                stats["probed"] += 1
-                stats["retrievable"] += bool(entry["ret"])
+            already = {entry["doi"] for entry in self.store.read("assessed", name)}
             for entry in self.store.read("parsed", name):
                 if entry["doi"] not in already:
                     jobs.append((name, entry))
@@ -461,8 +450,18 @@ class PipelineRun:
                 ]
                 for future in futures:
                     future.result()
-        stats["peak_workers"] = meter.peak
-        return STATUS_COMPLETE, stats
+        # counted from the partitions, so a resumed step counts what earlier
+        # attempts probed exactly as a clean step does
+        verdicts = [
+            bool(entry["ret"])
+            for name in partitions
+            for entry in self.store.read("assessed", name)
+        ]
+        return STATUS_COMPLETE, {
+            "probed": len(verdicts),
+            "retrievable": sum(verdicts),
+            "peak_workers": meter.peak,
+        }
 
     # -- scoring and reporting --------------------------------------------------
 

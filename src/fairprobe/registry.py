@@ -19,6 +19,7 @@ from urllib.parse import urlparse
 import requests
 
 from . import http
+from .config import RunConfig
 from .xmltree import attr, local_name
 
 logger = logging.getLogger(__name__)
@@ -181,18 +182,17 @@ def load_seed_file(path: str | Path) -> list[RepositoryDescriptor]:
 
 def fetch_repository_list(
     registry_endpoint: str | None,
-    fallback_seed: str | Path | None = None,
+    fallback_seed: str | Path | None,
+    config: RunConfig,
     *,
-    allow_seed_fallback: bool = False,
-    timeout: float = 20.0,
-    detail_workers: int = 4,
     session: http.Sessions | None = None,
 ) -> list[RepositoryDescriptor]:
     """Candidate repositories from the registry, or from the seed file.
 
     The network source is preferred. The seed is consulted only when no
-    endpoint is configured, or when the endpoint is unreachable and the
-    fallback was explicitly allowed.
+    endpoint is configured, or when the endpoint is unreachable and
+    ``config.allow_seed_fallback`` is set. Requests wait ``config.timeout``
+    seconds; ``config.detail_workers`` detail pages are fetched at once.
     """
     if not registry_endpoint:
         if fallback_seed:
@@ -202,12 +202,12 @@ def fetch_repository_list(
     with http.scope(session) as current:
         try:
             reply = current().get(
-                registry_endpoint.rstrip("/") + "/repositories", timeout=timeout
+                registry_endpoint.rstrip("/") + "/repositories", timeout=config.timeout
             )
             reply.raise_for_status()
             entries = parse_repository_list(http.xml_payload(reply))
         except (requests.RequestException, RegistryError) as exc:
-            if fallback_seed and allow_seed_fallback:
+            if fallback_seed and config.allow_seed_fallback:
                 logger.warning(
                     "registry unreachable (%s), falling back to seed file", exc
                 )
@@ -222,7 +222,7 @@ def fetch_repository_list(
                 + entry["registry_id"]
             )
             try:
-                detail_reply = current().get(url, timeout=timeout)
+                detail_reply = current().get(url, timeout=config.timeout)
                 detail_reply.raise_for_status()
                 detail = parse_repository_detail(http.xml_payload(detail_reply))
                 return index, detail
@@ -235,7 +235,7 @@ def fetch_repository_list(
                 )
                 return index, None
 
-        with ThreadPoolExecutor(max_workers=max(detail_workers, 1)) as pool:
+        with ThreadPoolExecutor(max_workers=config.detail_workers) as pool:
             details = list(pool.map(fetch_detail, enumerate(entries)))
 
     # merge in list order regardless of fetch completion order

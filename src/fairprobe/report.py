@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .scoring import CRITERIA, CriterionStats, RepositoryScore
+from .store import replace_file
 
 REPOSITORY_HEADER = "rdr,items,avfixed,avrelative,chrono,geo,lic,ret"
 CRITERION_HEADER = "criterion,q_size,rareness,weight"
@@ -161,9 +162,12 @@ def report_document(report: ScoreReport) -> dict:
 
 
 def write_report(report: ScoreReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write all report files under {out_dir}/{run_id}/ and return their paths."""
+    """Write all report files under {out_dir}/{run_id}/ and return their paths.
+
+    Each file is replaced whole, so an interrupted write leaves the earlier
+    version of that file, never a torn one.
+    """
     target = Path(out_dir) / report.run_id
-    target.mkdir(parents=True, exist_ok=True)
     files = {
         "repositories.csv": render_repository_table(
             report.repositories, report.d_size
@@ -177,6 +181,6 @@ def write_report(report: ScoreReport, out_dir: str | Path) -> dict[str, Path]:
     written: dict[str, Path] = {}
     for name, content in files.items():
         path = target / name
-        path.write_text(content, encoding="utf-8")
+        replace_file(path, content)
         written[name] = path
     return written

@@ -4,8 +4,10 @@ Catalogue files are newline-delimited JSON, one file per (run, repository,
 stage). A file stays open while a step writes to it, and each append is one
 flushed write, so after a crash only the final line can be damaged; readers
 drop a final line without its newline and treat anything else unparseable as
-real corruption. The manifest is a single JSON document replaced atomically
-on every update.
+real corruption. Everything a step records while it runs goes to such a
+partition: besides the three record stages, step 3 appends one line to
+``harvested/{repository}`` per finished repository. The manifest is a single
+JSON document, replaced atomically when a step starts and when it ends.
 
 The on-disk layout is versioned so later tooling can detect old runs.
 """
@@ -25,7 +27,7 @@ from urllib.parse import quote, unquote
 logger = logging.getLogger(__name__)
 
 STORE_VERSION = 1
-STAGES = ("raw", "parsed", "assessed")
+STAGES = ("raw", "parsed", "assessed", "harvested")
 
 STATUS_PENDING = "pending"
 STATUS_PARTIAL = "partial"
@@ -249,15 +251,11 @@ def save_manifest(manifest: RunManifest, run_dir: str | Path) -> None:
             for number, state in sorted(manifest.steps.items())
         },
     }
-    path = manifest_path(run_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_suffix(".json.tmp")
     # compact: an indent would force the pure-Python encoder on every save
-    scratch.write_text(
+    replace_file(
+        manifest_path(run_dir),
         json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
     )
-    os.replace(scratch, path)
 
 
 def load_manifest(run_dir: str | Path) -> RunManifest:
@@ -278,15 +276,26 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
     return manifest
 
 
-def write_ndjson(path: str | Path, records: list[dict[str, Any]]) -> None:
-    """Replace a whole ndjson file (used for step outputs, not catalogues)."""
+def replace_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a reader, or a crash, sees the old file or the new one, never a
+    half-written one."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    scratch = target.with_suffix(target.suffix + ".tmp")
-    with open(scratch, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(scratch, target)
+    scratch = target.with_name(target.name + ".tmp")
+    try:
+        scratch.write_text(text, encoding="utf-8")
+        os.replace(scratch, target)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+
+
+def write_ndjson(path: str | Path, records: list[dict[str, Any]]) -> None:
+    """Replace a whole ndjson file (used for step outputs, not catalogues)."""
+    replace_file(
+        path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    )
 
 
 def read_ndjson(path: str | Path) -> list[dict[str, Any]]:

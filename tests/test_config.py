@@ -188,6 +188,7 @@ def test_snapshot_rebuilds_equal_config():
 
 RANGES = {  # setting: (lowest value accepted, a value rejected)
     "timeout": (0.001, 0),
+    "max_pages": (1, 0),
     "retries": (0, -1),
     "max_redirects": (1, 0),
     "workers_harvest": (1, 0),
@@ -211,6 +212,32 @@ def test_out_of_range_setting_is_a_config_error(key):
     assert config == RunConfig()
     with pytest.raises(ConfigError, match=key):
         build_config(environ={"FAIRPROBE_" + key.upper(): str(bad)})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("workers_probe", 2.5),
+        ("max_pages", 1.5),
+        ("retries", True),
+        ("max_pages", False),
+        ("timeout", True),
+        ("per_host_delay", False),
+    ],
+)
+def test_bool_or_fraction_for_a_number_is_a_config_error(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        build_config(path, environ={})
+
+
+def test_whole_float_for_an_int_setting_is_converted():
+    config = RunConfig(workers_probe=2.0, retries=0.0)
+    assert (config.workers_probe, config.retries) == (2, 0)
+    assert type(config.workers_probe) is int
 
 
 def test_readme_table_lists_every_setting():

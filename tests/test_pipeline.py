@@ -599,14 +599,18 @@ def test_catalogue_handles_are_bounded_and_closed(
         assert open_catalogue_files(run.run_dir) == []
 
     assert all(run.manifest.status(n) == STATUS_COMPLETE for n in (1, 2, 3, 4, 5))
-    assert sum(appended.values()) == 3 * 24
+    # 24 records in each record stage, and one outcome per harvested repository
+    assert sum(appended.values()) == 3 * 24 + 6
+    assert all(appended["harvested", f"stack-{i}"] == 1 for i in range(6))
     # a second store reading mid-step saw every line appended so far
     assert unseen == []
     # handles are bounded by the partitions in progress, not by the six
-    # repositories: one per harvest worker, one in step 4, which assesses
-    # one partition after the other, and one more than the pool in step 5
-    # for a partition whose last job is queued behind the others
+    # repositories: one per harvest worker (its raw partition, then its
+    # outcome line), one in step 4, which assesses one partition after the
+    # other, and one more than the pool in step 5 for a partition whose last
+    # job is queued behind the others
     assert 1 <= writers["raw"] <= POOL
+    assert 1 <= writers["harvested"] <= POOL
     assert writers["parsed"] == 1
     assert 1 <= writers["assessed"] <= POOL + 1
 
@@ -625,6 +629,22 @@ def fail_after(function, calls: int):
     return counted
 
 
+def harvest_failing_after(records: int):
+    """``oaipmh.harvest_records``, failing on record ``records + 1`` over all
+    repositories."""
+    harvest = oaipmh.harvest_records
+    trip = fail_after(lambda: None, records)
+
+    def failing_harvest(endpoint, prefix, config, sink, **kwargs):
+        def tripping_sink(record):
+            trip()
+            sink(record)
+
+        return harvest(endpoint, prefix, config, tripping_sink, **kwargs)
+
+    return failing_harvest
+
+
 @needs_proc
 @pytest.mark.parametrize("step", [3, 4, 5])
 def test_failed_step_leaves_no_catalogue_file_open(
@@ -639,17 +659,7 @@ def test_failed_step_leaves_no_catalogue_file_open(
         run.run_step(earlier)
 
     if step == 3:
-        harvest = oaipmh.harvest_records
-        trip = fail_after(lambda: None, 5)  # counts records across repositories
-
-        def failing_harvest(endpoint, prefix, policy, sink, **kwargs):
-            def tripping_sink(record):
-                trip()
-                sink(record)
-
-            return harvest(endpoint, prefix, policy, tripping_sink, **kwargs)
-
-        monkeypatch.setattr(oaipmh, "harvest_records", failing_harvest)
+        monkeypatch.setattr(oaipmh, "harvest_records", harvest_failing_after(5))
     elif step == 4:
         monkeypatch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
     else:
@@ -687,16 +697,15 @@ def mixed_landscape() -> mockrdr.ScenarioScript:
     )
 
 
-@pytest.mark.parametrize("step", [4, 5])
+@pytest.mark.parametrize("step", [3, 4, 5])
 def test_resumed_step_counts_like_a_clean_run(
     serve_script, make_config, tmp_path, monkeypatch, step
 ):
     hub = serve_script(mixed_landscape())
-    module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
 
     def run_in(directory: str) -> PipelineRun:
         return PipelineRun(make_config(hub, out=str(tmp_path / directory),
-                                       run_id="same"))
+                                       run_id="same", workers_harvest=1))
 
     clean = run_in("clean")
     for number in (1, 2, 3, 4, 5):
@@ -707,15 +716,39 @@ def test_resumed_step_counts_like_a_clean_run(
     for number in range(1, step):
         crashed.run_step(number)
     with monkeypatch.context() as patch:
-        patch.setattr(module, function, fail_after(getattr(module, function), 5))
+        if step == 3:
+            # one worker: page 1 of each repository, then all of mixed-0,
+            # then mixed-1 fails halfway through its second page
+            patch.setattr(oaipmh, "harvest_records", harvest_failing_after(13))
+        else:
+            module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
+            patch.setattr(module, function, fail_after(getattr(module, function), 5))
         with pytest.raises(RuntimeError, match="injected failure"):
             crashed.run_step(step)
     assert crashed.manifest.status(step) == STATUS_PARTIAL
+    if step == 3:
+        assert crashed.store.partitions("harvested") == ["mixed-0"]
+        assert crashed.store.count("raw", "mixed-1") == 4
     resumed = run_in("crashed")
     for number in range(step, 6):
         resumed.run_step(number)
     resumed.finalize()
 
+    harvested = {"completed": True, "records": 6, "deleted": 0, "pages": 2}
+    assert clean.manifest.steps[3].detail["repositories"] == {
+        f"mixed-{i}": harvested for i in range(3)
+    }
+    assert resumed.manifest.steps[3].detail["repositories"] == (
+        clean.manifest.steps[3].detail["repositories"]
+    )
+    # a finished repository is not harvested again
+    for name in resumed.store.partitions("harvested"):
+        assert resumed.store.count("harvested", name) == 1
+    assert resumed.store.partitions("raw") == clean.store.partitions("raw")
+    for name in clean.store.partitions("raw"):
+        assert list(resumed.store.read("raw", name)) == list(
+            clean.store.read("raw", name)
+        )
     assert clean.manifest.steps[4].detail == {
         "parsed": 12, "errors": 0, "not_of_interest": 6, "duplicates": 0
     }
@@ -735,3 +768,26 @@ def test_resumed_step_counts_like_a_clean_run(
         assert (resumed.run_dir / name).read_bytes() == (
             clean.run_dir / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("count", [2, 9])
+def test_manifest_is_saved_only_at_step_boundaries(
+    serve_script, make_config, monkeypatch, count
+):
+    hub = serve_script(stacked_landscape(count))
+    saves = Counter()
+    save = pipeline.save_manifest
+
+    def counted(manifest, run_dir):
+        saves[threading.get_ident()] += 1
+        save(manifest, run_dir)
+
+    monkeypatch.setattr(pipeline, "save_manifest", counted)
+    run_dir = pipeline.run_all(make_config(hub, workers_harvest=POOL))
+    assert load_manifest(run_dir).steps[3].detail["repositories"].keys() == {
+        f"stack-{i}" for i in range(count)
+    }
+    # one save when the run is created, one as each step starts and ends,
+    # all from the calling thread
+    assert list(saves) == [threading.get_ident()]
+    assert sum(saves.values()) <= 1 + 2 * 5

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +22,7 @@ from fairprobe.probe import (
     f_ret,
     trace_to_dict,
 )
+from fairprobe.throttle import HostGate
 
 TIFF_LINK = '</blob/tif1>; rel="alternate"; type="image/tiff"'
 
@@ -240,18 +242,30 @@ def test_connection_refused_is_transport():
     assert [s.status for s in trace.steps] == [0]
 
 
-def test_per_host_delay_spaces_requests(routes_hub):
+def test_per_host_delay_spaces_requests(routes_hub, monkeypatch):
+    # the gate spaces request starts; arrival times at the mock also carry
+    # each hop's connect, so the starts are read inside the gate's slot
     delay_ms = 120.0
+    starts: list[float] = []
+    slot = HostGate.slot
+
+    @contextmanager
+    def recording_slot(gate, host):
+        with slot(gate, host):
+            starts.append(gate._last_start[host])
+            yield
+
+    monkeypatch.setattr(HostGate, "slot", recording_slot)
     before = len(routes_hub.requests_to("/resolve/"))
     ok, trace = run(routes_hub, record("10.9/chain"), per_host_delay=delay_ms)
     assert ok
     chain = [
         e for e in routes_hub.requests_to("/resolve/") if "chain" in e.target
     ][before:]
-    starts = sorted(e.t for e in chain)
+    assert len(chain) == 3
     gaps = [b - a for a, b in zip(starts, starts[1:])]
     assert len(gaps) == 2
-    assert all(gap >= 0.9 * delay_ms / 1000.0 for gap in gaps)
+    assert all(gap >= delay_ms / 1000.0 for gap in gaps)
 
 
 def test_large_bodies_are_not_downloaded(serve_script):

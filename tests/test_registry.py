@@ -8,6 +8,7 @@ import socket
 import pytest
 
 from fairprobe import mockrdr
+from fairprobe.config import RunConfig
 from fairprobe.registry import (
     ApiEndpoint,
     DataciteSupport,
@@ -115,7 +116,7 @@ def test_seed_file_grammar(tmp_path):
 def test_fetch_from_mock_registry(fixtures_dir, serve_script):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
     hub = serve_script(script)
-    repos = fetch_repository_list(hub.registry_url)
+    repos = fetch_repository_list(hub.registry_url, None, RunConfig())
     assert [r.registry_id for r in repos] == [
         r.name for r in script.repositories
     ]
@@ -130,13 +131,13 @@ def test_fetch_from_mock_registry(fixtures_dir, serve_script):
 
 def test_fetch_requires_endpoint_or_seed():
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(None)
+        fetch_repository_list(None, None, RunConfig())
 
 
 def test_fetch_uses_seed_when_no_endpoint(tmp_path):
     seed = tmp_path / "seed.txt"
     seed.write_text("r1|Alpha|oai-pmh=http://alpha.example/oai\n", encoding="utf-8")
-    repos = fetch_repository_list(None, seed)
+    repos = fetch_repository_list(None, seed, RunConfig())
     assert [r.registry_id for r in repos] == ["r1"]
 
 
@@ -145,9 +146,9 @@ def test_fetch_fallback_needs_permission(tmp_path):
     seed.write_text("r1|Alpha|\n", encoding="utf-8")
     dead = closed_port_url()
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(dead, seed, timeout=0.5)
+        fetch_repository_list(dead, seed, RunConfig(timeout=0.5))
     repos = fetch_repository_list(
-        dead, seed, allow_seed_fallback=True, timeout=0.5
+        dead, seed, RunConfig(allow_seed_fallback=True, timeout=0.5)
     )
     assert [r.registry_id for r in repos] == ["r1"]
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +189,41 @@ def test_write_report_file_set(tmp_path, landscape_rows):
 
     csv_lines = written["repositories.csv"].read_text(encoding="utf-8").splitlines()
     assert csv_lines[1].startswith("figshare,1224071,")
+
+
+def test_failed_report_write_keeps_the_earlier_file(
+    tmp_path, landscape_rows, monkeypatch
+):
+    stats, rows = landscape_rows
+    report = ScoreReport(
+        run_id="run-0002",
+        executed="2026-08-19",
+        d_size=LANDSCAPE_D,
+        repositories=rows,
+        criteria=stats,
+        total_rareness=sum(s.rareness for s in stats),
+        summary="first",
+    )
+    earlier = write_report(report, tmp_path)["report.json"].read_bytes()
+    write_text = Path.write_text
+
+    def disk_full_in_report_json(path, data, *args, **kwargs):
+        # the disk fills up halfway through writing report.json
+        if not path.name.startswith("report.json"):
+            return write_text(path, data, *args, **kwargs)
+        write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_report_json)
+    report.summary = "second"
+    with pytest.raises(OSError):
+        write_report(report, tmp_path)
+    target = tmp_path / "run-0002"
+    assert (target / "report.json").read_bytes() == earlier
+    assert sorted(p.name for p in target.iterdir()) == [
+        "apis.csv", "criteria.csv", "fair_coverage.txt",
+        "report.json", "repositories.csv",
+    ]
 
 
 def test_zero_item_rows_are_skipped(landscape_rows):
