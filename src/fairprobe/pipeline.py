@@ -13,7 +13,6 @@ import logging
 import threading
 import time
 import uuid
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -182,7 +181,7 @@ class PipelineRun:
         gate = HostGate(self.config.politeness_delay)
         meter = ConcurrencyMeter()
 
-        def classify(repo: registry.RepositoryDescriptor) -> None:
+        def classify(repo: registry.RepositoryDescriptor) -> registry.DataciteSupport:
             with meter.slot():
                 try:
                     formats = oaipmh.list_metadata_formats(
@@ -193,23 +192,17 @@ class PipelineRun:
                     )
                 except oaipmh.OaiError as exc:
                     logger.warning("%s: not usable (%s)", repo.registry_id, exc)
-                    repo.datacite_support = registry.DataciteSupport(
-                        status=registry.SUPPORT_UNSUPPORTED
-                    )
-                    return
+                    formats = []
             prefix = oaipmh.select_datacite_prefix(formats)
             if prefix is None:
-                repo.datacite_support = registry.DataciteSupport(
-                    status=registry.SUPPORT_UNSUPPORTED
-                )
-            else:
-                repo.datacite_support = registry.DataciteSupport(
-                    status=registry.SUPPORT_SUPPORTED, prefix=prefix
-                )
+                return registry.DataciteSupport(status=registry.SUPPORT_UNSUPPORTED)
+            return registry.DataciteSupport(
+                status=registry.SUPPORT_SUPPORTED, prefix=prefix
+            )
 
-        if candidates:
-            with ThreadPoolExecutor(max_workers=self.config.workers_select) as pool:
-                list(pool.map(classify, candidates))
+        with ThreadPoolExecutor(max_workers=self.config.workers_select) as pool:
+            for repo, support in zip(candidates, pool.map(classify, candidates)):
+                repo.datacite_support = support
 
         write_ndjson(
             self.run_dir / PROVIDERS_FILE,
@@ -232,22 +225,32 @@ class PipelineRun:
             for d in read_ndjson(self.run_dir / PROVIDERS_FILE)
         ]
 
+    def unfinished_repositories(self) -> list[str]:
+        """Supported providers whose harvest has not completed, sorted.
+
+        A repository is finished when the last line of its ``harvested``
+        partition says so; the catalogue holds that even when step 3
+        stopped before it could write its detail.
+        """
+        completed: dict[str, bool] = {}
+        for name in self.store.partitions("harvested"):
+            for outcome in self.store.read("harvested", name):
+                completed[name] = outcome["completed"]
+        return sorted(
+            r.registry_id
+            for r in self._providers()
+            if r.datacite_support.status == registry.SUPPORT_SUPPORTED
+            and not completed.get(r.registry_id, False)
+        )
+
     def _step3_harvest(self) -> tuple[str, dict]:
         providers = [
             r
             for r in self._providers()
             if r.datacite_support.status == registry.SUPPORT_SUPPORTED
         ]
-        # a repository's outcome is the last line of its harvested partition
-        done: dict[str, dict] = {}
-        for name in self.store.partitions("harvested"):
-            for outcome in self.store.read("harvested", name):
-                done[name] = outcome
-        pending = [
-            r
-            for r in providers
-            if not done.get(r.registry_id, {}).get("completed", False)
-        ]
+        to_harvest = set(self.unfinished_repositories())
+        pending = [r for r in providers if r.registry_id in to_harvest]
         gate = HostGate(self.config.politeness_delay)
         meter = ConcurrencyMeter()
 
@@ -299,13 +302,13 @@ class PipelineRun:
             summary: oaipmh.HarvestSummary,
         ) -> None:
             name = repo.registry_id
-            done[name] = {
+            outcome = {
                 "completed": summary.completed,
                 "records": summary.records + recovered,
                 "deleted": summary.deleted,
                 "pages": summary.pages,
             }
-            self.store.append("harvested", name, done[name])
+            self.store.append("harvested", name, outcome)
             self.store.close("harvested", name)
 
         # pass 1: page 1 of every chain. Its completeListSize is the size
@@ -338,9 +341,7 @@ class PipelineRun:
                 )
             )
             list(pool.map(resume, unfinished))
-        incomplete = sorted(
-            name for name, info in done.items() if not info["completed"]
-        )
+        incomplete = self.unfinished_repositories()
         status = STATUS_PARTIAL if incomplete else STATUS_COMPLETE
         if incomplete:
             logger.warning(
@@ -352,7 +353,13 @@ class PipelineRun:
             "providers": len(providers),
             "incomplete": incomplete,
             "peak_workers": meter.peak,
-            "repositories": done,
+            # a repository's outcome is the last line of its harvested
+            # partition, so earlier attempts count as in a clean step
+            "repositories": {
+                name: outcome
+                for name in self.store.partitions("harvested")
+                for outcome in self.store.read("harvested", name)
+            },
         }
 
     def _step4_assess(self) -> tuple[str, dict]:
@@ -408,14 +415,32 @@ class PipelineRun:
         partitions = self.store.partitions("parsed")
         gate = HostGate(self.config.per_host_delay)
         meter = ConcurrencyMeter()
-        unprobed_lock = threading.Lock()
 
-        def probe_entry(name: str, entry: dict) -> None:
+        def probe_entry(entry: dict) -> tuple[bool, probe.ProbeTrace]:
             with meter.slot():
                 record = datacite.record_from_dict(entry["record"])
-                retrievable, trace = probe.f_ret(
+                return probe.f_ret(
                     record, self.config, gate=gate, session=self.sessions
                 )
+
+        jobs: list[tuple[str, dict]] = []
+        for name in partitions:
+            already = {entry["doi"] for entry in self.store.read("assessed", name)}
+            for entry in self.store.read("parsed", name):
+                if entry["doi"] not in already:
+                    jobs.append((name, entry))
+
+        # results come back in job order, which is parsed order; the jobs are
+        # grouped by partition, so one assessed handle is open at a time. A
+        # failed probe cancels the probes not yet started.
+        current = None
+        with ThreadPoolExecutor(max_workers=self.config.workers_probe) as pool:
+            for (name, entry), (retrievable, trace) in zip(
+                jobs, pool.map(probe_entry, [entry for _, entry in jobs])
+            ):
+                if name != current and current is not None:
+                    self.store.close("assessed", current)
+                current = name
                 result = assessor.AssessmentResult(
                     doi=entry["doi"],
                     repository=name,
@@ -428,28 +453,8 @@ class PipelineRun:
                 self.store.append(
                     "assessed", name, assessor.assessment_to_dict(result)
                 )
-                with unprobed_lock:
-                    unprobed[name] -= 1
-                    finished = unprobed[name] == 0
-                if finished:
-                    self.store.close("assessed", name)
-
-        jobs: list[tuple[str, dict]] = []
-        for name in partitions:
-            already = {entry["doi"] for entry in self.store.read("assessed", name)}
-            for entry in self.store.read("parsed", name):
-                if entry["doi"] not in already:
-                    jobs.append((name, entry))
-        # a partition's handle closes when its last probe job finishes
-        unprobed = Counter(name for name, _ in jobs)
-
-        if jobs:
-            with ThreadPoolExecutor(max_workers=self.config.workers_probe) as pool:
-                futures = [
-                    pool.submit(probe_entry, name, entry) for name, entry in jobs
-                ]
-                for future in futures:
-                    future.result()
+        if current is not None:
+            self.store.close("assessed", current)
         # counted from the partitions, so a resumed step counts what earlier
         # attempts probed exactly as a clean step does
         verdicts = [
@@ -483,9 +488,8 @@ class PipelineRun:
                 per_repo[name] = {"items": items, **met}
 
         warnings: list[str] = []
-        incomplete = self.manifest.steps[3].detail.get("incomplete", [])
-        if self.manifest.steps[3].status == STATUS_PARTIAL or incomplete:
-            names = ", ".join(incomplete) if incomplete else "unknown repositories"
+        if self.manifest.steps[3].status == STATUS_PARTIAL:
+            names = ", ".join(self.unfinished_repositories()) or "unknown repositories"
             warnings.append(
                 "harvest incomplete: scores are computed over a truncated "
                 f"corpus (affected: {names})"

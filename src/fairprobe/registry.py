@@ -214,8 +214,7 @@ def fetch_repository_list(
                 return load_seed_file(fallback_seed)
             raise RegistryUnreachableError(str(exc)) from exc
 
-        def fetch_detail(indexed: tuple[int, dict[str, str]]):
-            index, entry = indexed
+        def fetch_detail(entry: dict[str, str]) -> dict[str, Any] | None:
             url = (
                 registry_endpoint.rstrip("/")
                 + "/repository/"
@@ -224,24 +223,20 @@ def fetch_repository_list(
             try:
                 detail_reply = current().get(url, timeout=config.timeout)
                 detail_reply.raise_for_status()
-                detail = parse_repository_detail(http.xml_payload(detail_reply))
-                return index, detail
+                return parse_repository_detail(http.xml_payload(detail_reply))
             except (requests.RequestException, ET.ParseError) as exc:
                 logger.warning(
-                    "registry entry %d (%s) detail failed, skipped: %s",
-                    index,
+                    "registry entry %s: detail failed, skipped: %s",
                     entry["registry_id"],
                     exc,
                 )
-                return index, None
+                return None
 
         with ThreadPoolExecutor(max_workers=config.detail_workers) as pool:
-            details = list(pool.map(fetch_detail, enumerate(entries)))
+            details = list(pool.map(fetch_detail, entries))
 
-    # merge in list order regardless of fetch completion order
     descriptors: list[RepositoryDescriptor] = []
-    details.sort(key=lambda item: item[0])
-    for (index, detail), entry in zip(details, entries):
+    for detail, entry in zip(details, entries):
         if detail is None:
             continue
         descriptors.append(

@@ -6,6 +6,7 @@ import json
 import os
 import socket
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -606,13 +607,12 @@ def test_catalogue_handles_are_bounded_and_closed(
     assert unseen == []
     # handles are bounded by the partitions in progress, not by the six
     # repositories: one per harvest worker (its raw partition, then its
-    # outcome line), one in step 4, which assesses one partition after the
-    # other, and one more than the pool in step 5 for a partition whose last
-    # job is queued behind the others
+    # outcome line), and one in steps 4 and 5, whose own thread writes one
+    # partition after the other
     assert 1 <= writers["raw"] <= POOL
     assert 1 <= writers["harvested"] <= POOL
     assert writers["parsed"] == 1
-    assert 1 <= writers["assessed"] <= POOL + 1
+    assert writers["assessed"] == 1
 
 
 def fail_after(function, calls: int):
@@ -671,6 +671,59 @@ def test_failed_step_leaves_no_catalogue_file_open(
     stage = {3: "raw", 4: "parsed", 5: "assessed"}[step]
     assert run.store.partitions(stage)  # lines were written before the failure
     assert open_catalogue_files(run.run_dir) == []
+
+
+@needs_proc
+def test_failed_probe_stops_the_queued_probes(serve_script, make_config, monkeypatch):
+    hub = serve_script(stacked_landscape())
+    run = PipelineRun(make_config(hub, workers_probe=POOL))
+    for step in (1, 2, 3, 4):
+        run.run_step(step)
+    lock = threading.Lock()
+    calls = {"made": 0}
+    f_ret = probe.f_ret
+
+    def fails_once(*args, **kwargs):
+        with lock:
+            calls["made"] += 1
+            made = calls["made"]
+        if made == 6:
+            raise RuntimeError("injected failure")
+        if made > 6:
+            # the probes behind the failure are the slow ones, so no worker
+            # runs ahead while the step's thread waits for the jobs before it
+            time.sleep(0.05)
+        return f_ret(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "f_ret", fails_once)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run.run_step(5)
+    # 24 jobs were queued; only the probes already started when the failure
+    # surfaced ran after it
+    assert calls["made"] <= 6 + POOL
+    assert open_catalogue_files(run.run_dir) == []
+
+
+def test_assessed_follows_parsed(serve_script, make_config, monkeypatch):
+    hub = serve_script(stacked_landscape())
+    run = PipelineRun(make_config(hub, workers_probe=POOL))
+    for step in (1, 2, 3, 4):
+        run.run_step(step)
+    names = run.store.partitions("parsed")
+    first = {next(run.store.read("parsed", name))["doi"] for name in names}
+    f_ret = probe.f_ret
+
+    def slow_first(record, *args, **kwargs):
+        if record.doi in first:
+            time.sleep(0.05)  # the other worker finishes later jobs meanwhile
+        return f_ret(record, *args, **kwargs)
+
+    monkeypatch.setattr(probe, "f_ret", slow_first)
+    run.run_step(5)
+    for name in names:
+        assert [e["doi"] for e in run.store.read("assessed", name)] == [
+            e["doi"] for e in run.store.read("parsed", name)
+        ]
 
 
 def mixed_landscape() -> mockrdr.ScenarioScript:
@@ -759,15 +812,44 @@ def test_resumed_step_counts_like_a_clean_run(
         assert {key: detail[key] for key in probed} == probed
     names = clean.store.partitions("parsed")
     assert resumed.store.partitions("parsed") == names
+    assert resumed.store.partitions("assessed") == names
     for name in names:
         assert list(resumed.store.read("parsed", name)) == list(
             clean.store.read("parsed", name)
         )
+        # a resumed step 5 writes the probes the crash lost after the ones
+        # it kept, both in parsed order
+        assert [
+            (e["doi"], e["ret"]) for e in resumed.store.read("assessed", name)
+        ] == [(e["doi"], e["ret"]) for e in clean.store.read("assessed", name)]
     for name in ("repositories.csv", "criteria.csv", "apis.csv",
                  "fair_coverage.txt", "report.json"):
         assert (resumed.run_dir / name).read_bytes() == (
             clean.run_dir / name
         ).read_bytes()
+
+
+def test_report_names_truncated_repositories_from_the_catalogue(
+    serve_script, make_config, monkeypatch
+):
+    hub = serve_script(mixed_landscape())
+    run = PipelineRun(make_config(hub, workers_harvest=1, allow_partial=True))
+    for step in (1, 2):
+        run.run_step(step)
+    with monkeypatch.context() as patch:
+        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(13))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run.run_step(3)
+    # the failed step wrote no detail; the harvested partitions know which
+    # repositories finished
+    assert run.manifest.steps[3].detail == {}
+    assert run.unfinished_repositories() == ["mixed-1", "mixed-2"]
+    for step in (4, 5):
+        run.run_step(step)
+    assert run.build_report().warnings == [
+        "harvest incomplete: scores are computed over a truncated corpus "
+        "(affected: mixed-1, mixed-2)"
+    ]
 
 
 @pytest.mark.parametrize("count", [2, 9])
