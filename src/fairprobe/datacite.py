@@ -12,7 +12,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Union
-from xml.sax.saxutils import escape, quoteattr
 
 from .xmltree import attr, child, children, local_name
 
@@ -251,73 +250,6 @@ def is_of_interest(record: DataciteRecord) -> bool:
     if (record.resource_type_general or "").strip().lower() == "image":
         return True
     return any(is_image_format(f) or media_type(f) == "image/*" for f in record.formats)
-
-
-# --- canonical serialisation -------------------------------------------------
-#
-# Kernel-4 shaped XML covering exactly the modelled fields. Reparsing the
-# output yields an equal record, which the test suite leans on.
-
-def to_canonical_xml(record: DataciteRecord) -> str:
-    parts: list[str] = ['<resource xmlns="http://datacite.org/schema/kernel-4">']
-    parts.append(
-        f'  <identifier identifierType="DOI">{escape(record.doi)}</identifier>'
-    )
-    if record.resource_type_general is not None:
-        parts.append(
-            f"  <resourceType resourceTypeGeneral={quoteattr(record.resource_type_general)}/>"
-        )
-    if record.formats:
-        parts.append("  <formats>")
-        for fmt in record.formats:
-            parts.append(f"    <format>{escape(fmt)}</format>")
-        parts.append("  </formats>")
-    if record.dates:
-        parts.append("  <dates>")
-        for date in record.dates:
-            parts.append(
-                f"    <date dateType={quoteattr(date.date_type)}>{escape(date.value)}</date>"
-            )
-        parts.append("  </dates>")
-    if record.geo_locations:
-        parts.append("  <geoLocations>")
-        for loc in record.geo_locations:
-            parts.append("    <geoLocation>")
-            if isinstance(loc, GeoPoint):
-                parts.append("      <geoLocationPoint>")
-                parts.append(f"        <pointLatitude>{loc.lat!r}</pointLatitude>")
-                parts.append(f"        <pointLongitude>{loc.lon!r}</pointLongitude>")
-                parts.append("      </geoLocationPoint>")
-            elif isinstance(loc, GeoBox):
-                parts.append("      <geoLocationBox>")
-                parts.append(f"        <southBoundLatitude>{loc.south!r}</southBoundLatitude>")
-                parts.append(f"        <westBoundLongitude>{loc.west!r}</westBoundLongitude>")
-                parts.append(f"        <northBoundLatitude>{loc.north!r}</northBoundLatitude>")
-                parts.append(f"        <eastBoundLongitude>{loc.east!r}</eastBoundLongitude>")
-                parts.append("      </geoLocationBox>")
-            elif isinstance(loc, GeoPlace):
-                parts.append(
-                    f"      <geoLocationPlace>{escape(loc.text)}</geoLocationPlace>"
-                )
-            else:
-                # malformed content survives as the raw text it came from
-                parts.append(
-                    f"      <geoLocationPoint>{escape(loc.raw)}</geoLocationPoint>"
-                )
-            parts.append("    </geoLocation>")
-        parts.append("  </geoLocations>")
-    if record.rights:
-        parts.append("  <rightsList>")
-        for entry in record.rights:
-            attr = (
-                f" rightsURI={quoteattr(entry.rights_uri)}"
-                if entry.rights_uri is not None
-                else ""
-            )
-            parts.append(f"    <rights{attr}>{escape(entry.text)}</rights>")
-        parts.append("  </rightsList>")
-    parts.append("</resource>")
-    return "\n".join(parts)
 
 
 # --- dict round-trip for the catalogue store ---------------------------------

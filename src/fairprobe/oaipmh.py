@@ -164,9 +164,13 @@ def list_metadata_formats(
     """Ask the endpoint which metadata formats it serves."""
     config = config or RunConfig()
     gate = gate or HostGate(config.politeness_delay)
-    with http.scope(session) as current:
+    with http.scope(session) as sessions:
         reply = _request(
-            endpoint, {"verb": "ListMetadataFormats"}, config, gate, current()
+            endpoint,
+            {"verb": "ListMetadataFormats"},
+            config,
+            gate,
+            sessions.current(),
         )
     try:
         root = ET.fromstring(http.xml_payload(reply))
@@ -316,8 +320,8 @@ def harvest_records(
     else:
         raise ValueError(f"{endpoint}: the earlier call left no chain to continue")
 
-    with http.scope(session) as current:
-        client = current()
+    with http.scope(session) as sessions:
+        client = sessions.current()
         while True:
             if (
                 config.max_pages is not None

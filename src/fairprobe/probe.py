@@ -12,10 +12,11 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from http.cookiejar import CookieJar
 from typing import Any
 from urllib.parse import urljoin, urlparse
 
-import requests
+import urllib3
 from requests.utils import parse_header_links
 
 from . import http
@@ -24,8 +25,6 @@ from .datacite import DataciteRecord
 from .throttle import HostGate
 
 logger = logging.getLogger(__name__)
-
-REDIRECT_CODES = (301, 302, 303, 307, 308)
 
 OUTCOME_CLIENT = "client_negotiated"
 OUTCOME_LINK = "link_negotiated"
@@ -73,20 +72,20 @@ def _core_fetch(
     accept: str,
     config: RunConfig,
     gate: HostGate,
-    session: requests.Session,
-) -> requests.Response:
+    sessions: http.Sessions,
+    cookies: CookieJar,
+) -> urllib3.BaseHTTPResponse:
     host = urlparse(url).netloc
     with gate.slot(host):
-        reply = session.get(
-            url,
-            headers={"Accept": accept},
-            allow_redirects=False,
-            stream=True,
-            timeout=config.timeout,
-        )
-    # headers are all a probe reads: drop the connection before the body
-    reply.close()
-    return reply
+        return sessions.hop(url, accept, config.timeout, cookies)
+
+
+def _timed_out(exc: Exception) -> bool:
+    # a refused connect is a NewConnectionError, which urllib3 derives from
+    # ConnectTimeoutError: it is a transport failure, not a timeout
+    return isinstance(exc, urllib3.exceptions.TimeoutError) and not isinstance(
+        exc, urllib3.exceptions.NewConnectionError
+    )
 
 
 def _follow_chain(
@@ -94,9 +93,10 @@ def _follow_chain(
     accept: str,
     config: RunConfig,
     gate: HostGate,
-    session: requests.Session,
+    sessions: http.Sessions,
+    cookies: CookieJar,
     trace: ProbeTrace,
-) -> tuple[requests.Response | None, str | None]:
+) -> tuple[urllib3.BaseHTTPResponse | None, str | None]:
     """GET with manual redirect following; returns (terminal reply, reason).
 
     The Accept header is preserved across every hop. A reply is returned
@@ -107,8 +107,8 @@ def _follow_chain(
     redirects_left = config.max_redirects
     while True:
         try:
-            reply = _core_fetch(url, accept, config, gate, session)
-        except requests.RequestException as exc:
+            reply = _core_fetch(url, accept, config, gate, sessions, cookies)
+        except http.HOP_ERRORS as exc:
             # no response: status 0 keeps the attempt visible in the trace
             trace.steps.append(
                 ProbeStep(
@@ -120,19 +120,18 @@ def _follow_chain(
                     link_header=None,
                 )
             )
-            timed_out = isinstance(exc, requests.Timeout)
-            return None, REASON_TIMEOUT if timed_out else REASON_TRANSPORT
+            return None, REASON_TIMEOUT if _timed_out(exc) else REASON_TRANSPORT
         trace.steps.append(
             ProbeStep(
                 url=url,
                 method="GET",
                 request_accept=accept,
-                status=reply.status_code,
+                status=reply.status,
                 content_type=reply.headers.get("Content-Type"),
                 link_header=reply.headers.get("Link"),
             )
         )
-        if reply.status_code in REDIRECT_CODES:
+        if reply.status in http.REDIRECT_CODES:
             location = reply.headers.get("Location")
             if not location:
                 return reply, REASON_NON_200
@@ -186,23 +185,21 @@ def f_ret(
     gate = gate or HostGate(config.per_host_delay)
     trace = ProbeTrace()
     started = time.monotonic()
-    with http.scope(session) as current:
-        client = current()
+    with http.scope(session) as sessions:
+        cookies = CookieJar()  # one probe's hops share cookies, probes do not
         try:
             reply, reason = _follow_chain(
                 doi_url(record.doi, config.doi_resolver), "image/*",
-                config, gate, client, trace,
+                config, gate, sessions, cookies, trace,
             )
 
             if reply is not None and reason is None:
-                if reply.status_code == 200 and _is_image_type(
+                if reply.status == 200 and _is_image_type(
                     reply.headers.get("Content-Type")
                 ):
                     trace.outcome = OUTCOME_CLIENT
                     return True, trace
-                reason = (
-                    REASON_NO_IMAGE if reply.status_code == 200 else REASON_NON_200
-                )
+                reason = REASON_NO_IMAGE if reply.status == 200 else REASON_NON_200
 
             # server-side fallback: only with a failed phase 1 and a Link header
             link_header = reply.headers.get("Link") if reply is not None else None
@@ -214,18 +211,16 @@ def f_ret(
                 target, matched_format = match
                 target_url = urljoin(trace.steps[-1].url, target)
                 reply2, reason2 = _follow_chain(
-                    target_url, matched_format, config, gate, client, trace
+                    target_url, matched_format, config, gate, sessions, cookies, trace
                 )
                 if reply2 is not None and reason2 is None:
                     served = _bare_type(reply2.headers.get("Content-Type") or "")
                     matched = _bare_type(matched_format)
-                    if reply2.status_code == 200 and served == matched:
+                    if reply2.status == 200 and served == matched:
                         trace.outcome = OUTCOME_LINK
                         return True, trace
                     reason2 = (
-                        REASON_NO_IMAGE
-                        if reply2.status_code == 200
-                        else REASON_NON_200
+                        REASON_NO_IMAGE if reply2.status == 200 else REASON_NON_200
                     )
                 trace.reason = reason2
                 return False, trace

@@ -199,9 +199,9 @@ def fetch_repository_list(
             return load_seed_file(fallback_seed)
         raise RegistryUnreachableError("no registry endpoint and no seed file")
 
-    with http.scope(session) as current:
+    with http.scope(session) as sessions:
         try:
-            reply = current().get(
+            reply = sessions.current().get(
                 registry_endpoint.rstrip("/") + "/repositories", timeout=config.timeout
             )
             reply.raise_for_status()
@@ -221,7 +221,7 @@ def fetch_repository_list(
                 + entry["registry_id"]
             )
             try:
-                detail_reply = current().get(url, timeout=config.timeout)
+                detail_reply = sessions.current().get(url, timeout=config.timeout)
                 detail_reply.raise_for_status()
                 return parse_repository_detail(http.xml_payload(detail_reply))
             except (requests.RequestException, ET.ParseError) as exc:

@@ -61,13 +61,15 @@ def scripted_http():
 
     Covers protocol corners the scenario server does not script, like a
     resumption chain without a token element or an unparseable Retry-After.
-    Request targets are appended to ``targets`` when one is given.
+    Request targets are appended to ``targets`` when one is given, and each
+    request's header lines, in wire order, to ``headers``.
     """
     running: list[tuple[ThreadingHTTPServer, threading.Thread]] = []
 
     def launch(
         replies: list[tuple[int, dict[str, str], bytes]],
         targets: list[str] | None = None,
+        headers: list[list[tuple[str, str]]] | None = None,
     ) -> str:
         queue = list(replies)
         lock = threading.Lock()
@@ -80,12 +82,14 @@ def scripted_http():
                 with lock:
                     if targets is not None:
                         targets.append(self.path)
+                    if headers is not None:
+                        headers.append(self.headers.items())
                     if queue:
-                        status, headers, body = queue.pop(0)
+                        status, reply_headers, body = queue.pop(0)
                     else:
-                        status, headers, body = 500, {}, b"script exhausted"
+                        status, reply_headers, body = 500, {}, b"script exhausted"
                 self.send_response(status)
-                for key, value in headers.items():
+                for key, value in reply_headers.items():
                     self.send_header(key, value)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

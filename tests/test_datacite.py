@@ -23,8 +23,9 @@ from fairprobe.datacite import (
     parse_record,
     record_from_dict,
     record_to_dict,
-    to_canonical_xml,
 )
+
+from canonical_xml import to_canonical_xml
 
 
 def load(fixtures_dir, name: str) -> str:

@@ -9,6 +9,7 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -550,13 +551,38 @@ def open_catalogue_files(run_dir: Path, writers_only: bool = False) -> list[str]
     return found
 
 
-def stacked_landscape(count: int = 6) -> mockrdr.ScenarioScript:
+def sockets_to(port: int) -> list[str]:
+    """This process's open TCP sockets whose remote end is on ``port``."""
+    inodes = set()
+    for fd in os.listdir(FD_DIR):
+        try:
+            target = os.readlink(FD_DIR / fd)
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    found = []
+    for table in ("tcp", "tcp6"):
+        path = FD_DIR.parent / "net" / table
+        if not path.exists():
+            continue
+        for line in path.read_text().splitlines()[1:]:
+            fields = line.split()
+            remote, inode = fields[2], fields[9]
+            if inode in inodes and int(remote.rsplit(":", 1)[1], 16) == port:
+                found.append(line)
+    return found
+
+
+def stacked_landscape(
+    count: int = 6, retrieval: str = "client"
+) -> mockrdr.ScenarioScript:
     return mockrdr.ScenarioScript(
         repositories=[
             mockrdr.MockRepository(
                 name=f"stack-{i}",
                 records=[
-                    mockrdr.MockRecord(doi=f"10.20/stack-{i}-{j}", retrieval="client")
+                    mockrdr.MockRecord(doi=f"10.20/stack-{i}-{j}", retrieval=retrieval)
                     for j in range(4)
                 ],
                 page_size=2,
@@ -702,6 +728,27 @@ def test_failed_probe_stops_the_queued_probes(serve_script, make_config, monkeyp
     # surfaced ran after it
     assert calls["made"] <= 6 + POOL
     assert open_catalogue_files(run.run_dir) == []
+
+
+@needs_proc
+def test_no_socket_outlives_a_step(serve_script, make_config, monkeypatch):
+    # each probe ends on its second redirect, whose connection goes back to
+    # the pool, so the pools hold open connections when the step ends
+    hub = serve_script(stacked_landscape(retrieval="redirect"))
+    port = urlsplit(hub.base_url).port
+    run = PipelineRun(make_config(hub, workers_probe=POOL, max_redirects=1))
+    for step in (1, 2, 3, 4):
+        run.run_step(step)
+        assert sockets_to(port) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(probe, "f_ret", fail_after(probe.f_ret, 9))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run.run_step(5)
+    assert sockets_to(port) == []
+    run.run_step(5)
+    detail = run.manifest.steps[5].detail
+    assert (detail["probed"], detail["retrievable"]) == (24, 0)
+    assert sockets_to(port) == []
 
 
 def test_assessed_follows_parsed(serve_script, make_config, monkeypatch):

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fairprobe import mockrdr
+from fairprobe import http, mockrdr
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import (
@@ -300,6 +300,61 @@ def test_redirect_without_location_is_non_200(scripted_http):
     assert not ok
     assert trace.reason == "non-200"
     assert [s.status for s in trace.steps] == [302]
+
+
+def test_location_that_is_not_utf8_is_followed(scripted_http):
+    targets: list[str] = []
+    # the header carries the single byte 0xE9
+    base = scripted_http(
+        [
+            (302, {"Location": "/caf\xe9"}, b""),
+            (200, {"Content-Type": "image/png"}, b""),
+        ],
+        targets,
+    )
+    ok, trace = f_ret(record("10.9/x"), quick_config(base + "/"))
+    assert ok
+    assert [s.status for s in trace.steps] == [302, 200]
+    assert targets == ["/10.9/x", "/caf%C3%A9"]
+
+
+def cookie_of(headers: list[tuple[str, str]]) -> str | None:
+    return dict(headers).get("Cookie")
+
+
+def test_a_cookie_follows_the_hops_of_its_probe(scripted_http):
+    seen: list[list[tuple[str, str]]] = []
+    base = scripted_http(
+        [
+            (302, {"Location": "/landing", "Set-Cookie": "gate=open; Path=/"}, b""),
+            (200, {"Content-Type": "text/html", "Link": TIFF_LINK}, b"<html/>"),
+            (200, {"Content-Type": "image/tiff"}, b"tiff"),
+        ],
+        headers=seen,
+    )
+    ok, trace = f_ret(record("10.9/x", ["image/tiff"]), quick_config(base + "/"))
+    assert ok
+    assert trace.outcome == OUTCOME_LINK
+    # the redirect hop and the Link fallback both carry it
+    assert [cookie_of(h) for h in seen] == [None, "gate=open", "gate=open"]
+
+
+def test_a_cookie_never_reaches_another_probe(scripted_http):
+    seen: list[list[tuple[str, str]]] = []
+    image = {"Content-Type": "image/png"}
+    base = scripted_http(
+        [(200, {**image, "Set-Cookie": "gate=open; Path=/"}, b""), (200, image, b"")],
+        headers=seen,
+    )
+    sessions = http.Sessions()
+    try:
+        # one run, one thread: the verdict must not depend on what ran before
+        for doi in ("10.9/a", "10.9/b"):
+            ok, _ = f_ret(record(doi), quick_config(base + "/"), session=sessions)
+            assert ok
+    finally:
+        sessions.close()
+    assert [cookie_of(h) for h in seen] == [None, None]
 
 
 def test_trace_round_trip():

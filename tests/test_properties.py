@@ -15,7 +15,6 @@ from fairprobe.datacite import (
     parse_record,
     record_from_dict,
     record_to_dict,
-    to_canonical_xml,
 )
 from fairprobe.scoring import (
     CRITERIA,
@@ -26,6 +25,8 @@ from fairprobe.scoring import (
     score_repository,
     stats_from_counts,
 )
+
+from canonical_xml import to_canonical_xml
 
 SEED = 20180601
 
