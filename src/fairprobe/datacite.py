@@ -20,10 +20,6 @@ class RecordParseError(Exception):
     """Base class for payloads that cannot become a DataciteRecord."""
 
 
-class XmlMalformedError(RecordParseError):
-    pass
-
-
 class NotDataciteError(RecordParseError):
     """No element with local name ``resource`` anywhere in the payload."""
 
@@ -163,30 +159,30 @@ def _parse_geo_location(element: ET.Element) -> list[GeoLocation]:
 
 
 def parse_record(
-    payload: str,
+    payload: ET.Element | None,
     *,
     repository: str = "",
     oai_identifier: str = "",
 ) -> DataciteRecord:
-    """Parse one Datacite metadata payload into a DataciteRecord.
+    """Parse one Datacite metadata element into a DataciteRecord.
 
-    Raises XmlMalformedError, NotDataciteError or MissingIdentifierError;
-    everything else the payload contains is either mapped or ignored.
+    The payload is the element inside a record's ``metadata``, as
+    ``oaipmh.parse_page`` gives it. Raises RecordParseError for a record
+    without one, NotDataciteError or MissingIdentifierError; everything
+    else the payload contains is either mapped or ignored.
     """
-    try:
-        root = ET.fromstring(payload)
-    except ET.ParseError as exc:
-        raise XmlMalformedError(str(exc)) from exc
+    if payload is None:
+        raise RecordParseError("record has no metadata payload")
 
-    if local_name(root.tag) == "resource":
-        resource = root
+    if local_name(payload.tag) == "resource":
+        resource = payload
     else:
         resource = next(
-            (el for el in root.iter() if local_name(el.tag) == "resource"), None
+            (el for el in payload.iter() if local_name(el.tag) == "resource"), None
         )
         if resource is None:
             raise NotDataciteError(
-                f"no resource element (root is {local_name(root.tag)!r})"
+                f"no resource element (root is {local_name(payload.tag)!r})"
             )
 
     doi = _text(child(resource, "identifier"))

@@ -55,9 +55,8 @@ class MetadataFormatInfo:
 @dataclass(frozen=True)
 class RawRecord:
     oai_identifier: str
-    datestamp: str
     deleted: bool
-    payload: str  # XML text of the metadata element, empty when deleted
+    payload: ET.Element | None  # metadata's first child; None if deleted or absent
     source_endpoint: str
 
 
@@ -223,7 +222,7 @@ def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
     return None
 
 
-def _parse_page(
+def parse_page(
     body: bytes | str, endpoint: str
 ) -> tuple[list[RawRecord], str | None, int | None]:
     """One ListRecords body -> (records, token, completeListSize).
@@ -231,7 +230,9 @@ def _parse_page(
     The token is None when the element is absent and "" when present but
     empty; both end the chain, but only an absent/empty token means done.
     ``http.xml_payload`` decides whether the reply's charset or the XML
-    declaration sets the encoding.
+    declaration sets the encoding. A record's payload is an element of the
+    parsed page, so the page stays in memory while its records do. A record
+    whose header has no identifier is listed with an empty one.
     """
     list_records = _verb_element(ET.fromstring(body), "ListRecords")
     records: list[RawRecord] = []
@@ -240,28 +241,15 @@ def _parse_page(
         if header is None:
             continue
         identifier = ""
-        datestamp = ""
         for field in header:
-            name = local_name(field.tag)
-            if name == "identifier":
+            if local_name(field.tag) == "identifier":
                 identifier = (field.text or "").strip()
-            elif name == "datestamp":
-                datestamp = (field.text or "").strip()
         deleted = header.get("status") == "deleted"
-        payload = ""
-        if not deleted:
-            metadata = child(el, "metadata")
-            if metadata is not None:
-                inner = next(iter(metadata), None)
-                if inner is not None:
-                    payload = ET.tostring(inner, encoding="unicode")
-        if not identifier:
-            logger.warning("record without identifier skipped")
-            continue
+        metadata = None if deleted else child(el, "metadata")
+        payload = None if metadata is None else next(iter(metadata), None)
         records.append(
             RawRecord(
                 oai_identifier=identifier,
-                datestamp=datestamp,
                 deleted=deleted,
                 payload=payload,
                 source_endpoint=endpoint,
@@ -285,7 +273,7 @@ def harvest_records(
     endpoint: str,
     prefix: str,
     config: RunConfig,
-    sink: Callable[[RawRecord], None],
+    sink: Callable[[bytes | str, list[RawRecord]], None],
     *,
     gate: HostGate | None = None,
     seen: set[str] | None = None,
@@ -293,12 +281,15 @@ def harvest_records(
     first_page_only: bool = False,
     after: HarvestSummary | None = None,
 ) -> HarvestSummary:
-    """Walk the ListRecords chain, feeding each new record to the sink.
+    """Walk the ListRecords chain, feeding each page to the sink.
 
-    Every non-deleted record reaches the sink at most once per identifier
-    (first occurrence wins; pass ``seen`` to carry that state across calls).
-    Deleted records are only counted. A chain that cannot be finished
-    returns completed=False with the counts that were obtained.
+    The sink gets every parsed page once: its body as ``parse_page`` read
+    it, and the records the page gave that were taken, in page order. A
+    non-deleted record is taken at most once per identifier (first
+    occurrence wins, a deleted one included; pass ``seen`` to carry that
+    state across calls). Deleted records are only counted. A chain that
+    cannot be finished returns completed=False with the counts that were
+    obtained.
 
     A chain may be walked in two calls: ``first_page_only`` ends the first
     call after page 1, with the next resumption token in the summary, and
@@ -338,8 +329,9 @@ def harvest_records(
             except EndpointUnresponsiveError as exc:
                 logger.warning("%s: %s, harvest is partial", endpoint, exc)
                 return summary
+            body = http.xml_payload(reply)
             try:
-                records, token, size = _parse_page(http.xml_payload(reply), endpoint)
+                records, token, size = parse_page(body, endpoint)
             except ET.ParseError as exc:
                 # a skipped page would silently bias the corpus, so stop here
                 logger.warning("%s: unparseable page (%s), harvest is partial",
@@ -363,15 +355,20 @@ def harvest_records(
             summary.pages += 1
             if size is not None and summary.complete_list_size is None:
                 summary.complete_list_size = size
+            taken: list[RawRecord] = []
             for record in records:
+                if not record.oai_identifier:
+                    logger.warning("%s: record without identifier skipped", endpoint)
+                    continue
                 if record.oai_identifier in seen:
                     continue
                 seen.add(record.oai_identifier)
                 if record.deleted:
                     summary.deleted += 1
                     continue
-                sink(record)
-                summary.records += 1
+                taken.append(record)
+            sink(body, taken)
+            summary.records += len(taken)
 
             if not token:
                 summary.completed = True
@@ -396,7 +393,7 @@ def estimate_list_size(
     is the exact size then. Returns None when no estimate is possible.
     """
     first = harvest_records(
-        endpoint, prefix, config, lambda record: None,
+        endpoint, prefix, config, lambda body, records: None,
         gate=gate, session=session, first_page_only=True,
     )
     if first.complete_list_size is not None:

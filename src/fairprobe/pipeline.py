@@ -13,10 +13,11 @@ import logging
 import threading
 import time
 import uuid
+import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import assessor, datacite, http, oaipmh, probe, registry, scoring
 from .config import RunConfig
@@ -24,6 +25,7 @@ from .report import ApiRow, ScoreReport, write_report
 from .store import (
     STATUS_COMPLETE,
     STATUS_PARTIAL,
+    STORE_VERSION,
     CatalogueStore,
     RunManifest,
     load_manifest,
@@ -87,6 +89,31 @@ def _oai_endpoint(repo: registry.RepositoryDescriptor) -> str:
     return next(ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH")
 
 
+def _page_line(
+    body: bytes | str, records: list[oaipmh.RawRecord], endpoint: str
+) -> dict:
+    """A ``raw`` line: one ListRecords page as served, and the ids taken from it.
+
+    A body served as bytes is kept as its UTF-8 reading with surrogates for
+    the bytes that are not UTF-8, which JSON carries losslessly;
+    ``_served_body`` restores the bytes, so their XML declaration sets the
+    encoding again. A body the reply's charset decoded is kept as text.
+    """
+    served_bytes = isinstance(body, bytes)
+    return {
+        "body": body.decode("utf-8", "surrogateescape") if served_bytes else body,
+        "bytes": served_bytes,
+        "ids": [record.oai_identifier for record in records],
+        "source_endpoint": endpoint,
+    }
+
+
+def _served_body(line: dict) -> bytes | str:
+    """The body of a ``raw`` line exactly as step 3 parsed it."""
+    body = line["body"]
+    return body.encode("utf-8", "surrogateescape") if line["bytes"] else body
+
+
 class PipelineRun:
     """One run directory: its manifest, its catalogue, its report."""
 
@@ -97,6 +124,12 @@ class PipelineRun:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         if manifest_path(self.run_dir).exists():
             self.manifest = load_manifest(self.run_dir)
+            if self.manifest.store_version != STORE_VERSION:
+                raise PipelineError(
+                    f"{self.run_dir} has store version "
+                    f"{self.manifest.store_version}; this fairprobe reads "
+                    f"only store version {STORE_VERSION}"
+                )
         else:
             self.manifest = new_manifest(run_id, config.snapshot())
             save_manifest(self.manifest, self.run_dir)
@@ -256,8 +289,9 @@ class PipelineRun:
 
         def stored_ids(repo: registry.RepositoryDescriptor) -> set[str]:
             return {
-                entry["oai_identifier"]
-                for entry in self.store.read("raw", repo.registry_id)
+                identifier
+                for line in self.store.read("raw", repo.registry_id)
+                for identifier in line["ids"]
             }
 
         def harvest(
@@ -268,22 +302,17 @@ class PipelineRun:
             after: oaipmh.HarvestSummary | None = None,
         ) -> oaipmh.HarvestSummary:
             name = repo.registry_id
+            endpoint = _oai_endpoint(repo)
 
-            def sink(record: oaipmh.RawRecord) -> None:
-                self.store.append(
-                    "raw",
-                    name,
-                    {
-                        "oai_identifier": record.oai_identifier,
-                        "datestamp": record.datestamp,
-                        "payload": record.payload,
-                        "source_endpoint": record.source_endpoint,
-                    },
-                )
+            # one page is one line, so a crash loses at most the page being
+            # written, and a resumed step fetches it again
+            def sink(body: bytes | str, records: list[oaipmh.RawRecord]) -> None:
+                if records:
+                    self.store.append("raw", name, _page_line(body, records, endpoint))
 
             with meter.slot():
                 summary = oaipmh.harvest_records(
-                    _oai_endpoint(repo),
+                    endpoint,
                     repo.datacite_support.prefix or "",
                     self.config,
                     sink,
@@ -362,6 +391,25 @@ class PipelineRun:
             },
         }
 
+    def _stored_payloads(
+        self, name: str
+    ) -> Iterator[tuple[str, ET.Element | None]]:
+        """(oai identifier, payload) of every record step 3 took, in order.
+
+        Each page is parsed once and walked as step 3 walked it, so an
+        element inside a payload is never taken for a record. Within a page
+        the first record with a listed identifier is the one step 3 took.
+        """
+        for line in self.store.read("raw", name):
+            records, _, _ = oaipmh.parse_page(
+                _served_body(line), line["source_endpoint"]
+            )
+            payloads: dict[str, ET.Element | None] = {}
+            for record in records:
+                payloads.setdefault(record.oai_identifier, record.payload)
+            for identifier in line["ids"]:
+                yield identifier, payloads[identifier]
+
     def _step4_assess(self) -> tuple[str, dict]:
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
         for name in self.store.partitions("raw"):
@@ -370,15 +418,13 @@ class PipelineRun:
             # again, without a second line
             already = {entry["doi"] for entry in self.store.read("parsed", name)}
             seen_dois: set[str] = set()
-            for entry in self.store.read("raw", name):
+            for identifier, payload in self._stored_payloads(name):
                 try:
                     record = datacite.parse_record(
-                        entry["payload"],
-                        repository=name,
-                        oai_identifier=entry["oai_identifier"],
+                        payload, repository=name, oai_identifier=identifier
                     )
                 except datacite.RecordParseError as exc:
-                    logger.warning("%s %s: %s", name, entry["oai_identifier"], exc)
+                    logger.warning("%s %s: %s", name, identifier, exc)
                     counts["errors"] += 1
                     continue
                 if not datacite.is_of_interest(record):
@@ -401,7 +447,7 @@ class PipelineRun:
                     {
                         "doi": record.doi,
                         "repository": name,
-                        "oai_identifier": entry["oai_identifier"],
+                        "oai_identifier": identifier,
                         "record": datacite.record_to_dict(record),
                         "chrono": result.chrono,
                         "geo": result.geo,

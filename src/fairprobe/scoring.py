@@ -6,14 +6,13 @@ is met, so satisfying a rare criterion is worth more. Both are plain double
 arithmetic; rounding happens only when reports render.
 
 All aggregates are linear in per-record indicator values, so every score is
-also reachable from met-counts alone. The count-based entry points exist for
-corpora that arrive as tallies rather than as record streams.
+reachable from met-counts alone, and the pipeline scores from those tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 CRITERIA: tuple[str, str, str, str] = ("chrono", "geo", "lic", "ret")
 N_CRITERIA = len(CRITERIA)
@@ -40,43 +39,12 @@ class CriterionStats:
 
 
 @dataclass(frozen=True)
-class CorpusTotals:
-    d_size: int
-    total_rareness: float
-    n_criteria: int = N_CRITERIA
-
-
-@dataclass(frozen=True)
 class RepositoryScore:
     repository: str
     items: int
     met_counts: dict[str, int]
     avfixed: float
     avrelative: float
-
-
-def _met_flags(assessment) -> dict[str, bool]:
-    """The four flags off an assessment-like object or a mapping."""
-    if isinstance(assessment, Mapping):
-        return {name: bool(assessment.get(name)) for name in CRITERIA}
-    return {name: bool(getattr(assessment, name)) for name in CRITERIA}
-
-
-def score_fixed(assessment) -> float:
-    """Fixed score of one record: met criteria over four.
-
-    Accepts an assessment (object or mapping with the four flags), a raw
-    met count, or a sequence of booleans.
-    """
-    if isinstance(assessment, int) and not isinstance(assessment, bool):
-        k = assessment
-    elif isinstance(assessment, (list, tuple)):
-        k = sum(bool(m) for m in assessment)
-    else:
-        k = sum(_met_flags(assessment).values())
-    if not 0 <= k <= N_CRITERIA:
-        raise ScoringError(f"met count {k} outside 0..{N_CRITERIA}")
-    return k / N_CRITERIA
 
 
 def stats_from_counts(q_sizes: Mapping[str, int], d_size: int) -> list[CriterionStats]:
@@ -108,39 +76,8 @@ def stats_from_counts(q_sizes: Mapping[str, int], d_size: int) -> list[Criterion
     ]
 
 
-def compute_stats(
-    assessments: Iterable,
-) -> tuple[list[CriterionStats], CorpusTotals]:
-    """Stats and totals over a stream of assessment results."""
-    q_sizes = {name: 0 for name in CRITERIA}
-    d_size = 0
-    for item in assessments:
-        d_size += 1
-        flags = _met_flags(item)
-        for name in CRITERIA:
-            if flags[name]:
-                q_sizes[name] += 1
-    stats = stats_from_counts(q_sizes, d_size)
-    return stats, corpus_totals(stats, d_size)
-
-
-def corpus_totals(stats: Sequence[CriterionStats], d_size: int) -> CorpusTotals:
-    return CorpusTotals(
-        d_size=d_size,
-        total_rareness=total_rareness(stats),
-        n_criteria=len(stats),
-    )
-
-
 def total_rareness(stats: Sequence[CriterionStats]) -> float:
     return sum(s.rareness for s in stats)
-
-
-def score_relative(assessment, stats: Sequence[CriterionStats]) -> float:
-    """Relative score of one record: rareness-weighted sum of met criteria."""
-    weights = {s.name: s.weight for s in stats}
-    flags = _met_flags(assessment)
-    return sum(weights[name] for name in CRITERIA if flags[name])
 
 
 def repository_score_from_counts(
@@ -175,20 +112,3 @@ def repository_score_from_counts(
         avfixed=avfixed,
         avrelative=avrelative,
     )
-
-
-def score_repository(
-    repository: str,
-    assessments: Iterable,
-    stats: Sequence[CriterionStats],
-) -> RepositoryScore:
-    """Repository means from a stream of that repository's assessments."""
-    items = 0
-    met_counts = {name: 0 for name in CRITERIA}
-    for item in assessments:
-        items += 1
-        flags = _met_flags(item)
-        for name in CRITERIA:
-            if flags[name]:
-                met_counts[name] += 1
-    return repository_score_from_counts(repository, items, met_counts, stats)

@@ -5,11 +5,13 @@ stage). A file stays open while a step writes to it, and each append is one
 flushed write, so after a crash only the final line can be damaged; readers
 drop a final line without its newline and treat anything else unparseable as
 real corruption. Everything a step records while it runs goes to such a
-partition: besides the three record stages, step 3 appends one line to
+partition: ``raw`` holds one line per harvested ListRecords page,
+``parsed`` and ``assessed`` one per record, and step 3 appends one line to
 ``harvested/{repository}`` per finished repository. The manifest is a single
 JSON document, replaced atomically when a step starts and when it ends.
 
-The on-disk layout is versioned so later tooling can detect old runs.
+The on-disk layout is versioned (``STORE_VERSION``, kept in the manifest);
+the pipeline refuses a run directory of another version.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from urllib.parse import quote, unquote
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 STAGES = ("raw", "parsed", "assessed", "harvested")
 
 STATUS_PENDING = "pending"
@@ -190,9 +192,6 @@ class CatalogueStore:
             for entry in directory.iterdir()
             if entry.name.endswith(".ndjson")
         )
-
-    def count(self, stage: str, repository: str) -> int:
-        return sum(1 for _ in self.read(stage, repository))
 
 
 @dataclass

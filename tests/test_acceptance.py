@@ -24,14 +24,12 @@ from fairprobe.probe import f_ret
 from fairprobe.report import render_criterion_table, render_repository_table
 from fairprobe.scoring import (
     CRITERIA,
-    compute_stats,
-    corpus_totals,
     repository_score_from_counts,
-    score_fixed,
-    score_relative,
     stats_from_counts,
 )
 from fairprobe.store import STATUS_COMPLETE, load_manifest
+
+from oracle import compute_stats, corpus_totals, score_fixed, score_relative
 
 # Reference landscape: ~1.4M records, aggregates known to seven decimals.
 LANDSCAPE_D = 1_408_929
@@ -267,8 +265,9 @@ def test_criterion_4_protocol_resilience(tmp_path, serve_script):
                 if not record.deleted
             )
             got = [
-                entry["oai_identifier"]
-                for entry in run.store.read("raw", repo.name)
+                identifier
+                for page in run.store.read("raw", repo.name)
+                for identifier in page["ids"]
             ]
             assert sorted(got) == want, repo.name
             assert len(got) == len(set(got))  # exactly once, no duplicates

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -93,13 +94,13 @@ def test_f_lic(rights, ok):
 
 def test_fixture_records_hit_expected_predicates(fixtures_dir):
     full = parse_record(
-        (fixtures_dir / "kernel4.xml").read_text(encoding="utf-8"),
+        ET.fromstring((fixtures_dir / "kernel4.xml").read_text(encoding="utf-8")),
         repository="example-rdr",
     )
     assert (f_chrono(full), f_geo(full), f_lic(full)) == (True, True, True)
 
     edge = parse_record(
-        (fixtures_dir / "edge_cases.xml").read_text(encoding="utf-8"),
+        ET.fromstring((fixtures_dir / "edge_cases.xml").read_text(encoding="utf-8")),
         repository="example-rdr",
     )
     # blank Created value, only malformed geo, no http(s) rights link
@@ -108,7 +109,7 @@ def test_fixture_records_hit_expected_predicates(fixtures_dir):
 
 def test_assess_never_sets_retrievability(fixtures_dir):
     full = parse_record(
-        (fixtures_dir / "kernel4.xml").read_text(encoding="utf-8"),
+        ET.fromstring((fixtures_dir / "kernel4.xml").read_text(encoding="utf-8")),
         repository="example-rdr",
         oai_identifier="oai:example:1",
     )

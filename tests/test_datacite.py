@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -15,8 +16,8 @@ from fairprobe.datacite import (
     GeoPoint,
     MissingIdentifierError,
     NotDataciteError,
+    RecordParseError,
     RightsEntry,
-    XmlMalformedError,
     is_image_format,
     is_of_interest,
     media_type,
@@ -28,8 +29,8 @@ from fairprobe.datacite import (
 from canonical_xml import to_canonical_xml
 
 
-def load(fixtures_dir, name: str) -> str:
-    return (fixtures_dir / name).read_text(encoding="utf-8")
+def load(fixtures_dir, name: str) -> ET.Element:
+    return ET.fromstring((fixtures_dir / name).read_text(encoding="utf-8"))
 
 
 def test_kernel4_full_record(fixtures_dir):
@@ -77,9 +78,9 @@ def test_envelope_is_unwrapped(fixtures_dir):
     assert record.dates == [DateEntry(value="2015-05-05", date_type="Created")]
 
 
-def test_malformed_xml_raises(fixtures_dir):
-    with pytest.raises(XmlMalformedError):
-        parse_record(load(fixtures_dir, "malformed.xml"))
+def test_record_without_payload_raises():
+    with pytest.raises(RecordParseError):
+        parse_record(None, oai_identifier="oai:example:deleted")
 
 
 def test_non_datacite_payload_raises(fixtures_dir):
@@ -113,7 +114,7 @@ def test_rights_without_rights_list_element():
         '<rights rightsURI="https://example.org/l">direct child</rights>'
         "</resource>"
     )
-    record = parse_record(payload)
+    record = parse_record(ET.fromstring(payload))
     assert record.rights == [
         RightsEntry(text="direct child", rights_uri="https://example.org/l")
     ]
@@ -213,7 +214,9 @@ def test_canonical_xml_round_trip(fixtures_dir, fixture):
         load(fixtures_dir, fixture), repository="r", oai_identifier="oai:r:0"
     )
     again = parse_record(
-        to_canonical_xml(record), repository="r", oai_identifier="oai:r:0"
+        ET.fromstring(to_canonical_xml(record)),
+        repository="r",
+        oai_identifier="oai:r:0",
     )
     assert again == record
 

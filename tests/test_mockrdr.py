@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_generated_payload_parses_to_the_scripted_intents(
         geo_style=geo_style,
         wrapped=wrapped,
     )
-    parsed = parse_record(mockrdr.record_payload(record), repository="r")
+    parsed = parse_record(ET.fromstring(mockrdr.record_payload(record)), repository="r")
     assert parsed.doi == "10.3/x"
     assert is_of_interest(parsed)
     assert f_chrono(parsed) is chrono
@@ -160,7 +161,7 @@ def test_interest_channels(interest_via, of_interest):
     record = mockrdr.MockRecord(
         doi="10.3/y", of_interest=of_interest, interest_via=interest_via
     )
-    parsed = parse_record(mockrdr.record_payload(record), repository="r")
+    parsed = parse_record(ET.fromstring(mockrdr.record_payload(record)), repository="r")
     assert is_of_interest(parsed) is of_interest
     if of_interest and interest_via == "type":
         assert parsed.resource_type_general == "Image"

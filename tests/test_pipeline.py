@@ -29,6 +29,13 @@ from fairprobe.store import (
 CRITERIA = ("chrono", "geo", "lic", "ret")
 
 
+def raw_ids(store: CatalogueStore, name: str) -> list[str]:
+    """The oai identifiers of a raw partition, in the order step 3 took them."""
+    return [
+        identifier for page in store.read("raw", name) for identifier in page["ids"]
+    ]
+
+
 def read_report(run_dir) -> dict:
     return json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
 
@@ -163,7 +170,7 @@ def test_page_cap_then_resume_completes_the_catalogue(
     run.run_step(3)
     assert run.manifest.status(3) == STATUS_PARTIAL
     capped_counts = {
-        name: run.store.count("raw", name)
+        name: len(raw_ids(run.store, name))
         for name in run.store.partitions("raw")
     }
     assert capped_counts["coastal-imagery"] == 4  # page size, one page
@@ -179,9 +186,7 @@ def test_page_cap_then_resume_completes_the_catalogue(
             for i, r in enumerate(repo.records)
             if not r.deleted
         }
-        got = [
-            e["oai_identifier"] for e in resumed.store.read("raw", repo.name)
-        ]
+        got = raw_ids(resumed.store, repo.name)
         assert sorted(got) == sorted(want)  # every record exactly once
 
     resumed.run_step(4)
@@ -218,9 +223,8 @@ def test_catalogue_stages_nest(fixtures_dir, serve_script, make_config):
     assert set(run.store.partitions("parsed")) <= set(run.store.partitions("raw"))
     assert set(run.store.partitions("assessed")) == set(run.store.partitions("parsed"))
     for name in run.store.partitions("parsed"):
-        raw_ids = {e["oai_identifier"] for e in run.store.read("raw", name)}
         parsed = list(run.store.read("parsed", name))
-        assert {e["oai_identifier"] for e in parsed} <= raw_ids
+        assert {e["oai_identifier"] for e in parsed} <= set(raw_ids(run.store, name))
         parsed_dois = {e["doi"] for e in parsed}
         assessed_dois = {e["doi"] for e in run.store.read("assessed", name)}
         assert assessed_dois == parsed_dois
@@ -275,11 +279,22 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
         run.manifest.steps[number].status = STATUS_COMPLETE
     save_manifest(run.manifest, run.run_dir)
 
-    def raw_entry(identifier: str, payload: str) -> dict:
+    def oai_record(index: int, payload: str | None) -> str:
+        metadata = "" if payload is None else f"<metadata>{payload}</metadata>"
+        return (
+            f"<record><header><identifier>oai:dup-repo:{index:05d}</identifier>"
+            f"<datestamp>2017-01-01</datestamp></header>{metadata}</record>"
+        )
+
+    def raw_page(*records: str) -> dict:
+        body = (
+            '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/">'
+            f"<ListRecords>{''.join(records)}</ListRecords></OAI-PMH>"
+        )
         return {
-            "oai_identifier": identifier,
-            "datestamp": "2017-01-01",
-            "payload": payload,
+            "body": body,
+            "bytes": False,
+            "ids": [f"oai:dup-repo:{index:05d}" for index in range(len(records))],
             "source_endpoint": "http://inline/oai",
         }
 
@@ -292,10 +307,17 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
     boring = mockrdr.record_payload(
         mockrdr.MockRecord(doi="10.22/other", of_interest=False)
     )
-    run.store.append("raw", "dup-repo", raw_entry("oai:dup-repo:00000", first))
-    run.store.append("raw", "dup-repo", raw_entry("oai:dup-repo:00001", second))
-    run.store.append("raw", "dup-repo", raw_entry("oai:dup-repo:00002", boring))
-    run.store.append("raw", "dup-repo", raw_entry("oai:dup-repo:00003", "<resource"))
+    # the last record has no metadata element, so no payload to parse
+    run.store.append(
+        "raw",
+        "dup-repo",
+        raw_page(
+            oai_record(0, first),
+            oai_record(1, second),
+            oai_record(2, boring),
+            oai_record(3, None),
+        ),
+    )
 
     manifest = run.run_step(4)
     detail = manifest.steps[4].detail
@@ -420,7 +442,7 @@ def test_token_that_expired_in_the_queue_costs_one_request(
         "completed": True, "records": 6, "deleted": 0, "pages": 4,
     }
     assert list_records_requests(hub).count("small") == 5
-    got = [e["oai_identifier"] for e in run.store.read("raw", "small")]
+    got = raw_ids(run.store, "small")
     assert sorted(got) == sorted(mockrdr.oai_identifier("small", i) for i in range(6))
 
 
@@ -438,7 +460,7 @@ def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_con
     first = PipelineRun(make_config(hub, run_id="halfway", max_pages=2))
     for step in (1, 2, 3):
         first.run_step(step)
-    assert first.store.count("raw", "halfway") == 4
+    assert len(raw_ids(first.store, "halfway")) == 4
 
     resumed = PipelineRun(make_config(hub, run_id="halfway", max_pages=None))
     resumed.run_step(3)
@@ -447,7 +469,7 @@ def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_con
     assert resumed.manifest.steps[3].detail["repositories"]["halfway"] == {
         "completed": True, "records": 8, "deleted": 0, "pages": 6,
     }
-    got = [e["oai_identifier"] for e in resumed.store.read("raw", "halfway")]
+    got = raw_ids(resumed.store, "halfway")
     assert sorted(got) == sorted(mockrdr.oai_identifier("halfway", i) for i in range(8))
 
 
@@ -485,7 +507,7 @@ def test_restart_after_the_first_page_counts_deleted_records_once(
     assert run.manifest.steps[3].detail["repositories"]["handoff"] == {
         "completed": True, "records": 6, "deleted": 1, "pages": 4,
     }
-    got = [e["oai_identifier"] for e in run.store.read("raw", "handoff")]
+    got = raw_ids(run.store, "handoff")
     assert sorted(got) == sorted(
         mockrdr.oai_identifier("handoff", i) for i in range(7) if i != 1
     )
@@ -616,7 +638,7 @@ def test_catalogue_handles_are_bounded_and_closed(
             appended[stage, repository] += 1
             open_now = len(open_catalogue_files(run.run_dir, writers_only=True))
             writers[stage] = max(writers[stage], open_now)
-            lines = CatalogueStore(run.run_dir).count(stage, repository)
+            lines = sum(1 for _ in CatalogueStore(run.run_dir).read(stage, repository))
             if lines != appended[stage, repository]:
                 unseen.append((stage, repository, appended[stage, repository], lines))
 
@@ -626,8 +648,9 @@ def test_catalogue_handles_are_bounded_and_closed(
         assert open_catalogue_files(run.run_dir) == []
 
     assert all(run.manifest.status(n) == STATUS_COMPLETE for n in (1, 2, 3, 4, 5))
-    # 24 records in each record stage, and one outcome per harvested repository
-    assert sum(appended.values()) == 3 * 24 + 6
+    # one raw line per page (two per repository), 24 records in each of
+    # parsed and assessed, and one outcome per harvested repository
+    assert sum(appended.values()) == 12 + 2 * 24 + 6
     assert all(appended["harvested", f"stack-{i}"] == 1 for i in range(6))
     # a second store reading mid-step saw every line appended so far
     assert unseen == []
@@ -655,16 +678,16 @@ def fail_after(function, calls: int):
     return counted
 
 
-def harvest_failing_after(records: int):
-    """``oaipmh.harvest_records``, failing on record ``records + 1`` over all
-    repositories."""
+def harvest_failing_after(pages: int):
+    """``oaipmh.harvest_records``, failing on page ``pages + 1`` over all
+    repositories, before that page is stored."""
     harvest = oaipmh.harvest_records
-    trip = fail_after(lambda: None, records)
+    trip = fail_after(lambda: None, pages)
 
     def failing_harvest(endpoint, prefix, config, sink, **kwargs):
-        def tripping_sink(record):
+        def tripping_sink(body, records):
             trip()
-            sink(record)
+            sink(body, records)
 
         return harvest(endpoint, prefix, config, tripping_sink, **kwargs)
 
@@ -818,8 +841,8 @@ def test_resumed_step_counts_like_a_clean_run(
     with monkeypatch.context() as patch:
         if step == 3:
             # one worker: page 1 of each repository, then all of mixed-0,
-            # then mixed-1 fails halfway through its second page
-            patch.setattr(oaipmh, "harvest_records", harvest_failing_after(13))
+            # then mixed-1 fails on its second page
+            patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
         else:
             module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
             patch.setattr(module, function, fail_after(getattr(module, function), 5))
@@ -828,7 +851,10 @@ def test_resumed_step_counts_like_a_clean_run(
     assert crashed.manifest.status(step) == STATUS_PARTIAL
     if step == 3:
         assert crashed.store.partitions("harvested") == ["mixed-0"]
-        assert crashed.store.count("raw", "mixed-1") == 4
+        # a page is stored whole or not at all: mixed-1 kept its first page
+        assert raw_ids(crashed.store, "mixed-1") == [
+            mockrdr.oai_identifier("mixed-1", i) for i in range(3)
+        ]
     resumed = run_in("crashed")
     for number in range(step, 6):
         resumed.run_step(number)
@@ -843,7 +869,7 @@ def test_resumed_step_counts_like_a_clean_run(
     )
     # a finished repository is not harvested again
     for name in resumed.store.partitions("harvested"):
-        assert resumed.store.count("harvested", name) == 1
+        assert len(list(resumed.store.read("harvested", name))) == 1
     assert resumed.store.partitions("raw") == clean.store.partitions("raw")
     for name in clean.store.partitions("raw"):
         assert list(resumed.store.read("raw", name)) == list(
@@ -876,6 +902,83 @@ def test_resumed_step_counts_like_a_clean_run(
         ).read_bytes()
 
 
+def paged_landscape() -> mockrdr.ScenarioScript:
+    """Two providers of two pages; a page line is longer than 4 KiB."""
+    return mockrdr.ScenarioScript(
+        repositories=[
+            mockrdr.MockRepository(
+                name=f"paged-{i}",
+                records=[
+                    mockrdr.MockRecord(
+                        doi=f"10.29/paged-{i}-{j}",
+                        of_interest=j % 4 != 3,
+                        chrono=j % 2 == 0,
+                        lic=j % 3 == 0,
+                    )
+                    for j in range(20)
+                ],
+                page_size=10,
+            )
+            for i in range(2)
+        ]
+    )
+
+
+def test_torn_page_line_is_fetched_again_on_resume(
+    serve_script, make_config, tmp_path, monkeypatch
+):
+    hub = serve_script(paged_landscape())
+
+    def run_in(directory: str) -> PipelineRun:
+        return PipelineRun(make_config(hub, out=str(tmp_path / directory),
+                                       run_id="same", workers_harvest=1))
+
+    clean = run_in("clean")
+    for number in (1, 2, 3, 4, 5):
+        clean.run_step(number)
+    clean.finalize()
+
+    # page 1 of both providers, then page 2 of paged-0; paged-1 fails while
+    # its second page is written, which leaves a torn line
+    crashed = run_in("crashed")
+    for number in (1, 2):
+        crashed.run_step(number)
+    with monkeypatch.context() as patch:
+        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(3))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            crashed.run_step(3)
+    assert crashed.unfinished_repositories() == ["paged-1"]
+    path = crashed.run_dir / "catalogue" / "raw" / "paged-1.ndjson"
+    lost = (clean.run_dir / "catalogue" / "raw" / "paged-1.ndjson").read_bytes()
+    lost = lost.split(b"\n")[1]
+    torn = lost[: len(lost) - 10]
+    # longer than the 4 KiB chunk that the tail repair reads at a time, so
+    # it has to read further back to find where the line starts
+    assert len(torn) > 4096
+    with open(path, "ab") as handle:
+        handle.write(torn)
+
+    resumed = run_in("crashed")
+    for number in (3, 4, 5):
+        resumed.run_step(number)
+    resumed.finalize()
+
+    assert path.read_bytes().count(b"\n") == 2
+    assert [entry["ids"] for entry in resumed.store.read("raw", "paged-1")] == [
+        entry["ids"] for entry in clean.store.read("raw", "paged-1")
+    ]
+    assert resumed.manifest.steps[4].detail == clean.manifest.steps[4].detail
+    for name in clean.store.partitions("parsed"):
+        assert list(resumed.store.read("parsed", name)) == list(
+            clean.store.read("parsed", name)
+        )
+    for name in ("repositories.csv", "criteria.csv", "apis.csv",
+                 "fair_coverage.txt", "report.json"):
+        assert (resumed.run_dir / name).read_bytes() == (
+            clean.run_dir / name
+        ).read_bytes()
+
+
 def test_report_names_truncated_repositories_from_the_catalogue(
     serve_script, make_config, monkeypatch
 ):
@@ -884,7 +987,7 @@ def test_report_names_truncated_repositories_from_the_catalogue(
     for step in (1, 2):
         run.run_step(step)
     with monkeypatch.context() as patch:
-        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(13))
+        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
         with pytest.raises(RuntimeError, match="injected failure"):
             run.run_step(3)
     # the failed step wrote no detail; the harvested partitions know which

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
@@ -18,15 +19,12 @@ from fairprobe.datacite import (
 )
 from fairprobe.scoring import (
     CRITERIA,
-    compute_stats,
     repository_score_from_counts,
-    score_fixed,
-    score_relative,
-    score_repository,
     stats_from_counts,
 )
 
 from canonical_xml import to_canonical_xml
+from oracle import compute_stats, score_fixed, score_relative, score_repository
 
 SEED = 20180601
 
@@ -179,11 +177,15 @@ def test_record_representations_agree(kernel, wrapped, geo_style, interest_via, 
         wrapped=wrapped,
     )
     record = parse_record(
-        mockrdr.record_payload(source), repository="r", oai_identifier="oai:r:0"
+        ET.fromstring(mockrdr.record_payload(source)),
+        repository="r",
+        oai_identifier="oai:r:0",
     )
 
     canonical = parse_record(
-        to_canonical_xml(record), repository="r", oai_identifier="oai:r:0"
+        ET.fromstring(to_canonical_xml(record)),
+        repository="r",
+        oai_identifier="oai:r:0",
     )
     assert canonical == record
 

@@ -23,7 +23,9 @@ from fairprobe.report import (
     report_document,
     write_report,
 )
-from fairprobe.scoring import corpus_totals, repository_score_from_counts, stats_from_counts
+from fairprobe.scoring import repository_score_from_counts, stats_from_counts
+
+from oracle import corpus_totals
 
 # Frozen landscape used across the scoring and report tests.
 LANDSCAPE_D = 1_408_929

@@ -12,14 +12,17 @@ from fairprobe.scoring import (
     CriterionStats,
     EmptyCorpusError,
     EmptyRepositoryError,
+    repository_score_from_counts,
+    stats_from_counts,
+    total_rareness,
+)
+
+from oracle import (
     compute_stats,
     corpus_totals,
-    repository_score_from_counts,
     score_fixed,
     score_relative,
     score_repository,
-    stats_from_counts,
-    total_rareness,
 )
 
 # A published landscape with well-known aggregates, used as a frozen oracle:

@@ -33,7 +33,6 @@ def test_append_read_round_trip(tmp_path):
     for row in rows:
         store.append("raw", "Some Archive", row)
     assert list(store.read("raw", "Some Archive")) == rows
-    assert store.count("raw", "Some Archive") == 5
     assert list(store.read("raw", "never written")) == []
     store.close_all()
 
