@@ -185,7 +185,12 @@ def parse_record(
                 f"no resource element (root is {local_name(payload.tag)!r})"
             )
 
-    doi = _text(child(resource, "identifier"))
+    # each local name's first child, as ``child`` would find it
+    first: dict[str, ET.Element] = {}
+    for el in resource:
+        first.setdefault(local_name(el.tag), el)
+
+    doi = _text(first.get("identifier"))
     if not doi:
         raise MissingIdentifierError("record carries no identifier")
 
@@ -193,27 +198,27 @@ def parse_record(
         doi=doi, repository=repository, oai_identifier=oai_identifier
     )
 
-    resource_type = child(resource, "resourceType")
+    resource_type = first.get("resourceType")
     if resource_type is not None:
         record.resource_type_general = attr(resource_type, "resourceTypeGeneral")
 
-    formats = child(resource, "formats")
+    formats = first.get("formats")
     if formats is not None:
         record.formats = [_text(el) for el in children(formats, "format")]
 
-    dates = child(resource, "dates")
+    dates = first.get("dates")
     if dates is not None:
         record.dates = [
             DateEntry(value=_text(el), date_type=attr(el, "dateType") or "")
             for el in children(dates, "date")
         ]
 
-    geo = child(resource, "geoLocations")
+    geo = first.get("geoLocations")
     if geo is not None:
         for loc in children(geo, "geoLocation"):
             record.geo_locations.extend(_parse_geo_location(loc))
 
-    rights_list = child(resource, "rightsList")
+    rights_list = first.get("rightsList")
     rights_elements = (
         children(rights_list, "rights") if rights_list is not None
         else children(resource, "rights")

@@ -1,20 +1,20 @@
-"""The one place that makes ``requests`` sessions and urllib3 pools.
+"""The one place that sends HTTP requests: urllib3 pool managers per run.
 
-With ``trust_env`` on, ``requests`` reads the environment on every request
-and on every redirect reply: the proxy variables with ``NO_PROXY`` (each
-lookup walks all of ``os.environ``), ``~/.netrc`` and
-``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``. Sessions made here turn
-``trust_env`` off and take the same settings from an ``Origins`` cache, which
-reads them with requests' own helpers once per origin (scheme, host, port).
-The cache lives on a ``Sessions`` object that each run creates, never in
-module state, so a second run in the same process reads the environment
+Every request of a run, registry, OAI-PMH and probe alike, is one GET that
+``Sessions._send`` puts on the wire through the pool managers of the run's
+``Sessions``. It prepares the request as a ``requests`` session with
+``trust_env`` on would: the same request target and header lines, proxy,
+``~/.netrc`` ``Authorization`` and CA bundle. ``requests`` reads those from
+the environment on every request and every redirect; here an ``Origins``
+cache reads them with requests' own helpers once per origin (scheme, host,
+port). The cache lives on a ``Sessions`` object that each run creates, never
+in module state, so a second run in the same process reads the environment
 afresh. Changing those settings in the middle of a run has no effect.
 
-Probe hops (``Sessions.hop``) skip the session: they follow no redirect,
-are never retried and read no body but a redirect's, so they go to urllib3
-directly, with the same origin settings and the same request a session
-would send. The registry and OAI-PMH requests stay on sessions, which
-follow their redirects, retry and decode their bodies.
+``Sessions.hop`` is a probe's request: no redirect followed, no body read
+but a redirect's. ``Sessions.get`` serves the registry and OAI-PMH: it
+follows redirects as requests does and reads the body. Retries and 503 flow
+control belong to the OAI-PMH client, so neither path has a request policy.
 """
 
 from __future__ import annotations
@@ -25,25 +25,36 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from http.cookiejar import CookieJar
 from typing import Any, Iterator
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urljoin, urlsplit
 
 import certifi
 import requests
 import urllib3
+from requests.compat import chardet
 from requests.cookies import extract_cookies_to_jar, get_cookie_header
 from requests.utils import (
     default_headers,
     get_auth_from_url,
+    get_encoding_from_headers,
     prepend_scheme_if_needed,
+    requote_uri,
     select_proxy,
     urldefragauth,
 )
 
-# requests' HTTPAdapter defaults: probe pools are sized as a session's are
+# requests' HTTPAdapter defaults: pools are sized as a session's are
 POOL_SETTINGS: dict[str, Any] = {"num_pools": 10, "maxsize": 10, "block": False}
 REDIRECT_CODES = (301, 302, 303, 307, 308)
-# what ``Sessions.hop`` raises when no reply arrives
-HOP_ERRORS = (urllib3.exceptions.HTTPError, OSError, requests.RequestException)
+MAX_REDIRECTS = 30  # requests.models.DEFAULT_REDIRECT_LIMIT
+
+
+class TooManyRedirects(urllib3.exceptions.HTTPError):
+    """``Sessions.get`` met more than ``MAX_REDIRECTS`` redirects."""
+
+
+# what a request raises when no usable reply arrives: urllib3's errors, and
+# requests' (OSError) for a URL that it cannot prepare
+REQUEST_ERRORS = (urllib3.exceptions.HTTPError, OSError)
 
 
 @dataclass(frozen=True)
@@ -79,107 +90,46 @@ class Origins:
         return found
 
 
-class _Session(requests.Session):
-    """A session that applies ``origins`` where ``trust_env`` would apply
-    the environment, with the same precedence."""
-
-    def __init__(self, origins: Origins) -> None:
-        super().__init__()
-        self.trust_env = False
-        self._origins = origins
-
-    def prepare_request(self, request: requests.Request) -> requests.PreparedRequest:
-        prepared = super().prepare_request(request)
-        if not request.auth and not self.auth:
-            auth = self._origins.lookup(prepared.url).netrc_auth
-            if auth is not None:
-                prepared.prepare_auth(auth)
-        return prepared
-
-    def merge_environment_settings(
-        self,
-        url: str,
-        proxies: dict[str, str] | None,
-        stream: bool | None,
-        verify: Any,
-        cert: Any,
-    ) -> dict[str, Any]:
-        found = self._origins.lookup(url)
-        if proxies is not None:
-            for key, value in found.proxies.items():
-                proxies.setdefault(key, value)
-        if verify is True or verify is None:
-            verify = found.ca_bundle or verify
-        return super().merge_environment_settings(url, proxies, stream, verify, cert)
-
-    def rebuild_auth(
-        self, prepared_request: requests.PreparedRequest, response: requests.Response
-    ) -> None:
-        super().rebuild_auth(prepared_request, response)
-        auth = self._origins.lookup(prepared_request.url).netrc_auth
-        if auth is not None:
-            prepared_request.prepare_auth(auth)
-
-    def rebuild_proxies(
-        self,
-        prepared_request: requests.PreparedRequest,
-        proxies: dict[str, str] | None,
-    ) -> dict[str, str]:
-        found = self._origins.lookup(prepared_request.url).proxies
-        scheme = urlsplit(prepared_request.url).scheme
-        proxy = found.get(scheme, found.get("all"))
-        proxies = dict(proxies or {})
-        if proxy:
-            proxies.setdefault(scheme, proxy)
-        return super().rebuild_proxies(prepared_request, proxies)
-
-
 class Sessions:
-    """One session per thread and one pool manager for one run, all sharing
-    one ``Origins``.
+    """The pool managers, origin settings and cookie jars of one run.
 
-    ``close`` closes every session made so far and every pooled connection.
-    A thread that asks again afterwards gets a new session; the origin
-    settings are kept.
+    Each thread has its own cookie jar for ``get``; a probe brings its own.
+    ``close`` drops every jar and closes every pooled connection; the
+    origin settings are kept.
     """
 
     def __init__(self) -> None:
         self._origins = Origins()
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._open: list[requests.Session] = []
         self._direct = urllib3.PoolManager(**POOL_SETTINGS)
         self._proxied: dict[str, urllib3.ProxyManager] = {}
         self._headers = dict(default_headers())
 
-    def current(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = _Session(self._origins)
-            with self._lock:
-                self._open.append(session)
-            self._local.session = session
-        return session
-
-    def hop(
-        self, url: str, accept: str, timeout: float, cookies: CookieJar
+    def _send(
+        self,
+        url: str,
+        params: dict[str, str] | None,
+        accept: str,
+        timeout: float,
+        cookies: CookieJar,
     ) -> urllib3.BaseHTTPResponse:
-        """One GET that follows no redirect and is never retried.
+        """One GET, with no redirect followed and no retry; the body is unread.
 
-        The request is the one a session of this run would send: the same
-        request target and headers, proxy, netrc ``Authorization`` and CA
-        bundle, with ``cookies`` in place of the session's jar. The reply's
-        cookies go into ``cookies``. A redirect's body is read, so that its
-        connection goes back to the pool as a session's redirect handling
-        does; any other reply is closed unread. Raises one of ``HOP_ERRORS``
-        when no reply arrives: urllib3's, or requests' for a URL that it
-        cannot prepare.
+        The request target is ``url`` with ``params`` as requests prepares
+        it. The headers are requests' defaults with ``accept``, the cookies
+        of ``cookies`` and the origin's netrc ``Authorization``, and the
+        origin's proxy and CA bundle apply. The reply's cookies go into
+        ``cookies``. Raises one of ``REQUEST_ERRORS`` when no reply arrives.
         """
         request = requests.PreparedRequest()
-        request.prepare_url(url, None)
+        # encoded here as requests encodes a dict of strings, without its
+        # costly checks of the argument's type
+        request.prepare_url(url, urlencode(params or {}))
         found = self._origins.lookup(request.url)
         request.headers = dict(self._headers, Accept=accept)
-        cookie = get_cookie_header(cookies, request)
+        # an empty jar gives no header
+        cookie = get_cookie_header(cookies, request) if cookies else None
         if cookie is not None:
             request.headers["Cookie"] = cookie
         if found.netrc_auth is not None:
@@ -211,15 +161,63 @@ class Sessions:
             assert_same_host=False,
             retries=False,
             preload_content=False,
-            decode_content=False,
             timeout=urllib3.Timeout(connect=timeout, read=timeout),
         )
         extract_cookies_to_jar(cookies, request, reply)
+        return reply
+
+    def hop(
+        self, url: str, accept: str, timeout: float, cookies: CookieJar
+    ) -> urllib3.BaseHTTPResponse:
+        """A probe's request: ``_send`` with ``accept`` and ``cookies``.
+
+        A redirect's body is read, so that its connection goes back to the
+        pool as a session's redirect handling does; any other reply is
+        closed unread.
+        """
+        reply = self._send(url, None, accept, timeout, cookies)
         if reply.status in REDIRECT_CODES and "Location" in reply.headers:
             # a body that fails to arrive costs its connection, not the hop
             reply.drain_conn()
         else:
             reply.close()
+        reply.release_conn()
+        return reply
+
+    def get(
+        self, url: str, params: dict[str, str] | None, timeout: float
+    ) -> urllib3.BaseHTTPResponse:
+        """A GET that follows redirects as a ``requests`` session does.
+
+        Each hop is a ``_send`` with this thread's cookie jar, so cookies,
+        proxy and netrc apply per hop. ``Authorization`` comes from the
+        hop's own origin, so a redirect to another origin never carries the
+        first one's, as ``requests.sessions.should_strip_auth`` has it.
+        Returns the final reply with its body read: ``reply.data`` is
+        decoded by its Content-Encoding. Raises one of ``REQUEST_ERRORS``:
+        ``TooManyRedirects`` for a redirect past the first ``MAX_REDIRECTS``.
+        """
+        cookies = getattr(self._local, "cookies", None)
+        if cookies is None:
+            cookies = self._local.cookies = CookieJar()
+        accept = self._headers["Accept"]
+        redirects = 0
+        while True:
+            reply = self._send(url, params, accept, timeout, cookies)
+            location = (
+                reply.headers.get("Location")
+                if reply.status in REDIRECT_CODES
+                else None
+            )
+            if not location:
+                break
+            reply.drain_conn()
+            reply.release_conn()
+            if redirects == MAX_REDIRECTS:
+                raise TooManyRedirects(f"exceeded {MAX_REDIRECTS} redirects at {url}")
+            redirects += 1
+            url, params = urljoin(url, requote_uri(_as_utf8(location))), None
+        reply.read(cache_content=True)  # kept on the reply as ``reply.data``
         reply.release_conn()
         return reply
 
@@ -239,27 +237,48 @@ class Sessions:
 
     def close(self) -> None:
         with self._lock:
-            sessions, self._open = self._open, []
             self._local = threading.local()
             managers = [self._direct, *self._proxied.values()]
             self._proxied = {}
-        for session in sessions:
-            session.close()
         for manager in managers:
             manager.clear()
 
 
-def xml_payload(reply: requests.Response) -> bytes | str:
-    """The body of an XML reply, ready for ``ElementTree.fromstring``.
+def _as_utf8(location: str) -> str:
+    """A Location header as requests reads it: its bytes taken as UTF-8.
+
+    Header text arrives decoded as ISO-8859-1. Bytes that are not UTF-8
+    keep that reading, where requests would raise.
+    """
+    raw = location.encode("iso-8859-1")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return location
+
+
+def xml_payload(reply: urllib3.BaseHTTPResponse) -> bytes | str:
+    """The body of an XML reply from ``Sessions.get``, ready for
+    ``ElementTree.fromstring``.
 
     A charset parameter in the Content-Type outranks the XML declaration
-    (RFC 7303 section 3), so such a body is decoded by it. Without one the
-    bytes are parsed as they are and the declaration sets the encoding;
-    ``reply.text`` would decode them as ISO-8859-1.
+    (RFC 7303 section 3), so such a body is decoded as
+    ``requests.Response.text`` decodes it. Without one the bytes are parsed
+    as they are and the declaration sets the encoding; ``text`` would
+    decode them as ISO-8859-1.
     """
-    if "charset" in reply.headers.get("Content-Type", "").lower():
-        return reply.text
-    return reply.content
+    body = reply.data
+    if "charset" not in reply.headers.get("Content-Type", "").lower():
+        return body
+    if not body:
+        return ""
+    encoding = get_encoding_from_headers(reply.headers)
+    if encoding is None:
+        encoding = chardet.detect(body)["encoding"] if chardet else "utf-8"
+    try:
+        return str(body, encoding, errors="replace")
+    except (LookupError, TypeError):
+        return str(body, errors="replace")
 
 
 @contextmanager

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Callable
 
-import requests
+import urllib3
 
 from . import http
 from .config import RunConfig
@@ -107,8 +107,8 @@ def _request(
     params: dict[str, str],
     config: RunConfig,
     gate: HostGate,
-    session: requests.Session,
-) -> requests.Response:
+    sessions: http.Sessions,
+) -> urllib3.BaseHTTPResponse:
     """One OAI request with bounded retries and 503 flow control.
 
     Politeness is per endpoint: one in-flight request and a minimum delay
@@ -120,16 +120,14 @@ def _request(
     while attempts > 0:
         try:
             with gate.slot(endpoint):
-                reply = session.get(
-                    endpoint, params=params, timeout=config.timeout
-                )
-        except requests.RequestException as exc:
+                reply = sessions.get(endpoint, params, config.timeout)
+        except http.REQUEST_ERRORS as exc:
             attempts -= 1
             last_error = exc
             logger.warning("request to %s failed (%s), %d attempts left",
                            endpoint, exc, attempts)
             continue
-        if reply.status_code == 503:
+        if reply.status == 503:
             # OAI-PMH mandates honouring Retry-After, but only within the
             # timeout budget; a server stalling longer is unresponsive.
             try:
@@ -143,11 +141,11 @@ def _request(
             waited_503 += delay
             time.sleep(delay)
             continue
-        if reply.status_code != 200:
+        if reply.status != 200:
             attempts -= 1
-            last_error = OaiError(f"HTTP {reply.status_code}")
+            last_error = OaiError(f"HTTP {reply.status}")
             logger.warning("request to %s returned %d, %d attempts left",
-                           endpoint, reply.status_code, attempts)
+                           endpoint, reply.status, attempts)
             continue
         return reply
     raise EndpointUnresponsiveError(f"{endpoint}: {last_error}")
@@ -169,7 +167,7 @@ def list_metadata_formats(
             {"verb": "ListMetadataFormats"},
             config,
             gate,
-            sessions.current(),
+            sessions,
         )
     try:
         root = ET.fromstring(http.xml_payload(reply))
@@ -236,7 +234,13 @@ def parse_page(
     """
     list_records = _verb_element(ET.fromstring(body), "ListRecords")
     records: list[RawRecord] = []
-    for el in children(list_records, "record"):
+    token_el: ET.Element | None = None
+    for el in () if list_records is None else list_records:
+        name = local_name(el.tag)
+        if name == "resumptionToken" and token_el is None:
+            token_el = el
+        if name != "record":
+            continue
         header = child(el, "header")
         if header is None:
             continue
@@ -256,7 +260,6 @@ def parse_page(
             )
         )
 
-    token_el = child(list_records, "resumptionToken")
     token = None if token_el is None else (token_el.text or "").strip()
     size: int | None = None
     if token_el is not None:
@@ -312,7 +315,6 @@ def harvest_records(
         raise ValueError(f"{endpoint}: the earlier call left no chain to continue")
 
     with http.scope(session) as sessions:
-        client = sessions.current()
         while True:
             if (
                 config.max_pages is not None
@@ -325,7 +327,7 @@ def harvest_records(
                 )
                 return summary
             try:
-                reply = _request(endpoint, params, config, gate, client)
+                reply = _request(endpoint, params, config, gate, sessions)
             except EndpointUnresponsiveError as exc:
                 logger.warning("%s: %s, harvest is partial", endpoint, exc)
                 return summary

@@ -10,12 +10,10 @@ Every run gets its own directory keyed by run id; nothing is overwritten.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 import uuid
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -59,26 +57,6 @@ class _Chain(NamedTuple):
     recovered: int  # records in the catalogue before page 1 was fetched
     first: oaipmh.HarvestSummary
     page_ids: set[str]  # ids new on page 1, deleted ones included
-
-
-class ConcurrencyMeter:
-    """Tracks peak concurrent holders, to prove pool bounds were honoured."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._active = 0
-        self.peak = 0
-
-    @contextmanager
-    def slot(self):
-        with self._lock:
-            self._active += 1
-            self.peak = max(self.peak, self._active)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._active -= 1
 
 
 def new_run_id() -> str:
@@ -212,20 +190,18 @@ class PipelineRun:
         ]
         candidates = registry.filter_by_api(descriptors, "OAI-PMH")
         gate = HostGate(self.config.politeness_delay)
-        meter = ConcurrencyMeter()
 
         def classify(repo: registry.RepositoryDescriptor) -> registry.DataciteSupport:
-            with meter.slot():
-                try:
-                    formats = oaipmh.list_metadata_formats(
-                        _oai_endpoint(repo),
-                        self.config,
-                        gate=gate,
-                        session=self.sessions,
-                    )
-                except oaipmh.OaiError as exc:
-                    logger.warning("%s: not usable (%s)", repo.registry_id, exc)
-                    formats = []
+            try:
+                formats = oaipmh.list_metadata_formats(
+                    _oai_endpoint(repo),
+                    self.config,
+                    gate=gate,
+                    session=self.sessions,
+                )
+            except oaipmh.OaiError as exc:
+                logger.warning("%s: not usable (%s)", repo.registry_id, exc)
+                formats = []
             prefix = oaipmh.select_datacite_prefix(formats)
             if prefix is None:
                 return registry.DataciteSupport(status=registry.SUPPORT_UNSUPPORTED)
@@ -249,7 +225,6 @@ class PipelineRun:
         return STATUS_COMPLETE, {
             "candidates": len(candidates),
             "supported": supported,
-            "peak_workers": meter.peak,
         }
 
     def _providers(self) -> list[registry.RepositoryDescriptor]:
@@ -285,7 +260,6 @@ class PipelineRun:
         to_harvest = set(self.unfinished_repositories())
         pending = [r for r in providers if r.registry_id in to_harvest]
         gate = HostGate(self.config.politeness_delay)
-        meter = ConcurrencyMeter()
 
         def stored_ids(repo: registry.RepositoryDescriptor) -> set[str]:
             return {
@@ -310,19 +284,18 @@ class PipelineRun:
                 if records:
                     self.store.append("raw", name, _page_line(body, records, endpoint))
 
-            with meter.slot():
-                summary = oaipmh.harvest_records(
-                    endpoint,
-                    repo.datacite_support.prefix or "",
-                    self.config,
-                    sink,
-                    gate=gate,
-                    seen=seen,
-                    session=self.sessions,
-                    first_page_only=first_page_only,
-                    after=after,
-                )
-                self.store.close("raw", name)
+            summary = oaipmh.harvest_records(
+                endpoint,
+                repo.datacite_support.prefix or "",
+                self.config,
+                sink,
+                gate=gate,
+                seen=seen,
+                session=self.sessions,
+                first_page_only=first_page_only,
+                after=after,
+            )
+            self.store.close("raw", name)
             return summary
 
         def finish(
@@ -381,7 +354,6 @@ class PipelineRun:
         return status, {
             "providers": len(providers),
             "incomplete": incomplete,
-            "peak_workers": meter.peak,
             # a repository's outcome is the last line of its harvested
             # partition, so earlier attempts count as in a clean step
             "repositories": {
@@ -460,14 +432,10 @@ class PipelineRun:
     def _step5_probe(self) -> tuple[str, dict]:
         partitions = self.store.partitions("parsed")
         gate = HostGate(self.config.per_host_delay)
-        meter = ConcurrencyMeter()
 
         def probe_entry(entry: dict) -> tuple[bool, probe.ProbeTrace]:
-            with meter.slot():
-                record = datacite.record_from_dict(entry["record"])
-                return probe.f_ret(
-                    record, self.config, gate=gate, session=self.sessions
-                )
+            record = datacite.record_from_dict(entry["record"])
+            return probe.f_ret(record, self.config, gate=gate, session=self.sessions)
 
         jobs: list[tuple[str, dict]] = []
         for name in partitions:
@@ -511,7 +479,6 @@ class PipelineRun:
         return STATUS_COMPLETE, {
             "probed": len(verdicts),
             "retrievable": sum(verdicts),
-            "peak_workers": meter.peak,
         }
 
     # -- scoring and reporting --------------------------------------------------

@@ -108,7 +108,7 @@ def _follow_chain(
     while True:
         try:
             reply = _core_fetch(url, accept, config, gate, sessions, cookies)
-        except http.HOP_ERRORS as exc:
+        except http.REQUEST_ERRORS as exc:
             # no response: status 0 keeps the attempt visible in the trace
             trace.steps.append(
                 ProbeStep(

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 from urllib.parse import urlparse
 
-import requests
-
 from . import http
 from .config import RunConfig
 from .xmltree import attr, local_name
@@ -180,6 +178,14 @@ def load_seed_file(path: str | Path) -> list[RepositoryDescriptor]:
 
 # --- fetching -----------------------------------------------------------------
 
+def _fetch(sessions: http.Sessions, url: str, config: RunConfig) -> bytes | str:
+    """The XML body at ``url``; an error status raises RegistryError."""
+    reply = sessions.get(url, None, config.timeout)
+    if 400 <= reply.status < 600:
+        raise RegistryError(f"{url}: HTTP {reply.status}")
+    return http.xml_payload(reply)
+
+
 def fetch_repository_list(
     registry_endpoint: str | None,
     fallback_seed: str | Path | None,
@@ -201,12 +207,10 @@ def fetch_repository_list(
 
     with http.scope(session) as sessions:
         try:
-            reply = sessions.current().get(
-                registry_endpoint.rstrip("/") + "/repositories", timeout=config.timeout
+            entries = parse_repository_list(
+                _fetch(sessions, registry_endpoint.rstrip("/") + "/repositories", config)
             )
-            reply.raise_for_status()
-            entries = parse_repository_list(http.xml_payload(reply))
-        except (requests.RequestException, RegistryError) as exc:
+        except (*http.REQUEST_ERRORS, RegistryError) as exc:
             if fallback_seed and config.allow_seed_fallback:
                 logger.warning(
                     "registry unreachable (%s), falling back to seed file", exc
@@ -221,10 +225,8 @@ def fetch_repository_list(
                 + entry["registry_id"]
             )
             try:
-                detail_reply = sessions.current().get(url, timeout=config.timeout)
-                detail_reply.raise_for_status()
-                return parse_repository_detail(http.xml_payload(detail_reply))
-            except (requests.RequestException, ET.ParseError) as exc:
+                return parse_repository_detail(_fetch(sessions, url, config))
+            except (*http.REQUEST_ERRORS, RegistryError, ET.ParseError) as exc:
                 logger.warning(
                     "registry entry %s: detail failed, skipped: %s",
                     entry["registry_id"],

@@ -1,8 +1,11 @@
 """Sessions: the environment's proxy settings apply, read once per origin,
-and a probe hop goes on the wire as a requests session would send it."""
+and every request, probe hop, registry or OAI-PMH, goes on the wire and
+follows redirects as a requests session would."""
 
 from __future__ import annotations
 
+import gzip
+import io
 import shutil
 import ssl
 import subprocess
@@ -14,8 +17,11 @@ from urllib.parse import urlsplit
 
 import pytest
 import requests
+import urllib3
+from requests.structures import CaseInsensitiveDict
+from requests.utils import get_encoding_from_headers
 
-from fairprobe import http, mockrdr, oaipmh, pipeline
+from fairprobe import http, mockrdr, oaipmh, pipeline, registry
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import f_ret
@@ -86,16 +92,17 @@ def test_a_probe_hop_sends_what_a_session_sends(scripted_http, clean_env, tmp_pa
     sessions = http.Sessions()
     try:
         reply = sessions.hop(url, "image/*", 5.0, CookieJar())
-        # how a probe hop was sent through requests
-        sessions.current().get(
+    finally:
+        sessions.close()
+    # how a probe hop was sent through requests
+    with requests.Session() as reference:
+        reference.get(
             url,
             headers={"Accept": "image/*"},
             allow_redirects=False,
             stream=True,
             timeout=5.0,
         ).close()
-    finally:
-        sessions.close()
     assert reply.status == 200
     assert targets == ["/resolve/10.9/a%20b"] * 2
     assert headers[0] == headers[1]
@@ -121,43 +128,68 @@ def test_settings_are_read_once_per_origin_per_run(scripted_http, clean_env):
     assert via_proxy == [origin + "/oai?verb=ListMetadataFormats"]
 
 
+def capture_sends(monkeypatch, replies: list[tuple[int, dict[str, str]]]) -> list[dict]:
+    """Stand in for the wire: record what each urllib3 pool is asked to send,
+    and answer from ``replies`` with empty bodies."""
+    sent: list[dict] = []
+
+    def urlopen(pool, method, url, body=None, headers=None, **kwargs):
+        timeout = kwargs["timeout"]
+        sent.append({
+            "pool": (pool.scheme, pool.host, pool.port),
+            "proxy": pool.proxy.url if pool.proxy else None,
+            "proxy_headers": dict(pool.proxy_headers),
+            # what an http pool is given for TLS is never used
+            "tls": (pool.cert_reqs, pool.ca_certs) if pool.scheme == "https" else None,
+            "request": (method, url, body, list(headers.items())),
+            "timeout": (timeout.connect_timeout, timeout.read_timeout),
+        })
+        status, reply_headers = replies.pop(0)
+        return urllib3.HTTPResponse(
+            body=io.BytesIO(b""), headers=reply_headers, status=status,
+            preload_content=False,
+        )
+
+    monkeypatch.setattr(urllib3.connectionpool.HTTPConnectionPool, "urlopen", urlopen)
+    return sent
+
+
 @pytest.mark.parametrize(
     "url",
     ["http://127.0.0.1:8/a", "http://repo.example:8080/b", "https://images.example/c"],
 )
-def test_settings_match_requests_reading_the_environment(clean_env, tmp_path, url):
+def test_settings_match_requests_reading_the_environment(
+    clean_env, tmp_path, monkeypatch, url
+):
     netrc = tmp_path / "netrc"
-    netrc.write_text("machine repo.example login alice password secret\n")
+    netrc.write_text(
+        "machine repo.example login alice password secret\n"
+        "machine elsewhere.example login bob password other\n"
+    )
     clean_env.setenv("NETRC", str(netrc))
     clean_env.setenv("HTTP_PROXY", "http://127.0.0.1:3128")
     clean_env.setenv("HTTPS_PROXY", "http://127.0.0.1:3129")
-    clean_env.setenv("NO_PROXY", "127.0.0.1")
-    clean_env.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "bundle.pem"))
+    clean_env.setenv("NO_PROXY", "127.0.0.1,elsewhere.example")
+    bundle = tmp_path / "bundle.pem"
+    bundle.write_text("")  # requests checks that it exists; nothing connects
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+    # the request itself, then a redirect from another origin to it
+    elsewhere = "http://elsewhere.example/"
+    script = [(200, {}), (302, {"Location": url}), (200, {})]
+    ours = capture_sends(monkeypatch, list(script))
     sessions = http.Sessions()
-    ours, reference = sessions.current(), requests.Session()
     try:
-        def prepared(session):
-            return session.prepare_request(requests.Request("GET", url))
-
-        assert prepared(ours).headers == prepared(reference).headers
-        assert ours.merge_environment_settings(
-            url, {}, None, None, None
-        ) == reference.merge_environment_settings(url, {}, None, None, None)
-        # a redirect from another origin to this one
-        elsewhere = requests.Response()
-        elsewhere.request = reference.prepare_request(
-            requests.Request("GET", "http://elsewhere.example/", auth=("x", "y"))
-        )
-        hops = []
-        for session in (ours, reference):
-            hop = prepared(session)
-            hop.headers["Authorization"] = elsewhere.request.headers["Authorization"]
-            session.rebuild_auth(hop, elsewhere)
-            hops.append((session.rebuild_proxies(hop, {}), hop.headers))
-        assert hops[0] == hops[1]
+        sessions.get(url, None, 5.0)
+        sessions.get(elsewhere, None, 5.0)
     finally:
         sessions.close()
-        reference.close()
+    reference = capture_sends(monkeypatch, list(script))
+    with requests.Session() as session:
+        session.get(url, timeout=5.0)
+        session.get(elsewhere, timeout=5.0)
+    assert len(ours) == 3
+    assert ours == reference
+    assert ours[1]["request"][3][-1] == ("Authorization", "Basic Ym9iOm90aGVy")
 
 
 @pytest.fixture
@@ -237,28 +269,24 @@ def test_a_run_reads_the_environment_once_per_origin(
     hub = serve_script(script)
     counts = count_environment_reads(monkeypatch)
     origins = set()
-    original_request = requests.Session.request
-    original_hop = http.Sessions.hop
+    sends = 0
+    original_send = http.Sessions._send
 
-    def seen(url):
+    def send(sessions, url, *args, **kwargs):
+        nonlocal sends
         parts = urlsplit(url)
         origins.add((parts.scheme, parts.hostname, parts.port))
+        sends += 1
+        return original_send(sessions, url, *args, **kwargs)
 
-    def request(session, method, url, *args, **kwargs):
-        seen(url)
-        return original_request(session, method, url, *args, **kwargs)
-
-    def hop(sessions, url, *args, **kwargs):
-        seen(url)
-        return original_hop(sessions, url, *args, **kwargs)
-
-    monkeypatch.setattr(requests.Session, "request", request)
-    monkeypatch.setattr(http.Sessions, "hop", hop)
+    monkeypatch.setattr(http.Sessions, "_send", send)
     pipeline.run_all(make_config(hub))
 
     assert origins
     for name, count in counts.items():
         assert 0 < count <= len(origins), name
+    # every request the landscape received went through the one send method
+    assert sends == len(hub.request_log)
 
 
 def test_threads_on_a_new_origin_read_it_once(monkeypatch):
@@ -284,3 +312,223 @@ def test_threads_on_a_new_origin_read_it_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert counts == {"get_environ_proxies": 4, "get_netrc_auth": 4}
+
+
+# --- registry and OAI-PMH requests on the wire ---------------------------------
+
+XML = {"Content-Type": "text/xml"}
+TOKEN = "a|b c/d+e"
+RECORD = (
+    "<record><header><identifier>oai:x:{n}</identifier></header>"
+    '<metadata><resource xmlns="http://datacite.org/schema/kernel-4">'
+    '<identifier identifierType="DOI">10.1/{n}</identifier>'
+    "<geoLocations><geoLocation><geoLocationPlace>Zürich</geoLocationPlace>"
+    "</geoLocation></geoLocations></resource></metadata></record>"
+)
+
+
+def list_records(n: int, token: str = "") -> str:
+    """A ListRecords page with record ``n``, and a token when one is given."""
+    token_element = f"<resumptionToken>{token}</resumptionToken>" if token else ""
+    return (
+        '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><ListRecords>'
+        f"{RECORD.format(n=n)}{token_element}</ListRecords></OAI-PMH>"
+    )
+
+
+def harvest(endpoint: str, session=None, **config) -> tuple[oaipmh.HarvestSummary, list]:
+    """Harvest with retries off; returns the summary and each page's
+    (body, identifiers)."""
+    settings = dict(timeout=5.0, politeness_delay=0.0, retries=0)
+    settings.update(config)
+    pages = []
+    summary = oaipmh.harvest_records(
+        endpoint,
+        "datacite",
+        RunConfig(**settings),
+        lambda body, records: pages.append(
+            (body, [record.oai_identifier for record in records])
+        ),
+        session=session,
+    )
+    return summary, pages
+
+
+def header_values(lines: list[tuple[str, str]], name: str) -> list[str]:
+    return [value for key, value in lines if key.lower() == name.lower()]
+
+
+def test_an_oai_request_goes_on_the_wire_as_a_session_sends_it(
+    scripted_http, clean_env, tmp_path
+):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password secret\n")
+    clean_env.setenv("NETRC", str(netrc))
+    targets, headers = [], []
+    reply = (200, XML, list_records(1).encode())
+    endpoint = scripted_http([reply] * 2, targets, headers) + "/oai"
+    config = RunConfig(timeout=5.0, politeness_delay=0.0)
+    summary = oaipmh.harvest_records(
+        endpoint, "datacite", config, lambda body, records: None,
+        after=oaipmh.HarvestSummary(token=TOKEN),
+    )
+    with requests.Session() as reference:
+        reference.get(
+            endpoint,
+            params={"verb": "ListRecords", "resumptionToken": TOKEN},
+            timeout=5.0,
+        )
+    assert summary.completed
+    assert targets == ["/oai?verb=ListRecords&resumptionToken=a%7Cb+c%2Fd%2Be"] * 2
+    assert headers[0] == headers[1]
+    assert header_values(headers[0], "Authorization") == ["Basic YWxpY2U6c2VjcmV0"]
+
+
+def test_a_relative_redirect_is_followed(scripted_http, clean_env):
+    targets = []
+    moved = (302, {"Location": "../moved/oai?verb=ListMetadataFormats"}, b"")
+    origin = scripted_http([moved, FORMATS_REPLY], targets)
+    assert list_formats(origin + "/old/oai") == ["datacite"]
+    assert targets == [
+        "/old/oai?verb=ListMetadataFormats",
+        "/moved/oai?verb=ListMetadataFormats",
+    ]
+
+
+def test_a_utf8_location_is_read_as_requests_reads_it(scripted_http, clean_env):
+    # header text arrives read as ISO-8859-1: these two characters are the
+    # UTF-8 bytes of "ä"
+    moved = (302, {"Location": "/m\u00c3\u00a4?verb=ListMetadataFormats"}, b"")
+    ours, reference = [], []
+    origin = scripted_http([moved, FORMATS_REPLY], ours)
+    assert list_formats(origin + "/oai") == ["datacite"]
+    with requests.Session() as session:
+        session.get(scripted_http([moved, FORMATS_REPLY], reference) + "/oai")
+    assert ours[1] == reference[1] == "/m%C3%A4?verb=ListMetadataFormats"
+
+
+def test_a_location_that_is_not_utf8_is_followed(scripted_http, clean_env):
+    # requests raises UnicodeDecodeError here; the ISO-8859-1 reading is kept
+    targets = []
+    moved = (302, {"Location": "/caf\u00e9?verb=ListMetadataFormats"}, b"")
+    origin = scripted_http([moved, FORMATS_REPLY], targets)
+    assert list_formats(origin + "/oai") == ["datacite"]
+    assert targets[1] == "/caf%C3%A9?verb=ListMetadataFormats"
+
+
+@pytest.mark.parametrize("second_in_netrc", [False, True])
+def test_a_redirect_to_another_origin_sends_that_origins_netrc(
+    scripted_http, clean_env, tmp_path, second_in_netrc
+):
+    netrc = tmp_path / "netrc"
+    machines = "machine 127.0.0.1 login alice password secret\n"
+    if second_in_netrc:
+        machines += "machine localhost login bob password other\n"
+    netrc.write_text(machines)
+    clean_env.setenv("NETRC", str(netrc))
+    first, second = [], []
+    # the same loopback address under another host name is another origin
+    target = scripted_http([FORMATS_REPLY], None, second).replace(
+        "127.0.0.1", "localhost"
+    )
+    moved = (302, {"Location": target + "/oai?verb=ListMetadataFormats"}, b"")
+    origin = scripted_http([moved], None, first)
+    assert list_formats(origin + "/oai") == ["datacite"]
+    assert header_values(first[0], "Authorization") == ["Basic YWxpY2U6c2VjcmV0"]
+    expected = ["Basic Ym9iOm90aGVy"] if second_in_netrc else []
+    assert header_values(second[0], "Authorization") == expected
+
+
+def test_each_redirect_hop_chooses_its_own_proxy(scripted_http, clean_env):
+    via_proxy, direct = [], []
+    proxy = scripted_http([FORMATS_REPLY], via_proxy)
+    # never contacted: the proxy answers for it
+    target = "http://localhost:9/oai?verb=ListMetadataFormats"
+    origin = scripted_http([(302, {"Location": target}, b"")], direct)
+    clean_env.setenv("HTTP_PROXY", proxy)
+    clean_env.setenv("NO_PROXY", "127.0.0.1")
+    assert list_formats(origin + "/oai") == ["datacite"]
+    assert direct == ["/oai?verb=ListMetadataFormats"]
+    assert via_proxy == [target]
+
+
+@pytest.mark.parametrize("redirects", [30, 31])
+def test_a_harvest_follows_thirty_redirects(scripted_http, clean_env, caplog, redirects):
+    targets = []
+    again = (302, {"Location": "/oai?verb=ListRecords&metadataPrefix=datacite"}, b"")
+    page = (200, XML, list_records(1).encode())
+    endpoint = scripted_http([again] * redirects + [page], targets) + "/oai"
+    with caplog.at_level("WARNING", logger="fairprobe"):
+        summary, pages = harvest(endpoint)
+    assert len(targets) == 31
+    if redirects == 30:
+        assert summary.completed and pages[0][1] == ["oai:x:1"]
+    else:
+        assert not summary.completed and pages == []
+        assert "harvest is partial" in caplog.text
+
+
+def test_the_registry_fails_on_the_thirty_first_redirect(scripted_http, clean_env):
+    targets = []
+    again = (302, {"Location": "/registry/repositories"}, b"")
+    registry_url = scripted_http([again] * 31, targets) + "/registry"
+    with pytest.raises(registry.RegistryUnreachableError):
+        registry.fetch_repository_list(registry_url, None, RunConfig(timeout=5.0))
+    assert len(targets) == 31
+
+
+def test_a_gzip_encoded_page_is_decoded(scripted_http, clean_env):
+    body = list_records(1).encode()
+    gzipped = (200, dict(XML, **{"Content-Encoding": "gzip"}), gzip.compress(body))
+    summary, pages = harvest(scripted_http([gzipped]) + "/oai")
+    assert summary.completed
+    assert pages == [(body, ["oai:x:1"])]
+
+
+@pytest.mark.parametrize(
+    "content_type, encoding",
+    [
+        ("text/xml; charset=ISO-8859-1", "iso-8859-1"),
+        ('application/xml;charset="utf-8"', "utf-8"),
+        ("text/xml; Charset=UTF-16", "utf-16"),
+        # requests falls back to UTF-8 with replacement characters
+        ("text/xml; charset=x-no-such-charset", "iso-8859-1"),
+    ],
+)
+def test_a_charset_tagged_page_reads_as_requests_text(
+    scripted_http, clean_env, content_type, encoding
+):
+    body = list_records(1).encode(encoding)
+    headers = {"Content-Type": content_type}
+    summary, pages = harvest(scripted_http([(200, headers, body)]) + "/oai")
+    reference = requests.Response()
+    reference._content = body
+    reference.headers = CaseInsensitiveDict(headers)
+    reference.encoding = get_encoding_from_headers(reference.headers)
+    assert summary.completed
+    assert pages == [(reference.text, ["oai:x:1"])]
+
+
+def test_a_cookie_lasts_until_the_sessions_close(scripted_http, clean_env):
+    headers = []
+    first = dict(XML, **{"Set-Cookie": "sid=abc; Path=/"})
+    origin = scripted_http(
+        [
+            (200, first, list_records(1, token="next").encode()),
+            (200, XML, list_records(2).encode()),
+            FORMATS_REPLY,
+        ],
+        None,
+        headers,
+    )
+    sessions = http.Sessions()
+    try:
+        summary, _ = harvest(origin + "/oai", sessions)
+        sessions.close()
+        assert list_formats(origin + "/oai", sessions) == ["datacite"]
+    finally:
+        sessions.close()
+    assert summary.completed and summary.pages == 2
+    assert [header_values(lines, "Cookie") for lines in headers] == [
+        [], ["sid=abc"], []
+    ]

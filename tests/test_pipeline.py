@@ -23,6 +23,7 @@ from fairprobe.store import (
     STATUS_PENDING,
     CatalogueStore,
     load_manifest,
+    manifest_path,
     save_manifest,
 )
 
@@ -230,7 +231,30 @@ def test_catalogue_stages_nest(fixtures_dir, serve_script, make_config):
         assert assessed_dois == parsed_dois
 
 
-def test_worker_pools_stay_within_bounds(serve_script, make_config):
+class PeakCalls:
+    """Replaces ``owner.name`` with a wrapper that keeps the most calls that
+    were running in it at once."""
+
+    def __init__(self, monkeypatch, owner, name: str) -> None:
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            with self._lock:
+                self._running += 1
+                self.peak = max(self.peak, self._running)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self._running -= 1
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch):
     repos = [
         mockrdr.MockRepository(
             name=f"stack-{i}",
@@ -242,13 +266,34 @@ def test_worker_pools_stay_within_bounds(serve_script, make_config):
         for i in range(6)
     ]
     hub = serve_script(mockrdr.ScenarioScript(repositories=repos))
+    formats = PeakCalls(monkeypatch, oaipmh, "list_metadata_formats")
+    harvests = PeakCalls(monkeypatch, oaipmh, "harvest_records")
+    probes = PeakCalls(monkeypatch, probe, "f_ret")
     config = make_config(hub, workers_harvest=2, workers_probe=3, workers_select=4)
     run_dir = pipeline.run_all(config)
     manifest = load_manifest(run_dir)
-    assert 1 <= manifest.steps[3].detail["peak_workers"] <= 2
-    assert 1 <= manifest.steps[5].detail["peak_workers"] <= 3
-    assert 1 <= manifest.steps[2].detail["peak_workers"] <= 4
+    assert 1 <= harvests.peak <= 2
+    assert 1 <= probes.peak <= 3
+    assert 1 <= formats.peak <= 4
     assert manifest.steps[5].detail["probed"] == 24
+
+
+def test_two_clean_runs_write_equal_manifests(fixtures_dir, serve_script, make_config):
+    hub = serve_script(mockrdr.load_script(fixtures_dir / "scenario_small.json"))
+
+    def manifest_without_times() -> dict:
+        document = json.loads(
+            manifest_path(pipeline.run_all(make_config(hub))).read_text(encoding="utf-8")
+        )
+        for key in ("run_id", "created"):
+            del document[key]
+        for step in document["steps"].values():
+            del step["started"], step["finished"]
+        return document
+
+    first = manifest_without_times()
+    assert first["steps"]["5"]["detail"]["probed"] > 0
+    assert manifest_without_times() == first
 
 
 def test_landscape_without_interesting_records(serve_script, make_config):
