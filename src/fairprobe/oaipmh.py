@@ -15,8 +15,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Callable
 
-import urllib3
-
 from . import http
 from .config import RunConfig
 from .throttle import HostGate
@@ -108,7 +106,7 @@ def _request(
     config: RunConfig,
     gate: HostGate,
     sessions: http.Sessions,
-) -> urllib3.BaseHTTPResponse:
+) -> http.Reply:
     """One OAI request with bounded retries and 503 flow control.
 
     Politeness is per endpoint: one in-flight request and a minimum delay

@@ -16,7 +16,6 @@ from http.cookiejar import CookieJar
 from typing import Any
 from urllib.parse import urljoin, urlparse
 
-import urllib3
 from requests.utils import parse_header_links
 
 from . import http
@@ -74,18 +73,15 @@ def _core_fetch(
     gate: HostGate,
     sessions: http.Sessions,
     cookies: CookieJar,
-) -> urllib3.BaseHTTPResponse:
+) -> http.Reply:
     host = urlparse(url).netloc
     with gate.slot(host):
         return sessions.hop(url, accept, config.timeout, cookies)
 
 
 def _timed_out(exc: Exception) -> bool:
-    # a refused connect is a NewConnectionError, which urllib3 derives from
-    # ConnectTimeoutError: it is a transport failure, not a timeout
-    return isinstance(exc, urllib3.exceptions.TimeoutError) and not isinstance(
-        exc, urllib3.exceptions.NewConnectionError
-    )
+    # a refused connect or a failed name lookup is a transport failure
+    return isinstance(exc, TimeoutError)
 
 
 def _follow_chain(
@@ -96,7 +92,7 @@ def _follow_chain(
     sessions: http.Sessions,
     cookies: CookieJar,
     trace: ProbeTrace,
-) -> tuple[urllib3.BaseHTTPResponse | None, str | None]:
+) -> tuple[http.Reply | None, str | None]:
     """GET with manual redirect following; returns (terminal reply, reason).
 
     The Accept header is preserved across every hop. A reply is returned

@@ -5,19 +5,20 @@ follows redirects as a requests session would."""
 from __future__ import annotations
 
 import gzip
-import io
+import itertools
 import shutil
 import ssl
 import subprocess
 import sys
 import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from http.cookiejar import CookieJar
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import pytest
 import requests
-import urllib3
 from requests.structures import CaseInsensitiveDict
 from requests.utils import get_encoding_from_headers
 
@@ -25,6 +26,8 @@ from fairprobe import http, mockrdr, oaipmh, pipeline, registry
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import f_ret
+
+from open_files import needs_proc, sockets_to
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
@@ -128,68 +131,163 @@ def test_settings_are_read_once_per_origin_per_run(scripted_http, clean_env):
     assert via_proxy == [origin + "/oai?verb=ListMetadataFormats"]
 
 
-def capture_sends(monkeypatch, replies: list[tuple[int, dict[str, str]]]) -> list[dict]:
-    """Stand in for the wire: record what each urllib3 pool is asked to send,
-    and answer from ``replies`` with empty bodies."""
-    sent: list[dict] = []
+class Wire(ThreadingHTTPServer):
+    """A loopback HTTP/1.1 server that keeps connections alive; see ``wire``."""
 
-    def urlopen(pool, method, url, body=None, headers=None, **kwargs):
-        timeout = kwargs["timeout"]
-        sent.append({
-            "pool": (pool.scheme, pool.host, pool.port),
-            "proxy": pool.proxy.url if pool.proxy else None,
-            "proxy_headers": dict(pool.proxy_headers),
-            # what an http pool is given for TLS is never used
-            "tls": (pool.cert_reqs, pool.ca_certs) if pool.scheme == "https" else None,
-            "request": (method, url, body, list(headers.items())),
-            "timeout": (timeout.connect_timeout, timeout.read_timeout),
-        })
-        status, reply_headers = replies.pop(0)
-        return urllib3.HTTPResponse(
-            body=io.BytesIO(b""), headers=reply_headers, status=status,
-            preload_content=False,
+    daemon_threads = True
+    request_queue_size = 32
+
+    def __init__(self, replies, hang_up: bool, barrier: threading.Barrier | None):
+        self.log: list[tuple[int, str, list[tuple[str, str]]]] = []
+        self.closed = threading.Semaphore(0)
+        queue = list(replies)
+        lock = threading.Lock()
+        connections = itertools.count()
+        log = self.log
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def setup(self):
+                super().setup()
+                self.number = next(connections)
+
+            def do_GET(self):
+                with lock:
+                    log.append((self.number, self.requestline, self.headers.items()))
+                    status, headers, body = queue.pop(0) if len(queue) > 1 else queue[0]
+                if barrier is not None:
+                    barrier.wait(timeout=10)
+                self.send_response(status)
+                for name, value in headers:
+                    self.send_header(name, value)
+                if not any(name.lower() == "transfer-encoding" for name, _ in headers):
+                    self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                if hang_up:
+                    self.close_connection = True
+
+            do_CONNECT = do_GET
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@pytest.fixture
+def wire():
+    """Loopback HTTP/1.1 servers that keep connections alive.
+
+    ``wire(replies)`` starts one. It answers each request, a CONNECT too,
+    with the next (status, header lines, body) of ``replies``, the last one
+    repeating, and logs it in ``server.log`` as (connection number, request
+    line, header lines in wire order). A reply gets a Content-Length line
+    unless it has a Transfer-Encoding line. With ``hang_up`` the server
+    closes each connection after one reply, without a ``Connection: close``
+    line; ``server.closed`` is released whenever it closes one. With a
+    ``barrier`` each reply waits for it.
+    """
+    running: list[tuple[Wire, threading.Thread]] = []
+
+    def launch(replies, hang_up: bool = False, barrier=None) -> Wire:
+        server = Wire(replies, hang_up, barrier)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
+        thread.start()
+        running.append((server, thread))
+        return server
 
-    monkeypatch.setattr(urllib3.connectionpool.HTTPConnectionPool, "urlopen", urlopen)
-    return sent
+    yield launch
+    for server, thread in running:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
+def sent_as_a_session_sends(servers: dict[str, Wire], urls: list[str]) -> dict:
+    """GET each of ``urls`` with ``Sessions.get`` and then with a plain
+    ``requests.Session``; assert that ``servers`` saw the same request lines
+    and header lines from both, and that the same URLs failed. Returns what
+    the servers saw."""
+
+    def send_all(send, errors) -> tuple[list[str], dict[str, list]]:
+        failed = []
+        for url in urls:
+            try:
+                send(url)
+            except errors:
+                failed.append(url)
+        seen = {}
+        for name, server in servers.items():
+            seen[name] = [(line, headers) for _, line, headers in server.log]
+            server.log.clear()
+        return failed, seen
+
+    sessions = http.Sessions()
+    try:
+        ours = send_all(lambda url: sessions.get(url, None, 5.0), http.REQUEST_ERRORS)
+    finally:
+        sessions.close()
+    with requests.Session() as session:
+        reference = send_all(
+            lambda url: session.get(url, timeout=5.0), requests.RequestException
+        )
+    assert ours == reference
+    return ours[1]
 
 
 @pytest.mark.parametrize(
     "url",
     ["http://127.0.0.1:8/a", "http://repo.example:8080/b", "https://images.example/c"],
 )
-def test_settings_match_requests_reading_the_environment(
-    clean_env, tmp_path, monkeypatch, url
-):
+def test_settings_match_requests_reading_the_environment(clean_env, tmp_path, wire, url):
     netrc = tmp_path / "netrc"
     netrc.write_text(
         "machine repo.example login alice password secret\n"
-        "machine elsewhere.example login bob password other\n"
+        "machine localhost login bob password other\n"
     )
     clean_env.setenv("NETRC", str(netrc))
-    clean_env.setenv("HTTP_PROXY", "http://127.0.0.1:3128")
-    clean_env.setenv("HTTPS_PROXY", "http://127.0.0.1:3129")
-    clean_env.setenv("NO_PROXY", "127.0.0.1,elsewhere.example")
-    bundle = tmp_path / "bundle.pem"
-    bundle.write_text("")  # requests checks that it exists; nothing connects
-    clean_env.setenv("REQUESTS_CA_BUNDLE", str(bundle))
-    # the request itself, then a redirect from another origin to it
-    elsewhere = "http://elsewhere.example/"
-    script = [(200, {}), (302, {"Location": url}), (200, {})]
-    ours = capture_sends(monkeypatch, list(script))
-    sessions = http.Sessions()
-    try:
-        sessions.get(url, None, 5.0)
-        sessions.get(elsewhere, None, 5.0)
-    finally:
-        sessions.close()
-    reference = capture_sends(monkeypatch, list(script))
-    with requests.Session() as session:
-        session.get(url, timeout=5.0)
-        session.get(elsewhere, timeout=5.0)
-    assert len(ours) == 3
-    assert ours == reference
-    assert ours[1]["request"][3][-1] == ("Authorization", "Basic Ym9iOm90aGVy")
+    direct = wire([(200, [], b"ok")])
+    # the two example hosts are only ever sent to a proxy; port 8 of
+    # 127.0.0.1 stands for the port of the origin reached directly
+    url = url.replace("127.0.0.1:8/", direct.url[len("http://"):] + "/")
+    http_proxy = wire([(200, [], b"ok")])
+    https_proxy = wire([(502, [], b"")])  # so a tunnel fails on both sides alike
+    clean_env.setenv("HTTP_PROXY", http_proxy.url)
+    clean_env.setenv("HTTPS_PROXY", https_proxy.url)
+    clean_env.setenv("NO_PROXY", "127.0.0.1,localhost")
+    # the request itself, then a redirect to it from another origin
+    redirect = wire([(302, [("Location", url)], b"")])
+    seen = sent_as_a_session_sends(
+        {"direct": direct, "redirect": redirect,
+         "http proxy": http_proxy, "https proxy": https_proxy},
+        [url, redirect.url.replace("127.0.0.1", "localhost") + "/"],
+    )
+    assert ("Authorization", "Basic Ym9iOm90aGVy") in seen["redirect"][0][1]
+    assert sum(map(len, seen.values())) == 3
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_a_proxy_with_userinfo_is_sent_what_a_session_sends(clean_env, wire, scheme):
+    # a tunnel is refused, so the handshake fails on both sides alike
+    proxy = wire([(200 if scheme == "http" else 502, [], b"")])
+    clean_env.setenv(scheme.upper() + "_PROXY", proxy.url.replace("//", "//carol:p%20w@"))
+    seen = sent_as_a_session_sends({"proxy": proxy}, [f"{scheme}://repo.example/b?c=d"])
+    line, headers = seen["proxy"][0]
+    if scheme == "http":
+        # a forward proxy is sent the absolute form (RFC 9112 section 3.2.2)
+        assert line == "GET http://repo.example/b?c=d HTTP/1.1"
+    else:
+        assert line == "CONNECT repo.example:443 HTTP/1.0"
+    assert ("Proxy-Authorization", "Basic Y2Fyb2w6cCB3") in headers
 
 
 @pytest.fixture
@@ -243,6 +341,41 @@ def test_a_probe_verifies_against_the_environment_ca_bundle(tls_origin, clean_en
     assert not probe(origin + "/")
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     assert probe(origin + "/")
+
+
+def test_a_certificate_for_another_host_name_fails_the_probe(tls_origin, clean_env):
+    origin, cert = tls_origin
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
+    config = RunConfig(
+        doi_resolver=origin.replace("127.0.0.1", "localhost") + "/",
+        timeout=5.0, per_host_delay=0.0,
+    )
+    # the certificate names IP 127.0.0.1 only
+    retrievable, trace = f_ret(DataciteRecord(doi="10.9/x"), config)
+    assert not retrievable
+    assert (trace.steps[0].status, trace.reason) == (0, "transport")
+
+
+def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch):
+    origin, cert = tls_origin
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
+    loads = []
+    load = ssl.SSLContext.load_verify_locations
+
+    def counted(context, *args, **kwargs):
+        loads.append(args)
+        return load(context, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "load_verify_locations", counted)
+    config = RunConfig(doi_resolver=origin + "/", timeout=5.0, per_host_delay=0.0)
+    sessions = http.Sessions()
+    try:
+        # each probe closes its image reply unread, so each connects anew
+        for doi in ("10.9/a", "10.9/b"):
+            assert f_ret(DataciteRecord(doi=doi), config, session=sessions)[0]
+    finally:
+        sessions.close()
+    assert len(loads) == 1
 
 
 def count_environment_reads(monkeypatch) -> dict[str, int]:
@@ -532,3 +665,104 @@ def test_a_cookie_lasts_until_the_sessions_close(scripted_http, clean_env):
     assert [header_values(lines, "Cookie") for lines in headers] == [
         [], ["sid=abc"], []
     ]
+
+
+# --- kept-alive connections ----------------------------------------------------
+
+def test_two_link_lines_are_joined_in_the_trace(wire, clean_env):
+    links = [("Link", '<a.png>; rel="item"'), ("Link", '<b.tif>; rel="item"')]
+    landing = wire([(200, [("Content-Type", "text/html"), *links], b"")])
+    config = RunConfig(doi_resolver=landing.url, timeout=5.0, per_host_delay=0.0)
+    _, trace = f_ret(DataciteRecord(doi="10.9/x"), config)
+    assert trace.steps[0].link_header == '<a.png>; rel="item", <b.tif>; rel="item"'
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_a_connection_is_kept_unless_the_reply_says_close(wire, clean_env, close):
+    server = wire([(200, [("Connection", "close")] if close else [], b"ok")])
+    sessions = http.Sessions()
+    try:
+        for _ in range(2):
+            assert sessions.get(server.url + "/x", None, 5.0).status == 200
+    finally:
+        sessions.close()
+    assert [number for number, _, _ in server.log] == ([0, 1] if close else [0, 0])
+
+
+def test_a_connection_closed_while_idle_is_not_reused(wire, clean_env):
+    server = wire([(200, [], b"ok")], hang_up=True)
+    sessions = http.Sessions()
+    try:
+        assert sessions.get(server.url + "/x", None, 5.0).status == 200
+        assert server.closed.acquire(timeout=5)
+        assert sessions.get(server.url + "/x", None, 5.0).status == 200
+    finally:
+        sessions.close()
+    assert [number for number, _, _ in server.log] == [0, 1]
+
+
+def chunked(body: bytes) -> bytes:
+    """``body`` in two chunks, as Transfer-Encoding: chunked frames it."""
+    half = len(body) // 2
+    return b"".join(
+        b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:half], body[half:], b"")
+    )
+
+
+def raw_deflate(body: bytes) -> bytes:
+    squeeze = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return squeeze.compress(body) + squeeze.flush()
+
+
+@pytest.mark.parametrize(
+    "headers, framed",
+    [
+        ([("Transfer-Encoding", "chunked")], chunked),
+        ([("Content-Encoding", "deflate")], zlib.compress),
+        ([("Content-Encoding", "deflate")], raw_deflate),
+        # two gzip members, as a concatenation of gzip files is
+        ([("Content-Encoding", "gzip")],
+         lambda body: gzip.compress(body[:50]) + gzip.compress(body[50:])),
+        ([("Content-Encoding", "gzip"), ("Transfer-Encoding", "chunked")],
+         lambda body: chunked(gzip.compress(body))),
+    ],
+    ids=["chunked", "deflate", "raw-deflate", "gzip-members", "chunked-gzip"],
+)
+def test_a_framed_or_encoded_page_is_read(wire, clean_env, headers, framed):
+    body = list_records(1).encode()
+    page = wire([(200, [("Content-Type", "text/xml"), *headers], framed(body))])
+    summary, pages = harvest(page.url + "/oai")
+    assert summary.completed
+    assert pages == [(body, ["oai:x:1"])]
+
+
+@needs_proc
+def test_idle_connections_are_kept_for_ten_origins(wire, clean_env):
+    servers = [wire([(200, [], b"ok")]) for _ in range(11)]
+    sessions = http.Sessions()
+    try:
+        for server in servers:
+            assert sessions.get(server.url + "/x", None, 5.0).status == 200
+        kept = [len(sockets_to(urlsplit(server.url).port)) for server in servers]
+    finally:
+        sessions.close()
+    # the least recently used origin's connection was closed
+    assert kept == [0] + [1] * 10
+
+
+@needs_proc
+def test_ten_idle_connections_are_kept_per_origin(wire, clean_env):
+    # eleven requests in flight at once, each on its own connection
+    server = wire([(200, [], b"ok")], barrier=threading.Barrier(11))
+    sessions = http.Sessions()
+    try:
+        with ThreadPoolExecutor(max_workers=11) as pool:
+            replies = list(pool.map(
+                lambda _: sessions.get(server.url + "/x", None, 5.0), range(11)
+            ))
+        kept = len(sockets_to(urlsplit(server.url).port))
+    finally:
+        sessions.close()
+    assert [reply.status for reply in replies] == [200] * 11
+    assert len({number for number, _, _ in server.log}) == 11
+    assert kept == 10

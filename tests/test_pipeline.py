@@ -27,6 +27,8 @@ from fairprobe.store import (
     save_manifest,
 )
 
+from open_files import FD_DIR, needs_proc, sockets_to
+
 CRITERIA = ("chrono", "geo", "lic", "ret")
 
 
@@ -593,12 +595,6 @@ def test_exception_in_late_step_marks_partial(tmp_path, monkeypatch):
     assert load_manifest(run.run_dir).status(3) == STATUS_PARTIAL
 
 
-FD_DIR = Path("/proc/self/fd")
-needs_proc = pytest.mark.skipif(
-    not FD_DIR.is_dir(), reason="no /proc/self/fd to list open files"
-)
-
-
 def open_catalogue_files(run_dir: Path, writers_only: bool = False) -> list[str]:
     """Catalogue files this process has open, one entry per descriptor."""
     catalogue = str(run_dir / "catalogue") + os.sep
@@ -615,29 +611,6 @@ def open_catalogue_files(run_dir: Path, writers_only: bool = False) -> list[str]
         if writers_only and flags & os.O_ACCMODE == os.O_RDONLY:
             continue
         found.append(target)
-    return found
-
-
-def sockets_to(port: int) -> list[str]:
-    """This process's open TCP sockets whose remote end is on ``port``."""
-    inodes = set()
-    for fd in os.listdir(FD_DIR):
-        try:
-            target = os.readlink(FD_DIR / fd)
-        except OSError:  # closed since the listing
-            continue
-        if target.startswith("socket:["):
-            inodes.add(target[len("socket:["):-1])
-    found = []
-    for table in ("tcp", "tcp6"):
-        path = FD_DIR.parent / "net" / table
-        if not path.exists():
-            continue
-        for line in path.read_text().splitlines()[1:]:
-            fields = line.split()
-            remote, inode = fields[2], fields[9]
-            if inode in inodes and int(remote.rsplit(":", 1)[1], 16) == port:
-                found.append(line)
     return found
 
 
