@@ -1,14 +1,19 @@
-"""The one place that sends HTTP requests: kept-alive ``http.client``
-connections per run.
+"""The one place that sends HTTP requests: kept-alive connections per run.
 
 Every request of a run, registry, OAI-PMH and probe alike, is one GET that
-``Sessions._send`` writes onto a standard-library ``http.client`` connection
-of the run's ``Sessions``. It prepares the request as a ``requests`` session
-with ``trust_env`` on would: the same request target and header lines,
-proxy, ``~/.netrc`` ``Authorization`` and CA bundle. ``requests`` reads those
-from the environment on every request and every redirect; here an ``Origins``
-cache reads them with requests' own helpers once per origin (scheme, host,
-port), and loads each CA bundle into one TLS context. The cache lives on a
+``Sessions._send`` writes onto a connection of the run's ``Sessions``. The
+standard library's ``http.client`` only opens connections: TCP, TLS and a
+proxy's ``CONNECT`` tunnel. The request and the reply are framed here, as
+RFC 9112 sections 2-7 have it: the request goes out in one write, and each
+reply is read through the connection's one buffered reader, its header
+lines read as ``http.client`` reads them.
+
+A request carries what a ``requests`` session with ``trust_env`` on would
+send: the same request target and header lines, proxy, ``~/.netrc``
+``Authorization`` and CA bundle. ``requests`` reads those from the
+environment on every request and every redirect; here an ``Origins`` cache
+reads them with requests' own helpers once per origin (scheme, host, port),
+and loads each CA bundle into one TLS context. The cache lives on a
 ``Sessions`` object that each run creates, never in module state, so a
 second run in the same process reads the environment afresh. Changing those
 settings in the middle of a run has no effect.
@@ -27,23 +32,36 @@ control belong to the OAI-PMH client, so neither path has a request policy.
 from __future__ import annotations
 
 import base64
+import io
 import os
+import re
 import select
+import socket
 import ssl
 import threading
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
+from http.client import (
+    BadStatusLine,
+    HTTPConnection,
+    HTTPException,
+    HTTPSConnection,
+    IncompleteRead,
+    InvalidURL,
+    LineTooLong,
+    RemoteDisconnected,
+    UnknownProtocol,
+)
 from http.cookiejar import CookieJar
-from typing import Iterator
+from typing import Iterator, NamedTuple
 from urllib.parse import urlencode, urljoin, urlsplit
 
 import certifi
 import requests
 from requests.compat import chardet
-from requests.cookies import MockRequest, MockResponse, get_cookie_header
+from requests.cookies import MockRequest, get_cookie_header
 from requests.structures import CaseInsensitiveDict
 from requests.utils import (
     default_headers,
@@ -61,9 +79,16 @@ ROUTES = 10
 DEFAULT_PORTS = {"http": 80, "https": 443}
 REDIRECT_CODES = (301, 302, 303, 307, 308)
 MAX_REDIRECTS = 30  # requests.models.DEFAULT_REDIRECT_LIMIT
+# http.client's bounds on a reply's head: a line's length with its line
+# feed, and the number of header lines with the empty line that ends them
+MAX_LINE = 65536
+MAX_HEADERS = 100
+CHUNKED = -1  # a reply's body length when it comes in chunks
 
 # (scheme, host, port, proxy URL or None)
 Route = tuple[str, str, int, str | None]
+# (scheme, host, port or None), as urlsplit reads them from a URL
+Origin = tuple[str, str | None, int | None]
 
 
 class TooManyRedirects(HTTPException):
@@ -102,20 +127,23 @@ class Origins:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._settings: dict[tuple[str, str | None, int | None], OriginSettings] = {}
+        self._settings: dict[Origin, OriginSettings] = {}
         self._contexts: dict[str, ssl.SSLContext] = {}
 
-    def lookup(self, url: str) -> OriginSettings:
-        parts = urlsplit(url)
-        key = (parts.scheme, parts.hostname, parts.port)
-        found = self._settings.get(key)
+    def lookup(self, url: str, origin: Origin | None = None) -> OriginSettings:
+        """The settings for ``url``, whose ``origin`` a caller that has
+        split the URL already may pass."""
+        if origin is None:
+            parts = urlsplit(url)
+            origin = (parts.scheme, parts.hostname, parts.port)
+        found = self._settings.get(origin)
         if found is None:
             # read under the lock, so that threads starting on a new origin
             # together read the environment once between them
             with self._lock:
-                found = self._settings.get(key)
+                found = self._settings.get(origin)
                 if found is None:
-                    found = self._settings[key] = self._read(url, parts.scheme)
+                    found = self._settings[origin] = self._read(url, origin[0])
         return found
 
     def _read(self, url: str, scheme: str) -> OriginSettings:
@@ -167,6 +195,342 @@ def _tls_context(bundle: str) -> ssl.SSLContext:
     return context
 
 
+class _Target(NamedTuple):
+    """A request's URL as requests prepares it, split."""
+
+    url: str
+    scheme: str
+    host: str  # lowercase
+    port: int | None  # as the URL gives it
+    path: str  # the origin-form request target: path and query
+    authority: str  # the Host value that goes with ``path``
+
+
+# a URL that requests' prepare_url leaves as it is: http or https, a
+# lowercase host name or IPv4 address, a port from 1 to 99999 without
+# leading zeros (the caller bounds it), and a path and query of unreserved
+# and sub-delim characters, ":", "@" and "/", with no dot segment, no empty
+# query, no "%", no userinfo and no fragment
+_PLAIN = re.compile(
+    r"(https?)://([a-z0-9][a-z0-9.-]*)(?::([1-9][0-9]{0,4}))?"
+    r"((?:/(?!\.\.?(?:[/?]|$))[\w\-.~!$&'()*+,;=:@]*)*)"
+    r"(?:\?([\w\-.~!$&'()*+,;=:@/?]+))?",
+    re.ASCII,
+)
+
+
+def _target(url: str, params: dict[str, str] | None) -> _Target:
+    """``url`` with ``params`` encoded into its query, as
+    ``requests.PreparedRequest.prepare_url`` prepares them, and the Host
+    value that ``http.client`` sends with its origin-form target.
+
+    A plain URL is split here; any other goes through ``prepare_url``.
+    Raises one of ``REQUEST_ERRORS`` for a URL that is not HTTP or HTTPS or
+    that requests cannot prepare.
+    """
+    plain = _PLAIN.fullmatch(url)
+    if plain is not None and (plain[3] is None or int(plain[3]) <= 65535):
+        scheme, host, port, path, query = plain.groups()
+        # urlencode writes only characters that requests leaves as they are
+        encoded = urlencode(params) if params else ""
+        if encoded:
+            query = f"{query}&{encoded}" if query else encoded
+        path = path or "/"
+        if query:
+            path = f"{path}?{query}"
+        netloc = host if port is None else f"{host}:{port}"
+        url = f"{scheme}://{netloc}{path}"
+        port = None if port is None else int(port)
+    else:
+        request = requests.PreparedRequest()
+        # encoded here as requests encodes a dict of strings, without its
+        # costly checks of the argument's type
+        request.prepare_url(url, urlencode(params or {}))
+        url = request.url
+        parts = urlsplit(url)
+        if parts.scheme not in DEFAULT_PORTS:
+            raise HTTPException(f"not an HTTP URL: {url}")
+        scheme, host, port, path = parts.scheme, parts.hostname, parts.port, request.path_url
+    authority = f"[{host}]" if ":" in host else host
+    if port is not None and port != DEFAULT_PORTS[scheme]:
+        authority = f"{authority}:{port}"
+    return _Target(url, scheme, host, port, path, authority)
+
+
+def redirect_url(url: str, location: str) -> str:
+    """The URL that a redirect from ``url`` to ``location`` leads to, as a
+    ``requests`` session resolves it."""
+    return urljoin(url, requote_uri(_as_utf8(location)))
+
+
+# what http.client refuses to send: a control character or a space in the
+# request target, a CR or LF that does not fold a header value
+_NOT_IN_TARGET = re.compile("[\x00-\x20\x7f]")
+_NOT_IN_VALUE = re.compile(r"\n(?![ \t])|\r(?![ \t\n])")
+
+
+def _request_head(target: str, host: str, headers: dict[str, str]) -> bytes:
+    """A GET's request line and header lines, ``Host`` first, as
+    ``http.client`` writes them. Raises ``InvalidURL`` for a target and
+    ``HTTPException`` for a header value that cannot go on the wire."""
+    if _NOT_IN_TARGET.search(target):
+        raise InvalidURL(f"URL can't contain control characters. {target!r}")
+    lines = [f"GET {target} HTTP/1.1\r\nHost: {host}\r\n"]
+    for name, value in headers.items():
+        if _NOT_IN_VALUE.search(value):
+            raise HTTPException(f"invalid {name} header value {value!r}")
+        lines.append(f"{name}: {value}\r\n")
+    lines.append("\r\n")
+    try:
+        return "".join(lines).encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise HTTPException(f"a header value is not ISO-8859-1: {exc}") from exc
+
+
+class _Wire(io.RawIOBase):
+    """A socket as the raw stream under a connection's reader; counts the
+    bytes that arrive."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.arrived = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self.sock.recv_into(buffer)
+        self.arrived += size
+        return size
+
+
+class _Conn:
+    """An open connection and the one buffered reader of its replies.
+
+    ``http.client`` opens the socket; ``close`` closes it with the reader.
+    """
+
+    __slots__ = ("sock", "_wire", "_reader", "_taken")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._wire = _Wire(sock)
+        self._reader = io.BufferedReader(self._wire)
+        self._taken = 0  # bytes read from ``_reader``
+
+    def close(self) -> None:
+        self._reader.close()
+        self.sock.close()
+
+    def unread(self) -> bool:
+        """Whether bytes that arrived are left unread."""
+        return self._taken < self._wire.arrived
+
+    def readline(self, what: str) -> bytes:
+        """The next line with its line feed; what is left where the stream
+        ends first. Raises ``LineTooLong`` for a line of more than
+        ``MAX_LINE`` bytes, naming it ``what``."""
+        line = self._reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise LineTooLong(what)
+        self._taken += len(line)
+        return line
+
+    def read(self, size: int = -1) -> bytes:
+        """The next ``size`` bytes, or every byte until the stream ends;
+        fewer where it ends first."""
+        data = self._reader.read(size)
+        self._taken += len(data)
+        return data
+
+
+class _Head(NamedTuple):
+    """A reply's status line and header lines, and how its body is framed."""
+
+    status: int
+    fields: list[tuple[str, str]]  # header lines in order
+    length: int | None  # CHUNKED, a byte count, or None: until the connection closes
+    will_close: bool  # the connection closes after this reply
+
+
+def _read_head(conn: _Conn) -> _Head:
+    """A reply's head, read as ``http.client`` reads one.
+
+    A ``100 Continue`` is skipped. A 1xx, 204 or 304 reply has no body,
+    whatever its header lines say. Raises ``HTTPException`` or ``OSError``.
+    """
+    while True:
+        line = str(conn.readline("status line"), "iso-8859-1")
+        if not line:
+            raise RemoteDisconnected("Remote end closed connection without response")
+        words = line.split(None, 2)
+        if len(words) < 2 or not words[0].startswith("HTTP/"):
+            raise BadStatusLine(line)
+        try:
+            status = int(words[1])
+        except ValueError:
+            raise BadStatusLine(line) from None
+        if not 100 <= status <= 999:
+            raise BadStatusLine(line)
+        if status != 100:
+            break
+        _header_block(conn)
+    version = words[0]
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http11 = False
+    elif version.startswith("HTTP/1."):
+        http11 = True
+    else:
+        raise UnknownProtocol(version)
+    fields = _fields(_header_block(conn))
+    first: dict[str, str] = {}
+    for name, value in fields:
+        first.setdefault(name.lower(), value)
+    coding = first.get("transfer-encoding")
+    chunked = bool(coding) and coding.lower() == "chunked"
+    will_close = _closes(http11, first)
+    length = None
+    if status < 200 or status in (204, 304):
+        length = 0
+    elif chunked:
+        length = CHUNKED
+    elif first.get("content-length"):
+        try:
+            length = int(first["content-length"])
+        except ValueError:
+            pass
+        else:
+            if length < 0:  # ignored, as http.client ignores it
+                length = None
+    if length is None:
+        will_close = True
+    return _Head(status, fields, length, will_close)
+
+
+def _header_block(conn: _Conn) -> str:
+    """The header lines up to an empty line or the end of the stream, as
+    ISO-8859-1 text."""
+    lines = []
+    while True:
+        line = conn.readline("header line")
+        lines.append(line)
+        if len(lines) > MAX_HEADERS:
+            raise HTTPException(f"got more than {MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return b"".join(lines).decode("iso-8859-1")
+
+
+# a line that email's feed parser takes for a header line: a Unix From
+# line, a name (maybe empty) and a colon, or a folded continuation
+_FIELD_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+
+
+def _fields(block: str) -> list[tuple[str, str]]:
+    """The (name, value) pairs of a header block, as ``http.client`` reads
+    them with email's compat32 policy.
+
+    Lines end at CR, LF or CRLF. The first line that is neither a header
+    line nor a continuation ends the fields, as the empty line does. A
+    folded value keeps its line breaks and the continuations' leading
+    white space; a continuation with no field before it, a Unix From line
+    and a line with an empty name are dropped.
+    """
+    pairs: list[tuple[str, list[str]]] = []
+    value: list[str] | None = None  # the lines of the field being read
+    for line in io.StringIO(block, newline="").readlines():
+        if not _FIELD_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if value is not None:
+                value.append(line)
+            continue
+        value = None
+        if line.startswith("From ") or line[0] == ":":
+            continue
+        name, rest = line.split(":", 1)
+        value = [rest.lstrip(" \t")]
+        pairs.append((name, value))
+    return [(name, "".join(value).rstrip("\r\n")) for name, value in pairs]
+
+
+def _closes(http11: bool, first: dict[str, str]) -> bool:
+    """Whether the connection closes after a reply with these header values
+    (first of each name, by lowercase name), as ``http.client`` decides."""
+    connection = first.get("connection", "").lower()
+    if http11:
+        return "close" in connection
+    return not (
+        first.get("keep-alive")
+        or "keep-alive" in connection
+        or "keep-alive" in first.get("proxy-connection", "").lower()
+    )
+
+
+def _joined(fields: list[tuple[str, str]]) -> CaseInsensitiveDict:
+    """Header lines by name; repeated lines are joined by ", ", as
+    urllib3's ``HTTPHeaderDict`` joins them."""
+    headers: CaseInsensitiveDict = CaseInsensitiveDict()
+    for name, value in fields:
+        seen = headers.get(name)
+        headers[name] = value if seen is None else f"{seen}, {value}"
+    return headers
+
+
+def _read_body(conn: _Conn, length: int | None) -> bytes:
+    """A body framed by ``length`` (see ``_Head``), as ``http.client``
+    reads it: chunk extensions and trailer lines are skipped. Raises
+    ``IncompleteRead`` when it ends short or a chunk size is not hex."""
+    if length is None:
+        return conn.read()
+    if length != CHUNKED:
+        return _exactly(conn, length)
+    chunks = []
+    while True:
+        line = conn.readline("chunk size")
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+        except ValueError:
+            raise IncompleteRead(b"".join(chunks)) from None
+        if size <= 0:
+            break
+        chunks.append(_exactly(conn, size))
+        _exactly(conn, 2)  # the CRLF that ends a chunk
+    if size < 0:
+        raise IncompleteRead(b"".join(chunks))
+    while conn.readline("trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _exactly(conn: _Conn, size: int) -> bytes:
+    data = conn.read(size)
+    if len(data) < size:
+        raise IncompleteRead(data, size - len(data))
+    return data
+
+
+class _Sent(NamedTuple):
+    """A request as requests' ``MockRequest`` reads it for the cookie jar."""
+
+    url: str
+    headers: dict[str, str]
+
+
+class _Received:
+    """A reply's header lines as ``CookieJar.extract_cookies`` reads them:
+    the response, and its ``info()``."""
+
+    def __init__(self, fields: list[tuple[str, str]]) -> None:
+        self._fields = fields
+
+    def info(self) -> _Received:
+        return self
+
+    def get_all(self, name: str, default: list[str] | None = None) -> list[str] | None:
+        name = name.lower()
+        return [value for key, value in self._fields if key.lower() == name] or default
+
+
 class Sessions:
     """The kept-alive connections, origin settings and cookie jars of one run.
 
@@ -180,7 +544,7 @@ class Sessions:
         self._lock = threading.Lock()
         self._local = threading.local()
         # least recently used route first
-        self._idle: OrderedDict[Route, list[HTTPConnection]] = OrderedDict()
+        self._idle: OrderedDict[Route, list[_Conn]] = OrderedDict()
         # offer only the codings that ``_decoded`` undoes; requests' default
         # offers br and zstd too where their modules are installed
         self._headers = dict(default_headers(), **{"Accept-Encoding": "gzip, deflate"})
@@ -206,100 +570,80 @@ class Sessions:
         closed unread with its connection. Raises one of
         ``REQUEST_ERRORS`` when no reply arrives.
         """
-        request = requests.PreparedRequest()
-        # encoded here as requests encodes a dict of strings, without its
-        # costly checks of the argument's type
-        request.prepare_url(url, urlencode(params or {}))
-        parts = urlsplit(request.url)
-        if parts.scheme not in DEFAULT_PORTS:
-            raise HTTPException(f"not an HTTP URL: {request.url}")
-        found = self._origins.lookup(request.url)
-        headers = request.headers = dict(self._headers, Accept=accept)
+        target = _target(url, params)
+        scheme = target.scheme
+        found = self._origins.lookup(target.url, (scheme, target.host, target.port))
+        headers = dict(self._headers, Accept=accept)
+        request = _Sent(target.url, headers)
         # an empty jar gives no header
         cookie = get_cookie_header(cookies, request) if cookies else None
         if cookie is not None:
             headers["Cookie"] = cookie
         if found.authorization is not None:
             headers["Authorization"] = found.authorization
-        target = request.path_url
-        if found.proxy is not None and parts.scheme != "https":
+        if found.proxy is not None and scheme != "https":
             # a forward proxy is sent the absolute form
-            target = urldefragauth(request.url)
+            path = urldefragauth(target.url)
+            host = urlsplit(path).netloc
             if found.proxy_authorization is not None:
                 headers["Proxy-Authorization"] = found.proxy_authorization
-        route = (
-            parts.scheme, parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme],
-            found.proxy,
-        )
+        else:
+            path, host = target.path, target.authority
+        message = _request_head(path, host, headers)
+        route = (scheme, target.host, target.port or DEFAULT_PORTS[scheme], found.proxy)
         conn = self._checkout(route, found, timeout)
         try:
-            # Host comes first, from the target or the connection
-            conn.putrequest("GET", target, skip_accept_encoding=True)
-            for name, value in headers.items():
-                conn.putheader(name, value)
-            conn.endheaders()
-            response = conn.getresponse()
+            conn.sock.sendall(message)
+            head = _read_head(conn)
         except BaseException:
             conn.close()
             raise
-        reply = Reply(response.status, _header_lines(response))
+        reply = Reply(head.status, _joined(head.fields))
         if "Set-Cookie" in reply.headers or "Set-Cookie2" in reply.headers:
-            cookies.extract_cookies(MockResponse(response.msg), MockRequest(request))
-        if response.status in REDIRECT_CODES and reply.headers.get("Location"):
+            cookies.extract_cookies(_Received(head.fields), MockRequest(request))
+        if head.status in REDIRECT_CODES and reply.headers.get("Location"):
             try:
-                response.read()
+                _read_body(conn, head.length)
             except REQUEST_ERRORS:
                 # a body that fails to arrive costs its connection, not the request
-                _discard(conn, response)
+                conn.close()
             else:
-                self._checkin(route, conn, response)
+                self._checkin(route, conn, head.will_close)
         elif read:
             try:
-                body = response.read()
+                body = _read_body(conn, head.length)
             except BaseException:
-                _discard(conn, response)
+                conn.close()
                 raise
-            self._checkin(route, conn, response)
+            self._checkin(route, conn, head.will_close)
             reply.data = _decoded(body, reply.headers.get("Content-Encoding", ""))
         else:
-            _discard(conn, response)
+            conn.close()
         return reply
 
-    def _checkout(
-        self, route: Route, found: OriginSettings, timeout: float
-    ) -> HTTPConnection:
+    def _checkout(self, route: Route, found: OriginSettings, timeout: float) -> _Conn:
         """The route's most recently kept connection, or a new one."""
         with self._lock:
             idle = self._idle.get(route)
             conn = idle.pop() if idle else None
         if conn is not None:
-            if not _readable(conn):
+            if not _readable(conn.sock):
                 conn.sock.settimeout(timeout)
                 return conn
             # the peer closed it while it was idle
             conn.close()
-        scheme, host, port, proxy = route
-        if proxy is None:
-            if scheme == "https":
-                return HTTPSConnection(host, port, timeout=timeout, context=found.context)
-            return HTTPConnection(host, port, timeout=timeout)
-        where = urlsplit(proxy)
-        if where.scheme != "http":
-            raise HTTPException(f"not an http:// proxy: {proxy}")
-        if scheme != "https":
-            return HTTPConnection(where.hostname, where.port or 80, timeout=timeout)
-        conn = HTTPSConnection(
-            where.hostname, where.port or 80, timeout=timeout, context=found.context
-        )
-        tunnel = found.proxy_authorization
-        conn.set_tunnel(
-            host, port, headers=None if tunnel is None else {"Proxy-Authorization": tunnel}
-        )
-        return conn
+        opener = _opener(route, found, timeout)
+        try:
+            opener.connect()
+        except BaseException:
+            opener.close()
+            raise
+        return _Conn(opener.sock)
 
-    def _checkin(self, route: Route, conn: HTTPConnection, response: HTTPResponse) -> None:
-        """Keep a connection whose reply has been read, within the bounds."""
-        if response.will_close:
+    def _checkin(self, route: Route, conn: _Conn, will_close: bool) -> None:
+        """Keep a connection whose reply has been read, within the bounds,
+        unless the reply closes it or more than the reply arrived."""
+        if will_close or conn.unread():
             conn.close()
             return
         closing = []
@@ -354,7 +698,7 @@ class Sessions:
             if redirects == MAX_REDIRECTS:
                 raise TooManyRedirects(f"exceeded {MAX_REDIRECTS} redirects at {url}")
             redirects += 1
-            url, params = urljoin(url, requote_uri(_as_utf8(location))), None
+            url, params = redirect_url(url, location), None
 
     def close(self) -> None:
         with self._lock:
@@ -365,27 +709,36 @@ class Sessions:
                 conn.close()
 
 
-def _readable(conn: HTTPConnection) -> bool:
+def _opener(route: Route, found: OriginSettings, timeout: float) -> HTTPConnection:
+    """An ``http.client`` connection, not yet open, that reaches the
+    route's origin: directly, through a forward proxy, or through a
+    proxy's ``CONNECT`` tunnel for HTTPS."""
+    scheme, host, port, proxy = route
+    if proxy is None:
+        if scheme == "https":
+            return HTTPSConnection(host, port, timeout=timeout, context=found.context)
+        return HTTPConnection(host, port, timeout=timeout)
+    where = urlsplit(proxy)
+    if where.scheme != "http":
+        raise HTTPException(f"not an http:// proxy: {proxy}")
+    if scheme != "https":
+        return HTTPConnection(where.hostname, where.port or 80, timeout=timeout)
+    conn = HTTPSConnection(
+        where.hostname, where.port or 80, timeout=timeout, context=found.context
+    )
+    tunnel = found.proxy_authorization
+    conn.set_tunnel(
+        host, port, headers=None if tunnel is None else {"Proxy-Authorization": tunnel}
+    )
+    return conn
+
+
+def _readable(sock: socket.socket) -> bool:
     """Whether an idle connection has something to read: its peer closed
     it, as urllib3's ``is_connection_dropped`` tells."""
     poller = select.poll()
-    poller.register(conn.sock, select.POLLIN)
+    poller.register(sock, select.POLLIN)
     return bool(poller.poll(0))
-
-
-def _discard(conn: HTTPConnection, response: HTTPResponse) -> None:
-    response.close()
-    conn.close()
-
-
-def _header_lines(response: HTTPResponse) -> CaseInsensitiveDict:
-    """A reply's header lines by name; repeated lines are joined by ", ",
-    as urllib3's ``HTTPHeaderDict`` joins them."""
-    headers: CaseInsensitiveDict = CaseInsensitiveDict()
-    for name, value in response.msg.items():
-        seen = headers.get(name)
-        headers[name] = value if seen is None else f"{seen}, {value}"
-    return headers
 
 
 def _decoded(body: bytes, codings: str) -> bytes:

@@ -2,14 +2,16 @@
 
 Recovery is deliberately minimal and bounded: ``retries`` retries (one by
 default) after a timeout, a transport failure or a non-200 reply other than
-503, one full-chain restart after a bad resumption token, and 503 flow
-control honoured only up to the request timeout. Anything beyond
-that ends the harvest as partial with honest counts rather than guessing.
+a 503 with a positive Retry-After, one full-chain restart after a bad
+resumption token, and 503 flow control honoured only up to the request
+timeout. Anything beyond that ends the harvest as partial with honest
+counts rather than guessing.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -131,14 +133,16 @@ def _request(
             try:
                 delay = float(reply.headers.get("Retry-After", ""))
             except ValueError:
-                delay = config.timeout + 1.0
-            if delay < 0 or waited_503 + delay > config.timeout:
+                delay = math.nan
+            if not math.isfinite(delay) or delay < 0 or waited_503 + delay > config.timeout:
                 raise EndpointUnresponsiveError(
                     f"{endpoint} kept asking to retry beyond the timeout budget"
                 )
-            waited_503 += delay
-            time.sleep(delay)
-            continue
+            if delay > 0:
+                waited_503 += delay
+                time.sleep(delay)
+                continue
+            # an immediate retry spends an attempt, or the loop has no bound
         if reply.status != 200:
             attempts -= 1
             last_error = OaiError(f"HTTP {reply.status}")

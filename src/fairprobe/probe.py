@@ -134,7 +134,7 @@ def _follow_chain(
             if redirects_left == 0:
                 return reply, REASON_REDIRECT_LIMIT
             redirects_left -= 1
-            url = urljoin(url, location)
+            url = http.redirect_url(url, location)
             continue
         return reply, None
 

@@ -1,21 +1,26 @@
 """Sessions: the environment's proxy settings apply, read once per origin,
 and every request, probe hop, registry or OAI-PMH, goes on the wire and
-follows redirects as a requests session would."""
+follows redirects as a requests session would; replies are read as
+http.client reads them."""
 
 from __future__ import annotations
 
 import gzip
 import itertools
+import random
 import shutil
+import socket
+import socketserver
 import ssl
 import subprocess
 import sys
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection, HTTPException, HTTPResponse, InvalidURL
 from http.cookiejar import CookieJar
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 import requests
@@ -766,3 +771,279 @@ def test_ten_idle_connections_are_kept_per_origin(wire, clean_env):
     assert [reply.status for reply in replies] == [200] * 11
     assert len({number for number, _, _ in server.log}) == 11
     assert kept == 10
+
+
+# --- requests and replies as they go on the wire -------------------------------
+
+def test_a_probe_follows_a_utf8_location_as_a_session_does(scripted_http, clean_env):
+    # header text arrives read as ISO-8859-1: these two characters are the
+    # UTF-8 bytes of "ä"
+    moved = (302, {"Location": "/mÃ¤.png"}, b"")
+    ours, reference = [], []
+    assert probe(scripted_http([moved, IMAGE_REPLY], ours) + "/resolve/")
+    with requests.Session() as session:
+        session.get(scripted_http([moved, IMAGE_REPLY], reference) + "/resolve/10.9/x")
+    assert ours[1] == reference[1] == "/m%C3%A4.png"
+
+
+def test_a_header_value_that_would_split_the_head_is_refused(scripted_http, clean_env):
+    targets = []
+    origin = scripted_http([IMAGE_REPLY], targets)
+    sessions = http.Sessions()
+    try:
+        for accept in ("image/png\r\nX-Injected: 1", "image/png\nX: 1", "image/png\r"):
+            with pytest.raises(HTTPException):
+                sessions.hop(origin + "/x", accept, 5.0, CookieJar())
+        # a folded value goes out as http.client sends it
+        assert sessions.hop(origin + "/x", "image/png,\r\n image/*", 5.0, CookieJar()).status == 200
+    finally:
+        sessions.close()
+    assert targets == ["/x"]
+
+
+@pytest.mark.parametrize("target", ["/a b", "/a\x00", "/a\x7f", "http://h/\t"])
+def test_a_target_with_a_control_character_or_space_is_refused(target):
+    with pytest.raises(InvalidURL):
+        http._request_head(target, "h", {})
+
+
+class RawOrigin(socketserver.ThreadingTCPServer):
+    """A loopback origin that answers each request head with ``reply`` in
+    one write, and logs each request's connection number."""
+
+    daemon_threads = True
+
+    def __init__(self, reply: bytes):
+        self.log: list[int] = []
+        connections = itertools.count()
+        log = self.log
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                number = next(connections)
+                while self.rfile.readline():  # a request line
+                    while self.rfile.readline() not in (b"\r\n", b""):
+                        pass
+                    log.append(number)
+                    self.wfile.write(reply)
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+def test_a_connection_with_bytes_beyond_the_reply_is_not_reused(clean_env):
+    server = RawOrigin(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA")
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    sessions = http.Sessions()
+    try:
+        replies = [sessions.get(server.url + "/x", None, 5.0) for _ in range(2)]
+    finally:
+        sessions.close()
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert [(reply.status, reply.data) for reply in replies] == [(200, b"ok")] * 2
+    assert server.log == [0, 1]
+
+
+def read_with_http_client(sock: socket.socket):
+    """The reply on ``sock`` as ``http.client.HTTPResponse`` reads it:
+    (status, header lines, body, will_close), or the class it raised."""
+    response = HTTPResponse(sock)
+    try:
+        response.begin()
+        body = response.read()
+    except Exception as exc:  # compared with what the other reader raises
+        return type(exc)
+    finally:
+        response.close()
+    return response.status, response.msg.items(), body, response.will_close
+
+
+def read_with_http(sock: socket.socket):
+    """The reply on ``sock`` as ``Sessions`` reads it, in the same shape."""
+    conn = http._Conn(sock)
+    try:
+        head = http._read_head(conn)
+        body = http._read_body(conn, head.length)
+    except Exception as exc:
+        return type(exc)
+    return head.status, head.fields, body, head.will_close
+
+
+def served(raw: bytes, read):
+    """``read`` of a socket on which ``raw`` arrives and then the stream ends."""
+    ours, theirs = socket.socketpair()
+
+    def send() -> None:
+        try:
+            theirs.sendall(raw)
+            theirs.shutdown(socket.SHUT_WR)
+        except OSError:  # the reader gave up and closed its end
+            pass
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        return read(ours)
+    finally:
+        ours.close()
+        sender.join(timeout=10)
+        theirs.close()
+        assert not sender.is_alive()
+
+
+LONG = b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n"  # 65,536 bytes
+REPLIES = {
+    "folded and repeated": (
+        b"HTTP/1.1 200 OK\r\nX-Folded: a\r\n b\r\n\tc \r\nSet-Cookie: a=1; Path=/\r\n"
+        b"Link: <a.png>; rel=item\r\nset-cookie: b=2\r\nLink: <b.tif>\r\n"
+        b"Content-Length: 3\r\n\r\nabc"
+    ),
+    "1.0": b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+    "1.0 keep-alive": b"HTTP/1.0 200 OK\r\nKeep-Alive: timeout=5\r\nContent-Length: 2\r\n\r\nok",
+    "1.0 connection keep-alive":
+        b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 2\r\n\r\nok",
+    "1.0 proxy-connection":
+        b"HTTP/1.0 200 OK\r\nProxy-Connection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+    "no length, close": b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nuntil the end",
+    "no length": b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nuntil the end",
+    "negative length": b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\nall",
+    "two lengths": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nokabc",
+    "close, length": b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+    "chunked": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n"
+        b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n"
+    ),
+    "chunk size not hex": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\nzz\r\n",
+    "chunks cut short": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nhello",
+    "continue": (
+        b"HTTP/1.1 100 Continue\r\nX-Skipped: y\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    ),
+    "204": b"HTTP/1.1 204 No Content\r\nX-A: 1\r\n\r\n",
+    "304": b"HTTP/1.1 304 Not Modified\r\nETag: \"x\"\r\nContent-Length: 9\r\n\r\n",
+    "101": b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n\r\n",
+    "empty": b"",
+    "2.0": b"HTTP/2.0 200 OK\r\n\r\n",
+    "garbage": b"garbage\r\n\r\n",
+    "status not a number": b"HTTP/1.1 OK 200\r\n\r\n",
+    "status out of range": b"HTTP/1.1 99 Low\r\n\r\n",
+    "no status": b"HTTP/1.1\r\n\r\n",
+    "no reason": b"HTTP/1.1 200\r\nContent-Length: 0\r\n\r\n",
+    "line of 65,536 bytes": b"HTTP/1.1 200 OK\r\n" + LONG + b"Content-Length: 0\r\n\r\n",
+    "line of 65,537 bytes": b"HTTP/1.1 200 OK\r\nX" + LONG + b"Content-Length: 0\r\n\r\n",
+    "cut after a line of 65,536 bytes": b"HTTP/1.1 200 OK\r\n" + LONG[:-2] + b"aa",
+    "status line of 65,537 bytes": b"HTTP/1.1 200 " + b"O" * 65524 + b"\r\n\r\n",
+    "99 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 98 + b"Content-Length: 0\r\n\r\n",
+    "100 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 99 + b"Content-Length: 0\r\n\r\n",
+    "short body": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+    "cut in the head": b"HTTP/1.1 200 OK\r\nContent-Type: te",
+    "line feeds only": b"HTTP/1.1 200 OK\nContent-Length: 2\nX-A: 1\n\nok",
+    "bare carriage return": b"HTTP/1.1 200 OK\r\nX-A: a\rX-B: b\r\nContent-Length: 2\r\n\r\nok",
+    "malformed line": b"HTTP/1.1 200 OK\r\nX-A: 1\r\nbad line\r\nContent-Length: 2\r\n\r\nok",
+    "space before colon": b"HTTP/1.1 200 OK\r\nX-A : 1\r\nContent-Length: 2\r\n\r\nok",
+    "dropped lines": (
+        b"HTTP/1.1 200 OK\r\n leading\r\nFrom x\r\n folded\r\n: no name\r\nX-A:1\r\n"
+        b"X-Empty:\r\nX-Blank: \t \r\nContent-Length: 2\r\n\r\nok"
+    ),
+    "ISO-8859-1": b"HTTP/1.1 200 OK\r\nX-A: caf\xe9\r\nContent-Length: 0\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("raw", REPLIES.values(), ids=REPLIES.keys())
+def test_a_reply_reads_as_http_client_reads_it(raw):
+    assert served(raw, read_with_http) == served(raw, read_with_http_client)
+
+
+@pytest.mark.parametrize(
+    "status, headers",
+    [(204, b"Transfer-Encoding: chunked\r\n"), (304, b"Content-Length: 3\r\n"), (102, b"")],
+)
+def test_a_reply_without_a_body_keeps_its_connection(status, headers):
+    raw = b"HTTP/1.1 %d X\r\n%s\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n" % (status, headers)
+
+    def read_twice(sock):
+        conn = http._Conn(sock)
+        first = http._read_head(conn)
+        assert http._read_body(conn, first.length) == b""
+        return first.will_close, http._read_head(conn).status
+
+    assert served(raw, read_twice) == (False, 200)
+
+
+# --- request targets --------------------------------------------------------------
+
+TARGET_SEED = 20260601
+# (pieces that a plain URL may hold, pieces that make a URL for prepare_url)
+PATH_PIECES = (
+    ["a", "B", "0", "-", ".", "..", "_", "~", "!", "$", "&", "'", "(", ")", "*", "+",
+     ",", ";", "=", ":", "@", "/", "//"],
+    ["%20", "%2f", "%41", "%zz", "%", " ", "ä", "€", "\"", "<", "|", "^", "`", "{",
+     "[", "]", "\\", "?", "#", "\t"],
+)
+HOSTS = (
+    ["example.org", "127.0.0.1", "repo-1.example", "a..b", "h."],
+    ["Example.ORG", "bücher.example", "[::1]", "[2001:DB8::1]", "a_b.example",
+     "user:pw@example.org", "@example.org", ".example", "*.example"],
+)
+PORTS = (
+    ["", ":80", ":443", ":8080", ":65535"],
+    [":65536", ":99999", ":0", ":080", ":"],
+)
+
+
+def random_url(rng: random.Random) -> str:
+    def pick(choices: tuple[list[str], list[str]]) -> str:
+        return rng.choice(choices[rng.random() < 0.1])
+
+    def pieces() -> str:
+        return "".join(pick(PATH_PIECES) for _ in range(rng.randrange(6)))
+
+    scheme = pick((["http", "https"], ["HTTP", "Https"]))
+    path = "".join("/" + pieces() for _ in range(rng.randrange(4)))
+    query = rng.choice(["", "", "?", "?" + pieces(), "?verb=Identify&x=" + pieces()])
+    fragment = rng.choice(["", "", "", "", "#", "#" + pieces()])
+    return f"{scheme}://{pick(HOSTS)}{pick(PORTS)}{path}{query}{fragment}"
+
+
+def random_params(rng: random.Random) -> dict[str, str] | None:
+    values = ["datacite", "a|b c/d+e", "ä€", "", "x=y&z", "~._-"]
+    return rng.choice([
+        None, {}, {"verb": "ListRecords", "resumptionToken": rng.choice(values)},
+        {rng.choice(values) or "k": rng.choice(values)},
+    ])
+
+
+def test_a_target_is_what_requests_prepares_and_http_client_sends():
+    rng = random.Random(TARGET_SEED)
+    plain = 0
+    for _ in range(3000):
+        url, params = random_url(rng), random_params(rng)
+        request = requests.PreparedRequest()
+        try:
+            request.prepare_url(url, urlencode(params or {}))
+        except requests.RequestException as exc:
+            with pytest.raises(type(exc)):
+                http._target(url, params)
+            continue
+        target = http._target(url, params)
+        plain += http._PLAIN.fullmatch(url) is not None
+        parts = urlsplit(request.url)
+        assert target[:5] == (
+            request.url, parts.scheme, parts.hostname, parts.port, request.path_url
+        ), (url, params)
+        # the request head that http.client writes for a connection to the origin
+        conn = HTTPConnection(parts.hostname, parts.port or http.DEFAULT_PORTS[parts.scheme])
+        conn.default_port = http.DEFAULT_PORTS[parts.scheme]
+        sent = []
+        conn.send = sent.append
+        conn.putrequest("GET", request.path_url, skip_accept_encoding=True)
+        conn.putheader("Accept", "*/*")
+        conn.endheaders()
+        assert http._request_head(target.path, target.authority, {"Accept": "*/*"}) == sent[0]
+    # both ways of preparing a target were taken often
+    assert 300 < plain < 2700

@@ -518,6 +518,30 @@ def test_unparseable_retry_after_counts_as_unresponsive(scripted_http):
     assert summary.pages == 0
 
 
+@pytest.mark.parametrize("retry_after", ["nan", "inf", "-inf"])
+def test_non_finite_retry_after_counts_as_unresponsive(scripted_http, retry_after):
+    targets = []
+    base = scripted_http([(503, {"Retry-After": retry_after}, b"busy")], targets)
+    summary = harvest_records(base, "datacite", fast_config(), discard)
+    assert not summary.completed
+    assert summary.pages == 0
+    assert len(targets) == 1
+
+
+def test_zero_retry_after_spends_an_attempt(scripted_http):
+    targets = []
+    busy = (503, {"Retry-After": "0"}, b"busy")
+    base = scripted_http([busy] * 200, targets)
+    summary = harvest_records(base, "datacite", fast_config(retries=2), discard)
+    assert not summary.completed
+    assert summary.pages == 0
+    # 1 + retries attempts, each answered with an immediate retry
+    assert len(targets) == 3
+    base = scripted_http([busy, (200, {}, oai_body(OAI_RECORD))])
+    summary = harvest_records(base, "datacite", fast_config(retries=1), discard)
+    assert summary.completed and summary.records == 1
+
+
 def test_transient_http_error_is_retried(scripted_http):
     base = scripted_http(
         [(500, {}, b"boom"), (200, {}, oai_body(OAI_RECORD))]
