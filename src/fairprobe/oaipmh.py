@@ -129,7 +129,9 @@ def _request(
             continue
         if reply.status == 503:
             # OAI-PMH mandates honouring Retry-After, but only within the
-            # timeout budget; a server stalling longer is unresponsive.
+            # timeout budget; a server stalling longer is unresponsive. The
+            # budget counts RFC 9110 delay-seconds, a fraction rounded up, so
+            # each wait spends at least a second of it.
             try:
                 delay = float(reply.headers.get("Retry-After", ""))
             except ValueError:
@@ -139,7 +141,7 @@ def _request(
                     f"{endpoint} kept asking to retry beyond the timeout budget"
                 )
             if delay > 0:
-                waited_503 += delay
+                waited_503 += math.ceil(delay)
                 time.sleep(delay)
                 continue
             # an immediate retry spends an attempt, or the loop has no bound

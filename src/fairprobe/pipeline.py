@@ -233,22 +233,31 @@ class PipelineRun:
             for d in read_ndjson(self.run_dir / PROVIDERS_FILE)
         ]
 
-    def unfinished_repositories(self) -> list[str]:
+    def _harvest_outcomes(self) -> dict[str, dict]:
+        """Each repository's last ``harvested`` line, less its repository
+        field: the outcome of its latest harvest, read in one pass."""
+        outcomes: dict[str, dict] = {}
+        for outcome in self.store.read("harvested", None):
+            outcomes[outcome.pop("repository")] = outcome
+        return outcomes
+
+    def unfinished_repositories(
+        self, outcomes: dict[str, dict] | None = None
+    ) -> list[str]:
         """Supported providers whose harvest has not completed, sorted.
 
-        A repository is finished when the last line of its ``harvested``
-        partition says so; the catalogue holds that even when step 3
-        stopped before it could write its detail.
+        A repository is finished when its last ``harvested`` line says so;
+        the catalogue holds that even when step 3 stopped before it could
+        write its detail. ``outcomes`` is ``_harvest_outcomes()``, read
+        here when not given.
         """
-        completed: dict[str, bool] = {}
-        for name in self.store.partitions("harvested"):
-            for outcome in self.store.read("harvested", name):
-                completed[name] = outcome["completed"]
+        if outcomes is None:
+            outcomes = self._harvest_outcomes()
         return sorted(
             r.registry_id
             for r in self._providers()
             if r.datacite_support.status == registry.SUPPORT_SUPPORTED
-            and not completed.get(r.registry_id, False)
+            and not outcomes.get(r.registry_id, {}).get("completed", False)
         )
 
     def _step3_harvest(self) -> tuple[str, dict]:
@@ -311,7 +320,6 @@ class PipelineRun:
                 "pages": summary.pages,
             }
             self.store.append("harvested", name, outcome)
-            self.store.close("harvested", name)
 
         # pass 1: page 1 of every chain. Its completeListSize is the size
         # estimate; the token and the ids new on page 1 are all that is kept
@@ -343,7 +351,8 @@ class PipelineRun:
                 )
             )
             list(pool.map(resume, unfinished))
-        incomplete = self.unfinished_repositories()
+        outcomes = self._harvest_outcomes()
+        incomplete = self.unfinished_repositories(outcomes)
         status = STATUS_PARTIAL if incomplete else STATUS_COMPLETE
         if incomplete:
             logger.warning(
@@ -354,13 +363,9 @@ class PipelineRun:
         return status, {
             "providers": len(providers),
             "incomplete": incomplete,
-            # a repository's outcome is the last line of its harvested
-            # partition, so earlier attempts count as in a clean step
-            "repositories": {
-                name: outcome
-                for name in self.store.partitions("harvested")
-                for outcome in self.store.read("harvested", name)
-            },
+            # a repository's outcome is its last harvested line, so earlier
+            # attempts count as in a clean step
+            "repositories": outcomes,
         }
 
     def _stored_payloads(
@@ -384,11 +389,14 @@ class PipelineRun:
 
     def _step4_assess(self) -> tuple[str, dict]:
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
+        # a resumed step recounts every raw record: the first occurrence of a
+        # DOI an earlier attempt already parsed counts as parsed again,
+        # without a second line
+        already = {
+            (entry["repository"], entry["doi"])
+            for entry in self.store.read("parsed", None)
+        }
         for name in self.store.partitions("raw"):
-            # a resumed step recounts every raw record: the first occurrence
-            # of a DOI an earlier attempt already parsed counts as parsed
-            # again, without a second line
-            already = {entry["doi"] for entry in self.store.read("parsed", name)}
             seen_dois: set[str] = set()
             for identifier, payload in self._stored_payloads(name):
                 try:
@@ -407,7 +415,7 @@ class PipelineRun:
                     continue
                 seen_dois.add(record.doi)
                 counts["parsed"] += 1
-                if record.doi in already:
+                if (name, record.doi) in already:
                     continue
                 result = assessor.assess(
                     record,
@@ -426,35 +434,30 @@ class PipelineRun:
                         "lic": result.lic,
                     },
                 )
-            self.store.close("parsed", name)
         return STATUS_COMPLETE, counts
 
     def _step5_probe(self) -> tuple[str, dict]:
-        partitions = self.store.partitions("parsed")
         gate = HostGate(self.config.per_host_delay)
 
         def probe_entry(entry: dict) -> tuple[bool, probe.ProbeTrace]:
             record = datacite.record_from_dict(entry["record"])
             return probe.f_ret(record, self.config, gate=gate, session=self.sessions)
 
-        jobs: list[tuple[str, dict]] = []
-        for name in partitions:
-            already = {entry["doi"] for entry in self.store.read("assessed", name)}
-            for entry in self.store.read("parsed", name):
-                if entry["doi"] not in already:
-                    jobs.append((name, entry))
+        already = {
+            (entry["repository"], entry["doi"])
+            for entry in self.store.read("assessed", None)
+        }
+        jobs = [
+            entry
+            for entry in self.store.read("parsed", None)
+            if (entry["repository"], entry["doi"]) not in already
+        ]
 
-        # results come back in job order, which is parsed order; the jobs are
-        # grouped by partition, so one assessed handle is open at a time. A
-        # failed probe cancels the probes not yet started.
-        current = None
+        # results come back in job order, which is parsed order. A failed
+        # probe cancels the probes not yet started.
         with ThreadPoolExecutor(max_workers=self.config.workers_probe) as pool:
-            for (name, entry), (retrievable, trace) in zip(
-                jobs, pool.map(probe_entry, [entry for _, entry in jobs])
-            ):
-                if name != current and current is not None:
-                    self.store.close("assessed", current)
-                current = name
+            for entry, (retrievable, trace) in zip(jobs, pool.map(probe_entry, jobs)):
+                name = entry["repository"]
                 result = assessor.AssessmentResult(
                     doi=entry["doi"],
                     repository=name,
@@ -467,19 +470,13 @@ class PipelineRun:
                 self.store.append(
                     "assessed", name, assessor.assessment_to_dict(result)
                 )
-        if current is not None:
-            self.store.close("assessed", current)
-        # counted from the partitions, so a resumed step counts what earlier
+        # counted from the ledger, so a resumed step counts what earlier
         # attempts probed exactly as a clean step does
-        verdicts = [
-            bool(entry["ret"])
-            for name in partitions
-            for entry in self.store.read("assessed", name)
-        ]
-        return STATUS_COMPLETE, {
-            "probed": len(verdicts),
-            "retrievable": sum(verdicts),
-        }
+        probed = retrievable = 0
+        for entry in self.store.read("assessed", None):
+            probed += 1
+            retrievable += bool(entry["ret"])
+        return STATUS_COMPLETE, {"probed": probed, "retrievable": retrievable}
 
     # -- scoring and reporting --------------------------------------------------
 
@@ -487,18 +484,19 @@ class PipelineRun:
         q_sizes = {name: 0 for name in scoring.CRITERIA}
         d_size = 0
         per_repo: dict[str, dict[str, int]] = {}
-        for name in self.store.partitions("assessed"):
-            met = {key: 0 for key in scoring.CRITERIA}
-            items = 0
-            for entry in self.store.read("assessed", name):
-                items += 1
-                d_size += 1
-                for key in scoring.CRITERIA:
-                    if entry[key]:
-                        met[key] += 1
-                        q_sizes[key] += 1
-            if items:
-                per_repo[name] = {"items": items, **met}
+        # counted as the ledger streams: no assessed line is kept
+        for entry in self.store.read("assessed", None):
+            counts = per_repo.get(entry["repository"])
+            if counts is None:
+                counts = per_repo[entry["repository"]] = dict.fromkeys(
+                    ("items", *scoring.CRITERIA), 0
+                )
+            counts["items"] += 1
+            d_size += 1
+            for key in scoring.CRITERIA:
+                if entry[key]:
+                    counts[key] += 1
+                    q_sizes[key] += 1
 
         warnings: list[str] = []
         if self.manifest.steps[3].status == STATUS_PARTIAL:

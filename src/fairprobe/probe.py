@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from http.cookiejar import CookieJar
 from typing import Any
-from urllib.parse import urljoin, urlparse
+from urllib.parse import urlparse
 
 from requests.utils import parse_header_links
 
@@ -205,7 +205,7 @@ def f_ret(
                     trace.reason = REASON_NO_LINK_MATCH
                     return False, trace
                 target, matched_format = match
-                target_url = urljoin(trace.steps[-1].url, target)
+                target_url = http.redirect_url(trace.steps[-1].url, target)
                 reply2, reason2 = _follow_chain(
                     target_url, matched_format, config, gate, sessions, cookies, trace
                 )

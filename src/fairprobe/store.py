@@ -1,14 +1,15 @@
 """Run persistence: the append-only catalogue store and the run manifest.
 
-Catalogue files are newline-delimited JSON, one file per (run, repository,
-stage). A file stays open while a step writes to it, and each append is one
-flushed write, so after a crash only the final line can be damaged; readers
-drop a final line without its newline and treat anything else unparseable as
-real corruption. Everything a step records while it runs goes to such a
-partition: ``raw`` holds one line per harvested ListRecords page,
-``parsed`` and ``assessed`` one per record, and step 3 appends one line to
-``harvested/{repository}`` per finished repository. The manifest is a single
-JSON document, replaced atomically when a step starts and when it ends.
+The catalogue is newline-delimited JSON under ``{run_dir}/catalogue/{stage}/``.
+``raw`` has one file per repository, one line per harvested ListRecords
+page. ``parsed`` and ``assessed`` (one line per record) and ``harvested``
+(one line each time step 3 finishes a repository) are ledgers: one file per
+run, ``{stage}/all.ndjson``, whose every line names its ``repository``. A
+file stays open while a step writes to it, and each append is one flushed
+write, so after a crash only the final line can be damaged; readers drop a
+final line without its newline and treat anything else unparseable as real
+corruption. The manifest is a single JSON document, replaced atomically
+when a step starts and when it ends.
 
 The on-disk layout is versioned (``STORE_VERSION``, kept in the manifest);
 the pipeline refuses a run directory of another version.
@@ -28,8 +29,10 @@ from urllib.parse import quote, unquote
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 STAGES = ("raw", "parsed", "assessed", "harvested")
+LEDGERS = ("parsed", "assessed", "harvested")
+LEDGER_FILE = "all.ndjson"
 
 STATUS_PENDING = "pending"
 STATUS_PARTIAL = "partial"
@@ -53,8 +56,8 @@ class StoreCorruptError(StoreError):
 
 
 class _Partition:
-    """One catalogue file: its writer lock and, while a step writes to it,
-    its open append handle."""
+    """One catalogue file, a raw partition or a ledger: its writer lock and,
+    while a step writes to it, its open append handle."""
 
     __slots__ = ("path", "lock", "handle")
 
@@ -65,32 +68,48 @@ class _Partition:
 
 
 class CatalogueStore:
-    """Append-only ndjson partitions under {run_dir}/catalogue/{stage}/.
+    """Append-only ndjson files under {run_dir}/catalogue/{stage}/: one
+    partition per repository for ``raw``, one ledger per run for each stage
+    in ``LEDGERS``.
 
-    A partition is opened on its first append and stays open until ``close``
-    or ``close_all``. Each line is one write, flushed before ``append``
-    returns, so readers in this process see every line.
+    A file is opened on its first append and stays open until ``close`` or
+    ``close_all``, so a ledger is opened, and its tail checked, once per
+    step. Each line is one write, flushed before ``append`` returns, so
+    readers in this process see every line.
     """
 
     def __init__(self, run_dir: str | Path):
         self.root = Path(run_dir) / "catalogue"
         self._mutex = threading.Lock()
-        self._partitions: dict[tuple[str, str], _Partition] = {}
+        # keyed by (stage, repository), the repository None for a ledger
+        self._partitions: dict[tuple[str, str | None], _Partition] = {}
 
-    def _path(self, stage: str, repository: str) -> Path:
+    def _path(self, stage: str, repository: str | None) -> Path:
         if stage not in STAGES:
             raise StoreError(f"unknown stage {stage!r}")
+        if stage in LEDGERS:
+            return self.root / stage / LEDGER_FILE
+        if repository is None:
+            raise StoreError(f"{stage} is kept per repository")
         return self.root / stage / (quote(repository, safe="") + ".ndjson")
 
+    @staticmethod
+    def _key(stage: str, repository: str) -> tuple[str, str | None]:
+        return stage, None if stage in LEDGERS else repository
+
     def _partition(self, stage: str, repository: str) -> _Partition:
+        key = self._key(stage, repository)
         with self._mutex:
-            partition = self._partitions.get((stage, repository))
+            partition = self._partitions.get(key)
             if partition is None:
                 partition = _Partition(self._path(stage, repository))
-                self._partitions[(stage, repository)] = partition
+                self._partitions[key] = partition
             return partition
 
     def append(self, stage: str, repository: str, record: dict[str, Any]) -> None:
+        """Append one line; a ledger line carries ``repository`` as a field."""
+        if stage in LEDGERS and record.get("repository") != repository:
+            record = {**record, "repository": repository}
         partition = self._partition(stage, repository)
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with partition.lock:
@@ -103,9 +122,9 @@ class CatalogueStore:
             handle.flush()
 
     def close(self, stage: str, repository: str) -> None:
-        """Close one partition's handle; a later append opens it again."""
+        """Close one file's handle; a later append opens it again."""
         with self._mutex:
-            partition = self._partitions.get((stage, repository))
+            partition = self._partitions.get(self._key(stage, repository))
         if partition is not None:
             self._close(partition)
 
@@ -151,9 +170,18 @@ class CatalogueStore:
             logger.warning("%s: removing truncated only line before append", path)
             handle.truncate(0)
 
-    def read(self, stage: str, repository: str) -> Iterator[dict[str, Any]]:
-        """All intact records of one partition, in append order."""
+    def read(self, stage: str, repository: str | None) -> Iterator[dict[str, Any]]:
+        """Intact records in append order: a repository's records, or with
+        ``repository`` None every line of a ledger, in one pass."""
         path = self._path(stage, repository)
+        if stage in LEDGERS and repository is not None:
+            for record in self._lines(path):
+                if record["repository"] == repository:
+                    yield record
+        else:
+            yield from self._lines(path)
+
+    def _lines(self, path: Path) -> Iterator[dict[str, Any]]:
         if not path.exists():
             return
         with open(path, "rb") as handle:
@@ -183,7 +211,9 @@ class CatalogueStore:
             raise StoreCorruptError(f"{path}: unreadable line: {exc}") from exc
 
     def partitions(self, stage: str) -> list[str]:
-        """Repository ids having a partition at this stage, sorted."""
+        """Repository ids having records at this stage, sorted."""
+        if stage in LEDGERS:
+            return sorted({record["repository"] for record in self.read(stage, None)})
         directory = self.root / stage
         if not directory.is_dir():
             return []

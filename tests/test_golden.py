@@ -1,8 +1,8 @@
-"""Byte-identical report files and parsed partitions for the scenario landscapes.
+"""Byte-identical report files and the parsed ledger for the scenario landscapes.
 
 ``tests/golden/<scenario>/`` holds what ``run_all`` wrote for
 ``tests/fixtures/<scenario>.json`` with the run id ``golden``: the five
-report files and the ``catalogue/parsed`` partitions. A fresh run must write
+report files and the ``catalogue/parsed`` ledger. A fresh run must write
 the same bytes. Two values differ between runs for reasons that have
 nothing to do with the scores, and only those are masked: ``run_id`` and
 ``executed`` (the run's date) in ``report.json``.

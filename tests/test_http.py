@@ -786,6 +786,19 @@ def test_a_probe_follows_a_utf8_location_as_a_session_does(scripted_http, clean_
     assert ours[1] == reference[1] == "/m%C3%A4.png"
 
 
+def test_a_probe_follows_a_utf8_link_target_as_a_session_does(scripted_http, clean_env):
+    # the UTF-8 bytes of "ä", read as ISO-8859-1 like all header text
+    landing = (200, {"Content-Type": "text/html", "Link": '<mÃ¤.png>; type="image/png"'}, b"")
+    ours, reference = [], []
+    resolver = scripted_http([landing, IMAGE_REPLY], ours) + "/resolve/"
+    config = RunConfig(doi_resolver=resolver, timeout=5.0, per_host_delay=0.0)
+    retrievable, trace = f_ret(DataciteRecord(doi="10.9/x", formats=["image/png"]), config)
+    assert retrievable and trace.outcome == "link_negotiated"
+    with requests.Session() as session:
+        session.get(scripted_http([IMAGE_REPLY], reference) + "/resolve/10.9/mä.png")
+    assert ours[1] == reference[0] == "/resolve/10.9/m%C3%A4.png"
+
+
 def test_a_header_value_that_would_split_the_head_is_refused(scripted_http, clean_env):
     targets = []
     origin = scripted_http([IMAGE_REPLY], targets)

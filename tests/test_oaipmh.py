@@ -542,6 +542,18 @@ def test_zero_retry_after_spends_an_attempt(scripted_http):
     assert summary.completed and summary.records == 1
 
 
+def test_a_fractional_retry_after_spends_whole_seconds_of_the_budget(scripted_http):
+    targets = []
+    busy = (503, {"Retry-After": "0.001"}, b"busy")
+    base = scripted_http([busy] * 100, targets)
+    config = fast_config(timeout=1.0)
+    summary = harvest_records(base, "datacite", config, discard)
+    assert not summary.completed
+    assert summary.pages == 0
+    # each wait counts as 1 s against the 1 s budget
+    assert len(targets) <= config.timeout + config.retries + 1
+
+
 def test_transient_http_error_is_retried(scripted_http):
     base = scripted_http(
         [(500, {}, b"boom"), (200, {}, oai_body(OAI_RECORD))]

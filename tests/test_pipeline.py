@@ -14,6 +14,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from fairprobe import assessor, mockrdr, oaipmh, pipeline, probe
+from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
 from fairprobe.registry import RegistryError
@@ -672,11 +673,10 @@ def test_catalogue_handles_are_bounded_and_closed(
     assert all(appended["harvested", f"stack-{i}"] == 1 for i in range(6))
     # a second store reading mid-step saw every line appended so far
     assert unseen == []
-    # handles are bounded by the partitions in progress, not by the six
-    # repositories: one per harvest worker (its raw partition, then its
-    # outcome line), and one in steps 4 and 5, whose own thread writes one
-    # partition after the other
-    assert 1 <= writers["raw"] <= POOL
+    # handles are bounded by the files in progress, not by the six
+    # repositories: one raw partition per harvest worker, the harvested
+    # ledger beside them, and one ledger in each of steps 4 and 5
+    assert 1 <= writers["raw"] <= POOL + 1
     assert 1 <= writers["harvested"] <= POOL
     assert writers["parsed"] == 1
     assert writers["assessed"] == 1
@@ -995,6 +995,85 @@ def test_torn_page_line_is_fetched_again_on_resume(
         assert (resumed.run_dir / name).read_bytes() == (
             clean.run_dir / name
         ).read_bytes()
+
+
+REPORT_FILES = (
+    "repositories.csv", "criteria.csv", "apis.csv", "fair_coverage.txt", "report.json"
+)
+
+
+@pytest.mark.parametrize("stage", ["parsed", "assessed"])
+def test_torn_ledger_line_is_written_again_on_resume(
+    serve_script, make_config, tmp_path, monkeypatch, stage
+):
+    hub = serve_script(mixed_landscape())
+
+    def run_in(directory: str) -> PipelineRun:
+        return PipelineRun(make_config(hub, out=str(tmp_path / directory),
+                                       run_id="same", workers_harvest=1))
+
+    clean = run_in("clean")
+    for number in (1, 2, 3, 4, 5):
+        clean.run_step(number)
+    clean.finalize()
+
+    # the step fails on its sixth record; then a crash tears the final line
+    # of the ledger it writes, which every repository shares
+    step = {"parsed": 4, "assessed": 5}[stage]
+    crashed = run_in("crashed")
+    for number in range(1, step):
+        crashed.run_step(number)
+    module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
+    with monkeypatch.context() as patch:
+        patch.setattr(module, function, fail_after(getattr(module, function), 5))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            crashed.run_step(step)
+    ledger = crashed.run_dir / "catalogue" / stage / "all.ndjson"
+    whole = ledger.read_bytes()
+    assert whole.count(b"\n") == 5
+    ledger.write_bytes(whole[: whole.rindex(b"\n", 0, -1) + 1 + 20])
+    assert len(list(crashed.store.read(stage, None))) == 4
+
+    resumed = run_in("crashed")
+    for number in range(step, 6):
+        resumed.run_step(number)
+    resumed.finalize()
+
+    for number in (3, 4, 5):
+        assert resumed.manifest.steps[number].detail == (
+            clean.manifest.steps[number].detail
+        )
+    assert list(resumed.store.read("parsed", None)) == list(
+        clean.store.read("parsed", None)
+    )
+    assert [
+        (e["repository"], e["doi"], e["ret"]) for e in resumed.store.read("assessed", None)
+    ] == [(e["repository"], e["doi"], e["ret"]) for e in clean.store.read("assessed", None)]
+    for name in REPORT_FILES:
+        assert (resumed.run_dir / name).read_bytes() == (
+            clean.run_dir / name
+        ).read_bytes()
+
+
+def test_a_store_version_2_run_directory_is_refused(tmp_path, capsys):
+    config = RunConfig(out=str(tmp_path / "runs"), run_id="older")
+    run = PipelineRun(config)
+    document = json.loads(manifest_path(run.run_dir).read_text(encoding="utf-8"))
+    document["store_version"] = 2
+    manifest_path(run.run_dir).write_text(json.dumps(document), encoding="utf-8")
+    # version 2 kept one parsed partition per repository
+    partition = run.run_dir / "catalogue" / "parsed" / "older.ndjson"
+    partition.parent.mkdir(parents=True)
+    partition.write_text('{"doi": "10.1/x", "repository": "older"}\n', encoding="utf-8")
+    config_file = tmp_path / "older.json"
+    config_file.write_text(json.dumps({"run_id": "older"}), encoding="utf-8")
+    code = main(
+        ["run-all", "--config", str(config_file), "--out", str(tmp_path / "runs")]
+    )
+    assert code == 2
+    assert "store version 2" in capsys.readouterr().err
+    assert load_manifest(run.run_dir).store_version == 2
+    assert [p.name for p in partition.parent.iterdir()] == ["older.ndjson"]
 
 
 def test_report_names_truncated_repositories_from_the_catalogue(

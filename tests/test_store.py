@@ -1,4 +1,4 @@
-"""Catalogue partitions, crash repair, and the run manifest."""
+"""Catalogue partitions and ledgers, crash repair, and the run manifest."""
 
 from __future__ import annotations
 
@@ -41,15 +41,69 @@ def test_partition_names_survive_awkward_repositories(tmp_path):
     store = CatalogueStore(tmp_path)
     names = ["plain", "with space", "slash/inside", "ümlaut-ärchive", "a:b?c"]
     for name in names:
+        store.append("raw", name, {"repo": name})
         store.append("parsed", name, {"repo": name})
     store.close_all()
-    assert store.partitions("parsed") == sorted(names)
-    for name in names:
-        assert [r["repo"] for r in store.read("parsed", name)] == [name]
-    # one file per repository, all inside the stage directory
-    stage_dir = tmp_path / "catalogue" / "parsed"
-    assert len(list(stage_dir.iterdir())) == len(names)
-    assert all("/" not in p.name[:-len(".ndjson")] for p in stage_dir.iterdir())
+    for stage in ("raw", "parsed"):
+        assert store.partitions(stage) == sorted(names)
+        for name in names:
+            assert [r["repo"] for r in store.read(stage, name)] == [name]
+    # raw: one file per repository, its quoted name inside the stage directory
+    raw_dir = tmp_path / "catalogue" / "raw"
+    assert len(list(raw_dir.iterdir())) == len(names)
+    assert all("/" not in p.name[:-len(".ndjson")] for p in raw_dir.iterdir())
+    # a ledger: one file, each line naming its repository as a JSON field
+    ledger = tmp_path / "catalogue" / "parsed" / "all.ndjson"
+    assert [p.name for p in ledger.parent.iterdir()] == ["all.ndjson"]
+    assert [json.loads(line) for line in ledger.read_text("utf-8").splitlines()] == [
+        {"repo": name, "repository": name} for name in names
+    ]
+    assert [r["repository"] for r in store.read("parsed", None)] == names
+
+
+def test_a_ledger_is_one_handle_for_every_repository(tmp_path):
+    store = CatalogueStore(tmp_path)
+    store.append("assessed", "a", {"n": 1})
+    handle = store._partition("assessed", "a").handle
+    store.append("assessed", "b", {"n": 2, "repository": "b"})
+    assert store._partition("assessed", "b").handle is handle
+    store.close_all()
+    assert handle.closed
+    assert list(store.read("assessed", None)) == [
+        {"n": 1, "repository": "a"},
+        {"n": 2, "repository": "b"},
+    ]
+    assert list(store.read("assessed", "b")) == [{"n": 2, "repository": "b"}]
+    with pytest.raises(StoreError):
+        list(store.read("raw", None))
+
+
+def test_interleaved_ledger_appends_keep_each_repositorys_order(tmp_path):
+    store = CatalogueStore(tmp_path)
+    repositories = {0: ["a", "b", "c"], 1: ["d", "e"]}
+
+    def writer(worker: int) -> None:
+        for attempt in range(40):
+            for name in repositories[worker]:
+                store.append("harvested", name, {"attempt": attempt})
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in repositories]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    store.close_all()
+    lines = list(store.read("harvested", None))
+    assert len(lines) == 40 * 5
+    last: dict[str, int] = {}
+    for line in lines:
+        last[line["repository"]] = line["attempt"]
+    # the last line of each repository is its last append
+    assert last == dict.fromkeys("abcde", 39)
+    for name in "abcde":
+        assert [
+            line["attempt"] for line in lines if line["repository"] == name
+        ] == list(range(40))
 
 
 def test_reader_drops_truncated_tail(tmp_path):
