@@ -15,11 +15,13 @@ import ssl
 import subprocess
 import sys
 import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPException, HTTPResponse, InvalidURL
 from http.cookiejar import CookieJar
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator
 from urllib.parse import urlencode, urlsplit
 
 import pytest
@@ -27,10 +29,10 @@ import requests
 from requests.structures import CaseInsensitiveDict
 from requests.utils import get_encoding_from_headers
 
-from fairprobe import http, mockrdr, oaipmh, pipeline, registry
+from fairprobe import __version__, http, mockrdr, oaipmh, pipeline, registry
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
-from fairprobe.probe import f_ret
+from fairprobe.probe import ProbeTrace, f_ret
 
 from open_files import needs_proc, sockets_to
 
@@ -58,6 +60,14 @@ def list_formats(endpoint: str, session=None) -> list[str]:
     config = RunConfig(timeout=5.0, politeness_delay=0.0)
     formats = oaipmh.list_metadata_formats(endpoint, config, session=session)
     return [info.prefix for info in formats]
+
+
+def reference_session() -> requests.Session:
+    """A plain requests session that sends fairprobe's User-Agent, so that
+    every other byte of a request can be compared with what it sends."""
+    session = requests.Session()
+    session.headers["User-Agent"] = http.USER_AGENT
+    return session
 
 
 def probe(resolver: str) -> bool:
@@ -103,7 +113,7 @@ def test_a_probe_hop_sends_what_a_session_sends(scripted_http, clean_env, tmp_pa
     finally:
         sessions.close()
     # how a probe hop was sent through requests
-    with requests.Session() as reference:
+    with reference_session() as reference:
         reference.get(
             url,
             headers={"Accept": "image/*"},
@@ -187,22 +197,12 @@ class Wire(ThreadingHTTPServer):
 
 
 @pytest.fixture
-def wire():
-    """Loopback HTTP/1.1 servers that keep connections alive.
+def serve():
+    """Runs each ``socketserver`` server given to it on a thread of its own;
+    shuts every one down after the test."""
+    running: list[tuple[socketserver.BaseServer, threading.Thread]] = []
 
-    ``wire(replies)`` starts one. It answers each request, a CONNECT too,
-    with the next (status, header lines, body) of ``replies``, the last one
-    repeating, and logs it in ``server.log`` as (connection number, request
-    line, header lines in wire order). A reply gets a Content-Length line
-    unless it has a Transfer-Encoding line. With ``hang_up`` the server
-    closes each connection after one reply, without a ``Connection: close``
-    line; ``server.closed`` is released whenever it closes one. With a
-    ``barrier`` each reply waits for it.
-    """
-    running: list[tuple[Wire, threading.Thread]] = []
-
-    def launch(replies, hang_up: bool = False, barrier=None) -> Wire:
-        server = Wire(replies, hang_up, barrier)
+    def launch(server):
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
@@ -217,11 +217,31 @@ def wire():
         server.server_close()
 
 
+@pytest.fixture
+def wire(serve):
+    """Loopback HTTP/1.1 servers that keep connections alive.
+
+    ``wire(replies)`` starts one. It answers each request, a CONNECT too,
+    with the next (status, header lines, body) of ``replies``, the last one
+    repeating, and logs it in ``server.log`` as (connection number, request
+    line, header lines in wire order). A reply gets a Content-Length line
+    unless it has a Transfer-Encoding line. With ``hang_up`` the server
+    closes each connection after one reply, without a ``Connection: close``
+    line; ``server.closed`` is released whenever it closes one. With a
+    ``barrier`` each reply waits for it.
+    """
+
+    def launch(replies, hang_up: bool = False, barrier=None) -> Wire:
+        return serve(Wire(replies, hang_up, barrier))
+
+    return launch
+
+
 def sent_as_a_session_sends(servers: dict[str, Wire], urls: list[str]) -> dict:
     """GET each of ``urls`` with ``Sessions.get`` and then with a plain
-    ``requests.Session``; assert that ``servers`` saw the same request lines
-    and header lines from both, and that the same URLs failed. Returns what
-    the servers saw."""
+    ``requests.Session`` that sends fairprobe's User-Agent; assert that
+    ``servers`` saw the same request lines and header lines from both, and
+    that the same URLs failed. Returns what the servers saw."""
 
     def send_all(send, errors) -> tuple[list[str], dict[str, list]]:
         failed = []
@@ -241,7 +261,7 @@ def sent_as_a_session_sends(servers: dict[str, Wire], urls: list[str]) -> dict:
         ours = send_all(lambda url: sessions.get(url, None, 5.0), http.REQUEST_ERRORS)
     finally:
         sessions.close()
-    with requests.Session() as session:
+    with reference_session() as session:
         reference = send_all(
             lambda url: session.get(url, timeout=5.0), requests.RequestException
         )
@@ -510,7 +530,7 @@ def test_an_oai_request_goes_on_the_wire_as_a_session_sends_it(
         endpoint, "datacite", config, lambda body, records: None,
         after=oaipmh.HarvestSummary(token=TOKEN),
     )
-    with requests.Session() as reference:
+    with reference_session() as reference:
         reference.get(
             endpoint,
             params={"verb": "ListRecords", "resumptionToken": TOKEN},
@@ -820,13 +840,26 @@ def test_a_target_with_a_control_character_or_space_is_refused(target):
         http._request_head(target, "h", {})
 
 
+def request_heads(rfile) -> Iterator[str]:
+    """The request target of each request head that arrives on ``rfile``,
+    until the client closes the connection."""
+    try:
+        while line := rfile.readline():  # a request line
+            while rfile.readline() not in (b"\r\n", b""):
+                pass
+            yield line.split()[1].decode()
+    except ConnectionResetError:  # the client closed it with a reply unread
+        return
+
+
 class RawOrigin(socketserver.ThreadingTCPServer):
     """A loopback origin that answers each request head with ``reply`` in
-    one write, and logs each request's connection number."""
+    one write, and logs each request's connection number. With ``hang_up``
+    it closes each connection after one reply."""
 
     daemon_threads = True
 
-    def __init__(self, reply: bytes):
+    def __init__(self, reply: bytes, hang_up: bool = False):
         self.log: list[int] = []
         connections = itertools.count()
         log = self.log
@@ -834,32 +867,195 @@ class RawOrigin(socketserver.ThreadingTCPServer):
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 number = next(connections)
-                while self.rfile.readline():  # a request line
-                    while self.rfile.readline() not in (b"\r\n", b""):
-                        pass
+                for _ in request_heads(self.rfile):
                     log.append(number)
                     self.wfile.write(reply)
+                    if hang_up:
+                        return
 
         super().__init__(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
 
 
-def test_a_connection_with_bytes_beyond_the_reply_is_not_reused(clean_env):
-    server = RawOrigin(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA")
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
+def test_a_connection_with_bytes_beyond_the_reply_is_not_reused(serve, clean_env):
+    server = serve(RawOrigin(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA"))
     sessions = http.Sessions()
     try:
         replies = [sessions.get(server.url + "/x", None, 5.0) for _ in range(2)]
     finally:
         sessions.close()
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
     assert [(reply.status, reply.data) for reply in replies] == [(200, b"ok")] * 2
     assert server.log == [0, 1]
+
+
+def verdict(result: tuple[bool, ProbeTrace]) -> tuple:
+    """A probe's verdict and trace, each URL as its path and the elapsed
+    time left out."""
+    retrievable, trace = result
+    steps = [
+        (urlsplit(step.url).path, step.status, step.content_type, step.link_header)
+        for step in trace.steps
+    ]
+    return retrievable, trace.outcome, trace.reason, steps
+
+
+def raw_reply(status: str, fields: str, body: bytes) -> bytes:
+    return f"HTTP/1.1 {status}\r\n{fields}\r\n".encode() + body
+
+
+def sized(status: str, content_type: str, body: bytes) -> bytes:
+    return raw_reply(
+        status, f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n", body
+    )
+
+
+LANDING = sized("200 OK", "text/html", b"<p>landing</p>")
+NO_IMAGE = (False, "no-image-content-type")
+NON_200 = (False, "non-200")
+# case: (the reply, whether the server hangs up after it, whether the
+# probe's connection carries the next probe, each probe's verdict and reason)
+READ_RULE = {
+    "landing page": (LANDING, False, True, NO_IMAGE),
+    "landing page with Link": (
+        raw_reply(
+            "200 OK",
+            'Content-Type: text/html; charset=utf-8\r\nLink: <a.png>; type="image/png"\r\n'
+            "Content-Length: 14\r\n",
+            b"<p>landing</p>",
+        ),
+        False, True, (False, "no-link-match"),
+    ),
+    "404": (sized("404 Not Found", "text/plain", b"no such DOI"), False, True, NON_200),
+    "406": (sized("406 Not Acceptable", "text/html", b"no image"), False, True, NON_200),
+    "body at the bound": (
+        sized("200 OK", "text/html", b"x" * http.DRAIN_BOUND), False, True, NO_IMAGE
+    ),
+    "image": (sized("200 OK", "image/png", b"png"), False, False, (True, None)),
+    "chunked": (
+        raw_reply("200 OK", "Content-Type: text/html\r\nTransfer-Encoding: chunked\r\n",
+                  chunked(b"<p>landing</p>")),
+        False, False, NO_IMAGE,
+    ),
+    "close-delimited": (
+        raw_reply("200 OK", "Content-Type: text/html\r\n", b"<p>landing</p>"),
+        True, False, NO_IMAGE,
+    ),
+    "body past the bound": (
+        sized("200 OK", "text/html", b"x" * (http.DRAIN_BOUND + 1)), False, False, NO_IMAGE
+    ),
+    "Connection: close": (
+        raw_reply("200 OK", "Content-Type: text/html\r\nConnection: close\r\n"
+                  "Content-Length: 14\r\n", b"<p>landing</p>"),
+        False, False, NO_IMAGE,
+    ),
+    "body that ends short": (LANDING[:-4], True, False, NO_IMAGE),
+}
+
+
+@pytest.mark.parametrize("case", READ_RULE)
+def test_a_probe_keeps_its_connection_only_after_a_small_reply_that_is_not_an_image(
+    serve, clean_env, case
+):
+    reply, hang_up, kept, (retrievable, reason) = READ_RULE[case]
+    server = serve(RawOrigin(reply, hang_up))
+    config = RunConfig(doi_resolver=server.url + "/resolve/", timeout=5.0, per_host_delay=0.0)
+    sessions = http.Sessions()
+    try:
+        traces = [
+            f_ret(DataciteRecord(doi=doi), config, session=sessions)
+            for doi in ("10.9/a", "10.9/b")
+        ]
+    finally:
+        sessions.close()
+    assert server.log == ([0, 0] if kept else [0, 1])
+    # the verdicts do not depend on how the reply ended
+    for found, trace in traces:
+        assert (found, trace.reason) == (retrievable, reason)
+
+
+class TrickleOrigin(socketserver.ThreadingTCPServer):
+    """A loopback origin that answers ``GET /image`` with an image, and any
+    other request with ``head`` and then ``piece`` every quarter of a
+    second for four seconds, after which it closes the connection."""
+
+    daemon_threads = True
+
+    def __init__(self, head: bytes, piece: bytes):
+        stopped = self.stopped = threading.Event()
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                for target in request_heads(self.rfile):
+                    if target == "/image":
+                        self.wfile.write(sized("200 OK", "image/png", b"png"))
+                        continue
+                    try:
+                        self.wfile.write(head)
+                        for _ in range(16):
+                            if stopped.wait(0.25):
+                                return
+                            self.wfile.write(piece)
+                    except OSError:  # the client closed the connection
+                        pass
+                    return
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+    def server_close(self) -> None:
+        self.stopped.set()
+        super().server_close()
+
+
+TRICKLES = {
+    "chunks that never end": (
+        b"HTTP/1.1 302 Found\r\nLocation: /image\r\nTransfer-Encoding: chunked\r\n\r\n",
+        b"5\r\nmoved\r\n",
+    ),
+    "a declared length trickled": (
+        b"HTTP/1.1 302 Found\r\nLocation: /image\r\nContent-Length: 60000\r\n\r\n",
+        b"x" * 100,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRICKLES)
+def test_a_redirect_body_holds_a_request_for_at_most_its_timeout(serve, wire, clean_env, case):
+    timeout = 0.5
+    trickle = serve(TrickleOrigin(*TRICKLES[case]))
+    moved = (302, [("Location", "/image")], b"moved")
+    well_behaved = wire([moved, (200, [("Content-Type", "image/png")], b"png")])
+
+    def probe_of(server) -> tuple[tuple, float]:
+        config = RunConfig(
+            doi_resolver=server.url + "/resolve/", timeout=timeout, per_host_delay=0.0
+        )
+        started = time.monotonic()
+        result = f_ret(DataciteRecord(doi="10.9/x"), config)
+        return verdict(result), time.monotonic() - started
+
+    found, took = probe_of(trickle)
+    assert took < timeout + 1.0
+    assert found == probe_of(well_behaved)[0]
+    assert found[:3] == (True, "client_negotiated", None)
+    sessions = http.Sessions()
+    try:
+        started = time.monotonic()
+        reply = sessions.get(trickle.url + "/resolve/10.9/x", None, timeout)
+        took = time.monotonic() - started
+    finally:
+        sessions.close()
+    assert (reply.status, reply.data) == (200, b"png")
+    assert took < timeout + 1.0
+
+
+def test_every_request_names_fairprobe_as_its_user_agent(scripted_http, clean_env):
+    headers = []
+    origin = scripted_http([FORMATS_REPLY, IMAGE_REPLY], None, headers)
+    assert list_formats(origin + "/oai") == ["datacite"]
+    assert probe(origin + "/resolve/")
+    user_agent = f"fairprobe/{__version__}"
+    assert [header_values(lines, "User-Agent") for lines in headers] == [[user_agent]] * 2
 
 
 def read_with_http_client(sock: socket.socket):
