@@ -20,24 +20,26 @@ from .store import manifest_path, write_ndjson
 logger = logging.getLogger(__name__)
 
 
+# every setting's built-in value, for the help texts
+_DEFAULTS = RunConfig()
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory for runs")
     parser.add_argument("--workers-harvest", type=int, metavar="N",
-                        help="harvest worker pool size (default 4)")
+                        help="harvest worker pool size "
+                        f"(default {_DEFAULTS.workers_harvest})")
     parser.add_argument("--workers-select", type=int, metavar="N",
-                        help="provider selection pool size (default 12)")
+                        help="provider selection pool size "
+                        f"(default {_DEFAULTS.workers_select})")
     parser.add_argument("--workers-probe", type=int, metavar="N",
-                        help="retrieval probe pool size (default 34)")
+                        help="retrieval probe pool size "
+                        f"(default {_DEFAULTS.workers_probe})")
     parser.add_argument("--timeout", type=float, metavar="SECONDS",
-                        help="HTTP request timeout (default 20)")
-    parser.add_argument("--retries", type=int, metavar="N",
-                        help="retries of an OAI request after a timeout, a transport "
-                        "error or a non-200 reply other than 503 (default 1)")
-    parser.add_argument("--max-pages", type=int, metavar="N",
-                        help="page cap per harvest, for testing")
+                        help=f"HTTP request timeout (default {_DEFAULTS.timeout:g})")
     parser.add_argument("--doi-resolver", metavar="URL",
-                        help="DOI resolver base (default https://doi.org/)")
+                        help=f"DOI resolver base (default {_DEFAULTS.doi_resolver})")
     parser.add_argument("--geo-require-coordinates", action="store_true",
                         default=None,
                         help="only coordinate locations satisfy the geo criterion")
@@ -93,8 +95,9 @@ def main(argv: list[str] | None = None) -> int:
                               help="offline seed file (registry_id|name|kind=url;...)")
     registry_cmd.add_argument("--out", metavar="FILE", default="repos.ndjson",
                               help="where to write the descriptor list")
-    registry_cmd.add_argument("--timeout", type=float, default=20.0,
-                              metavar="SECONDS", help="HTTP request timeout")
+    registry_cmd.add_argument("--timeout", type=float, default=_DEFAULTS.timeout,
+                              metavar="SECONDS", help="HTTP request timeout "
+                              f"(default {_DEFAULTS.timeout:g})")
 
     run_all_cmd = commands.add_parser(
         "run-all", help="execute the whole workflow and render the report"

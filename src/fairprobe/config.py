@@ -40,16 +40,11 @@ class RunConfig:
     workers_select: int = 12
     workers_probe: int = 34
     timeout: float = 20.0
-    retries: int = 1
-    max_pages: int | None = None
     doi_resolver: str = "https://doi.org/"
     geo_require_coordinates: bool = False
     allow_seed_fallback: bool = False
-    # partial predecessors block a step only when this is switched off
-    allow_partial: bool = True
     politeness_delay: float = 1000.0  # ms between requests to one endpoint
     per_host_delay: float = 1000.0  # ms between probe requests to one host
-    max_redirects: int = 10
     detail_workers: int = 4
 
     def __post_init__(self) -> None:
@@ -60,22 +55,18 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# each field's annotation: "int", "float", "bool" or "str", maybe "| None"
+# each field's annotation: "int", "float", "bool", "str" or "str | None"
 _TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-# the smallest value each bounded setting may take (an unset max_pages is no
-# cap); timeout must exceed 0
+# the smallest value each bounded setting may take; timeout must exceed 0
 _AT_LEAST = {
-    "max_pages": 1,
     "workers_harvest": 1,
     "workers_select": 1,
     "workers_probe": 1,
     "detail_workers": 1,
-    "retries": 0,
-    "max_redirects": 1,
     "politeness_delay": 0.0,
     "per_host_delay": 0.0,
 }
@@ -87,8 +78,7 @@ def _convert(key: str, value: Any) -> Any:
         value = value.strip()
     if kind.endswith(" | None"):
         kind = kind.removesuffix(" | None")
-        # "none" unsets a number; for a string it is a value like any other
-        if value is None or value == "" or (value == "none" and kind != "str"):
+        if value is None or value == "":
             return None
     if kind == "bool":
         if isinstance(value, bool):
@@ -115,7 +105,7 @@ def _checked(key: str, value: Any) -> Any:
         raise ConfigError(f"{key}: {exc}") from exc
     if key == "timeout" and not value > 0:
         raise ConfigError(f"{key}: {value!r} must be greater than 0")
-    if key in _AT_LEAST and value is not None and not value >= _AT_LEAST[key]:
+    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
         raise ConfigError(f"{key}: {value!r} must be at least {_AT_LEAST[key]}")
     return value
 

@@ -560,9 +560,9 @@ def _drained(conn: _Conn, head: _Head, timeout: float) -> bool:
     return True
 
 
-def _is_image(content_type: str | None) -> bool:
-    """Whether a Content-Type names an image, tested as a probe tests it:
-    the media type without parameters, lowercased, starts with ``image/``."""
+def is_image(content_type: str | None) -> bool:
+    """Whether a Content-Type names an image: the media type without
+    parameters, lowercased, starts with ``image/``."""
     return bool(content_type) and (
         content_type.split(";", 1)[0].strip().lower().startswith("image/")
     )
@@ -677,7 +677,7 @@ class Sessions:
         else:
             # the reply stands whether or not its body arrives in time; a body
             # that does not costs its connection, not the request
-            drain = redirect or not _is_image(reply.headers.get("Content-Type"))
+            drain = redirect or not is_image(reply.headers.get("Content-Type"))
             if drain and _drained(conn, head, timeout):
                 self._checkin(route, conn, head.will_close)
             else:

@@ -1,11 +1,10 @@
 """OAI-PMH 2.0 client: format discovery and resumption-token harvesting.
 
-Recovery is deliberately minimal and bounded: ``retries`` retries (one by
-default) after a timeout, a transport failure or a non-200 reply other than
-a 503 with a positive Retry-After, one full-chain restart after a bad
-resumption token, and 503 flow control honoured only up to the request
-timeout. Anything beyond that ends the harvest as partial with honest
-counts rather than guessing.
+Recovery is deliberately minimal and bounded: one retry after a timeout, a
+transport failure or a non-200 reply other than a 503 with a positive
+Retry-After, one full-chain restart after a bad resumption token, and 503
+flow control honoured only up to the request timeout. Anything beyond that
+ends the harvest as partial with honest counts rather than guessing.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from .throttle import HostGate
 from .xmltree import child, children, local_name
 
 logger = logging.getLogger(__name__)
+
+ATTEMPTS = 2  # of one OAI request: the first and one retry
 
 
 class OaiError(Exception):
@@ -109,12 +110,12 @@ def _request(
     gate: HostGate,
     sessions: http.Sessions,
 ) -> http.Reply:
-    """One OAI request with bounded retries and 503 flow control.
+    """One OAI request with one retry and 503 flow control.
 
     Politeness is per endpoint: one in-flight request and a minimum delay
     between request starts, independent of other endpoints on the host.
     """
-    attempts = 1 + config.retries
+    attempts = ATTEMPTS
     waited_503 = 0.0
     last_error: Exception | None = None
     while attempts > 0:
@@ -300,14 +301,12 @@ def harvest_records(
 
     A chain may be walked in two calls: ``first_page_only`` ends the first
     call after page 1, with the next resumption token in the summary, and
-    ``after`` (that summary) continues from the token. ``config.max_pages``
-    applies to the whole chain, and so does the one bad-token restart, which
-    the second call is the only one to need; the returned summary counts
-    only this call's pages.
+    ``after`` (that summary) continues from the token. The one bad-token
+    restart applies to the whole chain, and the second call is the only one
+    to need it; the returned summary counts only this call's pages.
     """
     gate = gate or HostGate(config.politeness_delay)
     seen = set() if seen is None else seen
-    earlier = after or HarvestSummary()
     summary = HarvestSummary()
     restart_budget = 1
     first_page_params = {"verb": "ListRecords", "metadataPrefix": prefix}
@@ -320,16 +319,6 @@ def harvest_records(
 
     with http.scope(session) as sessions:
         while True:
-            if (
-                config.max_pages is not None
-                and earlier.pages + summary.pages >= config.max_pages
-            ):
-                logger.warning(
-                    "%s: page cap %d reached, harvest is partial",
-                    endpoint,
-                    config.max_pages,
-                )
-                return summary
             try:
                 reply = _request(endpoint, params, config, gate, sessions)
             except EndpointUnresponsiveError as exc:

@@ -124,7 +124,7 @@ class PipelineRun:
         status = self.manifest.status(step - 1)
         if status == STATUS_COMPLETE:
             return
-        if status == STATUS_PARTIAL and self.config.allow_partial:
+        if status == STATUS_PARTIAL:
             logger.warning(
                 "step %d starts on a partial step %d; results will reflect "
                 "the incomplete predecessor",

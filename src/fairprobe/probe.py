@@ -36,6 +36,10 @@ REASON_NO_LINK_MATCH = "no-link-match"
 REASON_TRANSPORT = "transport"
 REASON_NON_200 = "non-200"
 
+# redirects a probe follows in one chain; ``http.MAX_REDIRECTS`` bounds the
+# registry's and OAI-PMH's chains
+REDIRECT_BUDGET = 10
+
 
 @dataclass
 class ProbeStep:
@@ -58,12 +62,6 @@ class ProbeTrace:
 def _bare_type(value: str) -> str:
     """Media type without parameters, trimmed; case preserved."""
     return value.split(";", 1)[0].strip()
-
-
-def _is_image_type(value: str | None) -> bool:
-    if not value:
-        return False
-    return _bare_type(value).lower().startswith("image/")
 
 
 def _core_fetch(
@@ -100,7 +98,7 @@ def _follow_chain(
     None exactly when the chain ended in some non-3xx status.
     """
     url = start_url
-    redirects_left = config.max_redirects
+    redirects_left = REDIRECT_BUDGET
     while True:
         try:
             reply = _core_fetch(url, accept, config, gate, sessions, cookies)
@@ -190,7 +188,7 @@ def f_ret(
             )
 
             if reply is not None and reason is None:
-                if reply.status == 200 and _is_image_type(
+                if reply.status == 200 and http.is_image(
                     reply.headers.get("Content-Type")
                 ):
                     trace.outcome = OUTCOME_CLIENT

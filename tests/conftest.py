@@ -44,7 +44,6 @@ def make_config(tmp_path):
             doi_resolver=hub.resolver_base,
             out=str(tmp_path / "runs"),
             timeout=5.0,
-            retries=1,
             politeness_delay=0.0,
             per_host_delay=0.0,
             workers_probe=8,

@@ -190,7 +190,6 @@ def test_criterion_3_randomised_landscapes(tmp_path, serve_script):
                 doi_resolver=hub.resolver_base,
                 out=str(tmp_path / f"round-{round_number}"),
                 timeout=5.0,
-                retries=1,
                 politeness_delay=0.0,
                 per_host_delay=0.0,
                 workers_probe=8,
@@ -249,7 +248,6 @@ def test_criterion_4_protocol_resilience(tmp_path, serve_script):
             doi_resolver=hub.resolver_base,
             out=str(tmp_path / "runs"),
             timeout=0.5,
-            retries=1,
             politeness_delay=0.0,
             per_host_delay=0.0,
         )
@@ -313,7 +311,6 @@ def test_criterion_5_probe_decision_matrix(serve_script):
         )
         config = RunConfig(
             doi_resolver=hub.resolver_base,
-            max_redirects=4,
             timeout=2.0,
             per_host_delay=0.0,
         )
@@ -347,9 +344,7 @@ def test_criterion_5_probe_decision_matrix(serve_script):
             dead = f"http://127.0.0.1:{sock.getsockname()[1]}/resolve/"
         ok, trace = f_ret(
             DataciteRecord(doi="10.82/dark", formats=["image/png"]),
-            RunConfig(
-                doi_resolver=dead, max_redirects=4, timeout=0.5, per_host_delay=0.0
-            ),
+            RunConfig(doi_resolver=dead, timeout=0.5, per_host_delay=0.0),
         )
         assert (ok, trace.outcome, trace.reason) == (False, "failed", "transport")
         assert [s.status for s in trace.steps] == [0]
@@ -423,14 +418,16 @@ def test_criterion_7_truncated_corpus_is_flagged_and_exact(
 ):
     with criterion(7, "truncated harvest: flagged, and scored over what exists"):
         script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
+        # an unparseable page 2 ends each multi-page harvest after page 1
+        for repo in script.repositories:
+            if repo.pages() > 1:
+                repo.faults.append(mockrdr.Fault(kind="malformed", page=2))
         hub = serve_script(script)
         config = RunConfig(
             registry_url=hub.registry_url,
             doi_resolver=hub.resolver_base,
             out=str(tmp_path / "runs"),
             timeout=5.0,
-            retries=1,
-            max_pages=1,
             politeness_delay=0.0,
             per_host_delay=0.0,
             workers_probe=8,

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from fairprobe import mockrdr
 from fairprobe.cli import main
+from fairprobe.config import RunConfig
 from fairprobe.store import load_manifest, read_ndjson
 
 
@@ -91,14 +93,37 @@ def test_stepping_to_the_end_writes_the_report(tmp_path, small_hub):
 def test_step_flags_override_config(tmp_path, small_hub):
     out = tmp_path / "runs"
     config_file = write_config(tmp_path, small_hub)
-    assert main(["step", "1", "--config", config_file, "--out", str(out)]) == 0
-    assert main(["step", "2", "--config", config_file, "--out", str(out)]) == 0
     assert main([
-        "step", "3", "--config", config_file, "--out", str(out),
-        "--max-pages", "1",
+        "step", "1", "--config", config_file, "--out", str(out),
+        "--timeout", "7", "--workers-probe", "3",
     ]) == 0
-    manifest = load_manifest(run_dirs(out)[0])
-    assert manifest.status(3) == "partial"
+    snapshot = load_manifest(run_dirs(out)[0]).config_snapshot
+    assert (snapshot["timeout"], snapshot["workers_probe"]) == (7.0, 3)
+
+
+@pytest.mark.parametrize("flag", ["--max-pages", "--retries"])
+def test_a_removed_flag_is_a_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run-all", "--out", str(tmp_path / "runs"), flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_texts_name_the_built_in_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["run-all", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = RunConfig()
+    for flag, value in [
+        ("--workers-harvest N", defaults.workers_harvest),
+        ("--workers-select N", defaults.workers_select),
+        ("--workers-probe N", defaults.workers_probe),
+        ("--timeout SECONDS", f"{defaults.timeout:g}"),
+        ("--doi-resolver URL", defaults.doi_resolver),
+    ]:
+        assert re.search(rf"{flag} [^(]*\(default {re.escape(str(value))}\)", text), flag
+    assert "--max-pages" not in text and "--retries" not in text
 
 
 def test_step_without_any_run_is_an_error(tmp_path, capsys):
@@ -157,10 +182,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_removed_setting_in_the_config_file_exits_2(tmp_path, capsys):
+    old = tmp_path / "old.conf"
+    old.write_text("max_pages = none\n", encoding="utf-8")
+    code = main(["run-all", "--config", str(old), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert "error: unknown configuration key 'max_pages'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_out_of_range_setting_exits_before_the_run_starts(tmp_path, small_hub, capsys):
     out = tmp_path / "runs"
-    config_file = write_config(tmp_path, small_hub, max_redirects=0)
+    config_file = write_config(tmp_path, small_hub, workers_probe=0)
     code = main(["run-all", "--config", config_file, "--out", str(out)])
     assert code == 2
-    assert "error: max_redirects" in capsys.readouterr().err
+    assert "error: workers_probe" in capsys.readouterr().err
     assert not out.exists()

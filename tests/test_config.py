@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,14 +30,11 @@ def test_defaults():
     assert config.workers_select == 12
     assert config.workers_probe == 34
     assert config.timeout == 20.0
-    assert config.retries == 1
-    assert config.max_pages is None
     assert config.doi_resolver == "https://doi.org/"
     assert config.geo_require_coordinates is False
-    assert config.allow_partial is True
     assert config.politeness_delay == 1000.0
     assert config.per_host_delay == 1000.0
-    assert config.max_redirects == 10
+    assert len(fields(RunConfig)) == 14
 
 
 def test_key_value_file(tmp_path):
@@ -47,7 +46,7 @@ def test_key_value_file(tmp_path):
                 "",
                 "timeout = 7.5",
                 "workers_harvest=2",
-                "max_pages = 3",
+                "detail_workers = 3",
                 "geo_require_coordinates = yes",
                 "registry_url = http://registry.example",
             ]
@@ -58,7 +57,7 @@ def test_key_value_file(tmp_path):
     config = build_config(config_file=path, environ={})
     assert config.timeout == 7.5
     assert config.workers_harvest == 2
-    assert config.max_pages == 3
+    assert config.detail_workers == 3
     assert config.geo_require_coordinates is True
     assert config.registry_url == "http://registry.example"
 
@@ -69,8 +68,8 @@ def test_json_file(tmp_path):
         json.dumps(
             {
                 "timeout": 3.25,
-                "max_pages": None,
-                "allow_partial": False,
+                "run_id": None,
+                "allow_seed_fallback": True,
                 "seed_file": "seeds.txt",
             }
         ),
@@ -78,14 +77,14 @@ def test_json_file(tmp_path):
     )
     config = build_config(config_file=path, environ={})
     assert config.timeout == 3.25
-    assert config.max_pages is None
-    assert config.allow_partial is False
+    assert config.run_id is None
+    assert config.allow_seed_fallback is True
     assert config.seed_file == "seeds.txt"
 
 
 def test_precedence_file_env_cli(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("timeout=1\nretries=9\nout=file-out\n", encoding="utf-8")
+    path.write_text("timeout=1\nworkers_select=9\nout=file-out\n", encoding="utf-8")
     environ = {
         "FAIRPROBE_TIMEOUT": "2",
         "FAIRPROBE_OUT": "env-out",
@@ -98,7 +97,7 @@ def test_precedence_file_env_cli(tmp_path):
     )
     assert config.timeout == 3.0  # CLI beats environment
     assert config.out == "env-out"  # environment beats file
-    assert config.retries == 9  # file beats defaults
+    assert config.workers_select == 9  # file beats defaults
 
 
 def test_unknown_env_keys_are_ignored(caplog):
@@ -113,6 +112,18 @@ def test_unknown_file_key_is_an_error(tmp_path):
     path.write_text("not_a_setting=1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         build_config(config_file=path, environ={})
+
+
+@pytest.mark.parametrize("key", ["max_pages", "retries", "max_redirects", "allow_partial"])
+def test_a_removed_setting_is_an_unknown_key(tmp_path, caplog, key):
+    path = tmp_path / "run.conf"
+    path.write_text(f"{key} = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        build_config(config_file=path, environ={})
+    with caplog.at_level("WARNING"):
+        config = build_config(environ={"FAIRPROBE_" + key.upper(): "1"})
+    assert config == RunConfig()
+    assert any("FAIRPROBE_" + key.upper() in r.message for r in caplog.records)
 
 
 def test_malformed_file_line_is_an_error(tmp_path):
@@ -149,19 +160,13 @@ def test_broken_json_is_a_config_error(tmp_path):
     ],
 )
 def test_boolean_spellings(raw, expected):
-    config = apply_settings(RunConfig(), {"allow_partial": raw})
-    assert config.allow_partial is expected
+    config = apply_settings(RunConfig(), {"geo_require_coordinates": raw})
+    assert config.geo_require_coordinates is expected
 
 
 def test_bad_boolean_rejected():
     with pytest.raises(ConfigError):
-        apply_settings(RunConfig(), {"allow_partial": "maybe"})
-
-
-@pytest.mark.parametrize("raw", ["", "none", None])
-def test_max_pages_unset_spellings(raw):
-    config = apply_settings(RunConfig(max_pages=7), {"max_pages": raw})
-    assert config.max_pages is None
+        apply_settings(RunConfig(), {"geo_require_coordinates": "maybe"})
 
 
 def test_numeric_conversion_errors():
@@ -179,7 +184,7 @@ def test_empty_optional_strings_become_none():
 def test_snapshot_rebuilds_equal_config():
     config = apply_settings(
         RunConfig(),
-        {"timeout": "4", "max_pages": "2", "registry_url": "http://r.example"},
+        {"timeout": "4", "workers_probe": "2", "registry_url": "http://r.example"},
     )
     snap = json.loads(json.dumps(config.snapshot()))
     rebuilt = apply_settings(RunConfig(), snap)
@@ -188,9 +193,6 @@ def test_snapshot_rebuilds_equal_config():
 
 RANGES = {  # setting: (lowest value accepted, a value rejected)
     "timeout": (0.001, 0),
-    "max_pages": (1, 0),
-    "retries": (0, -1),
-    "max_redirects": (1, 0),
     "workers_harvest": (1, 0),
     "workers_select": (1, 0),
     "workers_probe": (1, 0),
@@ -218,9 +220,9 @@ def test_out_of_range_setting_is_a_config_error(key):
     "key,value",
     [
         ("workers_probe", 2.5),
-        ("max_pages", 1.5),
-        ("retries", True),
-        ("max_pages", False),
+        ("workers_harvest", 1.5),
+        ("workers_select", True),
+        ("detail_workers", False),
         ("timeout", True),
         ("per_host_delay", False),
     ],
@@ -235,14 +237,55 @@ def test_bool_or_fraction_for_a_number_is_a_config_error(tmp_path, key, value):
 
 
 def test_whole_float_for_an_int_setting_is_converted():
-    config = RunConfig(workers_probe=2.0, retries=0.0)
-    assert (config.workers_probe, config.retries) == (2, 0)
+    config = RunConfig(workers_probe=2.0, detail_workers=1.0)
+    assert (config.workers_probe, config.detail_workers) == (2, 1)
     assert type(config.workers_probe) is int
+
+
+# every setting perfbench/bench.py gives the benchmark's clients
+BENCHMARK_SETTINGS = {
+    "registry_url", "doi_resolver", "out", "timeout", "politeness_delay",
+    "per_host_delay", "workers_harvest", "workers_select", "workers_probe",
+    "detail_workers",
+}
+
+
+def test_the_benchmark_keeps_every_setting_it_sets(monkeypatch):
+    # run_config drops any key that is not a RunConfig field, so a removed
+    # field would change the benchmark's load without an error
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave it unwritten
+    try:
+        bench = importlib.import_module("bench")
+        settings = bench.run_config(
+            {"registry_url": "http://r.example", "resolver_base": "http://d.example/"},
+            Path("runs"),
+        )
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == perfbench:
+                del sys.modules[name]
+    assert set(settings) == BENCHMARK_SETTINGS
+    assert RunConfig(**settings).workers_probe == bench.WORKERS
+
+
+def readme_default(value) -> str:
+    """How the README's configuration table writes a default value."""
+    if value is None:
+        return "unset"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"`{value}`" if isinstance(value, str) else str(value)
 
 
 def test_readme_table_lists_every_setting():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
     section = section.split("\n## ")[0]
-    keys = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
-    assert keys == [f.name for f in fields(RunConfig)]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", section, flags=re.MULTILINE)
+    defaults = RunConfig()
+    assert rows == [
+        (f.name, readme_default(getattr(defaults, f.name)))
+        for f in fields(RunConfig)
+    ]

@@ -48,7 +48,6 @@ def run_scenario(scenario: str, out: Path) -> Path:
                 out=str(out),
                 run_id=RUN_ID,
                 timeout=5.0,
-                retries=1,
                 politeness_delay=0.0,
                 per_host_delay=0.0,
                 workers_probe=8,

@@ -12,6 +12,7 @@ import pytest
 from fairprobe import mockrdr
 from fairprobe.config import RunConfig
 from fairprobe.oaipmh import (
+    ATTEMPTS,
     HarvestSummary,
     MetadataFormatInfo,
     ProtocolError,
@@ -34,7 +35,7 @@ def make_repo(name="orchard", n=7, page_size=3, faults=(), records=None):
 
 
 def fast_config(**overrides) -> RunConfig:
-    settings = dict(timeout=5.0, retries=1, politeness_delay=0.0)
+    settings = dict(timeout=5.0, politeness_delay=0.0)
     settings.update(overrides)
     return RunConfig(**settings)
 
@@ -171,7 +172,7 @@ def test_timeout_exhaustion_gives_partial(serve_script):
         mockrdr.ScenarioScript(repositories=[repo], timeout_stall=1.2)
     )
     summary, got = harvest(
-        hub, repo.name, fast_config(timeout=0.4, retries=1)
+        hub, repo.name, fast_config(timeout=0.4)
     )
     assert not summary.completed
     assert summary.records == 3
@@ -194,22 +195,15 @@ def test_malformed_page_stops_the_chain(serve_script):
     assert summary.records == 3
 
 
-def test_page_cap_yields_partial(serve_script):
-    repo = make_repo(n=7, page_size=3)
-    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    summary, got = harvest(hub, repo.name, fast_config(max_pages=1))
-    assert not summary.completed
-    assert summary.pages == 1
-    assert summary.records == 3
-
-
 def test_seen_set_carries_across_calls(serve_script):
-    repo = make_repo(n=5, page_size=2)
+    repo = make_repo(
+        n=5, page_size=2, faults=[mockrdr.Fault(kind="malformed", page=3)]
+    )
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
     seen: set[str] = set()
     got: list[RawRecord] = []
     first = harvest_records(
-        hub.oai_endpoint(repo.name), "datacite", fast_config(max_pages=2),
+        hub.oai_endpoint(repo.name), "datacite", fast_config(),
         collect(got), seen=seen,
     )
     assert not first.completed and first.records == 4
@@ -245,19 +239,6 @@ def test_chain_walked_in_two_calls_matches_one_walk(serve_script):
     assert {r.oai_identifier for r in got} == expected_ids(repo)
     assert {r.source_endpoint for r in got} == {endpoint}
     assert len(hub.requests_to("/oai/")) == 3 + 3  # the one walk, then 1 + 2
-
-
-def test_page_cap_spans_both_calls_of_a_chain(serve_script):
-    repo = make_repo(n=7, page_size=3)
-    hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    endpoint = hub.oai_endpoint(repo.name)
-    config = fast_config(max_pages=2)
-    first = harvest_records(
-        endpoint, "datacite", config, discard, first_page_only=True
-    )
-    rest = harvest_records(endpoint, "datacite", config, discard, after=first)
-    assert (first.pages, rest.pages, rest.completed) == (1, 1, False)
-    assert len(hub.requests_to("/oai/")) == 2
 
 
 def test_expired_token_spends_the_one_restart(serve_script):
@@ -400,7 +381,7 @@ def test_estimate_list_size_variants(serve_script):
 
 
 def test_estimate_list_size_unreachable_is_unknown():
-    config = fast_config(timeout=0.3, retries=0)
+    config = fast_config(timeout=0.3)
     assert (
         estimate_list_size("http://127.0.0.1:9/oai", "datacite", config) is None
     )
@@ -532,13 +513,13 @@ def test_zero_retry_after_spends_an_attempt(scripted_http):
     targets = []
     busy = (503, {"Retry-After": "0"}, b"busy")
     base = scripted_http([busy] * 200, targets)
-    summary = harvest_records(base, "datacite", fast_config(retries=2), discard)
+    summary = harvest_records(base, "datacite", fast_config(), discard)
     assert not summary.completed
     assert summary.pages == 0
-    # 1 + retries attempts, each answered with an immediate retry
-    assert len(targets) == 3
+    # two attempts, each answered with an immediate retry
+    assert len(targets) == ATTEMPTS == 2
     base = scripted_http([busy, (200, {}, oai_body(OAI_RECORD))])
-    summary = harvest_records(base, "datacite", fast_config(retries=1), discard)
+    summary = harvest_records(base, "datacite", fast_config(), discard)
     assert summary.completed and summary.records == 1
 
 
@@ -551,7 +532,7 @@ def test_a_fractional_retry_after_spends_whole_seconds_of_the_budget(scripted_ht
     assert not summary.completed
     assert summary.pages == 0
     # each wait counts as 1 s against the 1 s budget
-    assert len(targets) <= config.timeout + config.retries + 1
+    assert len(targets) <= config.timeout + ATTEMPTS
 
 
 def test_transient_http_error_is_retried(scripted_http):
@@ -559,7 +540,7 @@ def test_transient_http_error_is_retried(scripted_http):
         [(500, {}, b"boom"), (200, {}, oai_body(OAI_RECORD))]
     )
     summary = harvest_records(
-        base, "datacite", fast_config(retries=1), discard
+        base, "datacite", fast_config(), discard
     )
     assert summary.completed
     assert summary.records == 1
@@ -568,7 +549,7 @@ def test_transient_http_error_is_retried(scripted_http):
 def test_persistent_http_error_exhausts_attempts(scripted_http):
     base = scripted_http([(500, {}, b"boom"), (500, {}, b"boom")])
     summary = harvest_records(
-        base, "datacite", fast_config(retries=1), discard
+        base, "datacite", fast_config(), discard
     )
     assert not summary.completed
     assert summary.pages == 0

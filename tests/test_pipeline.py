@@ -147,39 +147,43 @@ def test_steps_gate_on_their_predecessor(tmp_path):
         run.run_step(7)
 
 
-def test_partial_predecessor_needs_allow_partial(tmp_path):
-    config = RunConfig(out=str(tmp_path / "runs"), run_id="part", allow_partial=False)
+def test_partial_predecessor_runs_with_a_warning(tmp_path, caplog):
+    config = RunConfig(out=str(tmp_path / "runs"), run_id="part")
     run = PipelineRun(config)
     run.manifest.steps[3].status = STATUS_PARTIAL
     save_manifest(run.manifest, run.run_dir)
-    with pytest.raises(PredecessorIncompleteError):
-        run.run_step(4)
-    permissive = RunConfig(
-        out=str(tmp_path / "runs"), run_id="part", allow_partial=True
-    )
     # with no raw partitions the step has nothing to do, but it is allowed
-    manifest = PipelineRun(permissive).run_step(4)
+    with caplog.at_level("WARNING", logger="fairprobe.pipeline"):
+        manifest = PipelineRun(config).run_step(4)
     assert manifest.status(4) == STATUS_COMPLETE
+    assert "step 4 starts on a partial step 3" in caplog.text
 
 
-def test_page_cap_then_resume_completes_the_catalogue(
+def test_truncated_harvest_then_resume_completes_the_catalogue(
     fixtures_dir, serve_script, make_config
 ):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
+    # one unparseable page 2 ends each multi-page harvest after page 1, once
+    for repo in script.repositories:
+        if repo.pages() > 1:
+            repo.faults.append(mockrdr.Fault(kind="malformed", page=2))
     hub = serve_script(script)
-    capped = make_config(hub, run_id="resume-me", max_pages=1)
-    run = PipelineRun(capped)
+    config = make_config(hub, run_id="resume-me")
+    run = PipelineRun(config)
     run.run_step(1)
     run.run_step(2)
     run.run_step(3)
     assert run.manifest.status(3) == STATUS_PARTIAL
-    capped_counts = {
+    assert run.manifest.steps[3].detail["incomplete"] == [
+        "coastal-imagery", "survey-scans",
+    ]
+    truncated_counts = {
         name: len(raw_ids(run.store, name))
         for name in run.store.partitions("raw")
     }
-    assert capped_counts["coastal-imagery"] == 4  # page size, one page
+    assert truncated_counts["coastal-imagery"] == 4  # page size, one page
 
-    resumed = PipelineRun(make_config(hub, run_id="resume-me", max_pages=None))
+    resumed = PipelineRun(config)
     resumed.run_step(3)
     assert resumed.manifest.status(3) == STATUS_COMPLETE
     for repo in script.repositories:
@@ -502,15 +506,19 @@ def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_con
         name="halfway",
         records=[mockrdr.MockRecord(doi=f"10.27/{i}") for i in range(8)],
         page_size=2,
-        faults=[mockrdr.Fault(kind="badtoken", page=3)],
+        faults=[
+            mockrdr.Fault(kind="malformed", page=3),
+            mockrdr.Fault(kind="badtoken", page=3),
+        ],
     )
     hub = serve_script(mockrdr.ScenarioScript(repositories=[repo]))
-    first = PipelineRun(make_config(hub, run_id="halfway", max_pages=2))
+    config = make_config(hub, run_id="halfway")
+    first = PipelineRun(config)
     for step in (1, 2, 3):
         first.run_step(step)
     assert len(raw_ids(first.store, "halfway")) == 4
 
-    resumed = PipelineRun(make_config(hub, run_id="halfway", max_pages=None))
+    resumed = PipelineRun(config)
     resumed.run_step(3)
     assert resumed.manifest.status(3) == STATUS_COMPLETE
     # page 1 in pass 1; pages 2, rejected 3, then 1-4 in pass 2
@@ -519,20 +527,6 @@ def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_con
     }
     got = raw_ids(resumed.store, "halfway")
     assert sorted(got) == sorted(mockrdr.oai_identifier("halfway", i) for i in range(8))
-
-
-def test_page_cap_of_one_sends_one_request_per_provider(serve_script, make_config):
-    hub = serve_script(sized_landscape())
-    run = PipelineRun(make_config(hub, max_pages=1))
-    for step in (1, 2, 3):
-        run.run_step(step)
-    assert sorted(list_records_requests(hub)) == [
-        "alpha", "bravo", "charlie", "delta", "echo",
-    ]
-    assert run.manifest.status(3) == STATUS_PARTIAL
-    assert run.manifest.steps[3].detail["incomplete"] == [
-        "alpha", "bravo", "delta", "echo",
-    ]
 
 
 def test_restart_after_the_first_page_counts_deleted_records_once(
@@ -773,11 +767,11 @@ def test_failed_probe_stops_the_queued_probes(serve_script, make_config, monkeyp
 
 @needs_proc
 def test_no_socket_outlives_a_step(serve_script, make_config, monkeypatch):
-    # each probe ends on its second redirect, whose connection goes back to
+    # each probe ends on a small landing page, whose connection goes back to
     # the pool, so the pools hold open connections when the step ends
-    hub = serve_script(stacked_landscape(retrieval="redirect"))
+    hub = serve_script(stacked_landscape(retrieval="landing"))
     port = urlsplit(hub.base_url).port
-    run = PipelineRun(make_config(hub, workers_probe=POOL, max_redirects=1))
+    run = PipelineRun(make_config(hub, workers_probe=POOL))
     for step in (1, 2, 3, 4):
         run.run_step(step)
         assert sockets_to(port) == []
@@ -1080,7 +1074,7 @@ def test_report_names_truncated_repositories_from_the_catalogue(
     serve_script, make_config, monkeypatch
 ):
     hub = serve_script(mixed_landscape())
-    run = PipelineRun(make_config(hub, workers_harvest=1, allow_partial=True))
+    run = PipelineRun(make_config(hub, workers_harvest=1))
     for step in (1, 2):
         run.run_step(step)
     with monkeypatch.context() as patch:

@@ -17,6 +17,7 @@ from fairprobe.probe import (
     OUTCOME_FAILED,
     OUTCOME_LINK,
     ProbeStep,
+    REDIRECT_BUDGET,
     ProbeTrace,
     doi_url,
     f_ret,
@@ -33,7 +34,7 @@ def record(doi: str, formats=("image/png",)) -> DataciteRecord:
 
 def quick_config(resolver: str, **overrides) -> RunConfig:
     settings = dict(
-        doi_resolver=resolver, timeout=5.0, per_host_delay=0.0, max_redirects=10
+        doi_resolver=resolver, timeout=5.0, per_host_delay=0.0
     )
     settings.update(overrides)
     return RunConfig(**settings)
@@ -139,12 +140,12 @@ def test_redirect_chain_preserves_accept(routes_hub):
 
 
 def test_redirect_loop_hits_the_limit(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/loop"), max_redirects=4)
+    ok, trace = run(routes_hub, record("10.9/loop"))
     assert not ok
     assert trace.outcome == OUTCOME_FAILED
     assert trace.reason == "redirect-limit"
-    # the opening request plus four followed redirects
-    assert len(trace.steps) == 5
+    # the opening request plus the ten followed redirects
+    assert len(trace.steps) == 1 + REDIRECT_BUDGET == 11
     assert all(s.status == 302 for s in trace.steps)
 
 

@@ -82,7 +82,6 @@ def harvest_and_parse(tmp_path, base: str) -> PipelineRun:
             out=str(tmp_path / "runs"),
             run_id="pages",
             timeout=5.0,
-            retries=0,
             politeness_delay=0.0,
         )
     )
