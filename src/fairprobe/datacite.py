@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Literal, Union, overload
 
 from .xmltree import attr, child, children, local_name
 
@@ -158,18 +158,44 @@ def _parse_geo_location(element: ET.Element) -> list[GeoLocation]:
     return out
 
 
+@overload
 def parse_record(
     payload: ET.Element | None,
     *,
     repository: str = "",
     oai_identifier: str = "",
-) -> DataciteRecord:
+    images_only: Literal[False] = False,
+) -> DataciteRecord: ...
+
+
+@overload
+def parse_record(
+    payload: ET.Element | None,
+    *,
+    repository: str = "",
+    oai_identifier: str = "",
+    images_only: bool,
+) -> DataciteRecord | None: ...
+
+
+def parse_record(
+    payload: ET.Element | None,
+    *,
+    repository: str = "",
+    oai_identifier: str = "",
+    images_only: bool = False,
+) -> DataciteRecord | None:
     """Parse one Datacite metadata element into a DataciteRecord.
 
     The payload is the element inside a record's ``metadata``, as
     ``oaipmh.parse_page`` gives it. Raises RecordParseError for a record
     without one, NotDataciteError or MissingIdentifierError; everything
     else the payload contains is either mapped or ignored.
+
+    With ``images_only``, a record that ``is_of_interest`` rejects is None.
+    The identifier, resourceType and formats decide that, so such a record
+    costs no reading of its dates, geoLocations or rights; the errors
+    raised are the same.
     """
     if payload is None:
         raise RecordParseError("record has no metadata payload")
@@ -205,6 +231,9 @@ def parse_record(
     formats = first.get("formats")
     if formats is not None:
         record.formats = [_text(el) for el in children(formats, "format")]
+
+    if images_only and not is_of_interest(record):
+        return None
 
     dates = first.get("dates")
     if dates is not None:

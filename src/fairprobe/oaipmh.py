@@ -3,8 +3,9 @@
 Recovery is deliberately minimal and bounded: one retry after a timeout, a
 transport failure or a non-200 reply other than a 503 with a positive
 Retry-After, one full-chain restart after a bad resumption token, and 503
-flow control honoured only up to the request timeout. Anything beyond that
-ends the harvest as partial with honest counts rather than guessing.
+flow control honoured only up to the request timeout. A request that meets
+more redirects than ``http.MAX_REDIRECTS`` is not retried. Anything beyond
+that ends the harvest as partial with honest counts rather than guessing.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def _request(
         try:
             with gate.slot(endpoint):
                 reply = sessions.get(endpoint, params, config.timeout)
+        except http.TooManyRedirects as exc:
+            # a redirect loop answers a retry with the same loop
+            raise EndpointUnresponsiveError(f"{endpoint}: {exc}") from exc
         except http.REQUEST_ERRORS as exc:
             attempts -= 1
             last_error = exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import time
 import uuid
-import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -67,10 +66,30 @@ def _oai_endpoint(repo: registry.RepositoryDescriptor) -> str:
     return next(ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH")
 
 
+def _record_outcome(repository: str, record: oaipmh.RawRecord) -> dict | None:
+    """What step 4 needs of a taken record: None when it is not an image,
+    ``{"error": text}`` when its payload is not a usable Datacite record,
+    else the parsed image record as ``datacite.record_to_dict`` gives it."""
+    try:
+        parsed = datacite.parse_record(
+            record.payload,
+            repository=repository,
+            oai_identifier=record.oai_identifier,
+            images_only=True,
+        )
+    except datacite.RecordParseError as exc:
+        return {"error": str(exc)}
+    return None if parsed is None else datacite.record_to_dict(parsed)
+
+
 def _page_line(
-    body: bytes | str, records: list[oaipmh.RawRecord], endpoint: str
+    repository: str,
+    body: bytes | str,
+    records: list[oaipmh.RawRecord],
+    endpoint: str,
 ) -> dict:
-    """A ``raw`` line: one ListRecords page as served, and the ids taken from it.
+    """A ``raw`` line: one ListRecords page as served, the ids taken from it
+    and, aligned with them, each taken record's ``_record_outcome``.
 
     A body served as bytes is kept as its UTF-8 reading with surrogates for
     the bytes that are not UTF-8, which JSON carries losslessly;
@@ -82,6 +101,7 @@ def _page_line(
         "body": body.decode("utf-8", "surrogateescape") if served_bytes else body,
         "bytes": served_bytes,
         "ids": [record.oai_identifier for record in records],
+        "records": [_record_outcome(repository, record) for record in records],
         "source_endpoint": endpoint,
     }
 
@@ -291,7 +311,9 @@ class PipelineRun:
             # written, and a resumed step fetches it again
             def sink(body: bytes | str, records: list[oaipmh.RawRecord]) -> None:
                 if records:
-                    self.store.append("raw", name, _page_line(body, records, endpoint))
+                    self.store.append(
+                        "raw", name, _page_line(name, body, records, endpoint)
+                    )
 
             summary = oaipmh.harvest_records(
                 endpoint,
@@ -334,11 +356,14 @@ class PipelineRun:
 
         # pass 2: the unfinished chains, largest first, on one shared queue.
         # The seen set is rebuilt from the catalogue, so waiting chains hold
-        # no more than one page of ids each. A token that expired while its
-        # chain waited is rejected, and the chain spends its one restart to
-        # start again at page 1.
+        # no more than one page of ids each; without recovered records, the
+        # ids of page 1 are all of it. A token that expired while its chain
+        # waited is rejected, and the chain spends its one restart to start
+        # again at page 1.
         def resume(chain: _Chain) -> None:
-            seen = stored_ids(chain.repo) | chain.page_ids
+            seen = chain.page_ids
+            if chain.recovered:
+                seen |= stored_ids(chain.repo)
             rest = harvest(chain.repo, seen, after=chain.first)
             finish(chain.repo, chain.recovered, chain.first + rest)
 
@@ -368,24 +393,11 @@ class PipelineRun:
             "repositories": outcomes,
         }
 
-    def _stored_payloads(
-        self, name: str
-    ) -> Iterator[tuple[str, ET.Element | None]]:
-        """(oai identifier, payload) of every record step 3 took, in order.
-
-        Each page is parsed once and walked as step 3 walked it, so an
-        element inside a payload is never taken for a record. Within a page
-        the first record with a listed identifier is the one step 3 took.
-        """
+    def _stored_outcomes(self, name: str) -> Iterator[tuple[str, dict | None]]:
+        """(oai identifier, ``_record_outcome``) of every record step 3 took,
+        in order; no XML is parsed again."""
         for line in self.store.read("raw", name):
-            records, _, _ = oaipmh.parse_page(
-                _served_body(line), line["source_endpoint"]
-            )
-            payloads: dict[str, ET.Element | None] = {}
-            for record in records:
-                payloads.setdefault(record.oai_identifier, record.payload)
-            for identifier in line["ids"]:
-                yield identifier, payloads[identifier]
+            yield from zip(line["ids"], line["records"])
 
     def _step4_assess(self) -> tuple[str, dict]:
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
@@ -398,37 +410,35 @@ class PipelineRun:
         }
         for name in self.store.partitions("raw"):
             seen_dois: set[str] = set()
-            for identifier, payload in self._stored_payloads(name):
-                try:
-                    record = datacite.parse_record(
-                        payload, repository=name, oai_identifier=identifier
-                    )
-                except datacite.RecordParseError as exc:
-                    logger.warning("%s %s: %s", name, identifier, exc)
-                    counts["errors"] += 1
-                    continue
-                if not datacite.is_of_interest(record):
+            for identifier, outcome in self._stored_outcomes(name):
+                if outcome is None:
                     counts["not_of_interest"] += 1
                     continue
-                if record.doi in seen_dois:
+                if "error" in outcome:
+                    logger.warning("%s %s: %s", name, identifier, outcome["error"])
+                    counts["errors"] += 1
+                    continue
+                doi = outcome["doi"]
+                if doi in seen_dois:
                     counts["duplicates"] += 1
                     continue
-                seen_dois.add(record.doi)
+                seen_dois.add(doi)
                 counts["parsed"] += 1
-                if (name, record.doi) in already:
+                if (name, doi) in already:
                     continue
+                # the one part of step 4 that depends on the run's settings
                 result = assessor.assess(
-                    record,
+                    datacite.record_from_dict(outcome),
                     require_coordinates=self.config.geo_require_coordinates,
                 )
                 self.store.append(
                     "parsed",
                     name,
                     {
-                        "doi": record.doi,
+                        "doi": doi,
                         "repository": name,
                         "oai_identifier": identifier,
-                        "record": datacite.record_to_dict(record),
+                        "record": outcome,
                         "chrono": result.chrono,
                         "geo": result.geo,
                         "lic": result.lic,

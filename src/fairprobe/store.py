@@ -29,7 +29,7 @@ from urllib.parse import quote, unquote
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 3
+STORE_VERSION = 4
 STAGES = ("raw", "parsed", "assessed", "harvested")
 LEDGERS = ("parsed", "assessed", "harvested")
 LEDGER_FILE = "all.ndjson"

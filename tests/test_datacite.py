@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
+from fairprobe import mockrdr
 from fairprobe.datacite import (
     DataciteRecord,
     DateEntry,
@@ -231,3 +234,73 @@ def test_dict_round_trip_through_json(fixtures_dir, fixture):
     )
     wire = json.loads(json.dumps(record_to_dict(record)))
     assert record_from_dict(wire) == record
+
+
+def intent_payloads() -> list[str]:
+    """A payload for every combination of the mock's record intents."""
+    return [
+        mockrdr.record_payload(
+            mockrdr.MockRecord(
+                doi=f"10.1/{index}",
+                of_interest=of_interest,
+                chrono=chrono,
+                geo=geo,
+                lic=lic,
+                retrieval=retrieval,
+                kernel=kernel,
+                geo_style=geo_style,
+                interest_via=interest_via,
+                wrapped=wrapped,
+            )
+        )
+        for index, (
+            of_interest, chrono, geo, lic, retrieval, kernel, geo_style,
+            interest_via, wrapped,
+        ) in enumerate(
+            itertools.product(
+                (True, False), (True, False), (True, False), (True, False),
+                ("landing", "link"), (3, 4), ("point", "box", "place"),
+                ("type", "format", "wildcard"), (False, True),
+            )
+        )
+    ]
+
+
+MALFORMED = [
+    "<oai_dc><title>no resource here</title></oai_dc>",
+    '<resource><resourceType resourceTypeGeneral="Image"/></resource>',
+    '<resource><identifier> </identifier><formats><format>text/csv</format>'
+    "</formats></resource>",
+]
+
+
+def test_images_only_parse_matches_the_full_parse(fixtures_dir):
+    payloads = [
+        *(ET.fromstring(text) for text in intent_payloads() + MALFORMED),
+        *(load(fixtures_dir, path.name) for path in sorted(fixtures_dir.glob("*.xml"))),
+        None,  # a record without metadata
+    ]
+    outcomes = Counter()
+    for payload in payloads:
+        try:
+            full = parse_record(payload, repository="r", oai_identifier="oai:r:1")
+        except RecordParseError as exc:
+            with pytest.raises(type(exc)) as caught:
+                parse_record(
+                    payload, repository="r", oai_identifier="oai:r:1", images_only=True
+                )
+            assert str(caught.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        images_only = parse_record(
+            payload, repository="r", oai_identifier="oai:r:1", images_only=True
+        )
+        if is_of_interest(full):
+            assert record_to_dict(images_only) == record_to_dict(full)
+            outcomes["image"] += 1
+        else:
+            assert images_only is None
+            outcomes["not an image"] += 1
+    # every branch was taken: both mock halves and the six broken payloads
+    assert outcomes["image"] > 576 and outcomes["not an image"] >= 576
+    assert outcomes["error"] == 6

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from fairprobe import mockrdr, pipeline
+from fairprobe import datacite, mockrdr, oaipmh, pipeline
 from fairprobe.config import RunConfig
+from fairprobe.store import CatalogueStore
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -76,6 +77,42 @@ def test_scenario_matches_golden_files(scenario, tmp_path):
     assert sorted(fresh) == sorted(golden)
     for name, content in golden.items():
         assert masked(fresh[name]) == masked(content), name
+
+
+def fresh_outcome(payload, repository: str, identifier: str) -> dict | None:
+    """A taken record's parse outcome, from the full parse of its payload."""
+    try:
+        record = datacite.parse_record(
+            payload, repository=repository, oai_identifier=identifier
+        )
+    except datacite.RecordParseError as exc:
+        return {"error": str(exc)}
+    return datacite.record_to_dict(record) if datacite.is_of_interest(record) else None
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_stored_outcomes_match_a_fresh_parse(scenario, tmp_path):
+    """Step 4 trusts the outcomes step 3 stored; each raw body, parsed
+    again, must give them."""
+    store = CatalogueStore(run_scenario(scenario, tmp_path / "runs"))
+    images = 0
+    for name in store.partitions("raw"):
+        for line in store.read("raw", name):
+            records, _, _ = oaipmh.parse_page(
+                pipeline._served_body(line), line["source_endpoint"]
+            )
+            payloads: dict[str, object] = {}
+            for record in records:
+                payloads.setdefault(record.oai_identifier, record.payload)
+            assert line["records"] == [
+                fresh_outcome(payloads[identifier], name, identifier)
+                for identifier in line["ids"]
+            ]
+            images += sum(
+                outcome is not None and "error" not in outcome
+                for outcome in line["records"]
+            )
+    assert images > 0
 
 
 def write_golden() -> None:

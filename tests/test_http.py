@@ -614,17 +614,17 @@ def test_a_harvest_follows_thirty_redirects(scripted_http, clean_env, caplog, re
     targets = []
     again = (302, {"Location": "/oai?verb=ListRecords&metadataPrefix=datacite"}, b"")
     page = (200, XML, list_records(1).encode())
-    # the retry after a 31st redirect meets 31 redirects as well
-    attempts = 1 if redirects == 30 else oaipmh.ATTEMPTS
-    endpoint = scripted_http([again] * redirects * attempts + [page], targets) + "/oai"
+    # a 31st redirect ends the request without a retry
+    endpoint = scripted_http([again] * redirects + [page], targets) + "/oai"
     with caplog.at_level("WARNING", logger="fairprobe"):
         summary, pages = harvest(endpoint)
-    assert len(targets) == 31 * attempts
+    assert len(targets) == 31
     if redirects == 30:
         assert summary.completed and pages[0][1] == ["oai:x:1"]
     else:
         assert not summary.completed and pages == []
         assert "harvest is partial" in caplog.text
+        assert "attempts left" not in caplog.text
 
 
 def test_the_registry_fails_on_the_thirty_first_redirect(scripted_http, clean_env):

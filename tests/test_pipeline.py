@@ -7,6 +7,7 @@ import os
 import socket
 import threading
 import time
+import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -324,7 +325,10 @@ def test_landscape_without_interesting_records(serve_script, make_config):
     assert csv.splitlines() == ["rdr,items,avfixed,avrelative,chrono,geo,lic,ret", "# n = 0"]
 
 
-def test_step4_dedups_dois_and_counts_rejects(tmp_path):
+def dedup_run(tmp_path) -> PipelineRun:
+    """A run whose steps 1-3 are complete and whose one raw page, built as
+    step 3 builds it, holds a DOI twice, a non-image and a record without
+    metadata."""
     config = RunConfig(out=str(tmp_path / "runs"), run_id="dedup")
     run = PipelineRun(config)
     for number in (1, 2, 3):
@@ -338,18 +342,6 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
             f"<datestamp>2017-01-01</datestamp></header>{metadata}</record>"
         )
 
-    def raw_page(*records: str) -> dict:
-        body = (
-            '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/">'
-            f"<ListRecords>{''.join(records)}</ListRecords></OAI-PMH>"
-        )
-        return {
-            "body": body,
-            "bytes": False,
-            "ids": [f"oai:dup-repo:{index:05d}" for index in range(len(records))],
-            "source_endpoint": "http://inline/oai",
-        }
-
     first = mockrdr.record_payload(
         mockrdr.MockRecord(doi="10.22/same", chrono=True)
     )
@@ -360,17 +352,25 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
         mockrdr.MockRecord(doi="10.22/other", of_interest=False)
     )
     # the last record has no metadata element, so no payload to parse
-    run.store.append(
-        "raw",
-        "dup-repo",
-        raw_page(
-            oai_record(0, first),
-            oai_record(1, second),
-            oai_record(2, boring),
-            oai_record(3, None),
-        ),
+    body = (
+        '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><ListRecords>'
+        + oai_record(0, first)
+        + oai_record(1, second)
+        + oai_record(2, boring)
+        + oai_record(3, None)
+        + "</ListRecords></OAI-PMH>"
     )
+    endpoint = "http://inline/oai"
+    records, _, _ = oaipmh.parse_page(body, endpoint)
+    run.store.append(
+        "raw", "dup-repo", pipeline._page_line("dup-repo", body, records, endpoint)
+    )
+    run.store.close_all()
+    return run
 
+
+def test_step4_dedups_dois_and_counts_rejects(tmp_path):
+    run = dedup_run(tmp_path)
     manifest = run.run_step(4)
     detail = manifest.steps[4].detail
     assert detail["parsed"] == 1
@@ -389,6 +389,23 @@ def test_step4_dedups_dois_and_counts_rejects(tmp_path):
     counted = dict(detail)
     assert run.run_step(4).steps[4].detail == counted
     assert list(run.store.read("parsed", "dup-repo")) == parsed
+
+
+def test_step4_parses_no_xml(tmp_path, monkeypatch, caplog):
+    run = dedup_run(tmp_path)
+
+    def no_xml(*args, **kwargs):
+        raise AssertionError("step 4 parsed XML")
+
+    for owner, name in ((oaipmh, "parse_page"), (ET, "fromstring"), (ET, "XML")):
+        monkeypatch.setattr(owner, name, no_xml)
+    with caplog.at_level("WARNING", logger="fairprobe"):
+        detail = run.run_step(4).steps[4].detail
+    assert detail == {"parsed": 1, "errors": 1, "not_of_interest": 1, "duplicates": 1}
+    assert [entry.getMessage() for entry in caplog.records] == [
+        "dup-repo oai:dup-repo:00003: record has no metadata payload"
+    ]
+    assert [entry["doi"] for entry in run.store.read("parsed", None)] == ["10.22/same"]
 
 
 def test_partial_harvest_is_reported_as_warning(serve_script, make_config):
@@ -1068,6 +1085,35 @@ def test_a_store_version_2_run_directory_is_refused(tmp_path, capsys):
     assert "store version 2" in capsys.readouterr().err
     assert load_manifest(run.run_dir).store_version == 2
     assert [p.name for p in partition.parent.iterdir()] == ["older.ndjson"]
+
+
+def test_a_store_version_3_run_directory_is_refused(tmp_path, capsys):
+    config = RunConfig(out=str(tmp_path / "runs"), run_id="older")
+    run = PipelineRun(config)
+    for number in (1, 2, 3):
+        run.manifest.steps[number].status = STATUS_COMPLETE
+    run.manifest.store_version = 3
+    save_manifest(run.manifest, run.run_dir)
+    # a version-3 raw line held no parse outcomes, so step 4 would parse
+    raw = run.run_dir / "catalogue" / "raw" / "older.ndjson"
+    raw.parent.mkdir(parents=True)
+    line = (
+        '{"body": "<OAI-PMH/>", "bytes": false, "ids": ["oai:x:1"], '
+        '"source_endpoint": "http://inline/oai"}\n'
+    )
+    raw.write_text(line, encoding="utf-8")
+    config_file = tmp_path / "older.json"
+    config_file.write_text(json.dumps({"run_id": "older"}), encoding="utf-8")
+    code = main(
+        ["run-all", "--config", str(config_file), "--out", str(tmp_path / "runs")]
+    )
+    assert code == 2
+    assert "store version 3" in capsys.readouterr().err
+    manifest = load_manifest(run.run_dir)
+    assert manifest.store_version == 3
+    assert manifest.status(4) == STATUS_PENDING
+    assert raw.read_text(encoding="utf-8") == line
+    assert not (run.run_dir / "catalogue" / "parsed").exists()
 
 
 def test_report_names_truncated_repositories_from_the_catalogue(

@@ -1,4 +1,4 @@
-"""Step 3 stores ListRecords pages as served; step 4 parses each page once.
+"""Step 3 stores ListRecords pages as served and parses each page once.
 
 Most tests drive steps 3 and 4 of a run against scripted OAI replies and
 check what ends up in ``parsed``: the records a provider listed, decoded as
@@ -171,7 +171,7 @@ def test_declared_encoding_reaches_parsed(
 
 def test_protocol_names_inside_a_payload_are_not_records(scripted_http, tmp_path):
     # a payload may hold elements named like the envelope's; only children
-    # of ListRecords are records, so step 4 takes exactly the listed ones
+    # of ListRecords are records, so step 3 takes exactly the listed ones
     nested = (
         "<descriptions><description descriptionType=\"Other\">"
         "<record><header><identifier>oai:x:nested</identifier></header>"
@@ -282,7 +282,7 @@ def test_record_without_identifier_is_skipped_with_one_warning(
     run = harvest_and_parse(tmp_path, base)
     assert parsed(run) == [("oai:x:2", "10.1/2", False)]
     assert raw_ids(run) == [["oai:x:2"]]
-    # step 4 walks the page again, but only step 3 reports the skip
+    # only step 3 reports the skip
     skipped = [
         entry for entry in caplog.records if "without identifier" in entry.getMessage()
     ]
