@@ -59,7 +59,6 @@ class RawRecord:
     oai_identifier: str
     deleted: bool
     payload: ET.Element | None  # metadata's first child; None if deleted or absent
-    source_endpoint: str
 
 
 @dataclass
@@ -229,9 +228,7 @@ def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
     return None
 
 
-def parse_page(
-    body: bytes | str, endpoint: str
-) -> tuple[list[RawRecord], str | None, int | None]:
+def parse_page(body: bytes | str) -> tuple[list[RawRecord], str | None, int | None]:
     """One ListRecords body -> (records, token, completeListSize).
 
     The token is None when the element is absent and "" when present but
@@ -260,14 +257,7 @@ def parse_page(
         deleted = header.get("status") == "deleted"
         metadata = None if deleted else child(el, "metadata")
         payload = None if metadata is None else next(iter(metadata), None)
-        records.append(
-            RawRecord(
-                oai_identifier=identifier,
-                deleted=deleted,
-                payload=payload,
-                source_endpoint=endpoint,
-            )
-        )
+        records.append(RawRecord(identifier, deleted, payload))
 
     token = None if token_el is None else (token_el.text or "").strip()
     size: int | None = None
@@ -330,7 +320,7 @@ def harvest_records(
                 return summary
             body = http.xml_payload(reply)
             try:
-                records, token, size = parse_page(body, endpoint)
+                records, token, size = parse_page(body)
             except ET.ParseError as exc:
                 # a skipped page would silently bias the corpus, so stop here
                 logger.warning("%s: unparseable page (%s), harvest is partial",

@@ -14,7 +14,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import assessor, datacite, http, oaipmh, probe, registry, scoring
 from .config import RunConfig
@@ -40,6 +40,13 @@ logger = logging.getLogger(__name__)
 REPOSITORIES_FILE = "repositories.ndjson"
 PROVIDERS_FILE = "providers.ndjson"
 
+# the settings of how a run goes: a resumed run may change these, and must
+# keep every other setting it started with
+OPERATIONAL_SETTINGS = frozenset({
+    "out", "run_id", "timeout", "politeness_delay", "per_host_delay",
+    "workers_harvest", "workers_select", "workers_probe", "detail_workers",
+})
+
 
 class PipelineError(Exception):
     pass
@@ -53,9 +60,8 @@ class _Chain(NamedTuple):
     """A harvest chain left unfinished by its first page."""
 
     repo: registry.RepositoryDescriptor
-    recovered: int  # records in the catalogue before page 1 was fetched
     first: oaipmh.HarvestSummary
-    page_ids: set[str]  # ids new on page 1, deleted ones included
+    page_ids: set[str]  # ids on page 1, deleted ones included
 
 
 def new_run_id() -> str:
@@ -92,9 +98,10 @@ def _page_line(
     and, aligned with them, each taken record's ``_record_outcome``.
 
     A body served as bytes is kept as its UTF-8 reading with surrogates for
-    the bytes that are not UTF-8, which JSON carries losslessly;
-    ``_served_body`` restores the bytes, so their XML declaration sets the
-    encoding again. A body the reply's charset decoded is kept as text.
+    the bytes that are not UTF-8, which JSON carries losslessly; encoding
+    it back with surrogates restores the bytes, so their XML declaration
+    sets the encoding again. A body the reply's charset decoded is kept as
+    text.
     """
     served_bytes = isinstance(body, bytes)
     return {
@@ -104,12 +111,6 @@ def _page_line(
         "records": [_record_outcome(repository, record) for record in records],
         "source_endpoint": endpoint,
     }
-
-
-def _served_body(line: dict) -> bytes | str:
-    """The body of a ``raw`` line exactly as step 3 parsed it."""
-    body = line["body"]
-    return body.encode("utf-8", "surrogateescape") if line["bytes"] else body
 
 
 class PipelineRun:
@@ -128,6 +129,15 @@ class PipelineRun:
                     f"{self.manifest.store_version}; this fairprobe reads "
                     f"only store version {STORE_VERSION}"
                 )
+            started_with = self.manifest.config_snapshot
+            for key, value in config.snapshot().items():
+                was = started_with.get(key)
+                if key not in OPERATIONAL_SETTINGS and was != value:
+                    raise PipelineError(
+                        f"{self.run_dir} was started with {key}={was!r}, not "
+                        f"{value!r}; resume it with the settings it started "
+                        "with, or start a new run"
+                    )
         else:
             self.manifest = new_manifest(run_id, config.snapshot())
             save_manifest(self.manifest, self.run_dir)
@@ -290,13 +300,6 @@ class PipelineRun:
         pending = [r for r in providers if r.registry_id in to_harvest]
         gate = HostGate(self.config.politeness_delay)
 
-        def stored_ids(repo: registry.RepositoryDescriptor) -> set[str]:
-            return {
-                identifier
-                for line in self.store.read("raw", repo.registry_id)
-                for identifier in line["ids"]
-            }
-
         def harvest(
             repo: registry.RepositoryDescriptor,
             seen: set[str],
@@ -330,42 +333,36 @@ class PipelineRun:
             return summary
 
         def finish(
-            repo: registry.RepositoryDescriptor,
-            recovered: int,
-            summary: oaipmh.HarvestSummary,
+            repo: registry.RepositoryDescriptor, summary: oaipmh.HarvestSummary
         ) -> None:
-            name = repo.registry_id
             outcome = {
                 "completed": summary.completed,
-                "records": summary.records + recovered,
+                "records": summary.records,
                 "deleted": summary.deleted,
                 "pages": summary.pages,
             }
-            self.store.append("harvested", name, outcome)
+            self.store.append("harvested", repo.registry_id, outcome)
 
-        # pass 1: page 1 of every chain. Its completeListSize is the size
-        # estimate; the token and the ids new on page 1 are all that is kept
+        # pass 1: page 1 of every chain, after the pages an earlier attempt
+        # left are deleted: a resumption token is not kept, so an unfinished
+        # chain starts again at page 1 anyway. Page 1's completeListSize is
+        # the size estimate; its token and ids are all that is kept
         def start(repo: registry.RepositoryDescriptor) -> _Chain | None:
-            recovered_ids = stored_ids(repo)
-            seen = set(recovered_ids)
+            self.store.discard("raw", repo.registry_id)
+            seen: set[str] = set()
             first = harvest(repo, seen, first_page_only=True)
             if first.token:
-                return _Chain(repo, len(recovered_ids), first, seen - recovered_ids)
-            finish(repo, len(recovered_ids), first)
+                return _Chain(repo, first, seen)
+            finish(repo, first)
             return None
 
         # pass 2: the unfinished chains, largest first, on one shared queue.
-        # The seen set is rebuilt from the catalogue, so waiting chains hold
-        # no more than one page of ids each; without recovered records, the
-        # ids of page 1 are all of it. A token that expired while its chain
-        # waited is rejected, and the chain spends its one restart to start
-        # again at page 1.
+        # A waiting chain holds one page of ids. A token that expired while
+        # its chain waited is rejected, and the chain spends its one restart
+        # to start again at page 1.
         def resume(chain: _Chain) -> None:
-            seen = chain.page_ids
-            if chain.recovered:
-                seen |= stored_ids(chain.repo)
-            rest = harvest(chain.repo, seen, after=chain.first)
-            finish(chain.repo, chain.recovered, chain.first + rest)
+            rest = harvest(chain.repo, chain.page_ids, after=chain.first)
+            finish(chain.repo, chain.first + rest)
 
         with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
             unfinished = [chain for chain in pool.map(start, pending) if chain]
@@ -393,24 +390,22 @@ class PipelineRun:
             "repositories": outcomes,
         }
 
-    def _stored_outcomes(self, name: str) -> Iterator[tuple[str, dict | None]]:
-        """(oai identifier, ``_record_outcome``) of every record step 3 took,
-        in order; no XML is parsed again."""
-        for line in self.store.read("raw", name):
-            yield from zip(line["ids"], line["records"])
-
     def _step4_assess(self) -> tuple[str, dict]:
         counts = {"parsed": 0, "errors": 0, "not_of_interest": 0, "duplicates": 0}
-        # a resumed step recounts every raw record: the first occurrence of a
-        # DOI an earlier attempt already parsed counts as parsed again,
-        # without a second line
-        already = {
-            (entry["repository"], entry["doi"])
-            for entry in self.store.read("parsed", None)
-        }
+        # a resumed step writes the ledger again from the start, so it holds
+        # and counts what a clean step's does
+        self.store.discard("parsed", None)
         for name in self.store.partitions("raw"):
+            # a repository is scored on what it serves: a DOI that two
+            # repositories serve counts in each
             seen_dois: set[str] = set()
-            for identifier, outcome in self._stored_outcomes(name):
+            # the parse outcomes step 3 stored; no XML is parsed again
+            outcomes = (
+                pair
+                for line in self.store.read("raw", name)
+                for pair in zip(line["ids"], line["records"])
+            )
+            for identifier, outcome in outcomes:
                 if outcome is None:
                     counts["not_of_interest"] += 1
                     continue
@@ -424,8 +419,6 @@ class PipelineRun:
                     continue
                 seen_dois.add(doi)
                 counts["parsed"] += 1
-                if (name, doi) in already:
-                    continue
                 # the one part of step 4 that depends on the run's settings
                 result = assessor.assess(
                     datacite.record_from_dict(outcome),

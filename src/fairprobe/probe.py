@@ -64,24 +64,6 @@ def _bare_type(value: str) -> str:
     return value.split(";", 1)[0].strip()
 
 
-def _core_fetch(
-    url: str,
-    accept: str,
-    config: RunConfig,
-    gate: HostGate,
-    sessions: http.Sessions,
-    cookies: CookieJar,
-) -> http.Reply:
-    host = urlparse(url).netloc
-    with gate.slot(host):
-        return sessions.hop(url, accept, config.timeout, cookies)
-
-
-def _timed_out(exc: Exception) -> bool:
-    # a refused connect or a failed name lookup is a transport failure
-    return isinstance(exc, TimeoutError)
-
-
 def _follow_chain(
     start_url: str,
     accept: str,
@@ -101,7 +83,8 @@ def _follow_chain(
     redirects_left = REDIRECT_BUDGET
     while True:
         try:
-            reply = _core_fetch(url, accept, config, gate, sessions, cookies)
+            with gate.slot(urlparse(url).netloc):
+                reply = sessions.hop(url, accept, config.timeout, cookies)
         except http.REQUEST_ERRORS as exc:
             # no response: status 0 keeps the attempt visible in the trace
             trace.steps.append(
@@ -114,7 +97,9 @@ def _follow_chain(
                     link_header=None,
                 )
             )
-            return None, REASON_TIMEOUT if _timed_out(exc) else REASON_TRANSPORT
+            # a refused connect or a failed name lookup is a transport failure
+            timed_out = isinstance(exc, TimeoutError)
+            return None, REASON_TIMEOUT if timed_out else REASON_TRANSPORT
         trace.steps.append(
             ProbeStep(
                 url=url,

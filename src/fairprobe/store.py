@@ -8,8 +8,9 @@ run, ``{stage}/all.ndjson``, whose every line names its ``repository``. A
 file stays open while a step writes to it, and each append is one flushed
 write, so after a crash only the final line can be damaged; readers drop a
 final line without its newline and treat anything else unparseable as real
-corruption. The manifest is a single JSON document, replaced atomically
-when a step starts and when it ends.
+corruption. Steps 3 and 4 delete a file they left unfinished before they
+write it again (``discard``). The manifest is a single JSON document,
+replaced atomically when a step starts and when it ends.
 
 The on-disk layout is versioned (``STORE_VERSION``, kept in the manifest);
 the pipeline refuses a run directory of another version.
@@ -94,10 +95,10 @@ class CatalogueStore:
         return self.root / stage / (quote(repository, safe="") + ".ndjson")
 
     @staticmethod
-    def _key(stage: str, repository: str) -> tuple[str, str | None]:
+    def _key(stage: str, repository: str | None) -> tuple[str, str | None]:
         return stage, None if stage in LEDGERS else repository
 
-    def _partition(self, stage: str, repository: str) -> _Partition:
+    def _partition(self, stage: str, repository: str | None) -> _Partition:
         key = self._key(stage, repository)
         with self._mutex:
             partition = self._partitions.get(key)
@@ -127,6 +128,12 @@ class CatalogueStore:
             partition = self._partitions.get(self._key(stage, repository))
         if partition is not None:
             self._close(partition)
+
+    def discard(self, stage: str, repository: str | None) -> None:
+        """Close one file's handle and delete the file, if there is one."""
+        partition = self._partition(stage, repository)
+        self._close(partition)
+        partition.path.unlink(missing_ok=True)
 
     def close_all(self) -> None:
         with self._mutex:

@@ -101,6 +101,46 @@ def test_step_flags_override_config(tmp_path, small_hub):
     assert (snapshot["timeout"], snapshot["workers_probe"]) == (7.0, 3)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("registry_url", "http://127.0.0.1:9/registry"),
+        ("seed_file", "seeds.txt"),
+        ("allow_seed_fallback", True),
+        ("doi_resolver", "http://127.0.0.1:9/resolve/"),
+        ("geo_require_coordinates", True),
+    ],
+)
+def test_a_resume_with_another_setting_is_refused(
+    tmp_path, small_hub, capsys, key, value
+):
+    out = tmp_path / "runs"
+    config_file = write_config(tmp_path, small_hub)
+    assert main(["step", "1", "--config", config_file, "--out", str(out)]) == 0
+    manifest = run_dirs(out)[0] / "manifest.json"
+    before = manifest.read_bytes()
+    started_with = load_manifest(run_dirs(out)[0]).config_snapshot[key]
+    capsys.readouterr()
+
+    drifted = write_config(tmp_path, small_hub, **{key: value})
+    assert main(["step", "2", "--config", drifted, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"was started with {key}={started_with!r}, not {value!r}" in err
+    assert manifest.read_bytes() == before
+    assert not (run_dirs(out)[0] / "providers.ndjson").exists()
+
+
+def test_a_resume_may_change_how_the_run_goes(tmp_path, small_hub):
+    out = tmp_path / "runs"
+    config_file = write_config(tmp_path, small_hub)
+    assert main(["step", "1", "--config", config_file, "--out", str(out)]) == 0
+    faster = write_config(tmp_path, small_hub, politeness_delay=5.0,
+                          per_host_delay=5.0, workers_select=3, workers_harvest=2)
+    assert main(["step", "2", "--config", faster, "--out", str(out),
+                 "--timeout", "7", "--workers-probe", "3"]) == 0
+    assert load_manifest(run_dirs(out)[0]).status(2) == "complete"
+
+
 @pytest.mark.parametrize("flag", ["--max-pages", "--retries"])
 def test_a_removed_flag_is_a_usage_error(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:

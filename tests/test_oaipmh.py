@@ -83,7 +83,6 @@ def test_multi_page_chain(serve_script):
     assert summary.deleted == 0
     assert summary.complete_list_size == 7
     assert {r.oai_identifier for r in got} == expected_ids(repo)
-    assert all(r.source_endpoint == hub.oai_endpoint(repo.name) for r in got)
     assert all(local_name(r.payload.tag) == "resource" for r in got)
 
 
@@ -237,7 +236,6 @@ def test_chain_walked_in_two_calls_matches_one_walk(serve_script):
     assert (rest.pages, rest.records, rest.token) == (2, 4, None)
     assert first + rest == whole
     assert {r.oai_identifier for r in got} == expected_ids(repo)
-    assert {r.source_endpoint for r in got} == {endpoint}
     assert len(hub.requests_to("/oai/")) == 3 + 3  # the one walk, then 1 + 2
 
 

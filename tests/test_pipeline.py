@@ -32,6 +32,9 @@ from fairprobe.store import (
 from open_files import FD_DIR, needs_proc, sockets_to
 
 CRITERIA = ("chrono", "geo", "lic", "ret")
+REPORT_FILES = (
+    "repositories.csv", "criteria.csv", "apis.csv", "fair_coverage.txt", "report.json"
+)
 
 
 def raw_ids(store: CatalogueStore, name: str) -> list[str]:
@@ -361,7 +364,7 @@ def dedup_run(tmp_path) -> PipelineRun:
         + "</ListRecords></OAI-PMH>"
     )
     endpoint = "http://inline/oai"
-    records, _, _ = oaipmh.parse_page(body, endpoint)
+    records, _, _ = oaipmh.parse_page(body)
     run.store.append(
         "raw", "dup-repo", pipeline._page_line("dup-repo", body, records, endpoint)
     )
@@ -515,10 +518,12 @@ def test_token_that_expired_in_the_queue_costs_one_request(
     assert sorted(got) == sorted(mockrdr.oai_identifier("small", i) for i in range(6))
 
 
-def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_config):
-    # the first attempt stops after two pages; on resume, the chain waiting
-    # in pass 2 holds no ids of its own, yet the restart forced on page 3
-    # must not deliver the recovered records again
+def test_resumed_harvest_takes_each_record_once_across_a_restart(
+    serve_script, make_config
+):
+    # the first attempt stops after two pages; the resumed one deletes them,
+    # harvests again from page 1, and the restart forced on page 3 must not
+    # deliver the records of pages 1 and 2 a second time
     repo = mockrdr.MockRepository(
         name="halfway",
         records=[mockrdr.MockRecord(doi=f"10.27/{i}") for i in range(8)],
@@ -538,7 +543,8 @@ def test_resumed_harvest_rebuilds_seen_from_the_catalogue(serve_script, make_con
     resumed = PipelineRun(config)
     resumed.run_step(3)
     assert resumed.manifest.status(3) == STATUS_COMPLETE
-    # page 1 in pass 1; pages 2, rejected 3, then 1-4 in pass 2
+    # page 1 in pass 1; pages 2, rejected 3, then 1-4 in pass 2, of which
+    # pages 1 and 2 give no new record and store no line
     assert resumed.manifest.steps[3].detail["repositories"]["halfway"] == {
         "completed": True, "records": 8, "deleted": 0, "pages": 6,
     }
@@ -931,8 +937,140 @@ def test_resumed_step_counts_like_a_clean_run(
         ).read_bytes()
 
 
+def written_by(run: PipelineRun) -> dict[str, object]:
+    """What a finished run keeps: its raw partitions and parsed ledger, byte
+    for byte, the step 3 and 4 details of its manifest, and the report."""
+    files = sorted((run.run_dir / "catalogue" / "raw").iterdir()) + [
+        run.run_dir / "catalogue" / "parsed" / "all.ndjson",
+        *(run.run_dir / name for name in REPORT_FILES),
+    ]
+    kept: dict[str, object] = {
+        path.relative_to(run.run_dir).as_posix(): path.read_bytes() for path in files
+    }
+    kept["step 3"] = run.manifest.steps[3].detail
+    kept["step 4"] = run.manifest.steps[4].detail
+    return kept
+
+
+# ListRecords requests of a step 3 resumed after the k-th raw page, with one
+# harvest worker: pass 1 stores page 1 of mixed-0, -1 and -2, pass 2 page 2
+# of each. Until a repository finishes, it is harvested again from page 1.
+RESUMED_LIST_RECORDS = {1: 6, 2: 6, 3: 6, 4: 4, 5: 2}
+
+
+@pytest.mark.parametrize("stage", ["raw", "parsed"])
+def test_a_crash_after_any_append_resumes_to_a_clean_run(
+    serve_script, make_config, tmp_path, monkeypatch, stage
+):
+    hub = serve_script(mixed_landscape())
+
+    def run_in(directory: str) -> PipelineRun:
+        return PipelineRun(make_config(hub, out=str(tmp_path / directory),
+                                       run_id="same", workers_harvest=1))
+
+    clean = run_in("clean")
+    for number in (1, 2, 3, 4, 5):
+        clean.run_step(number)
+    clean.finalize()
+    expected = written_by(clean)
+
+    # mixed_landscape stores 6 raw pages and 12 parsed records; crash point k
+    # fails the step just after its k-th append
+    step, appends = {"raw": (3, 6), "parsed": (4, 12)}[stage]
+    for k in range(1, appends):
+        crashed = run_in(f"crash-{k}")
+        for number in range(1, step):
+            crashed.run_step(number)
+        with monkeypatch.context() as patch:
+            if stage == "raw":
+                patch.setattr(oaipmh, "harvest_records", harvest_failing_after(k))
+            else:
+                patch.setattr(assessor, "assess", fail_after(assessor.assess, k))
+            with pytest.raises(RuntimeError, match="injected failure"):
+                crashed.run_step(step)
+        sent = len(list_records_requests(hub))
+        resumed = run_in(f"crash-{k}")
+        for number in range(step, 6):
+            resumed.run_step(number)
+        resumed.finalize()
+        if stage == "raw":
+            assert len(list_records_requests(hub)) - sent == RESUMED_LIST_RECORDS[k]
+        assert written_by(resumed) == expected, k
+
+
+def test_a_resumed_harvest_that_fails_again_keeps_only_its_own_pages(
+    serve_script, make_config, monkeypatch
+):
+    script = mixed_landscape()
+    hub = serve_script(script)
+    config = make_config(hub, run_id="twice", workers_harvest=1)
+    first = PipelineRun(config)
+    for step in (1, 2):
+        first.run_step(step)
+    # page 1 of each repository, then mixed-0 finishes; mixed-1 fails on its
+    # second page
+    with monkeypatch.context() as patch:
+        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            first.run_step(3)
+    assert first.store.partitions("raw") == ["mixed-0", "mixed-1", "mixed-2"]
+
+    # the second attempt stores page 1 of mixed-1 again, then fails on page 1
+    # of mixed-2, whose page from the first attempt is gone
+    second = PipelineRun(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(1))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            second.run_step(3)
+    assert second.store.partitions("raw") == ["mixed-0", "mixed-1"]
+    first_page = [mockrdr.oai_identifier("mixed-1", i) for i in range(3)]
+    assert raw_ids(second.store, "mixed-1") == first_page
+
+    for step in (4, 5):
+        second.run_step(step)
+    second.finalize()
+    doc = read_report(second.run_dir)
+    assert doc["warnings"] == [
+        "harvest incomplete: scores are computed over a truncated corpus "
+        "(affected: mixed-1, mixed-2)"
+    ]
+    kept = {("mixed-0", r.doi) for r in script.repositories[0].records} | {
+        ("mixed-1", r.doi) for r in script.repositories[1].records[:3]
+    }
+    assert_report_matches_oracle(doc, mockrdr.expected_scores(script, kept))
+
+
+def test_a_doi_served_by_two_repositories_counts_in_each(serve_script, make_config):
+    # an aggregator serves a record of the origin repository again
+    shared = mockrdr.MockRecord(doi="10.31/shared", chrono=True, lic=True,
+                                retrieval="client")
+    script = mockrdr.ScenarioScript(
+        repositories=[
+            mockrdr.MockRepository(
+                name="origin",
+                records=[shared, mockrdr.MockRecord(doi="10.31/origin", geo=True)],
+            ),
+            mockrdr.MockRepository(
+                name="aggregator",
+                records=[mockrdr.MockRecord(doi="10.31/aggregated"), shared],
+            ),
+        ]
+    )
+    hub = serve_script(script)
+    run_dir = pipeline.run_all(make_config(hub))
+    doc = read_report(run_dir)
+    oracle = mockrdr.expected_scores(script)
+    assert oracle["d_size"] == 4
+    assert_report_matches_oracle(doc, oracle)
+    assert doc["warnings"] == []
+    manifest = load_manifest(run_dir)
+    assert manifest.steps[4].detail["duplicates"] == 0
+    assert manifest.steps[5].detail["probed"] == 4
+    assert len(hub.requests_to("/resolve/10.31/shared")) == 2
+
+
 def paged_landscape() -> mockrdr.ScenarioScript:
-    """Two providers of two pages; a page line is longer than 4 KiB."""
+    """Two providers of two pages."""
     return mockrdr.ScenarioScript(
         repositories=[
             mockrdr.MockRepository(
@@ -980,13 +1118,11 @@ def test_torn_page_line_is_fetched_again_on_resume(
     path = crashed.run_dir / "catalogue" / "raw" / "paged-1.ndjson"
     lost = (clean.run_dir / "catalogue" / "raw" / "paged-1.ndjson").read_bytes()
     lost = lost.split(b"\n")[1]
-    torn = lost[: len(lost) - 10]
-    # longer than the 4 KiB chunk that the tail repair reads at a time, so
-    # it has to read further back to find where the line starts
-    assert len(torn) > 4096
     with open(path, "ab") as handle:
-        handle.write(torn)
+        handle.write(lost[: len(lost) - 10])
 
+    # the resumed step deletes the unfinished partition, torn line and all,
+    # and harvests paged-1 again
     resumed = run_in("crashed")
     for number in (3, 4, 5):
         resumed.run_step(number)
@@ -1006,11 +1142,6 @@ def test_torn_page_line_is_fetched_again_on_resume(
         assert (resumed.run_dir / name).read_bytes() == (
             clean.run_dir / name
         ).read_bytes()
-
-
-REPORT_FILES = (
-    "repositories.csv", "criteria.csv", "apis.csv", "fair_coverage.txt", "report.json"
-)
 
 
 @pytest.mark.parametrize("stage", ["parsed", "assessed"])

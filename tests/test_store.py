@@ -132,6 +132,35 @@ def test_append_repairs_truncated_tail_first(tmp_path):
     assert path.read_bytes().count(b"\n") == 2
 
 
+def test_append_repairs_a_torn_line_longer_than_a_read_chunk(tmp_path):
+    store = CatalogueStore(tmp_path)
+    store.append("assessed", "r", {"n": 1})
+    store.close_all()
+    path = tmp_path / "catalogue" / "assessed" / "all.ndjson"
+    # the repair reads back 4 KiB at a time to find where the line starts
+    with open(path, "ab") as handle:
+        handle.write(b'{"n": 2, "pad": "' + b"x" * 10_000)
+    store.append("assessed", "r", {"n": 3})
+    store.close_all()
+    assert [r["n"] for r in store.read("assessed", None)] == [1, 3]
+    assert path.read_bytes().count(b"\n") == 2
+
+
+def test_discard_closes_and_deletes_a_file(tmp_path):
+    store = CatalogueStore(tmp_path)
+    store.append("raw", "r", {"n": 1})
+    store.append("parsed", "r", {"n": 1})
+    store.discard("raw", "r")  # its handle is open
+    store.discard("parsed", None)
+    store.discard("raw", "never-written")
+    assert store.partitions("raw") == []
+    assert not (tmp_path / "catalogue" / "parsed" / "all.ndjson").exists()
+    # a later append starts a new file
+    store.append("raw", "r", {"n": 2})
+    store.close_all()
+    assert [r["n"] for r in store.read("raw", "r")] == [2]
+
+
 def test_truncated_only_line_becomes_empty_file(tmp_path):
     store = CatalogueStore(tmp_path)
     path = tmp_path / "catalogue" / "raw" / "r.ndjson"
