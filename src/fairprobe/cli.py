@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import pipeline, registry
+from . import http, pipeline, registry
 from .config import ConfigError, RunConfig, build_config
 from .store import manifest_path, write_ndjson
 
@@ -116,13 +116,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "registry":
-            repos = registry.fetch_repository_list(
-                args.registry_url,
-                args.seed_file,
-                RunConfig(
-                    timeout=args.timeout, allow_seed_fallback=bool(args.seed_file)
-                ),
-            )
+            sessions = http.Sessions()
+            try:
+                repos = registry.fetch_repository_list(
+                    args.registry_url,
+                    args.seed_file,
+                    RunConfig(
+                        timeout=args.timeout, allow_seed_fallback=bool(args.seed_file)
+                    ),
+                    session=sessions,
+                )
+            finally:
+                sessions.close()
             write_ndjson(args.out, [registry.descriptor_to_dict(r) for r in repos])
             print(f"{len(repos)} repositories -> {args.out}")
             return 0

@@ -23,10 +23,14 @@ origin. Idle ones are bounded as a requests session's pools are:
 ``IDLE_PER_ROUTE`` per route and ``ROUTES`` routes, the least recently used
 route closed first.
 
-``Sessions.hop`` is a probe's request: no redirect followed, and no body
-kept. ``Sessions.get`` serves the registry and OAI-PMH: it follows redirects
-as requests does and reads the body. Retries and 503 flow control belong to
-the OAI-PMH client, so neither path has a request policy.
+``Sessions.hop`` is a probe's request: no redirect followed, no body kept,
+and the probe's own cookie jar. ``Sessions.get`` serves the registry and
+OAI-PMH: it follows redirects as requests does, reads the body and keeps
+cookies in the one jar of the ``Sessions``, which every worker of a step
+shares, as threads sharing one ``requests.Session`` share its jar. Retries
+and 503 flow control belong to the OAI-PMH client, so neither path has a
+request policy. There is no private ``Sessions``: every fetching function
+takes the run's.
 
 A body that no caller reads, a redirect's or that of a probe's final reply
 that is not an image, is read only so that its connection can carry the
@@ -48,7 +52,6 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from http.client import (
     BadStatusLine,
@@ -62,7 +65,7 @@ from http.client import (
     UnknownProtocol,
 )
 from http.cookiejar import CookieJar
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 from urllib.parse import urlencode, urljoin, urlsplit
 
 import certifi
@@ -591,17 +594,19 @@ class _Received:
 
 
 class Sessions:
-    """The kept-alive connections, origin settings and cookie jars of one run.
+    """The kept-alive connections, origin settings and cookie jar of one run.
 
-    Each thread has its own cookie jar for ``get``; a probe brings its own.
-    ``close`` drops every jar and closes every idle connection; the origin
-    settings are kept.
+    ``get`` keeps cookies in one jar for every thread, so a chain continued
+    on another worker sends what its first page set; a probe brings its
+    own jar to ``hop``. ``close`` replaces the jar and closes every idle
+    connection; the origin settings are kept. A run closes its ``Sessions``
+    at the end of each step, so cookies last one step.
     """
 
     def __init__(self) -> None:
         self._origins = Origins()
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._cookies = CookieJar()
         # least recently used route first
         self._idle: OrderedDict[Route, list[_Conn]] = OrderedDict()
         # offer only the codings that ``_decoded`` undoes; requests' default
@@ -639,7 +644,10 @@ class Sessions:
         found = self._origins.lookup(target.url, (scheme, target.host, target.port))
         headers = dict(self._headers, Accept=accept)
         request = _Sent(target.url, headers)
-        # an empty jar gives no header
+        # an empty jar gives no header. The jar's methods take its lock and
+        # its length does not, but the length counts over copies of the jar's
+        # dicts: cookies that another thread extracts meanwhile cannot make
+        # it raise, and at worst this request goes out as if sent before them
         cookie = get_cookie_header(cookies, request) if cookies else None
         if cookie is not None:
             headers["Cookie"] = cookie
@@ -736,7 +744,7 @@ class Sessions:
     def get(self, url: str, params: dict[str, str] | None, timeout: float) -> Reply:
         """A GET that follows redirects as a ``requests`` session does.
 
-        Each hop is a ``_send`` with this thread's cookie jar, so cookies,
+        Each hop is a ``_send`` with the jar of the ``Sessions``, so cookies,
         proxy and netrc apply per hop. ``Authorization`` comes from the
         hop's own origin, so a redirect to another origin never carries the
         first one's, as ``requests.sessions.should_strip_auth`` has it.
@@ -744,13 +752,10 @@ class Sessions:
         decoded by its Content-Encoding. Raises one of ``REQUEST_ERRORS``:
         ``TooManyRedirects`` for a redirect past the first ``MAX_REDIRECTS``.
         """
-        cookies = getattr(self._local, "cookies", None)
-        if cookies is None:
-            cookies = self._local.cookies = CookieJar()
         accept = self._headers["Accept"]
         redirects = 0
         while True:
-            reply = self._send(url, params, accept, timeout, cookies, read=True)
+            reply = self._send(url, params, accept, timeout, self._cookies, read=True)
             location = (
                 reply.headers.get("Location")
                 if reply.status in REDIRECT_CODES
@@ -765,7 +770,7 @@ class Sessions:
 
     def close(self) -> None:
         with self._lock:
-            self._local = threading.local()
+            self._cookies = CookieJar()
             idle, self._idle = self._idle, OrderedDict()
         for connections in idle.values():
             for conn in connections:
@@ -881,19 +886,3 @@ def xml_payload(reply: Reply) -> bytes | str:
     except (LookupError, TypeError):
         return str(body, errors="replace")
 
-
-@contextmanager
-def scope(session: Sessions | None) -> Iterator[Sessions]:
-    """What a fetching function's ``session`` argument means.
-
-    Yields the run's own ``Sessions``, or for ``None`` a private one that is
-    closed on exit.
-    """
-    if session is not None:
-        yield session
-    else:
-        own = Sessions()
-        try:
-            yield own
-        finally:
-            own.close()

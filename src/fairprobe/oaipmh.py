@@ -48,13 +48,6 @@ class PageParseError(OaiError):
 
 
 @dataclass(frozen=True)
-class MetadataFormatInfo:
-    prefix: str
-    schema_url: str
-    namespace: str
-
-
-@dataclass(frozen=True)
 class RawRecord:
     oai_identifier: str
     deleted: bool
@@ -161,56 +154,36 @@ def _request(
 
 def list_metadata_formats(
     endpoint: str,
-    config: RunConfig | None = None,
+    config: RunConfig,
     *,
-    gate: HostGate | None = None,
-    session: http.Sessions | None = None,
-) -> list[MetadataFormatInfo]:
-    """Ask the endpoint which metadata formats it serves."""
-    config = config or RunConfig()
-    gate = gate or HostGate(config.politeness_delay)
-    with http.scope(session) as sessions:
-        reply = _request(
-            endpoint,
-            {"verb": "ListMetadataFormats"},
-            config,
-            gate,
-            sessions,
-        )
+    gate: HostGate,
+    session: http.Sessions,
+) -> list[str]:
+    """The metadata prefixes the endpoint advertises, in its order, each
+    once."""
+    reply = _request(endpoint, {"verb": "ListMetadataFormats"}, config, gate, session)
     try:
         root = ET.fromstring(http.xml_payload(reply))
     except ET.ParseError as exc:
         raise PageParseError(f"{endpoint}: {exc}") from exc
-    formats: list[MetadataFormatInfo] = []
-    seen: set[str] = set()
+    prefixes: list[str] = []
     verb = _verb_element(root, "ListMetadataFormats")
     for el in children(verb, "metadataFormat"):
         prefix = ""
-        schema_url = ""
-        namespace = ""
         for field in el:
-            name = local_name(field.tag)
-            text = (field.text or "").strip()
-            if name == "metadataPrefix":
-                prefix = text
-            elif name == "schema":
-                schema_url = text
-            elif name == "metadataNamespace":
-                namespace = text
+            if local_name(field.tag) == "metadataPrefix":
+                prefix = (field.text or "").strip()
         if not prefix:
             logger.warning("%s advertised a format without a prefix", endpoint)
             continue
-        if prefix in seen:
+        if prefix in prefixes:
             logger.warning("%s advertised duplicate prefix %r", endpoint, prefix)
             continue
-        seen.add(prefix)
-        formats.append(
-            MetadataFormatInfo(prefix=prefix, schema_url=schema_url, namespace=namespace)
-        )
-    return formats
+        prefixes.append(prefix)
+    return prefixes
 
 
-def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
+def select_datacite_prefix(prefixes: list[str]) -> str | None:
     """Pick the most Datacite-like prefix, or nothing.
 
     Priority: an exact ``datacite``, then any prefix starting with
@@ -222,9 +195,9 @@ def select_datacite_prefix(formats: list[MetadataFormatInfo]) -> str | None:
         lambda p: p.startswith("datacite"),
         lambda p: p.startswith("oai_datacite"),
     ):
-        for info in formats:
-            if test(info.prefix):
-                return info.prefix
+        for prefix in prefixes:
+            if test(prefix):
+                return prefix
     return None
 
 
@@ -277,11 +250,11 @@ def harvest_records(
     config: RunConfig,
     sink: Callable[[bytes | str, list[RawRecord]], None],
     *,
-    gate: HostGate | None = None,
+    gate: HostGate,
+    session: http.Sessions,
     seen: set[str] | None = None,
-    session: http.Sessions | None = None,
     first_page_only: bool = False,
-    after: HarvestSummary | None = None,
+    token: str | None = None,
 ) -> HarvestSummary:
     """Walk the ListRecords chain, feeding each page to the sink.
 
@@ -295,77 +268,74 @@ def harvest_records(
 
     A chain may be walked in two calls: ``first_page_only`` ends the first
     call after page 1, with the next resumption token in the summary, and
-    ``after`` (that summary) continues from the token. The one bad-token
-    restart applies to the whole chain, and the second call is the only one
-    to need it; the returned summary counts only this call's pages.
+    ``token`` (that token) continues from it; without one the walk starts
+    at page 1. The one bad-token restart applies to the whole chain, and the
+    second call is the only one to need it; the returned summary counts only
+    this call's pages.
     """
-    gate = gate or HostGate(config.politeness_delay)
     seen = set() if seen is None else seen
     summary = HarvestSummary()
     restart_budget = 1
     first_page_params = {"verb": "ListRecords", "metadataPrefix": prefix}
-    if after is None:
+    if token is None:
         params = dict(first_page_params)
-    elif after.token:
-        params = {"verb": "ListRecords", "resumptionToken": after.token}
     else:
-        raise ValueError(f"{endpoint}: the earlier call left no chain to continue")
+        params = {"verb": "ListRecords", "resumptionToken": token}
 
-    with http.scope(session) as sessions:
-        while True:
-            try:
-                reply = _request(endpoint, params, config, gate, sessions)
-            except EndpointUnresponsiveError as exc:
-                logger.warning("%s: %s, harvest is partial", endpoint, exc)
-                return summary
-            body = http.xml_payload(reply)
-            try:
-                records, token, size = parse_page(body)
-            except ET.ParseError as exc:
-                # a skipped page would silently bias the corpus, so stop here
-                logger.warning("%s: unparseable page (%s), harvest is partial",
-                               endpoint, exc)
-                return summary
-            except ProtocolError as exc:
-                if exc.code == "noRecordsMatch":
-                    summary.completed = True
-                    return summary
-                if exc.code == "badResumptionToken" and restart_budget > 0:
-                    restart_budget -= 1
-                    logger.warning(
-                        "%s: resumption token rejected, restarting chain",
-                        endpoint,
-                    )
-                    params = dict(first_page_params)
-                    continue
-                logger.warning("%s: %s, harvest is partial", endpoint, exc)
-                return summary
-
-            summary.pages += 1
-            if size is not None and summary.complete_list_size is None:
-                summary.complete_list_size = size
-            taken: list[RawRecord] = []
-            for record in records:
-                if not record.oai_identifier:
-                    logger.warning("%s: record without identifier skipped", endpoint)
-                    continue
-                if record.oai_identifier in seen:
-                    continue
-                seen.add(record.oai_identifier)
-                if record.deleted:
-                    summary.deleted += 1
-                    continue
-                taken.append(record)
-            sink(body, taken)
-            summary.records += len(taken)
-
-            if not token:
+    while True:
+        try:
+            reply = _request(endpoint, params, config, gate, session)
+        except EndpointUnresponsiveError as exc:
+            logger.warning("%s: %s, harvest is partial", endpoint, exc)
+            return summary
+        body = http.xml_payload(reply)
+        try:
+            records, token, size = parse_page(body)
+        except ET.ParseError as exc:
+            # a skipped page would silently bias the corpus, so stop here
+            logger.warning("%s: unparseable page (%s), harvest is partial",
+                           endpoint, exc)
+            return summary
+        except ProtocolError as exc:
+            if exc.code == "noRecordsMatch":
                 summary.completed = True
                 return summary
-            if first_page_only:
-                summary.token = token
-                return summary
-            params = {"verb": "ListRecords", "resumptionToken": token}
+            if exc.code == "badResumptionToken" and restart_budget > 0:
+                restart_budget -= 1
+                logger.warning(
+                    "%s: resumption token rejected, restarting chain",
+                    endpoint,
+                )
+                params = dict(first_page_params)
+                continue
+            logger.warning("%s: %s, harvest is partial", endpoint, exc)
+            return summary
+
+        summary.pages += 1
+        if size is not None and summary.complete_list_size is None:
+            summary.complete_list_size = size
+        taken: list[RawRecord] = []
+        for record in records:
+            if not record.oai_identifier:
+                logger.warning("%s: record without identifier skipped", endpoint)
+                continue
+            if record.oai_identifier in seen:
+                continue
+            seen.add(record.oai_identifier)
+            if record.deleted:
+                summary.deleted += 1
+                continue
+            taken.append(record)
+        sink(body, taken)
+        summary.records += len(taken)
+
+        if not token:
+            summary.completed = True
+            return summary
+        if first_page_only:
+            summary.token = token
+            return summary
+        params = {"verb": "ListRecords", "resumptionToken": token}
 
 
 def estimate_list_size(
@@ -373,8 +343,8 @@ def estimate_list_size(
     prefix: str,
     config: RunConfig,
     *,
-    gate: HostGate | None = None,
-    session: http.Sessions | None = None,
+    gate: HostGate,
+    session: http.Sessions,
 ) -> int | None:
     """Size estimate from the first page's completeListSize, if advertised.
 

@@ -223,7 +223,7 @@ class PipelineRun:
 
         def classify(repo: registry.RepositoryDescriptor) -> registry.DataciteSupport:
             try:
-                formats = oaipmh.list_metadata_formats(
+                prefixes = oaipmh.list_metadata_formats(
                     _oai_endpoint(repo),
                     self.config,
                     gate=gate,
@@ -231,8 +231,8 @@ class PipelineRun:
                 )
             except oaipmh.OaiError as exc:
                 logger.warning("%s: not usable (%s)", repo.registry_id, exc)
-                formats = []
-            prefix = oaipmh.select_datacite_prefix(formats)
+                prefixes = []
+            prefix = oaipmh.select_datacite_prefix(prefixes)
             if prefix is None:
                 return registry.DataciteSupport(status=registry.SUPPORT_UNSUPPORTED)
             return registry.DataciteSupport(
@@ -305,7 +305,7 @@ class PipelineRun:
             seen: set[str],
             *,
             first_page_only: bool = False,
-            after: oaipmh.HarvestSummary | None = None,
+            token: str | None = None,
         ) -> oaipmh.HarvestSummary:
             name = repo.registry_id
             endpoint = _oai_endpoint(repo)
@@ -327,7 +327,7 @@ class PipelineRun:
                 seen=seen,
                 session=self.sessions,
                 first_page_only=first_page_only,
-                after=after,
+                token=token,
             )
             self.store.close("raw", name)
             return summary
@@ -357,11 +357,13 @@ class PipelineRun:
             return None
 
         # pass 2: the unfinished chains, largest first, on one shared queue.
+        # A chain continues on whichever worker is free, and sends the
+        # cookies its first page set: the step's workers share one jar.
         # A waiting chain holds one page of ids. A token that expired while
         # its chain waited is rejected, and the chain spends its one restart
         # to start again at page 1.
         def resume(chain: _Chain) -> None:
-            rest = harvest(chain.repo, chain.page_ids, after=chain.first)
+            rest = harvest(chain.repo, chain.page_ids, token=chain.first.token)
             finish(chain.repo, chain.first + rest)
 
         with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:

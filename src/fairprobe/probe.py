@@ -150,64 +150,61 @@ def doi_url(doi: str, resolver_base: str) -> str:
 
 def f_ret(
     record: DataciteRecord,
-    config: RunConfig | None = None,
+    config: RunConfig,
     *,
-    gate: HostGate | None = None,
-    session: http.Sessions | None = None,
+    gate: HostGate,
+    session: http.Sessions,
 ) -> tuple[bool, ProbeTrace]:
     """Is the image behind this record's DOI machine-retrievable?
 
     True when either negotiation phase ends in a 200 with an acceptable
     Content-Type; the trace tells which phase and why otherwise.
     """
-    config = config or RunConfig()
-    gate = gate or HostGate(config.per_host_delay)
     trace = ProbeTrace()
     started = time.monotonic()
-    with http.scope(session) as sessions:
-        cookies = CookieJar()  # one probe's hops share cookies, probes do not
-        try:
-            reply, reason = _follow_chain(
-                doi_url(record.doi, config.doi_resolver), "image/*",
-                config, gate, sessions, cookies, trace,
-            )
+    cookies = CookieJar()  # one probe's hops share cookies, probes do not
+    try:
+        reply, reason = _follow_chain(
+            doi_url(record.doi, config.doi_resolver), "image/*",
+            config, gate, session, cookies, trace,
+        )
 
-            if reply is not None and reason is None:
-                if reply.status == 200 and http.is_image(
-                    reply.headers.get("Content-Type")
-                ):
-                    trace.outcome = OUTCOME_CLIENT
-                    return True, trace
-                reason = REASON_NO_IMAGE if reply.status == 200 else REASON_NON_200
+        if reply is not None and reason is None:
+            if reply.status == 200 and http.is_image(
+                reply.headers.get("Content-Type")
+            ):
+                trace.outcome = OUTCOME_CLIENT
+                return True, trace
+            reason = REASON_NO_IMAGE if reply.status == 200 else REASON_NON_200
 
-            # server-side fallback: only with a failed phase 1 and a Link header
-            link_header = reply.headers.get("Link") if reply is not None else None
-            if link_header:
-                match = _match_link(link_header, record.formats)
-                if match is None:
-                    trace.reason = REASON_NO_LINK_MATCH
-                    return False, trace
-                target, matched_format = match
-                target_url = http.redirect_url(trace.steps[-1].url, target)
-                reply2, reason2 = _follow_chain(
-                    target_url, matched_format, config, gate, sessions, cookies, trace
-                )
-                if reply2 is not None and reason2 is None:
-                    served = _bare_type(reply2.headers.get("Content-Type") or "")
-                    matched = _bare_type(matched_format)
-                    if reply2.status == 200 and served == matched:
-                        trace.outcome = OUTCOME_LINK
-                        return True, trace
-                    reason2 = (
-                        REASON_NO_IMAGE if reply2.status == 200 else REASON_NON_200
-                    )
-                trace.reason = reason2
+        # server-side fallback: only with a failed phase 1 and a Link header
+        link_header = reply.headers.get("Link") if reply is not None else None
+        if link_header:
+            match = _match_link(link_header, record.formats)
+            if match is None:
+                trace.reason = REASON_NO_LINK_MATCH
                 return False, trace
-
-            trace.reason = reason
+            target, matched_format = match
+            target_url = http.redirect_url(trace.steps[-1].url, target)
+            reply2, reason2 = _follow_chain(
+                target_url, matched_format, config, gate, session, cookies, trace
+            )
+            if reply2 is not None and reason2 is None:
+                served = _bare_type(reply2.headers.get("Content-Type") or "")
+                matched = _bare_type(matched_format)
+                if reply2.status == 200 and served == matched:
+                    trace.outcome = OUTCOME_LINK
+                    return True, trace
+                reason2 = (
+                    REASON_NO_IMAGE if reply2.status == 200 else REASON_NON_200
+                )
+            trace.reason = reason2
             return False, trace
-        finally:
-            trace.elapsed = (time.monotonic() - started) * 1000.0
+
+        trace.reason = reason
+        return False, trace
+    finally:
+        trace.elapsed = (time.monotonic() - started) * 1000.0
 
 
 def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:

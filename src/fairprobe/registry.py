@@ -191,51 +191,54 @@ def fetch_repository_list(
     fallback_seed: str | Path | None,
     config: RunConfig,
     *,
-    session: http.Sessions | None = None,
+    session: http.Sessions,
 ) -> list[RepositoryDescriptor]:
     """Candidate repositories from the registry, or from the seed file.
 
-    The network source is preferred. The seed is consulted only when no
-    endpoint is configured, or when the endpoint is unreachable and
-    ``config.allow_seed_fallback`` is set. Requests wait ``config.timeout``
-    seconds; ``config.detail_workers`` detail pages are fetched at once.
+    ``registry_endpoint`` is the registry API's base URL, as re3data's
+    ``https://www.re3data.org/api/v1``: the list is read from
+    ``<base>/repositories`` and each entry's detail from
+    ``<base>/repository/<id>``. The network source is preferred. The seed is
+    consulted only when no endpoint is configured, or when the endpoint is
+    unreachable and ``config.allow_seed_fallback`` is set. Requests wait
+    ``config.timeout`` seconds; ``config.detail_workers`` detail pages are
+    fetched at once.
     """
     if not registry_endpoint:
         if fallback_seed:
             return load_seed_file(fallback_seed)
         raise RegistryUnreachableError("no registry endpoint and no seed file")
 
-    with http.scope(session) as sessions:
+    try:
+        entries = parse_repository_list(
+            _fetch(session, registry_endpoint.rstrip("/") + "/repositories", config)
+        )
+    except (*http.REQUEST_ERRORS, RegistryError) as exc:
+        if fallback_seed and config.allow_seed_fallback:
+            logger.warning(
+                "registry unreachable (%s), falling back to seed file", exc
+            )
+            return load_seed_file(fallback_seed)
+        raise RegistryUnreachableError(str(exc)) from exc
+
+    def fetch_detail(entry: dict[str, str]) -> dict[str, Any] | None:
+        url = (
+            registry_endpoint.rstrip("/")
+            + "/repository/"
+            + entry["registry_id"]
+        )
         try:
-            entries = parse_repository_list(
-                _fetch(sessions, registry_endpoint.rstrip("/") + "/repositories", config)
+            return parse_repository_detail(_fetch(session, url, config))
+        except (*http.REQUEST_ERRORS, RegistryError, ET.ParseError) as exc:
+            logger.warning(
+                "registry entry %s: detail failed, skipped: %s",
+                entry["registry_id"],
+                exc,
             )
-        except (*http.REQUEST_ERRORS, RegistryError) as exc:
-            if fallback_seed and config.allow_seed_fallback:
-                logger.warning(
-                    "registry unreachable (%s), falling back to seed file", exc
-                )
-                return load_seed_file(fallback_seed)
-            raise RegistryUnreachableError(str(exc)) from exc
+            return None
 
-        def fetch_detail(entry: dict[str, str]) -> dict[str, Any] | None:
-            url = (
-                registry_endpoint.rstrip("/")
-                + "/repository/"
-                + entry["registry_id"]
-            )
-            try:
-                return parse_repository_detail(_fetch(sessions, url, config))
-            except (*http.REQUEST_ERRORS, RegistryError, ET.ParseError) as exc:
-                logger.warning(
-                    "registry entry %s: detail failed, skipped: %s",
-                    entry["registry_id"],
-                    exc,
-                )
-                return None
-
-        with ThreadPoolExecutor(max_workers=config.detail_workers) as pool:
-            details = list(pool.map(fetch_detail, entries))
+    with ThreadPoolExecutor(max_workers=config.detail_workers) as pool:
+        details = list(pool.map(fetch_detail, entries))
 
     descriptors: list[RepositoryDescriptor] = []
     for detail, entry in zip(details, entries):

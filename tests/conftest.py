@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fairprobe import mockrdr
+from fairprobe import http, mockrdr
 from fairprobe.config import RunConfig
+from fairprobe.throttle import HostGate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,6 +33,21 @@ def serve_script():
     yield launch
     for hub in started:
         hub.shutdown()
+
+
+@pytest.fixture
+def sessions():
+    """A run's ``http.Sessions`` for the fetching functions; closed after
+    the test."""
+    run = http.Sessions()
+    yield run
+    run.close()
+
+
+@pytest.fixture
+def gate() -> HostGate:
+    """A ``HostGate`` with no delay, as the tests' configs set none."""
+    return HostGate(0.0)
 
 
 @pytest.fixture

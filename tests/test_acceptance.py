@@ -274,7 +274,7 @@ def test_criterion_4_protocol_resilience(tmp_path, serve_script):
         assert detail["delta"]["completed"] is True
 
 
-def test_criterion_5_probe_decision_matrix(serve_script):
+def test_criterion_5_probe_decision_matrix(serve_script, sessions, gate):
     with criterion(5, "probe decision matrix"):
         tiff_link = '</blob/tif1>; rel="alternate"; type="image/tiff"'
         hub = serve_script(
@@ -316,7 +316,8 @@ def test_criterion_5_probe_decision_matrix(serve_script):
         )
 
         def probe(doi: str, formats=("image/png",)):
-            ok, trace = f_ret(DataciteRecord(doi=doi, formats=list(formats)), config)
+            record = DataciteRecord(doi=doi, formats=list(formats))
+            ok, trace = f_ret(record, config, gate=gate, session=sessions)
             return ok, trace.outcome, trace.reason
 
         matrix = {
@@ -345,6 +346,8 @@ def test_criterion_5_probe_decision_matrix(serve_script):
         ok, trace = f_ret(
             DataciteRecord(doi="10.82/dark", formats=["image/png"]),
             RunConfig(doi_resolver=dead, timeout=0.5, per_host_delay=0.0),
+            gate=gate,
+            session=sessions,
         )
         assert (ok, trace.outcome, trace.reason) == (False, "failed", "transport")
         assert [s.status for s in trace.steps] == [0]

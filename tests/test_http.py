@@ -33,6 +33,7 @@ from fairprobe import __version__, http, mockrdr, oaipmh, pipeline, registry
 from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import ProbeTrace, f_ret
+from fairprobe.throttle import HostGate
 
 from open_files import needs_proc, sockets_to
 
@@ -56,10 +57,9 @@ def clean_env(monkeypatch):
     return monkeypatch
 
 
-def list_formats(endpoint: str, session=None) -> list[str]:
+def list_formats(endpoint: str, sessions: http.Sessions, gate: HostGate) -> list[str]:
     config = RunConfig(timeout=5.0, politeness_delay=0.0)
-    formats = oaipmh.list_metadata_formats(endpoint, config, session=session)
-    return [info.prefix for info in formats]
+    return oaipmh.list_metadata_formats(endpoint, config, gate=gate, session=sessions)
 
 
 def reference_session() -> requests.Session:
@@ -70,14 +70,18 @@ def reference_session() -> requests.Session:
     return session
 
 
-def probe(resolver: str) -> bool:
+def probe(resolver: str, sessions: http.Sessions, gate: HostGate) -> bool:
     config = RunConfig(doi_resolver=resolver, timeout=5.0, per_host_delay=0.0)
-    retrievable, _ = f_ret(DataciteRecord(doi="10.9/x"), config)
+    retrievable, _ = f_ret(
+        DataciteRecord(doi="10.9/x"), config, gate=gate, session=sessions
+    )
     return retrievable
 
 
 @pytest.mark.parametrize("no_proxy", [None, "127.0.0.1"])
-def test_environment_proxy_applies_unless_no_proxy(scripted_http, clean_env, no_proxy):
+def test_environment_proxy_applies_unless_no_proxy(
+    scripted_http, clean_env, no_proxy, sessions, gate
+):
     via_proxy, direct = [], []
     proxy = scripted_http([FORMATS_REPLY, IMAGE_REPLY], via_proxy)
     origin = scripted_http([FORMATS_REPLY, IMAGE_REPLY], direct)
@@ -85,8 +89,8 @@ def test_environment_proxy_applies_unless_no_proxy(scripted_http, clean_env, no_
     if no_proxy is not None:
         clean_env.setenv("NO_PROXY", no_proxy)
 
-    assert list_formats(origin + "/oai") == ["datacite"]
-    assert probe(origin + "/resolve/")
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
+    assert probe(origin + "/resolve/", sessions, gate)
 
     if no_proxy is None:
         # a forward proxy is sent the absolute form (RFC 9112 section 3.2.2)
@@ -128,21 +132,23 @@ def test_a_probe_hop_sends_what_a_session_sends(scripted_http, clean_env, tmp_pa
     assert ("Authorization", "Basic YWxpY2U6c2VjcmV0") in headers[0]
 
 
-def test_settings_are_read_once_per_origin_per_run(scripted_http, clean_env):
+def test_settings_are_read_once_per_origin_per_run(
+    scripted_http, clean_env, sessions, gate
+):
     via_proxy, direct = [], []
     proxy = scripted_http([FORMATS_REPLY] * 2, via_proxy)
     origin = scripted_http([FORMATS_REPLY] * 2, direct)
     first_run = http.Sessions()
     try:
-        assert list_formats(origin + "/oai", first_run) == ["datacite"]
+        assert list_formats(origin + "/oai", first_run, gate) == ["datacite"]
         clean_env.setenv("HTTP_PROXY", proxy)
         # this run has read its settings for the origin already
-        assert list_formats(origin + "/oai", first_run) == ["datacite"]
+        assert list_formats(origin + "/oai", first_run, gate) == ["datacite"]
     finally:
         first_run.close()
     assert len(direct) == 2 and via_proxy == []
     # a new run reads the environment again
-    assert list_formats(origin + "/oai") == ["datacite"]
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
     assert via_proxy == [origin + "/oai?verb=ListMetadataFormats"]
 
 
@@ -358,17 +364,26 @@ def tls_origin(tmp_path):
         server.server_close()
 
 
-def test_a_probe_verifies_against_the_environment_ca_bundle(tls_origin, clean_env):
+def test_a_probe_verifies_against_the_environment_ca_bundle(
+    tls_origin, clean_env, sessions, gate
+):
     origin, cert = tls_origin
     clean_env.delenv("REQUESTS_CA_BUNDLE", raising=False)
     clean_env.delenv("CURL_CA_BUNDLE", raising=False)
     # certifi's bundle does not hold the self-signed certificate
-    assert not probe(origin + "/")
+    assert not probe(origin + "/", sessions, gate)
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
-    assert probe(origin + "/")
+    # a new run reads the environment again
+    next_run = http.Sessions()
+    try:
+        assert probe(origin + "/", next_run, gate)
+    finally:
+        next_run.close()
 
 
-def test_a_certificate_for_another_host_name_fails_the_probe(tls_origin, clean_env):
+def test_a_certificate_for_another_host_name_fails_the_probe(
+    tls_origin, clean_env, sessions, gate
+):
     origin, cert = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     config = RunConfig(
@@ -376,12 +391,14 @@ def test_a_certificate_for_another_host_name_fails_the_probe(tls_origin, clean_e
         timeout=5.0, per_host_delay=0.0,
     )
     # the certificate names IP 127.0.0.1 only
-    retrievable, trace = f_ret(DataciteRecord(doi="10.9/x"), config)
+    retrievable, trace = f_ret(
+        DataciteRecord(doi="10.9/x"), config, gate=gate, session=sessions
+    )
     assert not retrievable
     assert (trace.steps[0].status, trace.reason) == (0, "transport")
 
 
-def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch):
+def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch, gate):
     origin, cert = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     loads = []
@@ -397,7 +414,7 @@ def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch):
     try:
         # each probe closes its image reply unread, so each connects anew
         for doi in ("10.9/a", "10.9/b"):
-            assert f_ret(DataciteRecord(doi=doi), config, session=sessions)[0]
+            assert f_ret(DataciteRecord(doi=doi), config, gate=gate, session=sessions)[0]
     finally:
         sessions.close()
     assert len(loads) == 1
@@ -494,19 +511,22 @@ def list_records(n: int, token: str = "") -> str:
     )
 
 
-def harvest(endpoint: str, session=None, **config) -> tuple[oaipmh.HarvestSummary, list]:
-    """Harvest; returns the summary and each page's (body, identifiers)."""
-    settings = dict(timeout=5.0, politeness_delay=0.0)
-    settings.update(config)
+def harvest(
+    endpoint: str, sessions: http.Sessions, gate: HostGate, **kwargs
+) -> tuple[oaipmh.HarvestSummary, list]:
+    """Harvest; returns the summary and each page's (body, identifiers).
+    ``kwargs`` go to ``harvest_records``."""
     pages = []
     summary = oaipmh.harvest_records(
         endpoint,
         "datacite",
-        RunConfig(**settings),
+        RunConfig(timeout=5.0, politeness_delay=0.0),
         lambda body, records: pages.append(
             (body, [record.oai_identifier for record in records])
         ),
-        session=session,
+        gate=gate,
+        session=sessions,
+        **kwargs,
     )
     return summary, pages
 
@@ -517,7 +537,7 @@ def header_values(lines: list[tuple[str, str]], name: str) -> list[str]:
 
 def test_an_oai_request_goes_on_the_wire_as_a_session_sends_it(
     scripted_http, clean_env, tmp_path
-):
+, sessions, gate):
     netrc = tmp_path / "netrc"
     netrc.write_text("machine 127.0.0.1 login alice password secret\n")
     clean_env.setenv("NETRC", str(netrc))
@@ -527,7 +547,7 @@ def test_an_oai_request_goes_on_the_wire_as_a_session_sends_it(
     config = RunConfig(timeout=5.0, politeness_delay=0.0)
     summary = oaipmh.harvest_records(
         endpoint, "datacite", config, lambda body, records: None,
-        after=oaipmh.HarvestSummary(token=TOKEN),
+        gate=gate, session=sessions, token=TOKEN,
     )
     with reference_session() as reference:
         reference.get(
@@ -541,42 +561,46 @@ def test_an_oai_request_goes_on_the_wire_as_a_session_sends_it(
     assert header_values(headers[0], "Authorization") == ["Basic YWxpY2U6c2VjcmV0"]
 
 
-def test_a_relative_redirect_is_followed(scripted_http, clean_env):
+def test_a_relative_redirect_is_followed(scripted_http, clean_env, sessions, gate):
     targets = []
     moved = (302, {"Location": "../moved/oai?verb=ListMetadataFormats"}, b"")
     origin = scripted_http([moved, FORMATS_REPLY], targets)
-    assert list_formats(origin + "/old/oai") == ["datacite"]
+    assert list_formats(origin + "/old/oai", sessions, gate) == ["datacite"]
     assert targets == [
         "/old/oai?verb=ListMetadataFormats",
         "/moved/oai?verb=ListMetadataFormats",
     ]
 
 
-def test_a_utf8_location_is_read_as_requests_reads_it(scripted_http, clean_env):
+def test_a_utf8_location_is_read_as_requests_reads_it(
+    scripted_http, clean_env, sessions, gate
+):
     # header text arrives read as ISO-8859-1: these two characters are the
     # UTF-8 bytes of "ä"
     moved = (302, {"Location": "/m\u00c3\u00a4?verb=ListMetadataFormats"}, b"")
     ours, reference = [], []
     origin = scripted_http([moved, FORMATS_REPLY], ours)
-    assert list_formats(origin + "/oai") == ["datacite"]
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
     with requests.Session() as session:
         session.get(scripted_http([moved, FORMATS_REPLY], reference) + "/oai")
     assert ours[1] == reference[1] == "/m%C3%A4?verb=ListMetadataFormats"
 
 
-def test_a_location_that_is_not_utf8_is_followed(scripted_http, clean_env):
+def test_a_location_that_is_not_utf8_is_followed(
+    scripted_http, clean_env, sessions, gate
+):
     # requests raises UnicodeDecodeError here; the ISO-8859-1 reading is kept
     targets = []
     moved = (302, {"Location": "/caf\u00e9?verb=ListMetadataFormats"}, b"")
     origin = scripted_http([moved, FORMATS_REPLY], targets)
-    assert list_formats(origin + "/oai") == ["datacite"]
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
     assert targets[1] == "/caf%C3%A9?verb=ListMetadataFormats"
 
 
 @pytest.mark.parametrize("second_in_netrc", [False, True])
 def test_a_redirect_to_another_origin_sends_that_origins_netrc(
     scripted_http, clean_env, tmp_path, second_in_netrc
-):
+, sessions, gate):
     netrc = tmp_path / "netrc"
     machines = "machine 127.0.0.1 login alice password secret\n"
     if second_in_netrc:
@@ -590,13 +614,15 @@ def test_a_redirect_to_another_origin_sends_that_origins_netrc(
     )
     moved = (302, {"Location": target + "/oai?verb=ListMetadataFormats"}, b"")
     origin = scripted_http([moved], None, first)
-    assert list_formats(origin + "/oai") == ["datacite"]
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
     assert header_values(first[0], "Authorization") == ["Basic YWxpY2U6c2VjcmV0"]
     expected = ["Basic Ym9iOm90aGVy"] if second_in_netrc else []
     assert header_values(second[0], "Authorization") == expected
 
 
-def test_each_redirect_hop_chooses_its_own_proxy(scripted_http, clean_env):
+def test_each_redirect_hop_chooses_its_own_proxy(
+    scripted_http, clean_env, sessions, gate
+):
     via_proxy, direct = [], []
     proxy = scripted_http([FORMATS_REPLY], via_proxy)
     # never contacted: the proxy answers for it
@@ -604,20 +630,22 @@ def test_each_redirect_hop_chooses_its_own_proxy(scripted_http, clean_env):
     origin = scripted_http([(302, {"Location": target}, b"")], direct)
     clean_env.setenv("HTTP_PROXY", proxy)
     clean_env.setenv("NO_PROXY", "127.0.0.1")
-    assert list_formats(origin + "/oai") == ["datacite"]
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
     assert direct == ["/oai?verb=ListMetadataFormats"]
     assert via_proxy == [target]
 
 
 @pytest.mark.parametrize("redirects", [30, 31])
-def test_a_harvest_follows_thirty_redirects(scripted_http, clean_env, caplog, redirects):
+def test_a_harvest_follows_thirty_redirects(
+    scripted_http, clean_env, caplog, redirects, sessions, gate
+):
     targets = []
     again = (302, {"Location": "/oai?verb=ListRecords&metadataPrefix=datacite"}, b"")
     page = (200, XML, list_records(1).encode())
     # a 31st redirect ends the request without a retry
     endpoint = scripted_http([again] * redirects + [page], targets) + "/oai"
     with caplog.at_level("WARNING", logger="fairprobe"):
-        summary, pages = harvest(endpoint)
+        summary, pages = harvest(endpoint, sessions, gate)
     assert len(targets) == 31
     if redirects == 30:
         assert summary.completed and pages[0][1] == ["oai:x:1"]
@@ -627,19 +655,23 @@ def test_a_harvest_follows_thirty_redirects(scripted_http, clean_env, caplog, re
         assert "attempts left" not in caplog.text
 
 
-def test_the_registry_fails_on_the_thirty_first_redirect(scripted_http, clean_env):
+def test_the_registry_fails_on_the_thirty_first_redirect(
+    scripted_http, clean_env, sessions
+):
     targets = []
     again = (302, {"Location": "/registry/repositories"}, b"")
     registry_url = scripted_http([again] * 31, targets) + "/registry"
     with pytest.raises(registry.RegistryUnreachableError):
-        registry.fetch_repository_list(registry_url, None, RunConfig(timeout=5.0))
+        registry.fetch_repository_list(
+            registry_url, None, RunConfig(timeout=5.0), session=sessions
+        )
     assert len(targets) == 31
 
 
-def test_a_gzip_encoded_page_is_decoded(scripted_http, clean_env):
+def test_a_gzip_encoded_page_is_decoded(scripted_http, clean_env, sessions, gate):
     body = list_records(1).encode()
     gzipped = (200, dict(XML, **{"Content-Encoding": "gzip"}), gzip.compress(body))
-    summary, pages = harvest(scripted_http([gzipped]) + "/oai")
+    summary, pages = harvest(scripted_http([gzipped]) + "/oai", sessions, gate)
     assert summary.completed
     assert pages == [(body, ["oai:x:1"])]
 
@@ -656,10 +688,11 @@ def test_a_gzip_encoded_page_is_decoded(scripted_http, clean_env):
 )
 def test_a_charset_tagged_page_reads_as_requests_text(
     scripted_http, clean_env, content_type, encoding
-):
+, sessions, gate):
     body = list_records(1).encode(encoding)
     headers = {"Content-Type": content_type}
-    summary, pages = harvest(scripted_http([(200, headers, body)]) + "/oai")
+    endpoint = scripted_http([(200, headers, body)]) + "/oai"
+    summary, pages = harvest(endpoint, sessions, gate)
     reference = requests.Response()
     reference._content = body
     reference.headers = CaseInsensitiveDict(headers)
@@ -668,38 +701,71 @@ def test_a_charset_tagged_page_reads_as_requests_text(
     assert pages == [(reference.text, ["oai:x:1"])]
 
 
-def test_a_cookie_lasts_until_the_sessions_close(scripted_http, clean_env):
+def test_a_cookie_lasts_until_the_sessions_close(
+    scripted_http, clean_env, sessions, gate
+):
     headers = []
     first = dict(XML, **{"Set-Cookie": "sid=abc; Path=/"})
-    origin = scripted_http(
-        [
-            (200, first, list_records(1, token="next").encode()),
-            (200, XML, list_records(2).encode()),
-            FORMATS_REPLY,
-        ],
-        None,
-        headers,
-    )
-    sessions = http.Sessions()
-    try:
-        summary, _ = harvest(origin + "/oai", sessions)
+    chain = [
+        (200, first, list_records(1, token="next").encode()),
+        (200, XML, list_records(2).encode()),
+        FORMATS_REPLY,
+    ]
+    endpoint = scripted_http(chain * 2, None, headers) + "/oai"
+
+    def in_one_call() -> oaipmh.HarvestSummary:
+        return harvest(endpoint, sessions, gate)[0]
+
+    def on_two_threads() -> oaipmh.HarvestSummary:
+        # as step 3 walks a chain: page 1, then the rest on whichever worker is free
+        with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(1) as another:
+            page_1, _ = one.submit(
+                harvest, endpoint, sessions, gate, first_page_only=True
+            ).result()
+            rest, _ = another.submit(
+                harvest, endpoint, sessions, gate, token=page_1.token
+            ).result()
+        return page_1 + rest
+
+    for walk in (in_one_call, on_two_threads):
+        summary = walk()
+        assert summary.completed and summary.pages == 2
         sessions.close()
-        assert list_formats(origin + "/oai", sessions) == ["datacite"]
-    finally:
-        sessions.close()
-    assert summary.completed and summary.pages == 2
+        assert list_formats(endpoint, sessions, gate) == ["datacite"]
     assert [header_values(lines, "Cookie") for lines in headers] == [
         [], ["sid=abc"], []
-    ]
+    ] * 2
+
+
+def test_workers_sharing_the_jar_lose_no_cookie(scripted_http, clean_env, sessions):
+    # each reply sets its own cookie while other workers send and extract
+    count = 200
+    headers = []
+    replies = [(200, {"Set-Cookie": f"c{i}=1; Path=/"}, b"") for i in range(count)]
+    url = scripted_http([*replies, (200, {}, b"")], None, headers) + "/x"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            statuses = list(pool.map(
+                lambda _: sessions.get(url, None, 5.0).status, range(count), timeout=60
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == [200] * count
+    assert sessions.get(url, None, 5.0).status == 200
+    sent = header_values(headers[-1], "Cookie")
+    assert len(sent) == 1
+    assert sorted(sent[0].split("; ")) == sorted(f"c{i}=1" for i in range(count))
 
 
 # --- kept-alive connections ----------------------------------------------------
 
-def test_two_link_lines_are_joined_in_the_trace(wire, clean_env):
+def test_two_link_lines_are_joined_in_the_trace(wire, clean_env, sessions, gate):
     links = [("Link", '<a.png>; rel="item"'), ("Link", '<b.tif>; rel="item"')]
     landing = wire([(200, [("Content-Type", "text/html"), *links], b"")])
     config = RunConfig(doi_resolver=landing.url, timeout=5.0, per_host_delay=0.0)
-    _, trace = f_ret(DataciteRecord(doi="10.9/x"), config)
+    _, trace = f_ret(DataciteRecord(doi="10.9/x"), config, gate=gate, session=sessions)
     assert trace.steps[0].link_header == '<a.png>; rel="item", <b.tif>; rel="item"'
 
 
@@ -754,10 +820,12 @@ def raw_deflate(body: bytes) -> bytes:
     ],
     ids=["chunked", "deflate", "raw-deflate", "gzip-members", "chunked-gzip"],
 )
-def test_a_framed_or_encoded_page_is_read(wire, clean_env, headers, framed):
+def test_a_framed_or_encoded_page_is_read(
+    wire, clean_env, headers, framed, sessions, gate
+):
     body = list_records(1).encode()
     page = wire([(200, [("Content-Type", "text/xml"), *headers], framed(body))])
-    summary, pages = harvest(page.url + "/oai")
+    summary, pages = harvest(page.url + "/oai", sessions, gate)
     assert summary.completed
     assert pages == [(body, ["oai:x:1"])]
 
@@ -796,24 +864,29 @@ def test_ten_idle_connections_are_kept_per_origin(wire, clean_env):
 
 # --- requests and replies as they go on the wire -------------------------------
 
-def test_a_probe_follows_a_utf8_location_as_a_session_does(scripted_http, clean_env):
+def test_a_probe_follows_a_utf8_location_as_a_session_does(
+    scripted_http, clean_env, sessions, gate
+):
     # header text arrives read as ISO-8859-1: these two characters are the
     # UTF-8 bytes of "ä"
     moved = (302, {"Location": "/mÃ¤.png"}, b"")
     ours, reference = [], []
-    assert probe(scripted_http([moved, IMAGE_REPLY], ours) + "/resolve/")
+    assert probe(scripted_http([moved, IMAGE_REPLY], ours) + "/resolve/", sessions, gate)
     with requests.Session() as session:
         session.get(scripted_http([moved, IMAGE_REPLY], reference) + "/resolve/10.9/x")
     assert ours[1] == reference[1] == "/m%C3%A4.png"
 
 
-def test_a_probe_follows_a_utf8_link_target_as_a_session_does(scripted_http, clean_env):
+def test_a_probe_follows_a_utf8_link_target_as_a_session_does(
+    scripted_http, clean_env, sessions, gate
+):
     # the UTF-8 bytes of "ä", read as ISO-8859-1 like all header text
     landing = (200, {"Content-Type": "text/html", "Link": '<mÃ¤.png>; type="image/png"'}, b"")
     ours, reference = [], []
     resolver = scripted_http([landing, IMAGE_REPLY], ours) + "/resolve/"
     config = RunConfig(doi_resolver=resolver, timeout=5.0, per_host_delay=0.0)
-    retrievable, trace = f_ret(DataciteRecord(doi="10.9/x", formats=["image/png"]), config)
+    record = DataciteRecord(doi="10.9/x", formats=["image/png"])
+    retrievable, trace = f_ret(record, config, gate=gate, session=sessions)
     assert retrievable and trace.outcome == "link_negotiated"
     with requests.Session() as session:
         session.get(scripted_http([IMAGE_REPLY], reference) + "/resolve/10.9/mä.png")
@@ -956,14 +1029,14 @@ READ_RULE = {
 @pytest.mark.parametrize("case", READ_RULE)
 def test_a_probe_keeps_its_connection_only_after_a_small_reply_that_is_not_an_image(
     serve, clean_env, case
-):
+, gate):
     reply, hang_up, kept, (retrievable, reason) = READ_RULE[case]
     server = serve(RawOrigin(reply, hang_up))
     config = RunConfig(doi_resolver=server.url + "/resolve/", timeout=5.0, per_host_delay=0.0)
     sessions = http.Sessions()
     try:
         traces = [
-            f_ret(DataciteRecord(doi=doi), config, session=sessions)
+            f_ret(DataciteRecord(doi=doi), config, gate=gate, session=sessions)
             for doi in ("10.9/a", "10.9/b")
         ]
     finally:
@@ -1021,7 +1094,9 @@ TRICKLES = {
 
 
 @pytest.mark.parametrize("case", TRICKLES)
-def test_a_redirect_body_holds_a_request_for_at_most_its_timeout(serve, wire, clean_env, case):
+def test_a_redirect_body_holds_a_request_for_at_most_its_timeout(
+    serve, wire, clean_env, case, sessions, gate
+):
     timeout = 0.5
     trickle = serve(TrickleOrigin(*TRICKLES[case]))
     moved = (302, [("Location", "/image")], b"moved")
@@ -1032,29 +1107,27 @@ def test_a_redirect_body_holds_a_request_for_at_most_its_timeout(serve, wire, cl
             doi_resolver=server.url + "/resolve/", timeout=timeout, per_host_delay=0.0
         )
         started = time.monotonic()
-        result = f_ret(DataciteRecord(doi="10.9/x"), config)
+        result = f_ret(DataciteRecord(doi="10.9/x"), config, gate=gate, session=sessions)
         return verdict(result), time.monotonic() - started
 
     found, took = probe_of(trickle)
     assert took < timeout + 1.0
     assert found == probe_of(well_behaved)[0]
     assert found[:3] == (True, "client_negotiated", None)
-    sessions = http.Sessions()
-    try:
-        started = time.monotonic()
-        reply = sessions.get(trickle.url + "/resolve/10.9/x", None, timeout)
-        took = time.monotonic() - started
-    finally:
-        sessions.close()
+    started = time.monotonic()
+    reply = sessions.get(trickle.url + "/resolve/10.9/x", None, timeout)
+    took = time.monotonic() - started
     assert (reply.status, reply.data) == (200, b"png")
     assert took < timeout + 1.0
 
 
-def test_every_request_names_fairprobe_as_its_user_agent(scripted_http, clean_env):
+def test_every_request_names_fairprobe_as_its_user_agent(
+    scripted_http, clean_env, sessions, gate
+):
     headers = []
     origin = scripted_http([FORMATS_REPLY, IMAGE_REPLY], None, headers)
-    assert list_formats(origin + "/oai") == ["datacite"]
-    assert probe(origin + "/resolve/")
+    assert list_formats(origin + "/oai", sessions, gate) == ["datacite"]
+    assert probe(origin + "/resolve/", sessions, gate)
     user_agent = f"fairprobe/{__version__}"
     assert [header_values(lines, "User-Agent") for lines in headers] == [[user_agent]] * 2
 

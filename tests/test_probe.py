@@ -40,8 +40,9 @@ def quick_config(resolver: str, **overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def run(hub, rec, **overrides):
-    return f_ret(rec, quick_config(hub.resolver_base, **overrides))
+def run(hub, rec, sessions, gate, **overrides):
+    config = quick_config(hub.resolver_base, **overrides)
+    return f_ret(rec, config, gate=gate, session=sessions)
 
 
 def hops(*hop_list):
@@ -109,8 +110,8 @@ def routes_hub(serve_script):
     return serve_script(script)
 
 
-def test_direct_image_reply(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/direct"))
+def test_direct_image_reply(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/direct"), sessions, gate)
     assert ok
     assert trace.outcome == OUTCOME_CLIENT
     assert trace.reason is None
@@ -120,14 +121,14 @@ def test_direct_image_reply(routes_hub):
     assert trace.elapsed > 0.0
 
 
-def test_content_type_parameters_and_case_ignored(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/params"))
+def test_content_type_parameters_and_case_ignored(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/params"), sessions, gate)
     assert ok
     assert trace.outcome == OUTCOME_CLIENT
 
 
-def test_redirect_chain_preserves_accept(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/chain"))
+def test_redirect_chain_preserves_accept(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/chain"), sessions, gate)
     assert ok
     assert trace.outcome == OUTCOME_CLIENT
     assert [s.status for s in trace.steps] == [303, 307, 200]
@@ -139,8 +140,8 @@ def test_redirect_chain_preserves_accept(routes_hub):
     assert [e.accept for e in served] == ["image/*"] * 3
 
 
-def test_redirect_loop_hits_the_limit(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/loop"))
+def test_redirect_loop_hits_the_limit(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/loop"), sessions, gate)
     assert not ok
     assert trace.outcome == OUTCOME_FAILED
     assert trace.reason == "redirect-limit"
@@ -149,27 +150,29 @@ def test_redirect_loop_hits_the_limit(routes_hub):
     assert all(s.status == 302 for s in trace.steps)
 
 
-def test_landing_page_without_link_fails(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/landing"))
+def test_landing_page_without_link_fails(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/landing"), sessions, gate)
     assert not ok
     assert trace.reason == "no-image-content-type"
     assert len(trace.steps) == 1
 
 
-def test_http_error_fails(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/gone"))
+def test_http_error_fails(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/gone"), sessions, gate)
     assert not ok
     assert trace.reason == "non-200"
 
 
-def test_unknown_doi_fails(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/never-registered"))
+def test_unknown_doi_fails(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/never-registered"), sessions, gate)
     assert not ok
     assert trace.reason == "non-200"
 
 
-def test_link_header_fallback(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/linked", formats=["image/tiff"]))
+def test_link_header_fallback(routes_hub, sessions, gate):
+    ok, trace = run(
+        routes_hub, record("10.9/linked", formats=["image/tiff"]), sessions, gate
+    )
     assert ok
     assert trace.outcome == OUTCOME_LINK
     assert len(trace.steps) == 2
@@ -179,71 +182,83 @@ def test_link_header_fallback(routes_hub):
     assert trace.steps[1].status == 200
 
 
-def test_link_type_must_match_annotated_format(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/linked", formats=["image/png"]))
+def test_link_type_must_match_annotated_format(routes_hub, sessions, gate):
+    ok, trace = run(
+        routes_hub, record("10.9/linked", formats=["image/png"]), sessions, gate
+    )
     assert not ok
     assert trace.reason == "no-link-match"
     assert len(trace.steps) == 1
 
 
-def test_link_fallback_runs_after_error_replies_too(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/link-on-error", formats=["image/tiff"]))
+def test_link_fallback_runs_after_error_replies_too(routes_hub, sessions, gate):
+    ok, trace = run(
+        routes_hub, record("10.9/link-on-error", formats=["image/tiff"]), sessions, gate
+    )
     assert ok
     assert trace.outcome == OUTCOME_LINK
     assert [s.status for s in trace.steps] == [500, 200]
 
 
-def test_first_matching_link_value_wins(routes_hub):
+def test_first_matching_link_value_wins(routes_hub, sessions, gate):
     ok, trace = run(
-        routes_hub, record("10.9/link-two-values", formats=["image/tiff"])
+        routes_hub, record("10.9/link-two-values", formats=["image/tiff"]),
+        sessions, gate,
     )
     assert ok
     assert trace.steps[1].url.endswith("/blob/tif1")
 
 
-def test_linked_target_must_serve_what_it_promised(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/link-wrong-blob", formats=["image/tiff"]))
+def test_linked_target_must_serve_what_it_promised(routes_hub, sessions, gate):
+    ok, trace = run(
+        routes_hub, record("10.9/link-wrong-blob", formats=["image/tiff"]),
+        sessions, gate,
+    )
     assert not ok
     assert trace.reason == "no-image-content-type"
     assert [s.status for s in trace.steps] == [200, 200]
 
 
-def test_linked_type_comparison_is_case_sensitive(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/link-case", formats=["image/tiff"]))
+def test_linked_type_comparison_is_case_sensitive(routes_hub, sessions, gate):
+    ok, trace = run(
+        routes_hub, record("10.9/link-case", formats=["image/tiff"]), sessions, gate
+    )
     assert not ok
     assert trace.reason == "no-image-content-type"
 
 
-def test_wildcard_accept_is_what_the_wire_carries(routes_hub):
-    ok, trace = run(routes_hub, record("10.9/picky"))
+def test_wildcard_accept_is_what_the_wire_carries(routes_hub, sessions, gate):
+    ok, trace = run(routes_hub, record("10.9/picky"), sessions, gate)
     assert ok  # the route replies 406 to any Accept other than image/*
 
 
-def test_timeout_leaves_a_status_zero_step(serve_script):
+def test_timeout_leaves_a_status_zero_step(serve_script, sessions, gate):
     script = mockrdr.ScenarioScript(
         resolver_routes={"10.9/slow": [mockrdr.RouteHop(200, "image/png")]},
         response_delay=0.8,
     )
     hub = serve_script(script)
-    ok, trace = run(hub, record("10.9/slow"), timeout=0.3)
+    ok, trace = run(hub, record("10.9/slow"), sessions, gate, timeout=0.3)
     assert not ok
     assert trace.reason == "timeout"
     assert [s.status for s in trace.steps] == [0]
     assert trace.steps[0].url.endswith("/10.9/slow")
 
 
-def test_connection_refused_is_transport():
+def test_connection_refused_is_transport(sessions, gate):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     dead = f"http://127.0.0.1:{port}/resolve/"
-    ok, trace = f_ret(record("10.9/x"), quick_config(dead, timeout=0.5))
+    ok, trace = f_ret(
+        record("10.9/x"), quick_config(dead, timeout=0.5), gate=gate, session=sessions
+    )
     assert not ok
     assert trace.reason == "transport"
     assert [s.status for s in trace.steps] == [0]
 
 
-def test_per_host_delay_spaces_requests(routes_hub, monkeypatch):
+def test_per_host_delay_spaces_requests(routes_hub, monkeypatch, sessions):
     # the gate spaces request starts; arrival times at the mock also carry
     # each hop's connect, so the starts are read inside the gate's slot
     delay_ms = 120.0
@@ -258,7 +273,10 @@ def test_per_host_delay_spaces_requests(routes_hub, monkeypatch):
 
     monkeypatch.setattr(HostGate, "slot", recording_slot)
     before = len(routes_hub.requests_to("/resolve/"))
-    ok, trace = run(routes_hub, record("10.9/chain"), per_host_delay=delay_ms)
+    ok, trace = run(
+        routes_hub, record("10.9/chain"), sessions, HostGate(delay_ms),
+        per_host_delay=delay_ms,
+    )
     assert ok
     chain = [
         e for e in routes_hub.requests_to("/resolve/") if "chain" in e.target
@@ -269,7 +287,7 @@ def test_per_host_delay_spaces_requests(routes_hub, monkeypatch):
     assert all(gap >= delay_ms / 1000.0 for gap in gaps)
 
 
-def test_large_bodies_are_not_downloaded(serve_script):
+def test_large_bodies_are_not_downloaded(serve_script, sessions, gate):
     size = 4_000_000
     script = mockrdr.ScenarioScript(
         resolver_routes={
@@ -277,7 +295,7 @@ def test_large_bodies_are_not_downloaded(serve_script):
         }
     )
     hub = serve_script(script)
-    ok, trace = run(hub, record("10.9/huge"))
+    ok, trace = run(hub, record("10.9/huge"), sessions, gate)
     assert ok
     assert trace.outcome == OUTCOME_CLIENT
     entry = hub.requests_to("/resolve/")[-1]
@@ -295,15 +313,17 @@ def test_doi_url_joins():
     assert doi_url("10.1/x", "http://h:1/resolve") == "http://h:1/resolve/10.1/x"
 
 
-def test_redirect_without_location_is_non_200(scripted_http):
+def test_redirect_without_location_is_non_200(scripted_http, sessions, gate):
     base = scripted_http([(302, {}, b"")])
-    ok, trace = f_ret(record("10.9/x"), quick_config(base + "/"))
+    ok, trace = f_ret(
+        record("10.9/x"), quick_config(base + "/"), gate=gate, session=sessions
+    )
     assert not ok
     assert trace.reason == "non-200"
     assert [s.status for s in trace.steps] == [302]
 
 
-def test_location_that_is_not_utf8_is_followed(scripted_http):
+def test_location_that_is_not_utf8_is_followed(scripted_http, sessions, gate):
     targets: list[str] = []
     # the header carries the single byte 0xE9
     base = scripted_http(
@@ -313,7 +333,9 @@ def test_location_that_is_not_utf8_is_followed(scripted_http):
         ],
         targets,
     )
-    ok, trace = f_ret(record("10.9/x"), quick_config(base + "/"))
+    ok, trace = f_ret(
+        record("10.9/x"), quick_config(base + "/"), gate=gate, session=sessions
+    )
     assert ok
     assert [s.status for s in trace.steps] == [302, 200]
     assert targets == ["/10.9/x", "/caf%C3%A9"]
@@ -323,7 +345,7 @@ def cookie_of(headers: list[tuple[str, str]]) -> str | None:
     return dict(headers).get("Cookie")
 
 
-def test_a_cookie_follows_the_hops_of_its_probe(scripted_http):
+def test_a_cookie_follows_the_hops_of_its_probe(scripted_http, sessions, gate):
     seen: list[list[tuple[str, str]]] = []
     base = scripted_http(
         [
@@ -333,14 +355,17 @@ def test_a_cookie_follows_the_hops_of_its_probe(scripted_http):
         ],
         headers=seen,
     )
-    ok, trace = f_ret(record("10.9/x", ["image/tiff"]), quick_config(base + "/"))
+    ok, trace = f_ret(
+        record("10.9/x", ["image/tiff"]), quick_config(base + "/"),
+        gate=gate, session=sessions,
+    )
     assert ok
     assert trace.outcome == OUTCOME_LINK
     # the redirect hop and the Link fallback both carry it
     assert [cookie_of(h) for h in seen] == [None, "gate=open", "gate=open"]
 
 
-def test_a_cookie_never_reaches_another_probe(scripted_http):
+def test_a_cookie_never_reaches_another_probe(scripted_http, gate):
     seen: list[list[tuple[str, str]]] = []
     image = {"Content-Type": "image/png"}
     base = scripted_http(
@@ -351,7 +376,8 @@ def test_a_cookie_never_reaches_another_probe(scripted_http):
     try:
         # one run, one thread: the verdict must not depend on what ran before
         for doi in ("10.9/a", "10.9/b"):
-            ok, _ = f_ret(record(doi), quick_config(base + "/"), session=sessions)
+            config = quick_config(base + "/")
+            ok, _ = f_ret(record(doi), config, gate=gate, session=sessions)
             assert ok
     finally:
         sessions.close()

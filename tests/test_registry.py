@@ -113,10 +113,10 @@ def test_seed_file_grammar(tmp_path):
     ]
 
 
-def test_fetch_from_mock_registry(fixtures_dir, serve_script):
+def test_fetch_from_mock_registry(fixtures_dir, serve_script, sessions):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
     hub = serve_script(script)
-    repos = fetch_repository_list(hub.registry_url, None, RunConfig())
+    repos = fetch_repository_list(hub.registry_url, None, RunConfig(), session=sessions)
     assert [r.registry_id for r in repos] == [
         r.name for r in script.repositories
     ]
@@ -129,26 +129,27 @@ def test_fetch_from_mock_registry(fixtures_dir, serve_script):
     assert coastal.datacite_support.status == "unknown"
 
 
-def test_fetch_requires_endpoint_or_seed():
+def test_fetch_requires_endpoint_or_seed(sessions):
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(None, None, RunConfig())
+        fetch_repository_list(None, None, RunConfig(), session=sessions)
 
 
-def test_fetch_uses_seed_when_no_endpoint(tmp_path):
+def test_fetch_uses_seed_when_no_endpoint(tmp_path, sessions):
     seed = tmp_path / "seed.txt"
     seed.write_text("r1|Alpha|oai-pmh=http://alpha.example/oai\n", encoding="utf-8")
-    repos = fetch_repository_list(None, seed, RunConfig())
+    repos = fetch_repository_list(None, seed, RunConfig(), session=sessions)
     assert [r.registry_id for r in repos] == ["r1"]
 
 
-def test_fetch_fallback_needs_permission(tmp_path):
+def test_fetch_fallback_needs_permission(tmp_path, sessions):
     seed = tmp_path / "seed.txt"
     seed.write_text("r1|Alpha|\n", encoding="utf-8")
     dead = closed_port_url()
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(dead, seed, RunConfig(timeout=0.5))
+        fetch_repository_list(dead, seed, RunConfig(timeout=0.5), session=sessions)
     repos = fetch_repository_list(
-        dead, seed, RunConfig(allow_seed_fallback=True, timeout=0.5)
+        dead, seed, RunConfig(allow_seed_fallback=True, timeout=0.5),
+        session=sessions,
     )
     assert [r.registry_id for r in repos] == ["r1"]
 
