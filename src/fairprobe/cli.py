@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import http, pipeline, registry
 from .config import ConfigError, RunConfig, build_config
-from .store import manifest_path, write_ndjson
+from .store import load_manifest, manifest_path, write_ndjson
 
 logger = logging.getLogger(__name__)
 
@@ -28,11 +28,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory for runs")
     parser.add_argument("--workers-harvest", type=int, metavar="N",
-                        help="harvest worker pool size "
+                        help="worker pool size of steps 1-3 "
                         f"(default {_DEFAULTS.workers_harvest})")
-    parser.add_argument("--workers-select", type=int, metavar="N",
-                        help="provider selection pool size "
-                        f"(default {_DEFAULTS.workers_select})")
     parser.add_argument("--workers-probe", type=int, metavar="N",
                         help="retrieval probe pool size "
                         f"(default {_DEFAULTS.workers_probe})")
@@ -59,18 +56,19 @@ def _cli_settings(args: argparse.Namespace) -> dict:
 
 
 def _resolve_run_id(config: RunConfig, create: bool) -> str:
-    """The run to operate on: configured, else newest on disk, else new."""
+    """The run to operate on: configured, else newest on disk, else new.
+    The newest run's manifest was created last; a tie goes to the last name."""
     if config.run_id:
         return config.run_id
     out = Path(config.out)
     if out.is_dir():
         runs = sorted(
-            entry.name
+            (load_manifest(entry).created, entry.name)
             for entry in out.iterdir()
             if entry.is_dir() and manifest_path(entry).exists()
         )
         if runs:
-            return runs[-1]
+            return runs[-1][1]
     if create:
         return pipeline.new_run_id()
     raise pipeline.PipelineError(
@@ -93,10 +91,12 @@ def main(argv: list[str] | None = None) -> int:
                               help="registry API base URL")
     registry_cmd.add_argument("--seed-file", metavar="F",
                               help="offline seed file (registry_id|name|kind=url;...)")
-    registry_cmd.add_argument("--out", metavar="FILE", default="repos.ndjson",
+    # not the run setting "out": the file this command writes
+    registry_cmd.add_argument("--out", dest="target", metavar="FILE",
+                              default="repos.ndjson",
                               help="where to write the descriptor list")
-    registry_cmd.add_argument("--timeout", type=float, default=_DEFAULTS.timeout,
-                              metavar="SECONDS", help="HTTP request timeout "
+    registry_cmd.add_argument("--timeout", type=float, metavar="SECONDS",
+                              help="HTTP request timeout "
                               f"(default {_DEFAULTS.timeout:g})")
 
     run_all_cmd = commands.add_parser(
@@ -116,20 +116,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "registry":
+            config = build_config(cli_settings=_cli_settings(args))
+            # a seed file given here is also the fallback source
+            config.allow_seed_fallback |= bool(args.seed_file)
             sessions = http.Sessions()
             try:
-                repos = registry.fetch_repository_list(
-                    args.registry_url,
-                    args.seed_file,
-                    RunConfig(
-                        timeout=args.timeout, allow_seed_fallback=bool(args.seed_file)
-                    ),
-                    session=sessions,
-                )
+                repos = registry.fetch_repository_list(config, session=sessions)
             finally:
                 sessions.close()
-            write_ndjson(args.out, [registry.descriptor_to_dict(r) for r in repos])
-            print(f"{len(repos)} repositories -> {args.out}")
+            write_ndjson(args.target, [registry.descriptor_to_dict(r) for r in repos])
+            print(f"{len(repos)} repositories -> {args.target}")
             return 0
 
         config = build_config(args.config, _cli_settings(args))

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
+from urllib.parse import urlparse
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +38,7 @@ class RunConfig:
     seed_file: str | None = None
     out: str = "runs"
     run_id: str | None = None  # unset means a fresh run
-    workers_harvest: int = 4
-    workers_select: int = 12
+    workers_harvest: int = 4  # steps 1-3: repositories worked on at once
     workers_probe: int = 34
     timeout: float = 20.0
     doi_resolver: str = "https://doi.org/"
@@ -45,7 +46,6 @@ class RunConfig:
     allow_seed_fallback: bool = False
     politeness_delay: float = 1000.0  # ms between requests to one endpoint
     per_host_delay: float = 1000.0  # ms between probe requests to one host
-    detail_workers: int = 4
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -64,12 +64,26 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 # the smallest value each bounded setting may take; timeout must exceed 0
 _AT_LEAST = {
     "workers_harvest": 1,
-    "workers_select": 1,
     "workers_probe": 1,
-    "detail_workers": 1,
     "politeness_delay": 0.0,
     "per_host_delay": 0.0,
 }
+
+# the largest value each of them may take: a socket timeout or a sleep
+# longer than threading.TIMEOUT_MAX seconds raises OverflowError
+_AT_MOST = {
+    "timeout": threading.TIMEOUT_MAX,
+    "politeness_delay": threading.TIMEOUT_MAX * 1000.0,  # ms
+    "per_host_delay": threading.TIMEOUT_MAX * 1000.0,
+}
+
+_URLS = ("registry_url", "doi_resolver")  # each must be an absolute http(s) URL
+
+
+def is_http_url(url: str) -> bool:
+    """Whether ``url`` is an absolute http or https URL."""
+    parsed = urlparse(url)
+    return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 
 
 def _convert(key: str, value: Any) -> Any:
@@ -80,6 +94,8 @@ def _convert(key: str, value: Any) -> Any:
         kind = kind.removesuffix(" | None")
         if value is None or value == "":
             return None
+    if value is None:
+        raise ValueError("must not be null")
     if kind == "bool":
         if isinstance(value, bool):
             return value
@@ -107,6 +123,10 @@ def _checked(key: str, value: Any) -> Any:
         raise ConfigError(f"{key}: {value!r} must be greater than 0")
     if key in _AT_LEAST and not value >= _AT_LEAST[key]:
         raise ConfigError(f"{key}: {value!r} must be at least {_AT_LEAST[key]}")
+    if key in _AT_MOST and not value <= _AT_MOST[key]:
+        raise ConfigError(f"{key}: {value!r} must be at most {_AT_MOST[key]:g}")
+    if key in _URLS and value is not None and not is_http_url(value):
+        raise ConfigError(f"{key}: {value!r} is not an absolute http(s) URL")
     return value
 
 

@@ -44,7 +44,7 @@ PROVIDERS_FILE = "providers.ndjson"
 # keep every other setting it started with
 OPERATIONAL_SETTINGS = frozenset({
     "out", "run_id", "timeout", "politeness_delay", "per_host_delay",
-    "workers_harvest", "workers_select", "workers_probe", "detail_workers",
+    "workers_harvest", "workers_probe",
 })
 
 
@@ -201,12 +201,7 @@ class PipelineRun:
     # -- the five steps -------------------------------------------------------
 
     def _step1_registry(self) -> tuple[str, dict]:
-        repos = registry.fetch_repository_list(
-            self.config.registry_url,
-            self.config.seed_file,
-            self.config,
-            session=self.sessions,
-        )
+        repos = registry.fetch_repository_list(self.config, session=self.sessions)
         write_ndjson(
             self.run_dir / REPOSITORIES_FILE,
             [registry.descriptor_to_dict(r) for r in repos],
@@ -239,7 +234,7 @@ class PipelineRun:
                 status=registry.SUPPORT_SUPPORTED, prefix=prefix
             )
 
-        with ThreadPoolExecutor(max_workers=self.config.workers_select) as pool:
+        with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
             for repo, support in zip(candidates, pool.map(classify, candidates)):
                 repo.datacite_support = support
 

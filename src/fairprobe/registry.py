@@ -14,10 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
-from urllib.parse import urlparse
 
 from . import http
-from .config import RunConfig
+from .config import RunConfig, is_http_url
 from .xmltree import attr, local_name
 
 logger = logging.getLogger(__name__)
@@ -63,11 +62,6 @@ def normalize_kind(raw: str) -> str:
     return KNOWN_KINDS.get(raw.strip().lower(), raw.strip())
 
 
-def _valid_url(url: str) -> bool:
-    parsed = urlparse(url)
-    return parsed.scheme in ("http", "https") and bool(parsed.netloc)
-
-
 def _find_text(element: ET.Element, name: str) -> str:
     for child in element.iter():
         if local_name(child.tag) == name and child.text:
@@ -109,7 +103,7 @@ def parse_repository_detail(xml_text: str | bytes) -> dict[str, Any]:
             continue
         url = (el.text or "").strip()
         kind_raw = attr(el, "apiType") or ""
-        if not _valid_url(url):
+        if not is_http_url(url):
             logger.warning("dropping api endpoint with invalid url %r", url)
             continue
         endpoints.append(ApiEndpoint(kind=normalize_kind(kind_raw), url=url))
@@ -153,7 +147,7 @@ def load_seed_file(path: str | Path) -> list[RepositoryDescriptor]:
                 if not part:
                     continue
                 kind, sep, url = part.partition("=")
-                if not sep or not _valid_url(url.strip()):
+                if not sep or not is_http_url(url.strip()):
                     logger.warning(
                         "seed line %d has malformed endpoint %r, line skipped",
                         lineno,
@@ -187,46 +181,40 @@ def _fetch(sessions: http.Sessions, url: str, config: RunConfig) -> bytes | str:
 
 
 def fetch_repository_list(
-    registry_endpoint: str | None,
-    fallback_seed: str | Path | None,
-    config: RunConfig,
-    *,
-    session: http.Sessions,
+    config: RunConfig, *, session: http.Sessions
 ) -> list[RepositoryDescriptor]:
     """Candidate repositories from the registry, or from the seed file.
 
-    ``registry_endpoint`` is the registry API's base URL, as re3data's
-    ``https://www.re3data.org/api/v1``: the list is read from
-    ``<base>/repositories`` and each entry's detail from
-    ``<base>/repository/<id>``. The network source is preferred. The seed is
-    consulted only when no endpoint is configured, or when the endpoint is
-    unreachable and ``config.allow_seed_fallback`` is set. Requests wait
-    ``config.timeout`` seconds; ``config.detail_workers`` detail pages are
-    fetched at once.
+    Every setting comes from ``config``. ``config.registry_url`` is the
+    registry API's base URL, as re3data's ``https://www.re3data.org/api/v1``:
+    the list is read from ``<base>/repositories`` and each entry's detail
+    from ``<base>/repository/<id>``. The network source is preferred. The
+    seed, ``config.seed_file``, is read only when no registry is set, or
+    when the registry is unreachable and ``config.allow_seed_fallback`` is
+    set. Requests wait ``config.timeout`` seconds; ``config.workers_harvest``
+    detail pages are fetched at once.
     """
-    if not registry_endpoint:
-        if fallback_seed:
-            return load_seed_file(fallback_seed)
+    seed = config.seed_file
+    if not config.registry_url:
+        if seed:
+            return load_seed_file(seed)
         raise RegistryUnreachableError("no registry endpoint and no seed file")
+    base = config.registry_url.rstrip("/")
 
     try:
         entries = parse_repository_list(
-            _fetch(session, registry_endpoint.rstrip("/") + "/repositories", config)
+            _fetch(session, base + "/repositories", config)
         )
     except (*http.REQUEST_ERRORS, RegistryError) as exc:
-        if fallback_seed and config.allow_seed_fallback:
+        if seed and config.allow_seed_fallback:
             logger.warning(
                 "registry unreachable (%s), falling back to seed file", exc
             )
-            return load_seed_file(fallback_seed)
+            return load_seed_file(seed)
         raise RegistryUnreachableError(str(exc)) from exc
 
     def fetch_detail(entry: dict[str, str]) -> dict[str, Any] | None:
-        url = (
-            registry_endpoint.rstrip("/")
-            + "/repository/"
-            + entry["registry_id"]
-        )
+        url = base + "/repository/" + entry["registry_id"]
         try:
             return parse_repository_detail(_fetch(session, url, config))
         except (*http.REQUEST_ERRORS, RegistryError, ET.ParseError) as exc:
@@ -237,7 +225,7 @@ def fetch_repository_list(
             )
             return None
 
-    with ThreadPoolExecutor(max_workers=config.detail_workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers_harvest) as pool:
         details = list(pool.map(fetch_detail, entries))
 
     descriptors: list[RepositoryDescriptor] = []

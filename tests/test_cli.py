@@ -78,6 +78,25 @@ def test_step_sequence_resumes_newest_run(tmp_path, small_hub, capsys):
     assert "step 3 complete:" in printed
 
 
+def test_step_continues_the_newest_run_whatever_its_name(tmp_path, small_hub, capsys):
+    out = tmp_path / "runs"
+    named = write_config(tmp_path, small_hub, run_id="baseline")
+    assert main(["step", "1", "--config", named, "--out", str(out)]) == 0
+    # "baseline" sorts after every timestamped name, but was created earlier
+    manifest = out / "baseline" / "manifest.json"
+    document = json.loads(manifest.read_text(encoding="utf-8"))
+    document["created"] = "2000-01-01T00:00:00+00:00"
+    manifest.write_text(json.dumps(document), encoding="utf-8")
+    config_file = write_config(tmp_path, small_hub)
+    assert main(["run-all", "--config", config_file, "--out", str(out)]) == 0
+    newest = next(path for path in run_dirs(out) if path.name != "baseline")
+    capsys.readouterr()
+
+    assert main(["step", "2", "--config", config_file, "--out", str(out)]) == 0
+    assert f"step 2 complete: {newest}" in capsys.readouterr().out
+    assert not (out / "baseline" / "providers.ndjson").exists()
+
+
 def test_stepping_to_the_end_writes_the_report(tmp_path, small_hub):
     out = tmp_path / "runs"
     config_file = write_config(tmp_path, small_hub)
@@ -135,13 +154,13 @@ def test_a_resume_may_change_how_the_run_goes(tmp_path, small_hub):
     config_file = write_config(tmp_path, small_hub)
     assert main(["step", "1", "--config", config_file, "--out", str(out)]) == 0
     faster = write_config(tmp_path, small_hub, politeness_delay=5.0,
-                          per_host_delay=5.0, workers_select=3, workers_harvest=2)
+                          per_host_delay=5.0, workers_harvest=2)
     assert main(["step", "2", "--config", faster, "--out", str(out),
                  "--timeout", "7", "--workers-probe", "3"]) == 0
     assert load_manifest(run_dirs(out)[0]).status(2) == "complete"
 
 
-@pytest.mark.parametrize("flag", ["--max-pages", "--retries"])
+@pytest.mark.parametrize("flag", ["--max-pages", "--retries", "--workers-select"])
 def test_a_removed_flag_is_a_usage_error(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(["run-all", "--out", str(tmp_path / "runs"), flag, "1"])
@@ -157,13 +176,14 @@ def test_help_texts_name_the_built_in_defaults(capsys):
     defaults = RunConfig()
     for flag, value in [
         ("--workers-harvest N", defaults.workers_harvest),
-        ("--workers-select N", defaults.workers_select),
         ("--workers-probe N", defaults.workers_probe),
         ("--timeout SECONDS", f"{defaults.timeout:g}"),
         ("--doi-resolver URL", defaults.doi_resolver),
     ]:
         assert re.search(rf"{flag} [^(]*\(default {re.escape(str(value))}\)", text), flag
     assert "--max-pages" not in text and "--retries" not in text
+    assert "--workers-select" not in text
+    assert "worker pool size of steps 1-3" in text
 
 
 def test_step_without_any_run_is_an_error(tmp_path, capsys):
@@ -196,6 +216,19 @@ def test_registry_subcommand_live(tmp_path, small_hub, capsys):
     assert "4 repositories" in capsys.readouterr().out
 
 
+def test_registry_subcommand_reads_the_environment(
+    tmp_path, small_hub, capsys, monkeypatch
+):
+    monkeypatch.setenv("FAIRPROBE_REGISTRY_URL", small_hub.registry_url)
+    target = tmp_path / "repos.ndjson"
+    assert main(["registry", "--out", str(target)]) == 0
+    assert len(read_ndjson(target)) == 4
+    capsys.readouterr()
+    monkeypatch.setenv("FAIRPROBE_TIMEOUT", "0")
+    assert main(["registry", "--out", str(target), "--timeout", "5"]) == 2
+    assert "error: timeout: 0.0 must be greater than 0" in capsys.readouterr().err
+
+
 def test_registry_subcommand_seed_file(tmp_path, capsys):
     seed = tmp_path / "seed.txt"
     seed.write_text(
@@ -224,11 +257,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_a_removed_setting_in_the_config_file_exits_2(tmp_path, capsys):
     old = tmp_path / "old.conf"
-    old.write_text("max_pages = none\n", encoding="utf-8")
-    code = main(["run-all", "--config", str(old), "--out", str(tmp_path / "runs")])
-    assert code == 2
-    assert "error: unknown configuration key 'max_pages'" in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
+    for key, value in [
+        ("max_pages", "none"), ("workers_select", "12"), ("detail_workers", "4")
+    ]:
+        old.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code = main(["run-all", "--config", str(old), "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"error: unknown configuration key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_out_of_range_setting_exits_before_the_run_starts(tmp_path, small_hub, capsys):
@@ -237,4 +273,21 @@ def test_out_of_range_setting_exits_before_the_run_starts(tmp_path, small_hub, c
     code = main(["run-all", "--config", config_file, "--out", str(out)])
     assert code == 2
     assert "error: workers_probe" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "variable",
+    ["FAIRPROBE_TIMEOUT", "FAIRPROBE_POLITENESS_DELAY", "FAIRPROBE_PER_HOST_DELAY"],
+)
+def test_an_infinite_timeout_or_delay_exits_before_the_run_starts(
+    tmp_path, small_hub, capsys, monkeypatch, variable
+):
+    out = tmp_path / "runs"
+    config_file = write_config(tmp_path, small_hub)
+    monkeypatch.setenv(variable, "inf")
+    code = main(["run-all", "--config", config_file, "--out", str(out)])
+    assert code == 2
+    key = variable.removeprefix("FAIRPROBE_").lower()
+    assert f"error: {key}: inf must be at most" in capsys.readouterr().err
     assert not out.exists()

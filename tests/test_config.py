@@ -6,6 +6,7 @@ import importlib
 import json
 import re
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,14 +28,13 @@ def test_defaults():
     assert config.out == "runs"
     assert config.run_id is None
     assert config.workers_harvest == 4
-    assert config.workers_select == 12
     assert config.workers_probe == 34
     assert config.timeout == 20.0
     assert config.doi_resolver == "https://doi.org/"
     assert config.geo_require_coordinates is False
     assert config.politeness_delay == 1000.0
     assert config.per_host_delay == 1000.0
-    assert len(fields(RunConfig)) == 14
+    assert len(fields(RunConfig)) == 12
 
 
 def test_key_value_file(tmp_path):
@@ -46,7 +46,7 @@ def test_key_value_file(tmp_path):
                 "",
                 "timeout = 7.5",
                 "workers_harvest=2",
-                "detail_workers = 3",
+                "workers_probe = 3",
                 "geo_require_coordinates = yes",
                 "registry_url = http://registry.example",
             ]
@@ -57,7 +57,7 @@ def test_key_value_file(tmp_path):
     config = build_config(config_file=path, environ={})
     assert config.timeout == 7.5
     assert config.workers_harvest == 2
-    assert config.detail_workers == 3
+    assert config.workers_probe == 3
     assert config.geo_require_coordinates is True
     assert config.registry_url == "http://registry.example"
 
@@ -84,7 +84,7 @@ def test_json_file(tmp_path):
 
 def test_precedence_file_env_cli(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("timeout=1\nworkers_select=9\nout=file-out\n", encoding="utf-8")
+    path.write_text("timeout=1\nworkers_harvest=9\nout=file-out\n", encoding="utf-8")
     environ = {
         "FAIRPROBE_TIMEOUT": "2",
         "FAIRPROBE_OUT": "env-out",
@@ -97,7 +97,7 @@ def test_precedence_file_env_cli(tmp_path):
     )
     assert config.timeout == 3.0  # CLI beats environment
     assert config.out == "env-out"  # environment beats file
-    assert config.workers_select == 9  # file beats defaults
+    assert config.workers_harvest == 9  # file beats defaults
 
 
 def test_unknown_env_keys_are_ignored(caplog):
@@ -114,7 +114,13 @@ def test_unknown_file_key_is_an_error(tmp_path):
         build_config(config_file=path, environ={})
 
 
-@pytest.mark.parametrize("key", ["max_pages", "retries", "max_redirects", "allow_partial"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "max_pages", "retries", "max_redirects", "allow_partial",
+        "workers_select", "detail_workers",
+    ],
+)
 def test_a_removed_setting_is_an_unknown_key(tmp_path, caplog, key):
     path = tmp_path / "run.conf"
     path.write_text(f"{key} = 1\n", encoding="utf-8")
@@ -194,9 +200,7 @@ def test_snapshot_rebuilds_equal_config():
 RANGES = {  # setting: (lowest value accepted, a value rejected)
     "timeout": (0.001, 0),
     "workers_harvest": (1, 0),
-    "workers_select": (1, 0),
     "workers_probe": (1, 0),
-    "detail_workers": (1, 0),
     "politeness_delay": (0.0, -1.0),
     "per_host_delay": (0.0, -1.0),
 }
@@ -217,12 +221,74 @@ def test_out_of_range_setting_is_a_config_error(key):
 
 
 @pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("timeout", float("inf")),
+        ("timeout", 1e12),  # seconds: socket.settimeout raises OverflowError
+        ("politeness_delay", float("inf")),
+        ("per_host_delay", float("inf")),
+        ("per_host_delay", 1e15),  # ms: time.sleep raises OverflowError
+    ],
+)
+def test_a_timeout_or_delay_no_request_can_use_is_a_config_error(tmp_path, key, bad):
+    largest = threading.TIMEOUT_MAX * (1 if key == "timeout" else 1000)
+    assert getattr(RunConfig(**{key: largest}), key) == largest
+    with pytest.raises(ConfigError, match=f"{key}: .* must be at most"):
+        RunConfig(**{key: bad})
+    path = tmp_path / "run.conf"
+    path.write_text(f"{key} = {bad!r}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        build_config(path, environ={})
+    with pytest.raises(ConfigError, match=key):
+        build_config(environ={"FAIRPROBE_" + key.upper(): repr(bad)})
+
+
+@pytest.mark.parametrize("key", ["out", "doi_resolver"])
+def test_a_null_text_setting_is_a_config_error(tmp_path, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: None}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}: must not be null"):
+        build_config(path, environ={})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: None})
+    # a setting that may be unset takes null as unset
+    path.write_text(json.dumps({"registry_url": None, "run_id": None}),
+                    encoding="utf-8")
+    config = build_config(path, environ={})
+    assert (config.registry_url, config.run_id) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("doi_resolver", "doi.example/"),
+        ("doi_resolver", "ftp://doi.example/"),
+        ("doi_resolver", ""),
+        ("registry_url", "registry.example/api/v1"),
+        ("registry_url", "http:///api/v1"),
+    ],
+)
+def test_a_url_setting_must_be_an_absolute_web_url(tmp_path, key, bad):
+    with pytest.raises(ConfigError, match=f"{key}: .* is not an absolute http"):
+        RunConfig(**{key: bad})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: bad}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        build_config(path, environ={})
+    if bad:  # an empty variable unsets registry_url, as an empty value does
+        with pytest.raises(ConfigError, match=key):
+            build_config(environ={"FAIRPROBE_" + key.upper(): bad})
+    upper = "HTTPS://x.example/"
+    assert getattr(RunConfig(**{key: upper}), key) == upper
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("workers_probe", 2.5),
         ("workers_harvest", 1.5),
-        ("workers_select", True),
-        ("detail_workers", False),
+        ("workers_harvest", True),
+        ("workers_probe", False),
         ("timeout", True),
         ("per_host_delay", False),
     ],
@@ -237,16 +303,15 @@ def test_bool_or_fraction_for_a_number_is_a_config_error(tmp_path, key, value):
 
 
 def test_whole_float_for_an_int_setting_is_converted():
-    config = RunConfig(workers_probe=2.0, detail_workers=1.0)
-    assert (config.workers_probe, config.detail_workers) == (2, 1)
+    config = RunConfig(workers_probe=2.0, workers_harvest=1.0)
+    assert (config.workers_probe, config.workers_harvest) == (2, 1)
     assert type(config.workers_probe) is int
 
 
 # every setting perfbench/bench.py gives the benchmark's clients
 BENCHMARK_SETTINGS = {
     "registry_url", "doi_resolver", "out", "timeout", "politeness_delay",
-    "per_host_delay", "workers_harvest", "workers_select", "workers_probe",
-    "detail_workers",
+    "per_host_delay", "workers_harvest", "workers_probe",
 }
 
 
@@ -267,7 +332,8 @@ def test_the_benchmark_keeps_every_setting_it_sets(monkeypatch):
             if Path(getattr(module, "__file__", None) or "/").parent == perfbench:
                 del sys.modules[name]
     assert set(settings) == BENCHMARK_SETTINGS
-    assert RunConfig(**settings).workers_probe == bench.WORKERS
+    config = RunConfig(**settings)
+    assert config.workers_harvest == config.workers_probe == bench.WORKERS
 
 
 def readme_default(value) -> str:

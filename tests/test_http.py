@@ -663,7 +663,7 @@ def test_the_registry_fails_on_the_thirty_first_redirect(
     registry_url = scripted_http([again] * 31, targets) + "/registry"
     with pytest.raises(registry.RegistryUnreachableError):
         registry.fetch_repository_list(
-            registry_url, None, RunConfig(timeout=5.0), session=sessions
+            RunConfig(registry_url=registry_url, timeout=5.0), session=sessions
         )
     assert len(targets) == 31
 

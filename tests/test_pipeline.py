@@ -14,7 +14,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from fairprobe import assessor, mockrdr, oaipmh, pipeline, probe
+from fairprobe import assessor, mockrdr, oaipmh, pipeline, probe, registry
 from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
@@ -277,15 +277,18 @@ def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch)
         for i in range(6)
     ]
     hub = serve_script(mockrdr.ScenarioScript(repositories=repos))
+    details = PeakCalls(monkeypatch, registry, "parse_repository_detail")
     formats = PeakCalls(monkeypatch, oaipmh, "list_metadata_formats")
     harvests = PeakCalls(monkeypatch, oaipmh, "harvest_records")
     probes = PeakCalls(monkeypatch, probe, "f_ret")
-    config = make_config(hub, workers_harvest=2, workers_probe=3, workers_select=4)
+    config = make_config(hub, workers_harvest=2, workers_probe=3)
     run_dir = pipeline.run_all(config)
     manifest = load_manifest(run_dir)
+    # workers_harvest bounds each pool of steps 1-3, workers_probe step 5's
+    assert 1 <= details.peak <= 2
+    assert 1 <= formats.peak <= 2
     assert 1 <= harvests.peak <= 2
     assert 1 <= probes.peak <= 3
-    assert 1 <= formats.peak <= 4
     assert manifest.steps[5].detail["probed"] == 24
 
 
@@ -658,9 +661,7 @@ def test_catalogue_handles_are_bounded_and_closed(
     serve_script, make_config, monkeypatch
 ):
     hub = serve_script(stacked_landscape())
-    config = make_config(
-        hub, workers_harvest=POOL, workers_select=POOL, workers_probe=POOL
-    )
+    config = make_config(hub, workers_harvest=POOL, workers_probe=POOL)
     run = PipelineRun(config)
     writers: Counter[str] = Counter()  # most files open for writing, per stage
     appended: Counter[tuple[str, str]] = Counter()
@@ -735,9 +736,7 @@ def test_failed_step_leaves_no_catalogue_file_open(
     serve_script, make_config, monkeypatch, step
 ):
     hub = serve_script(stacked_landscape())
-    config = make_config(
-        hub, workers_harvest=POOL, workers_select=POOL, workers_probe=POOL
-    )
+    config = make_config(hub, workers_harvest=POOL, workers_probe=POOL)
     run = PipelineRun(config)
     for earlier in range(1, step):
         run.run_step(earlier)

@@ -116,7 +116,9 @@ def test_seed_file_grammar(tmp_path):
 def test_fetch_from_mock_registry(fixtures_dir, serve_script, sessions):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
     hub = serve_script(script)
-    repos = fetch_repository_list(hub.registry_url, None, RunConfig(), session=sessions)
+    repos = fetch_repository_list(
+        RunConfig(registry_url=hub.registry_url), session=sessions
+    )
     assert [r.registry_id for r in repos] == [
         r.name for r in script.repositories
     ]
@@ -131,13 +133,13 @@ def test_fetch_from_mock_registry(fixtures_dir, serve_script, sessions):
 
 def test_fetch_requires_endpoint_or_seed(sessions):
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(None, None, RunConfig(), session=sessions)
+        fetch_repository_list(RunConfig(), session=sessions)
 
 
 def test_fetch_uses_seed_when_no_endpoint(tmp_path, sessions):
     seed = tmp_path / "seed.txt"
     seed.write_text("r1|Alpha|oai-pmh=http://alpha.example/oai\n", encoding="utf-8")
-    repos = fetch_repository_list(None, seed, RunConfig(), session=sessions)
+    repos = fetch_repository_list(RunConfig(seed_file=str(seed)), session=sessions)
     assert [r.registry_id for r in repos] == ["r1"]
 
 
@@ -145,12 +147,11 @@ def test_fetch_fallback_needs_permission(tmp_path, sessions):
     seed = tmp_path / "seed.txt"
     seed.write_text("r1|Alpha|\n", encoding="utf-8")
     dead = closed_port_url()
+    config = RunConfig(registry_url=dead, seed_file=str(seed), timeout=0.5)
     with pytest.raises(RegistryUnreachableError):
-        fetch_repository_list(dead, seed, RunConfig(timeout=0.5), session=sessions)
-    repos = fetch_repository_list(
-        dead, seed, RunConfig(allow_seed_fallback=True, timeout=0.5),
-        session=sessions,
-    )
+        fetch_repository_list(config, session=sessions)
+    config.allow_seed_fallback = True
+    repos = fetch_repository_list(config, session=sessions)
     assert [r.registry_id for r in repos] == ["r1"]
 
 
