@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-from urllib.parse import urlparse
 
+from .config import is_http_url
 from .datacite import DataciteRecord, GeoPlace
 
 
@@ -54,13 +54,10 @@ def f_lic(record: DataciteRecord) -> bool:
     The rightsURI must be an absolute http(s) URL; free-text rights alone
     do not qualify because they cannot be dereferenced.
     """
-    for entry in record.rights:
-        if not entry.rights_uri:
-            continue
-        parsed = urlparse(entry.rights_uri.strip())
-        if parsed.scheme in ("http", "https") and parsed.netloc:
-            return True
-    return False
+    return any(
+        entry.rights_uri and is_http_url(entry.rights_uri.strip())
+        for entry in record.rights
+    )
 
 
 def assess(

@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import http, pipeline, registry
 from .config import ConfigError, RunConfig, build_config
-from .store import load_manifest, manifest_path, write_ndjson
+from .store import StoreError, load_manifest, manifest_path, write_ndjson
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                 repos = registry.fetch_repository_list(config, session=sessions)
             finally:
                 sessions.close()
-            write_ndjson(args.target, [registry.descriptor_to_dict(r) for r in repos])
+            write_ndjson(args.target, [asdict(r) for r in repos])
             print(f"{len(repos)} repositories -> {args.target}")
             return 0
 
@@ -144,7 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         status = run.manifest.status(args.number)
         print(f"step {args.number} {status}: {run.run_dir}")
         return 0
-    except (ConfigError, pipeline.PipelineError, registry.RegistryError) as exc:
+    except (
+        ConfigError, pipeline.PipelineError, registry.RegistryError, StoreError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import logging
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
@@ -790,128 +790,45 @@ def expected_scores(
 
 # --- scripts as structured documents --------------------------------------------
 
-def script_to_dict(script: ScenarioScript) -> dict[str, Any]:
-    return {
-        "timeout_stall": script.timeout_stall,
-        "response_delay": script.response_delay,
-        "repositories": [
-            {
-                "name": repo.name,
-                "page_size": repo.page_size,
-                "prefixes": list(repo.prefixes),
-                "apis": list(repo.apis),
-                "token_ttl": repo.token_ttl,
-                "faults": [
-                    {
-                        "kind": f.kind,
-                        "page": f.page,
-                        "times": f.times,
-                        "retry_after": f.retry_after,
-                        "stall": f.stall,
-                    }
-                    for f in repo.faults
-                ],
-                "records": [
-                    {
-                        "doi": r.doi,
-                        "of_interest": r.of_interest,
-                        "chrono": r.chrono,
-                        "geo": r.geo,
-                        "lic": r.lic,
-                        "retrieval": r.retrieval,
-                        "deleted": r.deleted,
-                        "kernel": r.kernel,
-                        "geo_style": r.geo_style,
-                        "interest_via": r.interest_via,
-                        "wrapped": r.wrapped,
-                    }
-                    for r in repo.records
-                ],
-            }
-            for repo in script.repositories
-        ],
-        "resolver_routes": {
-            doi: [
-                {
-                    "status": h.status,
-                    "content_type": h.content_type,
-                    "body": h.body,
-                    "location": h.location,
-                    "link": h.link,
-                    "require_accept": h.require_accept,
-                }
-                for h in hops
-            ]
-            for doi, hops in script.resolver_routes.items()
-        },
-        "blobs": {k: [v[0], v[1]] for k, v in script.blobs.items()},
-    }
+def _from_fields(cls: type, data: dict[str, Any], **built: Any) -> Any:
+    """``cls`` from ``data``, whose keys must name fields of ``cls``; a key
+    it lacks takes the field's default, and ``built`` overrides the fields
+    that hold other dataclasses or tuples."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ScriptError(f"{cls.__name__}: unknown keys {', '.join(unknown)}")
+    try:
+        return cls(**{**data, **built})
+    except TypeError as exc:
+        raise ScriptError(f"{cls.__name__}: {exc}") from exc
+
+
+def _repository_from_dict(data: dict[str, Any]) -> MockRepository:
+    tuples = {key: tuple(data[key]) for key in ("prefixes", "apis") if key in data}
+    return _from_fields(
+        MockRepository,
+        data,
+        records=[_from_fields(MockRecord, r) for r in data.get("records", [])],
+        faults=[_from_fields(Fault, f) for f in data.get("faults", [])],
+        **tuples,
+    )
 
 
 def script_from_dict(data: dict[str, Any]) -> ScenarioScript:
-    return ScenarioScript(
-        repositories=[
-            MockRepository(
-                name=repo["name"],
-                page_size=repo.get("page_size", 10),
-                prefixes=tuple(repo.get("prefixes", ("oai_dc", "datacite"))),
-                apis=tuple(repo.get("apis", ("OAI-PMH",))),
-                token_ttl=repo.get("token_ttl"),
-                faults=[
-                    Fault(
-                        kind=f["kind"],
-                        page=f["page"],
-                        times=f.get("times", 1),
-                        retry_after=f.get("retry_after", 0.1),
-                        stall=f.get("stall"),
-                    )
-                    for f in repo.get("faults", [])
-                ],
-                records=[
-                    MockRecord(
-                        doi=r["doi"],
-                        of_interest=r.get("of_interest", True),
-                        chrono=r.get("chrono", False),
-                        geo=r.get("geo", False),
-                        lic=r.get("lic", False),
-                        retrieval=r.get("retrieval", "landing"),
-                        deleted=r.get("deleted", False),
-                        kernel=r.get("kernel", 4),
-                        geo_style=r.get("geo_style", "point"),
-                        interest_via=r.get("interest_via", "type"),
-                        wrapped=r.get("wrapped", False),
-                    )
-                    for r in repo.get("records", [])
-                ],
-            )
-            for repo in data.get("repositories", [])
-        ],
+    """The script a JSON document describes, as ``dataclasses.asdict``
+    writes one; an unknown key raises ScriptError."""
+    return _from_fields(
+        ScenarioScript,
+        data,
+        repositories=[_repository_from_dict(r) for r in data.get("repositories", [])],
         resolver_routes={
-            doi: [
-                RouteHop(
-                    status=h["status"],
-                    content_type=h.get("content_type"),
-                    body=h.get("body", ""),
-                    location=h.get("location"),
-                    link=h.get("link"),
-                    require_accept=h.get("require_accept"),
-                )
-                for h in hops
-            ]
+            doi: [_from_fields(RouteHop, hop) for hop in hops]
             for doi, hops in data.get("resolver_routes", {}).items()
         },
         blobs={k: (v[0], int(v[1])) for k, v in data.get("blobs", {}).items()},
-        timeout_stall=data.get("timeout_stall", 1.5),
-        response_delay=data.get("response_delay", 0.0),
     )
 
 
 def load_script(path: str | Path) -> ScenarioScript:
     return script_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
-
-def save_script(script: ScenarioScript, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(script_to_dict(script), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -9,6 +9,7 @@ Every run gets its own directory keyed by run id; nothing is overwritten.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
 import uuid
@@ -59,17 +60,13 @@ class PredecessorIncompleteError(PipelineError):
 class _Chain(NamedTuple):
     """A harvest chain left unfinished by its first page."""
 
-    repo: registry.RepositoryDescriptor
+    provider: dict  # its providers.ndjson line
     first: oaipmh.HarvestSummary
     page_ids: set[str]  # ids on page 1, deleted ones included
 
 
 def new_run_id() -> str:
     return time.strftime("%Y%m%dT%H%M%S") + "-" + uuid.uuid4().hex[:8]
-
-
-def _oai_endpoint(repo: registry.RepositoryDescriptor) -> str:
-    return next(ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH")
 
 
 def _record_outcome(repository: str, record: oaipmh.RawRecord) -> dict | None:
@@ -92,7 +89,6 @@ def _page_line(
     repository: str,
     body: bytes | str,
     records: list[oaipmh.RawRecord],
-    endpoint: str,
 ) -> dict:
     """A ``raw`` line: one ListRecords page as served, the ids taken from it
     and, aligned with them, each taken record's ``_record_outcome``.
@@ -109,7 +105,6 @@ def _page_line(
         "bytes": served_bytes,
         "ids": [record.oai_identifier for record in records],
         "records": [_record_outcome(repository, record) for record in records],
-        "source_endpoint": endpoint,
     }
 
 
@@ -204,7 +199,7 @@ class PipelineRun:
         repos = registry.fetch_repository_list(self.config, session=self.sessions)
         write_ndjson(
             self.run_dir / REPOSITORIES_FILE,
-            [registry.descriptor_to_dict(r) for r in repos],
+            [dataclasses.asdict(r) for r in repos],
         )
         return STATUS_COMPLETE, {"repositories": len(repos)}
 
@@ -216,47 +211,38 @@ class PipelineRun:
         candidates = registry.filter_by_api(descriptors, "OAI-PMH")
         gate = HostGate(self.config.politeness_delay)
 
-        def classify(repo: registry.RepositoryDescriptor) -> registry.DataciteSupport:
+        def select(repo: registry.RepositoryDescriptor) -> dict | None:
+            """The providers line of a candidate that serves Datacite."""
+            endpoint = next(
+                ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
+            )
             try:
                 prefixes = oaipmh.list_metadata_formats(
-                    _oai_endpoint(repo),
-                    self.config,
-                    gate=gate,
-                    session=self.sessions,
+                    endpoint, self.config, gate=gate, session=self.sessions
                 )
             except oaipmh.OaiError as exc:
                 logger.warning("%s: not usable (%s)", repo.registry_id, exc)
-                prefixes = []
+                return None
             prefix = oaipmh.select_datacite_prefix(prefixes)
             if prefix is None:
-                return registry.DataciteSupport(status=registry.SUPPORT_UNSUPPORTED)
-            return registry.DataciteSupport(
-                status=registry.SUPPORT_SUPPORTED, prefix=prefix
-            )
+                return None
+            return {
+                "registry_id": repo.registry_id,
+                "endpoint": endpoint,
+                "prefix": prefix,
+            }
 
         with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
-            for repo, support in zip(candidates, pool.map(classify, candidates)):
-                repo.datacite_support = support
-
-        write_ndjson(
-            self.run_dir / PROVIDERS_FILE,
-            [registry.descriptor_to_dict(r) for r in descriptors],
-        )
-        supported = sum(
-            1
-            for r in descriptors
-            if r.datacite_support.status == registry.SUPPORT_SUPPORTED
-        )
+            providers = [line for line in pool.map(select, candidates) if line]
+        write_ndjson(self.run_dir / PROVIDERS_FILE, providers)
         return STATUS_COMPLETE, {
             "candidates": len(candidates),
-            "supported": supported,
+            "supported": len(providers),
         }
 
-    def _providers(self) -> list[registry.RepositoryDescriptor]:
-        return [
-            registry.descriptor_from_dict(d)
-            for d in read_ndjson(self.run_dir / PROVIDERS_FILE)
-        ]
+    def _providers(self) -> list[dict]:
+        """Step 2's providers.ndjson lines: registry_id, endpoint, prefix."""
+        return read_ndjson(self.run_dir / PROVIDERS_FILE)
 
     def _harvest_outcomes(self) -> dict[str, dict]:
         """Each repository's last ``harvested`` line, less its repository
@@ -269,7 +255,7 @@ class PipelineRun:
     def unfinished_repositories(
         self, outcomes: dict[str, dict] | None = None
     ) -> list[str]:
-        """Supported providers whose harvest has not completed, sorted.
+        """Providers whose harvest has not completed, sorted.
 
         A repository is finished when its last ``harvested`` line says so;
         the catalogue holds that even when step 3 stopped before it could
@@ -279,43 +265,35 @@ class PipelineRun:
         if outcomes is None:
             outcomes = self._harvest_outcomes()
         return sorted(
-            r.registry_id
-            for r in self._providers()
-            if r.datacite_support.status == registry.SUPPORT_SUPPORTED
-            and not outcomes.get(r.registry_id, {}).get("completed", False)
+            p["registry_id"]
+            for p in self._providers()
+            if not outcomes.get(p["registry_id"], {}).get("completed", False)
         )
 
     def _step3_harvest(self) -> tuple[str, dict]:
-        providers = [
-            r
-            for r in self._providers()
-            if r.datacite_support.status == registry.SUPPORT_SUPPORTED
-        ]
+        providers = self._providers()
         to_harvest = set(self.unfinished_repositories())
-        pending = [r for r in providers if r.registry_id in to_harvest]
+        pending = [p for p in providers if p["registry_id"] in to_harvest]
         gate = HostGate(self.config.politeness_delay)
 
         def harvest(
-            repo: registry.RepositoryDescriptor,
+            provider: dict,
             seen: set[str],
             *,
             first_page_only: bool = False,
             token: str | None = None,
         ) -> oaipmh.HarvestSummary:
-            name = repo.registry_id
-            endpoint = _oai_endpoint(repo)
+            name = provider["registry_id"]
 
             # one page is one line, so a crash loses at most the page being
             # written, and a resumed step fetches it again
             def sink(body: bytes | str, records: list[oaipmh.RawRecord]) -> None:
                 if records:
-                    self.store.append(
-                        "raw", name, _page_line(name, body, records, endpoint)
-                    )
+                    self.store.append("raw", name, _page_line(name, body, records))
 
             summary = oaipmh.harvest_records(
-                endpoint,
-                repo.datacite_support.prefix or "",
+                provider["endpoint"],
+                provider["prefix"],
                 self.config,
                 sink,
                 gate=gate,
@@ -327,28 +305,26 @@ class PipelineRun:
             self.store.close("raw", name)
             return summary
 
-        def finish(
-            repo: registry.RepositoryDescriptor, summary: oaipmh.HarvestSummary
-        ) -> None:
+        def finish(provider: dict, summary: oaipmh.HarvestSummary) -> None:
             outcome = {
                 "completed": summary.completed,
                 "records": summary.records,
                 "deleted": summary.deleted,
                 "pages": summary.pages,
             }
-            self.store.append("harvested", repo.registry_id, outcome)
+            self.store.append("harvested", provider["registry_id"], outcome)
 
         # pass 1: page 1 of every chain, after the pages an earlier attempt
         # left are deleted: a resumption token is not kept, so an unfinished
         # chain starts again at page 1 anyway. Page 1's completeListSize is
         # the size estimate; its token and ids are all that is kept
-        def start(repo: registry.RepositoryDescriptor) -> _Chain | None:
-            self.store.discard("raw", repo.registry_id)
+        def start(provider: dict) -> _Chain | None:
+            self.store.discard("raw", provider["registry_id"])
             seen: set[str] = set()
-            first = harvest(repo, seen, first_page_only=True)
+            first = harvest(provider, seen, first_page_only=True)
             if first.token:
-                return _Chain(repo, first, seen)
-            finish(repo, first)
+                return _Chain(provider, first, seen)
+            finish(provider, first)
             return None
 
         # pass 2: the unfinished chains, largest first, on one shared queue.
@@ -358,15 +334,15 @@ class PipelineRun:
         # its chain waited is rejected, and the chain spends its one restart
         # to start again at page 1.
         def resume(chain: _Chain) -> None:
-            rest = harvest(chain.repo, chain.page_ids, token=chain.first.token)
-            finish(chain.repo, chain.first + rest)
+            rest = harvest(chain.provider, chain.page_ids, token=chain.first.token)
+            finish(chain.provider, chain.first + rest)
 
         with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
             unfinished = [chain for chain in pool.map(start, pending) if chain]
             unfinished.sort(
                 key=lambda chain: (
                     -(chain.first.complete_list_size or 0),
-                    chain.repo.registry_id,
+                    chain.provider["registry_id"],
                 )
             )
             list(pool.map(resume, unfinished))

@@ -24,10 +24,6 @@ logger = logging.getLogger(__name__)
 KNOWN_KINDS = {"oai-pmh": "OAI-PMH", "rest": "REST", "soap": "SOAP", "sparql": "SPARQL"}
 NO_API_LABEL = "no API"
 
-SUPPORT_UNKNOWN = "unknown"
-SUPPORT_SUPPORTED = "supported"
-SUPPORT_UNSUPPORTED = "unsupported"
-
 
 class RegistryError(Exception):
     pass
@@ -44,18 +40,11 @@ class ApiEndpoint:
 
 
 @dataclass
-class DataciteSupport:
-    status: str = SUPPORT_UNKNOWN  # unknown | supported | unsupported
-    prefix: str | None = None  # set only when supported
-
-
-@dataclass
 class RepositoryDescriptor:
     registry_id: str
     name: str
     api_endpoints: list[ApiEndpoint] = field(default_factory=list)
     quality_info: list[str] = field(default_factory=list)
-    datacite_support: DataciteSupport = field(default_factory=DataciteSupport)
 
 
 def normalize_kind(raw: str) -> str:
@@ -290,35 +279,9 @@ def api_adoption_stats(
     return rows
 
 
-# --- dict round-trip for ndjson -----------------------------------------------
-
-def descriptor_to_dict(repo: RepositoryDescriptor) -> dict[str, Any]:
-    return {
-        "registry_id": repo.registry_id,
-        "name": repo.name,
-        "api_endpoints": [
-            {"kind": ep.kind, "url": ep.url} for ep in repo.api_endpoints
-        ],
-        "quality_info": list(repo.quality_info),
-        "datacite_support": {
-            "status": repo.datacite_support.status,
-            "prefix": repo.datacite_support.prefix,
-        },
-    }
-
+# --- ndjson -------------------------------------------------------------------
 
 def descriptor_from_dict(data: dict[str, Any]) -> RepositoryDescriptor:
-    support = data.get("datacite_support") or {}
-    return RepositoryDescriptor(
-        registry_id=data["registry_id"],
-        name=data.get("name", ""),
-        api_endpoints=[
-            ApiEndpoint(kind=ep["kind"], url=ep["url"])
-            for ep in data.get("api_endpoints", [])
-        ],
-        quality_info=list(data.get("quality_info", [])),
-        datacite_support=DataciteSupport(
-            status=support.get("status", SUPPORT_UNKNOWN),
-            prefix=support.get("prefix"),
-        ),
-    )
+    """The descriptor ``dataclasses.asdict`` wrote as ``data``."""
+    endpoints = [ApiEndpoint(**ep) for ep in data["api_endpoints"]]
+    return RepositoryDescriptor(**{**data, "api_endpoints": endpoints})

@@ -30,7 +30,7 @@ from urllib.parse import quote, unquote
 
 logger = logging.getLogger(__name__)
 
-STORE_VERSION = 4
+STORE_VERSION = 5
 STAGES = ("raw", "parsed", "assessed", "harvested")
 LEDGERS = ("parsed", "assessed", "harvested")
 LEDGER_FILE = "all.ndjson"
@@ -295,7 +295,15 @@ def save_manifest(manifest: RunManifest, run_dir: str | Path) -> None:
 
 
 def load_manifest(run_dir: str | Path) -> RunManifest:
-    document = json.loads(manifest_path(run_dir).read_text(encoding="utf-8"))
+    path = manifest_path(run_dir)
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise StoreError(f"{path} is not a fairprobe manifest: {exc}") from exc
+    if not isinstance(document, dict) or not {"run_id", "created"} <= document.keys():
+        raise StoreError(
+            f"{path} is not a fairprobe manifest: it needs run_id and created"
+        )
     manifest = RunManifest(
         run_id=document["run_id"],
         created=document["created"],

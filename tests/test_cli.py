@@ -192,6 +192,26 @@ def test_step_without_any_run_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{}", "not json", "[]", '{"run_id": "x"}'],
+    ids=["empty-object", "not-json", "not-an-object", "no-created"],
+)
+def test_a_manifest_that_is_not_a_fairprobe_manifest_exits_2(tmp_path, capsys, text):
+    out = tmp_path / "runs"
+    manifest = out / "x" / "manifest.json"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_text(text, encoding="utf-8")
+    # step finds the newest run by reading every manifest under out
+    assert main(["step", "2", "--out", str(out)]) == 2
+    assert f"error: {manifest} is not a fairprobe manifest" in capsys.readouterr().err
+    config_file = tmp_path / "x.json"
+    config_file.write_text(json.dumps({"run_id": "x"}), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 2
+    assert f"error: {manifest} is not a fairprobe manifest" in capsys.readouterr().err
+    assert manifest.read_text(encoding="utf-8") == text
+
+
 def test_step_on_incomplete_predecessor_is_an_error(tmp_path, small_hub, capsys):
     out = tmp_path / "runs"
     config_file = write_config(tmp_path, small_hub)

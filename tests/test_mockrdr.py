@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import pytest
 
@@ -271,10 +273,10 @@ def test_script_document_round_trip(tmp_path):
         timeout_stall=2.5,
         response_delay=0.1,
     )
-    assert mockrdr.script_from_dict(mockrdr.script_to_dict(script)) == script
+    assert mockrdr.script_from_dict(json.loads(json.dumps(asdict(script)))) == script
 
     path = tmp_path / "scenario.json"
-    mockrdr.save_script(script, path)
+    path.write_text(json.dumps(asdict(script)), encoding="utf-8")
     assert mockrdr.load_script(path) == script
 
 
@@ -283,10 +285,26 @@ def test_token_ttl_round_trips_and_must_be_positive():
         name="r", records=[mockrdr.MockRecord(doi="10.9/t")], token_ttl=2.5
     )
     script = mockrdr.ScenarioScript(repositories=[repo])
-    assert mockrdr.script_from_dict(mockrdr.script_to_dict(script)) == script
+    assert mockrdr.script_from_dict(asdict(script)) == script
     repo.token_ttl = 0.0
     with pytest.raises(mockrdr.ScriptError, match="token_ttl"):
         mockrdr.validate(script)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"repositories": [], "page_size": 3},
+        {"repositories": [{"name": "r", "record": []}]},
+        {"repositories": [{"name": "r", "records": [{"doi": "10.9/a", "ret": True}]}]},
+        {"resolver_routes": {"10.9/a": [{"status": 200, "type": "image/png"}]}},
+        {"repositories": [{"records": []}]},
+    ],
+    ids=["script", "repository", "record", "route-hop", "no-name"],
+)
+def test_a_script_document_with_an_unknown_or_missing_key_is_refused(document):
+    with pytest.raises(mockrdr.ScriptError):
+        mockrdr.script_from_dict(document)
 
 
 @pytest.mark.parametrize(

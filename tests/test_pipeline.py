@@ -26,6 +26,7 @@ from fairprobe.store import (
     CatalogueStore,
     load_manifest,
     manifest_path,
+    read_ndjson,
     save_manifest,
 )
 
@@ -225,6 +226,23 @@ def test_completed_steps_are_not_rerun(fixtures_dir, serve_script, make_config):
     assert (run_dir / "repositories.csv").read_bytes() == first_csv
 
 
+def test_providers_are_the_harvestable_repositories_one_line_each(
+    fixtures_dir, serve_script, make_config
+):
+    hub = serve_script(mockrdr.load_script(fixtures_dir / "scenario_small.json"))
+    run = PipelineRun(make_config(hub))
+    for step in (1, 2):
+        run.run_step(step)
+    providers = read_ndjson(run.run_dir / pipeline.PROVIDERS_FILE)
+    assert len(providers) == run.manifest.steps[2].detail["supported"]
+    # rest-only-archive has no OAI-PMH endpoint, dublin-core-only no
+    # Datacite prefix: neither is a provider
+    assert providers == [
+        {"registry_id": name, "endpoint": hub.oai_endpoint(name), "prefix": "datacite"}
+        for name in ("coastal-imagery", "survey-scans")
+    ]
+
+
 def test_catalogue_stages_nest(fixtures_dir, serve_script, make_config):
     script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
     hub = serve_script(script)
@@ -366,11 +384,8 @@ def dedup_run(tmp_path) -> PipelineRun:
         + oai_record(3, None)
         + "</ListRecords></OAI-PMH>"
     )
-    endpoint = "http://inline/oai"
     records, _, _ = oaipmh.parse_page(body)
-    run.store.append(
-        "raw", "dup-repo", pipeline._page_line("dup-repo", body, records, endpoint)
-    )
+    run.store.append("raw", "dup-repo", pipeline._page_line("dup-repo", body, records))
     run.store.close_all()
     return run
 
@@ -1244,6 +1259,38 @@ def test_a_store_version_3_run_directory_is_refused(tmp_path, capsys):
     assert manifest.status(4) == STATUS_PENDING
     assert raw.read_text(encoding="utf-8") == line
     assert not (run.run_dir / "catalogue" / "parsed").exists()
+
+
+def test_a_store_version_4_run_directory_is_refused(tmp_path, capsys):
+    config = RunConfig(out=str(tmp_path / "runs"), run_id="older")
+    run = PipelineRun(config)
+    for number in (1, 2):
+        run.manifest.steps[number].status = STATUS_COMPLETE
+    run.manifest.store_version = 4
+    save_manifest(run.manifest, run.run_dir)
+    # a version-4 providers.ndjson listed every registry entry with its
+    # Datacite support status
+    providers = run.run_dir / pipeline.PROVIDERS_FILE
+    line = json.dumps({
+        "api_endpoints": [{"kind": "OAI-PMH", "url": "http://127.0.0.1:9/oai"}],
+        "datacite_support": {"prefix": "datacite", "status": "supported"},
+        "name": "older",
+        "quality_info": [],
+        "registry_id": "older",
+    }) + "\n"
+    providers.write_text(line, encoding="utf-8")
+    config_file = tmp_path / "older.json"
+    config_file.write_text(json.dumps({"run_id": "older"}), encoding="utf-8")
+    out = str(tmp_path / "runs")
+    assert main(["run-all", "--config", str(config_file), "--out", out]) == 2
+    assert "store version 4" in capsys.readouterr().err
+    assert main(["step", "3", "--out", out]) == 2
+    assert "store version 4" in capsys.readouterr().err
+    manifest = load_manifest(run.run_dir)
+    assert manifest.store_version == 4
+    assert manifest.status(3) == STATUS_PENDING
+    assert providers.read_text(encoding="utf-8") == line
+    assert not (run.run_dir / "catalogue").exists()
 
 
 def test_report_names_truncated_repositories_from_the_catalogue(

@@ -18,13 +18,6 @@ from fairprobe import mockrdr, pipeline
 from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineError, PipelineRun
-from fairprobe.registry import (
-    SUPPORT_SUPPORTED,
-    ApiEndpoint,
-    DataciteSupport,
-    RepositoryDescriptor,
-    descriptor_to_dict,
-)
 from fairprobe.store import (
     STATUS_COMPLETE,
     STORE_VERSION,
@@ -85,13 +78,8 @@ def harvest_and_parse(tmp_path, base: str) -> PipelineRun:
             politeness_delay=0.0,
         )
     )
-    provider = RepositoryDescriptor(
-        registry_id=NAME,
-        name=NAME,
-        api_endpoints=[ApiEndpoint(kind="OAI-PMH", url=base)],
-        datacite_support=DataciteSupport(status=SUPPORT_SUPPORTED, prefix="datacite"),
-    )
-    write_ndjson(run.run_dir / pipeline.PROVIDERS_FILE, [descriptor_to_dict(provider)])
+    provider = {"registry_id": NAME, "endpoint": base, "prefix": "datacite"}
+    write_ndjson(run.run_dir / pipeline.PROVIDERS_FILE, [provider])
     for number in (1, 2):
         run.manifest.steps[number].status = STATUS_COMPLETE
     save_manifest(run.manifest, run.run_dir)
@@ -304,7 +292,8 @@ def test_raw_holds_each_page_as_served(serve_script, make_config):
         [mockrdr.oai_identifier("served", i) for i in pair]
         for pair in ((0, 1), (2, 3), (4,))
     ]
-    assert all(line["source_endpoint"] == hub.oai_endpoint("served") for line in lines)
+    # the endpoint is the provider's, kept once in providers.ndjson
+    assert all(line.keys() == {"body", "bytes", "ids", "records"} for line in lines)
     # the provider's own bytes (served without a charset), not a rewrite
     # with ns0: prefixes
     served = requests.get(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 
@@ -11,13 +12,11 @@ from fairprobe import mockrdr
 from fairprobe.config import RunConfig
 from fairprobe.registry import (
     ApiEndpoint,
-    DataciteSupport,
     RegistryError,
     RegistryUnreachableError,
     RepositoryDescriptor,
     api_adoption_stats,
     descriptor_from_dict,
-    descriptor_to_dict,
     fetch_repository_list,
     filter_by_api,
     load_seed_file,
@@ -128,7 +127,6 @@ def test_fetch_from_mock_registry(fixtures_dir, serve_script, sessions):
     assert [ep.kind for ep in coastal.api_endpoints] == ["OAI-PMH"]
     assert coastal.api_endpoints[0].url == hub.oai_endpoint("coastal-imagery")
     assert [ep.kind for ep in by_name["rest-only-archive"].api_endpoints] == ["REST"]
-    assert coastal.datacite_support.status == "unknown"
 
 
 def test_fetch_requires_endpoint_or_seed(sessions):
@@ -261,7 +259,6 @@ def test_descriptor_round_trip():
         name="Alpha",
         api_endpoints=[ApiEndpoint("OAI-PMH", "http://alpha.example/oai")],
         quality_info=["CoreTrustSeal"],
-        datacite_support=DataciteSupport(status="supported", prefix="datacite"),
     )
-    wire = json.loads(json.dumps(descriptor_to_dict(repo)))
+    wire = json.loads(json.dumps(dataclasses.asdict(repo)))
     assert descriptor_from_dict(wire) == repo
