@@ -70,18 +70,8 @@ def assess(
         chrono=f_chrono(record),
         geo=f_geo(record, require_coordinates=require_coordinates),
         lic=f_lic(record),
-        ret=False,
-        probe_trace=None,
     )
 
 
 def assessment_to_dict(result: AssessmentResult) -> dict[str, Any]:
-    return {
-        "doi": result.doi,
-        "repository": result.repository,
-        "chrono": result.chrono,
-        "geo": result.geo,
-        "lic": result.lic,
-        "ret": result.ret,
-        "probe_trace": result.probe_trace,
-    }
+    return {**vars(result)}

@@ -105,12 +105,17 @@ def _convert(key: str, value: Any) -> Any:
         if lowered in _BOOL_FALSE:
             return False
         raise ValueError(f"{value!r} is not a boolean")
+    if kind == "str":
+        # str() would take any JSON value: ["a"] would name a directory "['a']"
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{value!r} is not text")
+        return str(value)
     # int() and float() would take True as 1 and cut 2.5 to 2
-    if kind != "str" and isinstance(value, bool):
+    if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     if kind == "int" and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
-    return {"int": int, "float": float, "str": str}[kind](value)
+    return {"int": int, "float": float}[kind](value)
 
 
 def _checked(key: str, value: Any) -> Any:

@@ -9,6 +9,7 @@ cover is ignored; geo children whose numbers do not parse are kept as
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Literal, Union, overload
@@ -106,39 +107,29 @@ def _flat_text(element: ET.Element) -> str:
     return " ".join("".join(element.itertext()).split())
 
 
-def _parse_point(element: ET.Element) -> GeoLocation:
-    lat_el = child(element, "pointLatitude")
-    lon_el = child(element, "pointLongitude")
-    if lat_el is not None or lon_el is not None:
-        parts = [_text(lat_el), _text(lon_el)]
+def _parse_numbers(element: ET.Element, names: tuple[str, ...], cls: type) -> GeoLocation:
+    """A point or box from kernel 4's child elements ``names``, or else from
+    kernel 3's numbers in the element text in the same order; malformed
+    unless there is one finite number for each of ``cls``'s fields."""
+    found = [child(element, name) for name in names]
+    if any(el is not None for el in found):
+        parts = [_text(el) for el in found]
     else:
-        # kernel 3: "lat lon" in the element text
         parts = _flat_text(element).split()
     try:
-        lat, lon = (float(p) for p in parts)
-    except (TypeError, ValueError):
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        numbers = []
+    if len(numbers) != len(names) or not all(map(math.isfinite, numbers)):
         return GeoMalformed(raw=" ".join(p for p in parts if p) or _flat_text(element))
-    return GeoPoint(lat=lat, lon=lon)
+    return cls(*numbers)
 
 
-def _parse_box(element: ET.Element) -> GeoLocation:
-    names = (
-        "southBoundLatitude",
-        "westBoundLongitude",
-        "northBoundLatitude",
-        "eastBoundLongitude",
-    )
-    child_els = [child(element, name) for name in names]
-    if any(el is not None for el in child_els):
-        parts = [_text(el) for el in child_els]
-    else:
-        # kernel 3 order: south west north east
-        parts = _flat_text(element).split()
-    try:
-        south, west, north, east = (float(p) for p in parts)
-    except (TypeError, ValueError):
-        return GeoMalformed(raw=" ".join(p for p in parts if p) or _flat_text(element))
-    return GeoBox(south=south, west=west, north=north, east=east)
+# kernel 4's number elements of a point and a box, in their fields' order
+_POINT_NUMBERS = ("pointLatitude", "pointLongitude")
+_BOX_NUMBERS = (
+    "southBoundLatitude", "westBoundLongitude", "northBoundLatitude", "eastBoundLongitude"
+)
 
 
 def _parse_geo_location(element: ET.Element) -> list[GeoLocation]:
@@ -146,9 +137,9 @@ def _parse_geo_location(element: ET.Element) -> list[GeoLocation]:
     for el in element:
         name = local_name(el.tag)
         if name == "geoLocationPoint":
-            out.append(_parse_point(el))
+            out.append(_parse_numbers(el, _POINT_NUMBERS, GeoPoint))
         elif name == "geoLocationBox":
-            out.append(_parse_box(el))
+            out.append(_parse_numbers(el, _BOX_NUMBERS, GeoBox))
         elif name == "geoLocationPlace":
             out.append(GeoPlace(text=_flat_text(el)))
         # polygons and anything newer are not modelled
@@ -285,54 +276,29 @@ def is_of_interest(record: DataciteRecord) -> bool:
 # --- dict round-trip for the catalogue store ---------------------------------
 
 _GEO_KINDS = {"point": GeoPoint, "box": GeoBox, "place": GeoPlace, "malformed": GeoMalformed}
-
-
-def _geo_to_dict(loc: GeoLocation) -> dict[str, Any]:
-    if isinstance(loc, GeoPoint):
-        return {"kind": "point", "lat": loc.lat, "lon": loc.lon}
-    if isinstance(loc, GeoBox):
-        return {
-            "kind": "box",
-            "south": loc.south,
-            "west": loc.west,
-            "north": loc.north,
-            "east": loc.east,
-        }
-    if isinstance(loc, GeoPlace):
-        return {"kind": "place", "text": loc.text}
-    return {"kind": "malformed", "raw": loc.raw}
-
-
-def _geo_from_dict(data: dict[str, Any]) -> GeoLocation:
-    kind = data["kind"]
-    cls = _GEO_KINDS[kind]
-    return cls(**{k: v for k, v in data.items() if k != "kind"})
+_KIND_OF = {cls: kind for kind, cls in _GEO_KINDS.items()}
 
 
 def record_to_dict(record: DataciteRecord) -> dict[str, Any]:
     return {
-        "doi": record.doi,
-        "resource_type_general": record.resource_type_general,
+        **vars(record),
         "formats": list(record.formats),
-        "dates": [{"value": d.value, "date_type": d.date_type} for d in record.dates],
-        "geo_locations": [_geo_to_dict(g) for g in record.geo_locations],
-        "rights": [{"text": r.text, "rights_uri": r.rights_uri} for r in record.rights],
-        "repository": record.repository,
-        "oai_identifier": record.oai_identifier,
+        "dates": [{**vars(d)} for d in record.dates],
+        "geo_locations": [
+            {"kind": _KIND_OF[type(g)], **vars(g)} for g in record.geo_locations
+        ],
+        "rights": [{**vars(r)} for r in record.rights],
     }
 
 
 def record_from_dict(data: dict[str, Any]) -> DataciteRecord:
-    return DataciteRecord(
-        doi=data["doi"],
-        resource_type_general=data.get("resource_type_general"),
-        formats=list(data.get("formats", [])),
-        dates=[DateEntry(value=d["value"], date_type=d["date_type"]) for d in data.get("dates", [])],
-        geo_locations=[_geo_from_dict(g) for g in data.get("geo_locations", [])],
-        rights=[
-            RightsEntry(text=r["text"], rights_uri=r.get("rights_uri"))
-            for r in data.get("rights", [])
+    return DataciteRecord(**{
+        **data,
+        "formats": list(data.get("formats", [])),
+        "dates": [DateEntry(**d) for d in data.get("dates", [])],
+        "geo_locations": [
+            _GEO_KINDS[g["kind"]](**{k: v for k, v in g.items() if k != "kind"})
+            for g in data.get("geo_locations", [])
         ],
-        repository=data.get("repository", ""),
-        oai_identifier=data.get("oai_identifier", ""),
-    )
+        "rights": [RightsEntry(**r) for r in data.get("rights", [])],
+    })

@@ -42,9 +42,10 @@ REPOSITORIES_FILE = "repositories.ndjson"
 PROVIDERS_FILE = "providers.ndjson"
 
 # the settings of how a run goes: a resumed run may change these, and must
-# keep every other setting it started with
+# keep every other setting it started with. ``timeout`` is not one of them:
+# a probe that runs out of it is stored as not retrievable
 OPERATIONAL_SETTINGS = frozenset({
-    "out", "run_id", "timeout", "politeness_delay", "per_host_delay",
+    "out", "run_id", "politeness_delay", "per_host_delay",
     "workers_harvest", "workers_probe",
 })
 
@@ -211,8 +212,11 @@ class PipelineRun:
         candidates = registry.filter_by_api(descriptors, "OAI-PMH")
         gate = HostGate(self.config.politeness_delay)
 
-        def select(repo: registry.RepositoryDescriptor) -> dict | None:
-            """The providers line of a candidate that serves Datacite."""
+        def select(
+            repo: registry.RepositoryDescriptor,
+        ) -> dict | oaipmh.OaiError | None:
+            """The providers line of a candidate that serves Datacite, or the
+            error that kept its formats from being listed."""
             endpoint = next(
                 ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
             )
@@ -222,7 +226,7 @@ class PipelineRun:
                 )
             except oaipmh.OaiError as exc:
                 logger.warning("%s: not usable (%s)", repo.registry_id, exc)
-                return None
+                return exc
             prefix = oaipmh.select_datacite_prefix(prefixes)
             if prefix is None:
                 return None
@@ -232,12 +236,20 @@ class PipelineRun:
                 "prefix": prefix,
             }
 
+        providers: list[dict] = []
+        unusable: list[str] = []
         with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
-            providers = [line for line in pool.map(select, candidates) if line]
+            for repo, line in zip(candidates, pool.map(select, candidates)):
+                if isinstance(line, oaipmh.OaiError):
+                    unusable.append(repo.registry_id)
+                elif line:
+                    providers.append(line)
         write_ndjson(self.run_dir / PROVIDERS_FILE, providers)
         return STATUS_COMPLETE, {
             "candidates": len(candidates),
             "supported": len(providers),
+            # an outage here leaves a repository out of every later step
+            "unusable": sorted(unusable),
         }
 
     def _providers(self) -> list[dict]:
@@ -475,6 +487,13 @@ class PipelineRun:
                     q_sizes[key] += 1
 
         warnings: list[str] = []
+        unusable = self.manifest.steps[2].detail.get("unusable")
+        if unusable:
+            warnings.append(
+                "provider selection incomplete: repositories whose metadata "
+                "formats could not be listed are not scored (affected: "
+                f"{', '.join(unusable)})"
+            )
         if self.manifest.steps[3].status == STATUS_PARTIAL:
             names = ", ".join(self.unfinished_repositories()) or "unknown repositories"
             warnings.append(

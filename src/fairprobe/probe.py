@@ -86,30 +86,21 @@ def _follow_chain(
             with gate.slot(urlparse(url).netloc):
                 reply = sessions.hop(url, accept, config.timeout, cookies)
         except http.REQUEST_ERRORS as exc:
-            # no response: status 0 keeps the attempt visible in the trace
-            trace.steps.append(
-                ProbeStep(
-                    url=url,
-                    method="GET",
-                    request_accept=accept,
-                    status=0,
-                    content_type=None,
-                    link_header=None,
-                )
-            )
+            reply, failure = None, exc
+        # no reply: status 0 keeps the attempt visible in the trace
+        headers = {} if reply is None else reply.headers
+        trace.steps.append(ProbeStep(
+            url=url,
+            method="GET",
+            request_accept=accept,
+            status=0 if reply is None else reply.status,
+            content_type=headers.get("Content-Type"),
+            link_header=headers.get("Link"),
+        ))
+        if reply is None:
             # a refused connect or a failed name lookup is a transport failure
-            timed_out = isinstance(exc, TimeoutError)
+            timed_out = isinstance(failure, TimeoutError)
             return None, REASON_TIMEOUT if timed_out else REASON_TRANSPORT
-        trace.steps.append(
-            ProbeStep(
-                url=url,
-                method="GET",
-                request_accept=accept,
-                status=reply.status,
-                content_type=reply.headers.get("Content-Type"),
-                link_header=reply.headers.get("Link"),
-            )
-        )
         if reply.status in http.REDIRECT_CODES:
             location = reply.headers.get("Location")
             if not location:
@@ -208,19 +199,4 @@ def f_ret(
 
 
 def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:
-    return {
-        "steps": [
-            {
-                "url": s.url,
-                "method": s.method,
-                "request_accept": s.request_accept,
-                "status": s.status,
-                "content_type": s.content_type,
-                "link_header": s.link_header,
-            }
-            for s in trace.steps
-        ],
-        "outcome": trace.outcome,
-        "reason": trace.reason,
-        "elapsed": trace.elapsed,
-    }
+    return {**vars(trace), "steps": [{**vars(s)} for s in trace.steps]}

@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
@@ -243,7 +243,7 @@ class StepState:
 class RunManifest:
     run_id: str
     created: str
-    config_snapshot: dict[str, Any]
+    config_snapshot: dict[str, Any] = field(default_factory=dict)
     store_version: int = STORE_VERSION
     steps: dict[int, StepState] = field(default_factory=dict)
 
@@ -272,18 +272,9 @@ def manifest_path(run_dir: str | Path) -> Path:
 
 def save_manifest(manifest: RunManifest, run_dir: str | Path) -> None:
     document = {
-        "run_id": manifest.run_id,
-        "created": manifest.created,
-        "store_version": manifest.store_version,
-        "config_snapshot": manifest.config_snapshot,
+        **vars(manifest),
         "steps": {
-            str(number): {
-                "name": STEP_NAMES[number],
-                "status": state.status,
-                "started": state.started,
-                "finished": state.finished,
-                "detail": state.detail,
-            }
+            str(number): {"name": STEP_NAMES[number], **vars(state)}
             for number, state in sorted(manifest.steps.items())
         },
     }
@@ -292,6 +283,12 @@ def save_manifest(manifest: RunManifest, run_dir: str | Path) -> None:
         manifest_path(run_dir),
         json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
     )
+
+
+def _fields_of(cls: type, data: dict[str, Any]) -> dict[str, Any]:
+    """The entries of ``data`` that name a field of dataclass ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in data.items() if key in names}
 
 
 def load_manifest(run_dir: str | Path) -> RunManifest:
@@ -304,20 +301,11 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
         raise StoreError(
             f"{path} is not a fairprobe manifest: it needs run_id and created"
         )
-    manifest = RunManifest(
-        run_id=document["run_id"],
-        created=document["created"],
-        config_snapshot=document.get("config_snapshot", {}),
-        store_version=document.get("store_version", STORE_VERSION),
-    )
-    for key, value in document.get("steps", {}).items():
-        manifest.steps[int(key)] = StepState(
-            status=value.get("status", STATUS_PENDING),
-            started=value.get("started"),
-            finished=value.get("finished"),
-            detail=value.get("detail", {}),
-        )
-    return manifest
+    steps = {
+        int(key): StepState(**_fields_of(StepState, value))
+        for key, value in document.get("steps", {}).items()
+    }
+    return RunManifest(**{**_fields_of(RunManifest, document), "steps": steps})
 
 
 def replace_file(path: str | Path, text: str) -> None:

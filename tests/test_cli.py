@@ -128,6 +128,8 @@ def test_step_flags_override_config(tmp_path, small_hub):
         ("allow_seed_fallback", True),
         ("doi_resolver", "http://127.0.0.1:9/resolve/"),
         ("geo_require_coordinates", True),
+        # a probe that ran out of the timeout is stored as not retrievable
+        ("timeout", 7.0),
     ],
 )
 def test_a_resume_with_another_setting_is_refused(
@@ -156,7 +158,7 @@ def test_a_resume_may_change_how_the_run_goes(tmp_path, small_hub):
     faster = write_config(tmp_path, small_hub, politeness_delay=5.0,
                           per_host_delay=5.0, workers_harvest=2)
     assert main(["step", "2", "--config", faster, "--out", str(out),
-                 "--timeout", "7", "--workers-probe", "3"]) == 0
+                 "--workers-probe", "3"]) == 0
     assert load_manifest(run_dirs(out)[0]).status(2) == "complete"
 
 

@@ -302,6 +302,29 @@ def test_bool_or_fraction_for_a_number_is_a_config_error(tmp_path, key, value):
         build_config(path, environ={})
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("out", ["a", "b"]),
+        ("run_id", True),
+        ("seed_file", {"x": 1}),
+        ("doi_resolver", False),
+        ("registry_url", ["http://r.example/"]),
+    ],
+)
+def test_a_bool_list_or_object_for_a_text_setting_is_a_config_error(
+    tmp_path, key, value
+):
+    with pytest.raises(ConfigError, match=f"{key}: .* is not text"):
+        RunConfig(**{key: value})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        build_config(path, environ={})
+    # a number still names a run, as its text would
+    assert RunConfig(run_id=7).run_id == "7"
+
+
 def test_whole_float_for_an_int_setting_is_converted():
     config = RunConfig(workers_probe=2.0, workers_harvest=1.0)
     assert (config.workers_probe, config.workers_harvest) == (2, 1)

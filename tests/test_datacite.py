@@ -110,6 +110,69 @@ def test_edge_cases_keep_malformed_geo(fixtures_dir):
     ]
 
 
+def geo_of(geo_location: str, kernel: int = 4) -> list:
+    """The locations parse_record reads from one geoLocation element."""
+    payload = (
+        f'<resource xmlns="http://datacite.org/schema/kernel-{kernel}">'
+        "<identifier>10.1/g</identifier>"
+        f"<geoLocations><geoLocation>{geo_location}</geoLocation></geoLocations>"
+        "</resource>"
+    )
+    return parse_record(ET.fromstring(payload)).geo_locations
+
+
+@pytest.mark.parametrize(
+    "kernel,geo_location,raw",
+    [
+        (3, "<geoLocationPoint>1 2 3</geoLocationPoint>", "1 2 3"),
+        (3, "<geoLocationPoint>47.5</geoLocationPoint>", "47.5"),
+        (4, "<geoLocationPoint/>", ""),
+        (3, "<geoLocationBox>1 2 3</geoLocationBox>", "1 2 3"),
+        (
+            4,
+            "<geoLocationBox><southBoundLatitude>1</southBoundLatitude>"
+            "<westBoundLongitude>2</westBoundLongitude>"
+            "<northBoundLatitude>3</northBoundLatitude></geoLocationBox>",
+            "1 2 3",
+        ),
+        (
+            4,
+            "<geoLocationPoint><pointLongitude>9.2</pointLongitude></geoLocationPoint>",
+            "9.2",
+        ),
+    ],
+    ids=[
+        "k3-point-of-three", "k3-point-of-one", "empty-point", "k3-box-of-three",
+        "k4-box-without-east", "k4-point-without-latitude",
+    ],
+)
+def test_a_wrong_number_count_is_malformed(kernel, geo_location, raw):
+    assert geo_of(geo_location, kernel) == [GeoMalformed(raw=raw)]
+
+
+@pytest.mark.parametrize(
+    "kernel,geo_location,raw",
+    [
+        (3, "<geoLocationPoint>NaN Infinity</geoLocationPoint>", "NaN Infinity"),
+        (
+            4,
+            "<geoLocationPoint><pointLatitude>NaN</pointLatitude>"
+            "<pointLongitude>Infinity</pointLongitude></geoLocationPoint>",
+            "NaN Infinity",
+        ),
+        (3, "<geoLocationBox>1 -inf 3 4</geoLocationBox>", "1 -inf 3 4"),
+    ],
+    ids=["k3-point", "k4-point", "k3-box"],
+)
+def test_a_number_that_is_not_finite_is_malformed(kernel, geo_location, raw):
+    # JSON has no NaN or Infinity: a catalogue line must stay readable by
+    # any JSON parser
+    locations = geo_of(geo_location, kernel)
+    assert locations == [GeoMalformed(raw=raw)]
+    record = DataciteRecord(doi="10.1/g", geo_locations=locations)
+    json.dumps(record_to_dict(record), allow_nan=False)
+
+
 def test_rights_without_rights_list_element():
     payload = (
         '<resource xmlns="http://datacite.org/schema/kernel-3">'
@@ -234,6 +297,52 @@ def test_dict_round_trip_through_json(fixtures_dir, fixture):
     )
     wire = json.loads(json.dumps(record_to_dict(record)))
     assert record_from_dict(wire) == record
+
+
+def test_dict_round_trip_holds_every_geo_kind():
+    record = DataciteRecord(
+        doi="10.1/all",
+        resource_type_general="Image",
+        formats=["image/png"],
+        dates=[DateEntry(value="2020-01-02", date_type="Created")],
+        geo_locations=[
+            GeoPoint(lat=1.5, lon=-2.0),
+            GeoBox(south=1.0, west=2.0, north=3.0, east=4.0),
+            GeoPlace(text="Kiel"),
+            GeoMalformed(raw="north-ish"),
+        ],
+        rights=[
+            RightsEntry(text="CC BY", rights_uri="https://example.org/by"),
+            RightsEntry(text="free"),
+        ],
+        repository="r",
+        oai_identifier="oai:r:1",
+    )
+    data = record_to_dict(record)
+    assert data == {
+        "doi": "10.1/all",
+        "resource_type_general": "Image",
+        "formats": ["image/png"],
+        "dates": [{"value": "2020-01-02", "date_type": "Created"}],
+        "geo_locations": [
+            {"kind": "point", "lat": 1.5, "lon": -2.0},
+            {"kind": "box", "south": 1.0, "west": 2.0, "north": 3.0, "east": 4.0},
+            {"kind": "place", "text": "Kiel"},
+            {"kind": "malformed", "raw": "north-ish"},
+        ],
+        "rights": [
+            {"text": "CC BY", "rights_uri": "https://example.org/by"},
+            {"text": "free", "rights_uri": None},
+        ],
+        "repository": "r",
+        "oai_identifier": "oai:r:1",
+    }
+    assert record_from_dict(json.loads(json.dumps(data))) == record
+    # the dict is the record's copy, not a view of it
+    data["formats"].append("text/plain")
+    data["dates"][0]["value"] = ""
+    assert record.formats == ["image/png"]
+    assert record.dates[0].value == "2020-01-02"
 
 
 def intent_payloads() -> list[str]:

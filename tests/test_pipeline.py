@@ -449,6 +449,25 @@ def test_partial_harvest_is_reported_as_warning(serve_script, make_config):
     assert load_manifest(run_dir).status(3) == STATUS_PARTIAL
 
 
+def test_a_provider_lost_in_step_2_is_reported_as_warning(
+    fixtures_dir, serve_script, make_config
+):
+    script = mockrdr.load_script(fixtures_dir / "scenario_small.json")
+    coastal = next(r for r in script.repositories if r.name == "coastal-imagery")
+    # both attempts at its ListMetadataFormats lose the connection
+    coastal.faults.append(mockrdr.Fault(kind="drop", page=0, times=2))
+    run_dir = pipeline.run_all(make_config(serve_script(script)))
+    doc = read_report(run_dir)
+    assert "coastal-imagery" not in {row["rdr"] for row in doc["repositories"]}
+    assert doc["warnings"] == [
+        "provider selection incomplete: repositories whose metadata formats "
+        "could not be listed are not scored (affected: coastal-imagery)"
+    ]
+    assert load_manifest(run_dir).steps[2].detail == {
+        "candidates": 3, "supported": 1, "unusable": ["coastal-imagery"]
+    }
+
+
 def sized_landscape() -> mockrdr.ScenarioScript:
     """Five providers of 1 to 5 pages, listed in no particular size order."""
     sizes = {"alpha": 3, "bravo": 9, "charlie": 1, "delta": 6, "echo": 9}

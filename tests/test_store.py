@@ -231,6 +231,29 @@ def test_manifest_round_trip(tmp_path):
     assert again.status(5) == STATUS_PENDING
 
 
+@pytest.mark.parametrize(
+    "edit",
+    ["extra top-level key", "step without detail", "step without status"],
+)
+def test_a_manifest_with_an_extra_or_a_missing_key_loads(tmp_path, edit):
+    manifest = new_manifest("run-0009", {"timeout": 5.0})
+    manifest.steps[2].status = STATUS_COMPLETE
+    manifest.steps[2].detail = {"supported": 1}
+    save_manifest(manifest, tmp_path)
+    path = manifest_path(tmp_path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    if edit == "extra top-level key":
+        document["comment"] = "not a field"
+    elif edit == "step without detail":
+        del document["steps"]["2"]["detail"]
+        manifest.steps[2].detail = {}
+    else:
+        del document["steps"]["2"]["status"]
+        manifest.steps[2].status = STATUS_PENDING
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert load_manifest(tmp_path) == manifest
+
+
 def test_now_iso_carries_its_offset():
     assert datetime.fromisoformat(now_iso()).tzinfo is not None
 
