@@ -32,11 +32,12 @@ and 503 flow control belong to the OAI-PMH client, so neither path has a
 request policy. There is no private ``Sessions``: every fetching function
 takes the run's.
 
-A body that no caller reads, a redirect's or that of a probe's final reply
-that is not an image, is read only so that its connection can carry the
-next request (``_drained``): a declared length of at most ``DRAIN_BOUND``
-bytes that arrives within the request's timeout. Any other reply that no
-caller reads, an image's among them, is closed unread with its connection.
+A body that no caller reads, a redirect's or a probe's final reply's, is
+drained so that its connection can carry the next request (``_drained``),
+but only when it is small and arrives in time: a declared length of at most
+``DRAIN_BOUND`` bytes that arrives within the request's timeout. Any other
+body that no caller reads is closed unread with its connection. The
+transport holds no rule about media types.
 """
 
 from __future__ import annotations
@@ -563,14 +564,6 @@ def _drained(conn: _Conn, head: _Head, timeout: float) -> bool:
     return True
 
 
-def is_image(content_type: str | None) -> bool:
-    """Whether a Content-Type names an image: the media type without
-    parameters, lowercased, starts with ``image/``."""
-    return bool(content_type) and (
-        content_type.split(";", 1)[0].strip().lower().startswith("image/")
-    )
-
-
 class _Sent(NamedTuple):
     """A request as requests' ``MockRequest`` reads it for the cookie jar."""
 
@@ -632,12 +625,11 @@ class Sessions:
         ``User-Agent`` and ``accept``, the cookies of ``cookies`` and the
         origin's netrc ``Authorization``, and the origin's proxy and CA
         bundle apply. The reply's cookies go into ``cookies``. Any body but
-        a redirect's is read into ``Reply.data`` when ``read`` is set. A
-        redirect's body, and when ``read`` is not set a body that is not an
-        image, is drained (``_drained``), so that its connection is kept as
-        a session's redirect handling keeps it; any other reply is closed
-        unread with its connection. Raises one of ``REQUEST_ERRORS`` when no
-        reply arrives.
+        a redirect's is read into ``Reply.data`` when ``read`` is set. Every
+        other body is drained (``_drained``) when it is small and arrives
+        in time, so that its connection is kept as a session's redirect
+        handling keeps it; otherwise the reply is closed unread with its
+        connection. Raises one of ``REQUEST_ERRORS`` when no reply arrives.
         """
         target = _target(url, params)
         scheme = target.scheme
@@ -685,8 +677,7 @@ class Sessions:
         else:
             # the reply stands whether or not its body arrives in time; a body
             # that does not costs its connection, not the request
-            drain = redirect or not is_image(reply.headers.get("Content-Type"))
-            if drain and _drained(conn, head, timeout):
+            if _drained(conn, head, timeout):
                 self._checkin(route, conn, head.will_close)
             else:
                 conn.close()
@@ -736,8 +727,8 @@ class Sessions:
     def hop(self, url: str, accept: str, timeout: float, cookies: CookieJar) -> Reply:
         """A probe's request: ``_send`` with ``accept`` and ``cookies``.
 
-        A redirect's body and a small body that is not an image are read
-        only to keep the connection; an image reply is closed unread.
+        No body is kept: a small body that arrives in time is read only to
+        keep the connection, and any other is closed unread with it.
         """
         return self._send(url, None, accept, timeout, cookies, read=False)
 

@@ -64,6 +64,12 @@ def _bare_type(value: str) -> str:
     return value.split(";", 1)[0].strip()
 
 
+def is_image(content_type: str | None) -> bool:
+    """Whether a Content-Type names an image: the media type without
+    parameters, lowercased, starts with ``image/``."""
+    return bool(content_type) and _bare_type(content_type).lower().startswith("image/")
+
+
 def _follow_chain(
     start_url: str,
     accept: str,
@@ -161,9 +167,7 @@ def f_ret(
         )
 
         if reply is not None and reason is None:
-            if reply.status == 200 and http.is_image(
-                reply.headers.get("Content-Type")
-            ):
+            if reply.status == 200 and is_image(reply.headers.get("Content-Type")):
                 trace.outcome = OUTCOME_CLIENT
                 return True, trace
             reason = REASON_NO_IMAGE if reply.status == 200 else REASON_NON_200

@@ -301,10 +301,22 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
         raise StoreError(
             f"{path} is not a fairprobe manifest: it needs run_id and created"
         )
-    steps = {
-        int(key): StepState(**_fields_of(StepState, value))
-        for key, value in document.get("steps", {}).items()
-    }
+    listed = document.get("steps", {})
+    if not isinstance(listed, dict) or not isinstance(
+        document.get("config_snapshot", {}), dict
+    ):
+        raise StoreError(
+            f"{path} is not a fairprobe manifest: steps and config_snapshot"
+            " must be objects"
+        )
+    steps = {}
+    for key, value in listed.items():
+        if not (key.isdecimal() and isinstance(value, dict)):
+            raise StoreError(
+                f"{path} is not a fairprobe manifest: step {key!r} must be"
+                " an object under a step number"
+            )
+        steps[int(key)] = StepState(**_fields_of(StepState, value))
     return RunManifest(**{**_fields_of(RunManifest, document), "steps": steps})
 
 

@@ -196,8 +196,26 @@ def test_step_without_any_run_is_an_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["{}", "not json", "[]", '{"run_id": "x"}'],
-    ids=["empty-object", "not-json", "not-an-object", "no-created"],
+    [
+        "{}",
+        "not json",
+        "[]",
+        '{"run_id": "x"}',
+        '{"run_id": "x", "created": "2026", "steps": {"a": {}}}',
+        '{"run_id": "x", "created": "2026", "steps": []}',
+        '{"run_id": "x", "created": "2026", "steps": {"1": []}}',
+        '{"run_id": "x", "created": "2026", "config_snapshot": []}',
+    ],
+    ids=[
+        "empty-object",
+        "not-json",
+        "not-an-object",
+        "no-created",
+        "step-key-not-a-number",
+        "steps-not-an-object",
+        "step-not-an-object",
+        "config-snapshot-not-an-object",
+    ],
 )
 def test_a_manifest_that_is_not_a_fairprobe_manifest_exits_2(tmp_path, capsys, text):
     out = tmp_path / "runs"

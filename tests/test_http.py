@@ -412,7 +412,7 @@ def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch, gate
     config = RunConfig(doi_resolver=origin + "/", timeout=5.0, per_host_delay=0.0)
     sessions = http.Sessions()
     try:
-        # each probe closes its image reply unread, so each connects anew
+        # the HTTP/1.0 origin closes each connection, so each probe connects anew
         for doi in ("10.9/a", "10.9/b"):
             assert f_ret(DataciteRecord(doi=doi), config, gate=gate, session=sessions)[0]
     finally:
@@ -1004,7 +1004,15 @@ READ_RULE = {
     "body at the bound": (
         sized("200 OK", "text/html", b"x" * http.DRAIN_BOUND), False, True, NO_IMAGE
     ),
-    "image": (sized("200 OK", "image/png", b"png"), False, False, (True, None)),
+    "image": (sized("200 OK", "image/png", b"png"), False, True, (True, None)),
+    "image past the bound": (
+        sized("200 OK", "image/png", b"x" * (http.DRAIN_BOUND + 1)), False, False, (True, None)
+    ),
+    "image with Connection: close": (
+        raw_reply("200 OK", "Content-Type: image/png\r\nConnection: close\r\n"
+                  "Content-Length: 3\r\n", b"png"),
+        False, False, (True, None),
+    ),
     "chunked": (
         raw_reply("200 OK", "Content-Type: text/html\r\nTransfer-Encoding: chunked\r\n",
                   chunked(b"<p>landing</p>")),
@@ -1027,7 +1035,7 @@ READ_RULE = {
 
 
 @pytest.mark.parametrize("case", READ_RULE)
-def test_a_probe_keeps_its_connection_only_after_a_small_reply_that_is_not_an_image(
+def test_a_probe_keeps_its_connection_only_after_a_small_reply(
     serve, clean_env, case
 , gate):
     reply, hang_up, kept, (retrievable, reason) = READ_RULE[case]
@@ -1119,6 +1127,25 @@ def test_a_redirect_body_holds_a_request_for_at_most_its_timeout(
     took = time.monotonic() - started
     assert (reply.status, reply.data) == (200, b"png")
     assert took < timeout + 1.0
+
+
+def test_a_trickled_image_holds_a_probe_for_at_most_its_timeout(
+    serve, clean_env, sessions, gate
+):
+    timeout = 0.5
+    trickle = serve(TrickleOrigin(
+        b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\nContent-Length: 4000\r\n\r\n",
+        b"x" * 100,
+    ))
+    config = RunConfig(
+        doi_resolver=trickle.url + "/resolve/", timeout=timeout, per_host_delay=0.0
+    )
+    started = time.monotonic()
+    retrievable, trace = f_ret(
+        DataciteRecord(doi="10.9/x"), config, gate=gate, session=sessions
+    )
+    assert time.monotonic() - started < timeout + 1.0
+    assert (retrievable, trace.outcome) == (True, "client_negotiated")
 
 
 def test_every_request_names_fairprobe_as_its_user_agent(

@@ -9,6 +9,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -840,6 +841,27 @@ def test_no_socket_outlives_a_step(serve_script, make_config, monkeypatch):
     detail = run.manifest.steps[5].detail
     assert (detail["probed"], detail["retrievable"]) == (24, 0)
     assert sockets_to(port) == []
+
+
+def test_probes_of_one_host_share_one_connection(serve_script, make_config, monkeypatch):
+    hub = serve_script(stacked_landscape(retrieval="client"))
+    run = PipelineRun(make_config(hub, workers_probe=POOL))
+    for step in (1, 2, 3, 4):
+        run.run_step(step)
+    connects = []
+    connect = HTTPConnection.connect
+
+    def counted(conn):
+        connects.append((conn.host, conn.port))
+        connect(conn)
+
+    monkeypatch.setattr(HTTPConnection, "connect", counted)
+    run.run_step(5)
+    detail = run.manifest.steps[5].detail
+    assert (detail["probed"], detail["retrievable"]) == (24, 24)
+    # the host gate lets one probe request at a time reach the host, and each
+    # small image reply is drained, so its connection carries the next one
+    assert len(connects) == 1
 
 
 def test_assessed_follows_parsed(serve_script, make_config, monkeypatch):
