@@ -31,7 +31,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker pool size of steps 1-3 "
                         f"(default {_DEFAULTS.workers_harvest})")
     parser.add_argument("--workers-probe", type=int, metavar="N",
-                        help="retrieval probe pool size "
+                        help="most threads that send probe requests "
                         f"(default {_DEFAULTS.workers_probe})")
     parser.add_argument("--timeout", type=float, metavar="SECONDS",
                         help=f"HTTP request timeout (default {_DEFAULTS.timeout:g})")

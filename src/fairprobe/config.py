@@ -39,7 +39,7 @@ class RunConfig:
     out: str = "runs"
     run_id: str | None = None  # unset means a fresh run
     workers_harvest: int = 4  # steps 1-3: repositories worked on at once
-    workers_probe: int = 34
+    workers_probe: int = 34  # step 5: most threads that send probe requests
     timeout: float = 20.0
     doi_resolver: str = "https://doi.org/"
     geo_require_coordinates: bool = False

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
-from . import assessor, datacite, http, oaipmh, probe, registry, scoring
+from . import assessor, datacite, http, oaipmh, probe, registry, scoring, throttle
 from .config import RunConfig
 from .report import ApiRow, ScoreReport, write_report
 from .store import (
@@ -425,39 +425,43 @@ class PipelineRun:
         return STATUS_COMPLETE, counts
 
     def _step5_probe(self) -> tuple[str, dict]:
-        gate = HostGate(self.config.per_host_delay)
-
-        def probe_entry(entry: dict) -> tuple[bool, probe.ProbeTrace]:
+        def probing(entry: dict):
+            """One parsed record's probe, as hops; returns its assessed line."""
             record = datacite.record_from_dict(entry["record"])
-            return probe.f_ret(record, self.config, gate=gate, session=self.sessions)
+            retrievable, trace = yield from probe.hops(record, self.config)
+            result = assessor.AssessmentResult(
+                doi=entry["doi"],
+                repository=entry["repository"],
+                chrono=bool(entry["chrono"]),
+                geo=bool(entry["geo"]),
+                lic=bool(entry["lic"]),
+                ret=retrievable,
+                probe_trace=probe.trace_to_dict(trace),
+            )
+            return entry["repository"], assessor.assessment_to_dict(result)
 
         already = {
             (entry["repository"], entry["doi"])
             for entry in self.store.read("assessed", None)
         }
-        jobs = [
-            entry
-            for entry in self.store.read("parsed", None)
-            if (entry["repository"], entry["doi"]) not in already
-        ]
-
-        # results come back in job order, which is parsed order. A failed
-        # probe cancels the probes not yet started.
-        with ThreadPoolExecutor(max_workers=self.config.workers_probe) as pool:
-            for entry, (retrievable, trace) in zip(jobs, pool.map(probe_entry, jobs)):
-                name = entry["repository"]
-                result = assessor.AssessmentResult(
-                    doi=entry["doi"],
-                    repository=name,
-                    chrono=bool(entry["chrono"]),
-                    geo=bool(entry["geo"]),
-                    lic=bool(entry["lic"]),
-                    ret=retrievable,
-                    probe_trace=probe.trace_to_dict(trace),
-                )
-                self.store.append(
-                    "assessed", name, assessor.assessment_to_dict(result)
-                )
+        parsed = self.store.read("parsed", None)
+        # probes are taken from the ledger as workers need them, and their
+        # lines appended in parsed order; a failed probe stops the step
+        try:
+            throttle.run_per_host(
+                (
+                    probing(entry)
+                    for entry in parsed
+                    if (entry["repository"], entry["doi"]) not in already
+                ),
+                send=lambda hop: probe.ask(self.sessions, hop, self.config.timeout),
+                host=probe.hop_host,
+                write=lambda line: self.store.append("assessed", *line),
+                workers=self.config.workers_probe,
+                min_interval_ms=self.config.per_host_delay,
+            )
+        finally:
+            parsed.close()
         # counted from the ledger, so a resumed step counts what earlier
         # attempts probed exactly as a clean step does
         probed = retrievable = 0

@@ -2,9 +2,13 @@
 
 Phase 1 asks for ``image/*`` and follows the redirect chain the resolver
 produces. Phase 2 runs only when that failed and the last reply offered a
-Link header: a link-value whose type parameter matches an annotated format
-is fetched directly. Every failure is an outcome with a reason token, never
-an exception; the trace records each request made.
+Link header: a link-value whose type parameter matches an annotated image
+format is fetched directly. Every failure is an outcome with a reason token,
+never an exception; the trace records each request made.
+
+A probe is a generator of its hops (``hops``), so it makes no request of
+its own: step 5 schedules the hops of many probes per host
+(``throttle.run_per_host``), and ``f_ret`` sends one probe's hops in turn.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from http.cookiejar import CookieJar
-from typing import Any
+from typing import Any, Generator
 from urllib.parse import urlparse
 
 from requests.utils import parse_header_links
@@ -70,29 +74,29 @@ def is_image(content_type: str | None) -> bool:
     return bool(content_type) and _bare_type(content_type).lower().startswith("image/")
 
 
+# a probe's request: URL, Accept header, and the probe's own cookie jar
+Hop = tuple[str, str, CookieJar]
+# what a hop got: the reply, or the request error that stands in for one
+Answer = tuple[http.Reply | None, BaseException | None]
+
+
 def _follow_chain(
     start_url: str,
     accept: str,
-    config: RunConfig,
-    gate: HostGate,
-    sessions: http.Sessions,
     cookies: CookieJar,
     trace: ProbeTrace,
-) -> tuple[http.Reply | None, str | None]:
+) -> Generator[Hop, Answer, tuple[http.Reply | None, str | None]]:
     """GET with manual redirect following; returns (terminal reply, reason).
 
-    The Accept header is preserved across every hop. A reply is returned
-    even on failure so the caller can inspect its Link header; reason is
-    None exactly when the chain ended in some non-3xx status.
+    Yields each hop and is sent its answer. The Accept header is preserved
+    across every hop. A reply is returned even on failure so the caller can
+    inspect its Link header; reason is None exactly when the chain ended in
+    some non-3xx status.
     """
     url = start_url
     redirects_left = REDIRECT_BUDGET
     while True:
-        try:
-            with gate.slot(urlparse(url).netloc):
-                reply = sessions.hop(url, accept, config.timeout, cookies)
-        except http.REQUEST_ERRORS as exc:
-            reply, failure = None, exc
+        reply, failure = yield url, accept, cookies
         # no reply: status 0 keeps the attempt visible in the trace
         headers = {} if reply is None else reply.headers
         trace.steps.append(ProbeStep(
@@ -120,22 +124,23 @@ def _follow_chain(
 
 
 def _match_link(link_header: str, formats: list[str]) -> tuple[str, str] | None:
-    """First link-value whose type parameter equals an annotated format.
+    """First link-value whose type parameter equals an annotated image format.
 
-    Comparison is an exact string compare after trimming both sides.
-    Returns (target uri-reference, matched format) or None.
+    Comparison is an exact string compare after trimming both sides; a
+    format that is not an image (``is_image``) matches no link. Returns
+    (target uri-reference, matched format) or None.
     """
     try:
         links = parse_header_links(link_header)
     except Exception:
         return None
-    trimmed_formats = [f.strip() for f in formats]
+    image_formats = [f.strip() for f in formats if is_image(f)]
     for link in links:
         link_type = (link.get("type") or "").strip()
         target = link.get("url", "")
         if not target or not link_type:
             continue
-        for fmt in trimmed_formats:
+        for fmt in image_formats:
             if link_type == fmt:
                 return target, fmt
     return None
@@ -145,25 +150,22 @@ def doi_url(doi: str, resolver_base: str) -> str:
     return resolver_base.rstrip("/") + "/" + doi.lstrip("/")
 
 
-def f_ret(
-    record: DataciteRecord,
-    config: RunConfig,
-    *,
-    gate: HostGate,
-    session: http.Sessions,
-) -> tuple[bool, ProbeTrace]:
+def hops(
+    record: DataciteRecord, config: RunConfig
+) -> Generator[Hop, Answer, tuple[bool, ProbeTrace]]:
     """Is the image behind this record's DOI machine-retrievable?
 
-    True when either negotiation phase ends in a 200 with an acceptable
-    Content-Type; the trace tells which phase and why otherwise.
+    The probe as the hops it makes: each request is yielded, and the caller
+    sends back its answer (``ask``) and keeps to the per-host politeness.
+    Returns True when either negotiation phase ends in a 200 with an
+    acceptable Content-Type; the trace tells which phase and why otherwise.
     """
     trace = ProbeTrace()
     started = time.monotonic()
     cookies = CookieJar()  # one probe's hops share cookies, probes do not
     try:
-        reply, reason = _follow_chain(
-            doi_url(record.doi, config.doi_resolver), "image/*",
-            config, gate, session, cookies, trace,
+        reply, reason = yield from _follow_chain(
+            doi_url(record.doi, config.doi_resolver), "image/*", cookies, trace
         )
 
         if reply is not None and reason is None:
@@ -181,10 +183,12 @@ def f_ret(
                 return False, trace
             target, matched_format = match
             target_url = http.redirect_url(trace.steps[-1].url, target)
-            reply2, reason2 = _follow_chain(
-                target_url, matched_format, config, gate, session, cookies, trace
+            reply2, reason2 = yield from _follow_chain(
+                target_url, matched_format, cookies, trace
             )
             if reply2 is not None and reason2 is None:
+                # the matched format is an image type, so a reply of exactly
+                # that type is an image
                 served = _bare_type(reply2.headers.get("Content-Type") or "")
                 matched = _bare_type(matched_format)
                 if reply2.status == 200 and served == matched:
@@ -200,6 +204,40 @@ def f_ret(
         return False, trace
     finally:
         trace.elapsed = (time.monotonic() - started) * 1000.0
+
+
+def hop_host(hop: Hop) -> str:
+    """The host a hop goes to: the key of the per-host politeness."""
+    return urlparse(hop[0]).netloc
+
+
+def ask(session: http.Sessions, hop: Hop, timeout: float) -> Answer:
+    """Send one hop; a request error is its answer, not an exception."""
+    url, accept, cookies = hop
+    try:
+        return session.hop(url, accept, timeout, cookies), None
+    except http.REQUEST_ERRORS as exc:
+        return None, exc
+
+
+def f_ret(
+    record: DataciteRecord,
+    config: RunConfig,
+    *,
+    gate: HostGate,
+    session: http.Sessions,
+) -> tuple[bool, ProbeTrace]:
+    """``hops`` run to its end on the calling thread, each hop in its host's
+    ``gate`` slot."""
+    probe = hops(record, config)
+    answer = None
+    try:
+        while True:
+            hop = probe.send(answer)
+            with gate.slot(hop_host(hop)):
+                answer = ask(session, hop, config.timeout)
+    except StopIteration as done:
+        return done.value
 
 
 def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:

@@ -1,10 +1,28 @@
-"""Per-host request gating: serialisation plus a minimum delay between requests."""
+"""Per-host politeness: at most one request in flight per host, and request
+starts to one host at least a minimum interval apart.
+
+``HostGate`` keeps it with a lock per host, for callers that make each
+request on a thread of their own: steps 2 and 3, and ``probe.f_ret``.
+``run_per_host`` keeps it by scheduling, for jobs written as generators of
+requests: step 5's probes. No worker of it ever waits on a busy host.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
+from typing import Callable, Generator, Generic, Iterator, TypeVar
+
+Hop = TypeVar("Hop")
+Answer = TypeVar("Answer")
+Result = TypeVar("Result")
+
+# jobs taken and not yet written, per worker: a job whose result waits for
+# an earlier one holds that result until then
+WINDOW_PER_WORKER = 4
 
 
 class HostGate:
@@ -41,3 +59,278 @@ class HostGate:
                         time.sleep(wait)
             self._last_start[host] = time.monotonic()
             yield
+
+
+class _Job:
+    __slots__ = ("index", "steps", "done", "result")
+
+    def __init__(self, index: int, steps: Generator) -> None:
+        self.index = index  # place in the order of ``jobs``
+        self.steps = steps
+        self.done = False
+        self.result = None
+
+
+# the host of an outcome (``_Frontier.advance``) whose job returned or raised
+_ENDED = object()
+_FAILED = object()
+
+
+class _Frontier(Generic[Hop, Answer, Result]):
+    """The state that ``run_per_host``'s workers share, under one lock."""
+
+    def __init__(
+        self,
+        jobs: Iterator[Generator[Hop, Answer, Result]],
+        send: Callable[[Hop], Answer],
+        host: Callable[[Hop], str],
+        write: Callable[[Result], None],
+        workers: int,
+        min_interval_ms: float,
+    ) -> None:
+        self.jobs = jobs
+        self.send = send
+        self.host = host
+        self.write = write
+        self.workers = max(workers, 1)
+        self.interval = max(min_interval_ms, 0.0) / 1000.0
+        self.lock = threading.Condition()
+        self.window: deque[_Job] = deque()  # taken and unwritten, in order
+        self.taken = 0
+        self.more = True  # whether ``jobs`` may hold more
+        # hops that wait for their host, oldest first; no empty queue is kept
+        self.queues: dict[str, deque[tuple[_Job, Hop, str]]] = {}
+        self.busy: set[str] = set()  # hosts with a hop in flight
+        self.due: dict[str, float] = {}  # when each host's next start may be
+        self.idle = 0  # workers waiting on ``lock``
+        self.threads: list[threading.Thread] = []
+        self.failure: BaseException | None = None
+        self.failed_at = sys.maxsize  # jobs from this index on are dropped
+
+    # -- under the lock ---------------------------------------------------
+
+    def fail(self, exc: BaseException, index: int) -> None:
+        """Stop taking jobs, and drop the jobs from ``index`` on; the first
+        failure is the one raised."""
+        if self.failure is None:
+            self.failure = exc
+        if index < self.failed_at:
+            self.failed_at = index
+            for name in list(self.queues):
+                kept = deque(hop for hop in self.queues[name] if hop[0].index < index)
+                if kept:
+                    self.queues[name] = kept
+                else:
+                    del self.queues[name]
+        self.lock.notify_all()
+
+    def settle(self, outcome: tuple | None) -> tuple[_Job, Hop, str] | None:
+        """Write or fail a job that returned or raised; pass on the next
+        hop of a job that yielded one and is not dropped."""
+        if outcome is None:
+            return None
+        job, value, name = outcome
+        if name is _ENDED:
+            job.done, job.result = True, value
+            window = self.window
+            # the oldest unwritten job holds back the results after it
+            while window and window[0].done and window[0].index < self.failed_at:
+                first = window.popleft()
+                try:
+                    self.write(first.result)
+                except BaseException as exc:
+                    self.fail(exc, first.index)
+                first.result = None
+            return None
+        if name is _FAILED:
+            self.fail(value, job.index)
+            return None
+        return outcome if job.index < self.failed_at else None
+
+    def take(self) -> _Job | None:
+        """The next job, taken in order, or None when none may be taken now."""
+        if not self.more or self.failure is not None:
+            return None
+        if len(self.window) >= WINDOW_PER_WORKER * self.workers:
+            return None
+        try:
+            steps = next(self.jobs)
+        except StopIteration:
+            self.more = False
+            return None
+        except Exception as exc:
+            self.fail(exc, self.taken)
+            return None
+        job = _Job(self.taken, steps)
+        self.taken += 1
+        self.window.append(job)
+        return job
+
+    def pick(
+        self, own: tuple[_Job, Hop, str] | None
+    ) -> tuple[_Job, Hop | None, str | None] | None:
+        """What the calling worker does next, waiting while there is nothing
+        to do: ``(job, hop, host)`` sends a hop, its host claimed here;
+        ``(job, None, None)`` starts a job; None ends the worker.
+
+        ``own`` is the next hop of the job the worker advanced last: the
+        worker sends it itself when its host is free, so that a job changes
+        threads only when hosts are contended. Otherwise it waits in its
+        host's queue, and the worker sends the oldest hop whose host is
+        free, or else starts the next job.
+        """
+        if own is not None:
+            if self.free(own[2], time.monotonic()):
+                return self.claim(own)
+            self.queues.setdefault(own[2], deque()).append(own)
+        while True:
+            found, wake = self.oldest_sendable()
+            if found is not None:
+                return self.claim(found)
+            job = self.take()
+            if job is not None:
+                return job, None, None
+            if not self.queues and (not self.more or self.failure is not None):
+                self.lock.notify_all()
+                return None
+            self.idle += 1
+            self.lock.wait(None if wake is None else wake - time.monotonic())
+            self.idle -= 1
+
+    def claim(self, hop: tuple[_Job, Hop, str]) -> tuple[_Job, Hop, str]:
+        name = hop[2]
+        self.busy.add(name)
+        self.due[name] = time.monotonic() + self.interval
+        return hop
+
+    def free(self, name: str, now: float) -> bool:
+        return name not in self.busy and self.due.get(name, 0.0) <= now
+
+    def oldest_sendable(self) -> tuple[tuple[_Job, Hop, str] | None, float | None]:
+        """The oldest waiting hop of a free host whose spacing has passed,
+        taken off its queue; else None and when the next such spacing ends."""
+        now = time.monotonic()
+        wake = None
+        for name, queue in self.queues.items():
+            if name in self.busy:
+                continue
+            due = self.due.get(name, 0.0)
+            if due <= now:
+                found = queue.popleft()
+                if not queue:
+                    del self.queues[name]
+                return found, None
+            wake = due if wake is None else min(wake, due)
+        return None, wake
+
+    def wake_for_waiting_hops(self) -> None:
+        """Wake an idle worker, or start one, when a hop waits for a host
+        that is not busy."""
+        if not any(name not in self.busy for name in self.queues):
+            return
+        if self.idle:
+            self.lock.notify()
+        elif len(self.threads) + 1 < self.workers:
+            thread = threading.Thread(
+                target=self.work, name=f"fairprobe-hops-{len(self.threads) + 1}"
+            )
+            self.threads.append(thread)
+            thread.start()
+
+    # -- outside the lock ---------------------------------------------------
+
+    def advance(self, job: _Job, answer: Answer | None) -> tuple:
+        """Send ``answer`` into a job. The outcome is ``(job, hop, host)``
+        for its next hop, ``(job, result, _ENDED)`` when it returned, and
+        ``(job, exception, _FAILED)`` when it raised."""
+        try:
+            hop = job.steps.send(answer)
+            return job, hop, self.host(hop)
+        except StopIteration as done:
+            return job, done.value, _ENDED
+        except Exception as exc:
+            return job, exc, _FAILED
+
+    def work(self) -> None:
+        """One worker's loop; the calling thread of ``run_per_host`` is the
+        first worker."""
+        own = None  # the outcome of the job this worker advanced last
+        sent = None  # the host of the hop sent last, still claimed
+        try:
+            while True:
+                with self.lock:
+                    if sent is not None:
+                        self.busy.discard(sent)
+                    picked = self.pick(self.settle(own))
+                    if picked is None:
+                        return
+                    job, hop, sent = picked
+                    if hop is not None:
+                        self.wake_for_waiting_hops()
+                if hop is None:
+                    own = self.advance(job, None)
+                    continue
+                try:
+                    answer = self.send(hop)
+                except Exception as exc:
+                    own = job, exc, _FAILED
+                else:
+                    own = self.advance(job, answer)
+        except BaseException as exc:
+            with self.lock:
+                if sent is not None:
+                    self.busy.discard(sent)
+                self.fail(exc, -1)
+
+    def run(self) -> None:
+        try:
+            self.work()
+        finally:
+            while True:
+                with self.lock:
+                    if not self.threads:
+                        break
+                    thread = self.threads.pop()
+                thread.join()
+        if self.failure is not None:
+            raise self.failure
+
+
+def run_per_host(
+    jobs: Iterator[Generator[Hop, Answer, Result]],
+    *,
+    send: Callable[[Hop], Answer],
+    host: Callable[[Hop], str],
+    write: Callable[[Result], None],
+    workers: int,
+    min_interval_ms: float,
+) -> None:
+    """Run jobs that are generators of hops: each yields a hop, is sent the
+    answer ``send(hop)`` gives, and returns a result.
+
+    As in Mercator's frontier (Heydon and Najork, 1999), the hops that wait
+    for a host form one queue, and the host serves one hop at a time, its
+    starts at least ``min_interval_ms`` apart; ``host(hop)`` names it.
+    - The calling thread is the first worker. Another starts, up to
+      ``workers`` threads, only when a hop waits for a host that is not
+      busy and no worker is idle. A worker never waits on a busy host: it
+      sends another hop, or starts the next job, or sleeps until a hop may
+      be sent. A hop waits only for a busy host or for its host's spacing,
+      so with ``min_interval_ms`` 0 one worker sends every hop, one after
+      another; more start where spacing or a slow host holds hops back.
+    - A worker holds a host from the moment it picks a hop to it until it
+      has sent the answer into the job, and keeps the job on that job's
+      next host when the host is free: a chain of hops to one host, or a
+      job whose next host is idle, stays on one thread. With one host,
+      every hop is sent on the calling thread.
+    - Jobs are taken from ``jobs`` one at a time, as workers need them, and
+      at most ``WINDOW_PER_WORKER * workers`` are unwritten at once. Each
+      result is passed to ``write``, in the order of ``jobs``, by whichever
+      worker ends the oldest unwritten job, so what was written is always a
+      prefix of ``jobs``.
+    - The first exception, from taking a job, from a job, from ``send`` or
+      from ``write``, stops the taking of jobs. The jobs taken before the
+      one that failed are still run and written, later ones are dropped;
+      the exception is raised once every worker has exited.
+    """
+    _Frontier(jobs, send, host, write, workers, min_interval_ms).run()

@@ -15,7 +15,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from fairprobe import assessor, mockrdr, oaipmh, pipeline, probe, registry
+from fairprobe import assessor, http, mockrdr, oaipmh, pipeline, probe, registry
 from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
@@ -299,15 +299,16 @@ def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch)
     details = PeakCalls(monkeypatch, registry, "parse_repository_detail")
     formats = PeakCalls(monkeypatch, oaipmh, "list_metadata_formats")
     harvests = PeakCalls(monkeypatch, oaipmh, "harvest_records")
-    probes = PeakCalls(monkeypatch, probe, "f_ret")
+    hops = PeakCalls(monkeypatch, http.Sessions, "hop")
     config = make_config(hub, workers_harvest=2, workers_probe=3)
     run_dir = pipeline.run_all(config)
     manifest = load_manifest(run_dir)
-    # workers_harvest bounds each pool of steps 1-3, workers_probe step 5's
+    # workers_harvest bounds each pool of steps 1-3, workers_probe the hops
+    # step 5 sends at once
     assert 1 <= details.peak <= 2
     assert 1 <= formats.peak <= 2
     assert 1 <= harvests.peak <= 2
-    assert 1 <= probes.peak <= 3
+    assert 1 <= hops.peak <= 3
     assert manifest.steps[5].detail["probed"] == 24
 
 
@@ -781,7 +782,7 @@ def test_failed_step_leaves_no_catalogue_file_open(
     elif step == 4:
         monkeypatch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
     else:
-        monkeypatch.setattr(probe, "f_ret", fail_after(probe.f_ret, 5))
+        monkeypatch.setattr(probe, "hops", fail_after(probe.hops, 5))
 
     with pytest.raises(RuntimeError, match="injected failure"):
         run.run_step(step)
@@ -799,7 +800,7 @@ def test_failed_probe_stops_the_queued_probes(serve_script, make_config, monkeyp
         run.run_step(step)
     lock = threading.Lock()
     calls = {"made": 0}
-    f_ret = probe.f_ret
+    hops = probe.hops
 
     def fails_once(*args, **kwargs):
         with lock:
@@ -808,16 +809,16 @@ def test_failed_probe_stops_the_queued_probes(serve_script, make_config, monkeyp
         if made == 6:
             raise RuntimeError("injected failure")
         if made > 6:
-            # the probes behind the failure are the slow ones, so no worker
-            # runs ahead while the step's thread waits for the jobs before it
+            # the probes behind the failure are the slow ones, so a worker
+            # that took one before the failure is still starting it
             time.sleep(0.05)
-        return f_ret(*args, **kwargs)
+        return hops(*args, **kwargs)
 
-    monkeypatch.setattr(probe, "f_ret", fails_once)
+    monkeypatch.setattr(probe, "hops", fails_once)
     with pytest.raises(RuntimeError, match="injected failure"):
         run.run_step(5)
-    # 24 jobs were queued; only the probes already started when the failure
-    # surfaced ran after it
+    # 24 records were parsed; only the probes already taken when the
+    # failure surfaced ran after it
     assert calls["made"] <= 6 + POOL
     assert open_catalogue_files(run.run_dir) == []
 
@@ -833,7 +834,7 @@ def test_no_socket_outlives_a_step(serve_script, make_config, monkeypatch):
         run.run_step(step)
         assert sockets_to(port) == []
     with monkeypatch.context() as patch:
-        patch.setattr(probe, "f_ret", fail_after(probe.f_ret, 9))
+        patch.setattr(probe, "hops", fail_after(probe.hops, 9))
         with pytest.raises(RuntimeError, match="injected failure"):
             run.run_step(5)
     assert sockets_to(port) == []
@@ -859,8 +860,8 @@ def test_probes_of_one_host_share_one_connection(serve_script, make_config, monk
     run.run_step(5)
     detail = run.manifest.steps[5].detail
     assert (detail["probed"], detail["retrievable"]) == (24, 24)
-    # the host gate lets one probe request at a time reach the host, and each
-    # small image reply is drained, so its connection carries the next one
+    # one probe request at a time reaches a host, and each small image reply
+    # is drained, so its connection carries the next one
     assert len(connects) == 1
 
 
@@ -871,14 +872,14 @@ def test_assessed_follows_parsed(serve_script, make_config, monkeypatch):
         run.run_step(step)
     names = run.store.partitions("parsed")
     first = {next(run.store.read("parsed", name))["doi"] for name in names}
-    f_ret = probe.f_ret
+    hops = probe.hops
 
     def slow_first(record, *args, **kwargs):
         if record.doi in first:
-            time.sleep(0.05)  # the other worker finishes later jobs meanwhile
-        return f_ret(record, *args, **kwargs)
+            time.sleep(0.05)  # a probe that starts late is still written first
+        return hops(record, *args, **kwargs)
 
-    monkeypatch.setattr(probe, "f_ret", slow_first)
+    monkeypatch.setattr(probe, "hops", slow_first)
     run.run_step(5)
     for name in names:
         assert [e["doi"] for e in run.store.read("assessed", name)] == [
@@ -934,7 +935,7 @@ def test_resumed_step_counts_like_a_clean_run(
             # then mixed-1 fails on its second page
             patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
         else:
-            module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
+            module, function = {4: (assessor, "assess"), 5: (probe, "hops")}[step]
             patch.setattr(module, function, fail_after(getattr(module, function), 5))
         with pytest.raises(RuntimeError, match="injected failure"):
             crashed.run_step(step)
@@ -1220,7 +1221,7 @@ def test_torn_ledger_line_is_written_again_on_resume(
     crashed = run_in("crashed")
     for number in range(1, step):
         crashed.run_step(number)
-    module, function = {4: (assessor, "assess"), 5: (probe, "f_ret")}[step]
+    module, function = {4: (assessor, "assess"), 5: (probe, "hops")}[step]
     with monkeypatch.context() as patch:
         patch.setattr(module, function, fail_after(getattr(module, function), 5))
         with pytest.raises(RuntimeError, match="injected failure"):

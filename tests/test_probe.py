@@ -191,6 +191,30 @@ def test_link_type_must_match_annotated_format(routes_hub, sessions, gate):
     assert len(trace.steps) == 1
 
 
+def test_a_link_to_a_declared_format_that_is_not_an_image_is_no_match(
+    scripted_http, sessions, gate
+):
+    targets: list[str] = []
+    pdf_link = '</files/paper.pdf>; rel="describedby"; type="application/pdf"'
+    base = scripted_http(
+        [
+            (200, {"Content-Type": "text/html", "Link": pdf_link}, b"<html/>"),
+            (200, {"Content-Type": "application/pdf"}, b"%PDF-1.7"),
+        ],
+        targets,
+    )
+    ok, trace = f_ret(
+        record("10.9/x", ["image/tiff", "application/pdf"]),
+        quick_config(base + "/"),
+        gate=gate,
+        session=sessions,
+    )
+    assert not ok
+    assert trace.outcome == OUTCOME_FAILED
+    assert trace.reason == "no-link-match"
+    assert targets == ["/10.9/x"]  # the PDF is not fetched
+
+
 def test_link_fallback_runs_after_error_replies_too(routes_hub, sessions, gate):
     ok, trace = run(
         routes_hub, record("10.9/link-on-error", formats=["image/tiff"]), sessions, gate
