@@ -198,10 +198,14 @@ class _Frontier(Generic[Hop, Answer, Result]):
             self.idle -= 1
 
     def claim(self, hop: tuple[_Job, Hop, str]) -> tuple[_Job, Hop, str]:
-        name = hop[2]
-        self.busy.add(name)
-        self.due[name] = time.monotonic() + self.interval
+        self.busy.add(hop[2])
         return hop
+
+    def release(self, name: str, started: float) -> None:
+        """A host's hop is answered; its next may start ``interval`` after
+        this one did."""
+        self.busy.discard(name)
+        self.due[name] = started + self.interval
 
     def free(self, name: str, now: float) -> bool:
         return name not in self.busy and self.due.get(name, 0.0) <= now
@@ -256,11 +260,12 @@ class _Frontier(Generic[Hop, Answer, Result]):
         first worker."""
         own = None  # the outcome of the job this worker advanced last
         sent = None  # the host of the hop sent last, still claimed
+        started = 0.0  # when that hop was sent
         try:
             while True:
                 with self.lock:
                     if sent is not None:
-                        self.busy.discard(sent)
+                        self.release(sent, started)
                     picked = self.pick(self.settle(own))
                     if picked is None:
                         return
@@ -271,6 +276,7 @@ class _Frontier(Generic[Hop, Answer, Result]):
                     own = self.advance(job, None)
                     continue
                 try:
+                    started = time.monotonic()
                     answer = self.send(hop)
                 except Exception as exc:
                     own = job, exc, _FAILED
@@ -279,7 +285,7 @@ class _Frontier(Generic[Hop, Answer, Result]):
         except BaseException as exc:
             with self.lock:
                 if sent is not None:
-                    self.busy.discard(sent)
+                    self.release(sent, started)
                 self.fail(exc, -1)
 
     def run(self) -> None:
