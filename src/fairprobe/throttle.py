@@ -4,7 +4,8 @@ starts to one host at least a minimum interval apart.
 ``HostGate`` keeps it with a lock per host, for callers that make each
 request on a thread of their own: steps 2 and 3, and ``probe.f_ret``.
 ``run_per_host`` keeps it by scheduling, for jobs written as generators of
-requests: step 5's probes. No worker of it ever waits on a busy host.
+requests: step 5's probes. No worker of it ever waits on a busy host, and
+it adds workers only when a request stalls.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ Result = TypeVar("Result")
 # jobs taken and not yet written, per worker: a job whose result waits for
 # an earlier one holds that result until then
 WINDOW_PER_WORKER = 4
+# a hop in flight this long has stalled: its host is slower than a loopback
+# one, and the watcher becomes a worker so that other jobs go on meanwhile
+SLOW_HOP_S = 0.05
 
 
 class HostGate:
@@ -94,15 +98,23 @@ class _Frontier(Generic[Hop, Answer, Result]):
         self.write = write
         self.workers = max(workers, 1)
         self.interval = max(min_interval_ms, 0.0) / 1000.0
-        self.lock = threading.Condition()
+        self.lock = threading.Lock()
+        # an idle worker waits on ``clock`` until the next host's spacing
+        # ends, unless another one wakes by then; the others wait on ``rest``
+        self.clock = threading.Condition(self.lock)
+        self.rest = threading.Condition(self.lock)
+        self.deadlines: list[float] = []  # when the workers on ``clock`` wake
+        self.resting = 0  # workers waiting on ``rest``
+        # the thread, not yet a worker, that looks out for a stalled hop
+        self.watch = threading.Condition(self.lock)
+        self.watcher: threading.Thread | None = None
         self.window: deque[_Job] = deque()  # taken and unwritten, in order
         self.taken = 0
         self.more = True  # whether ``jobs`` may hold more
         # hops that wait for their host, oldest first; no empty queue is kept
         self.queues: dict[str, deque[tuple[_Job, Hop, str]]] = {}
-        self.busy: set[str] = set()  # hosts with a hop in flight
+        self.busy: dict[str, float] = {}  # hosts with a hop in flight: since when
         self.due: dict[str, float] = {}  # when each host's next start may be
-        self.idle = 0  # workers waiting on ``lock``
         self.threads: list[threading.Thread] = []
         self.failure: BaseException | None = None
         self.failed_at = sys.maxsize  # jobs from this index on are dropped
@@ -122,7 +134,12 @@ class _Frontier(Generic[Hop, Answer, Result]):
                     self.queues[name] = kept
                 else:
                     del self.queues[name]
-        self.lock.notify_all()
+        self.wake_all()
+
+    def wake_all(self) -> None:
+        self.clock.notify_all()
+        self.rest.notify_all()
+        self.watch.notify_all()
 
     def settle(self, outcome: tuple | None) -> tuple[_Job, Hop, str] | None:
         """Write or fail a job that returned or raised; pass on the next
@@ -147,11 +164,17 @@ class _Frontier(Generic[Hop, Answer, Result]):
             return None
         return outcome if job.index < self.failed_at else None
 
+    def room(self) -> bool:
+        """Whether a job may be taken now."""
+        return (
+            self.more
+            and self.failure is None
+            and len(self.window) < WINDOW_PER_WORKER * self.workers
+        )
+
     def take(self) -> _Job | None:
         """The next job, taken in order, or None when none may be taken now."""
-        if not self.more or self.failure is not None:
-            return None
-        if len(self.window) >= WINDOW_PER_WORKER * self.workers:
+        if not self.room():
             return None
         try:
             steps = next(self.jobs)
@@ -184,62 +207,92 @@ class _Frontier(Generic[Hop, Answer, Result]):
                 return self.claim(own)
             self.queues.setdefault(own[2], deque()).append(own)
         while True:
-            found, wake = self.oldest_sendable()
+            now = time.monotonic()
+            found = self.oldest_sendable(now)
             if found is not None:
                 return self.claim(found)
             job = self.take()
             if job is not None:
                 return job, None, None
             if not self.queues and (not self.more or self.failure is not None):
-                self.lock.notify_all()
+                self.wake_all()
                 return None
-            self.idle += 1
-            self.lock.wait(None if wake is None else wake - time.monotonic())
-            self.idle -= 1
+            self.idle(now)
 
     def claim(self, hop: tuple[_Job, Hop, str]) -> tuple[_Job, Hop, str]:
-        self.busy.add(hop[2])
+        self.busy[hop[2]] = time.monotonic()
         return hop
 
     def release(self, name: str, started: float) -> None:
         """A host's hop is answered; its next may start ``interval`` after
         this one did."""
-        self.busy.discard(name)
+        del self.busy[name]
         self.due[name] = started + self.interval
 
     def free(self, name: str, now: float) -> bool:
         return name not in self.busy and self.due.get(name, 0.0) <= now
 
-    def oldest_sendable(self) -> tuple[tuple[_Job, Hop, str] | None, float | None]:
-        """The oldest waiting hop of a free host whose spacing has passed,
-        taken off its queue; else None and when the next such spacing ends."""
-        now = time.monotonic()
-        wake = None
+    def oldest_sendable(self, now: float) -> tuple[_Job, Hop, str] | None:
+        """The oldest waiting hop of a free host, taken off its queue."""
         for name, queue in self.queues.items():
-            if name in self.busy:
-                continue
-            due = self.due.get(name, 0.0)
-            if due <= now:
+            if self.free(name, now):
                 found = queue.popleft()
                 if not queue:
                     del self.queues[name]
-                return found, None
-            wake = due if wake is None else min(wake, due)
-        return None, wake
+                return found
+        return None
 
-    def wake_for_waiting_hops(self) -> None:
-        """Wake an idle worker, or start one, when a hop waits for a host
-        that is not busy."""
-        if not any(name not in self.busy for name in self.queues):
-            return
-        if self.idle:
-            self.lock.notify()
-        elif len(self.threads) + 1 < self.workers:
-            thread = threading.Thread(
-                target=self.work, name=f"fairprobe-hops-{len(self.threads) + 1}"
+    def next_due(self) -> float | None:
+        """When the spacing ends of the first host that is not busy and has
+        a hop waiting; None when no such host."""
+        return min(
+            (self.due.get(name, 0.0) for name in self.queues if name not in self.busy),
+            default=None,
+        )
+
+    def covered(self, wake: float) -> bool:
+        """Whether a worker on ``clock`` wakes by ``wake``."""
+        return bool(self.deadlines) and min(self.deadlines) <= wake
+
+    def idle(self, now: float) -> None:
+        """Wait for work: on ``clock`` until ``next_due`` when no worker
+        wakes by then, else on ``rest`` until woken."""
+        wake = self.next_due()
+        if wake is not None and not self.covered(wake):
+            self.deadlines.append(wake)
+            self.clock.wait(wake - now)
+            self.deadlines.remove(wake)
+        else:
+            self.resting += 1
+            self.rest.wait()
+            self.resting -= 1
+
+    def leaving(self) -> None:
+        """Before a worker sends a hop, and so may be away long: wake a
+        resting worker for the next host's spacing unless one wakes for it,
+        and start the watcher when there is none and room for a thread."""
+        wake = self.next_due()
+        if wake is not None and self.resting and not self.covered(wake):
+            self.rest.notify()
+        if (
+            self.watcher is None
+            and len(self.threads) + 1 < self.workers
+            and self.failure is None
+            and (self.more or self.queues)
+        ):
+            self.watcher = threading.Thread(
+                target=self.look_out, name=f"fairprobe-hops-{len(self.threads) + 1}"
             )
-            self.threads.append(thread)
-            thread.start()
+            self.threads.append(self.watcher)
+            self.watcher.start()
+
+    def stalled(self, now: float) -> bool:
+        """Whether a hop has been in flight for ``SLOW_HOP_S`` while a job
+        may be taken or a hop may be sent."""
+        if not self.busy or min(self.busy.values()) + SLOW_HOP_S > now:
+            return False
+        due = self.next_due()
+        return self.room() or (due is not None and due <= now)
 
     # -- outside the lock ---------------------------------------------------
 
@@ -255,6 +308,22 @@ class _Frontier(Generic[Hop, Answer, Result]):
         except Exception as exc:
             return job, exc, _FAILED
 
+    def look_out(self) -> None:
+        """The watcher's loop: every half ``SLOW_HOP_S``, see whether a hop
+        has stalled; if one has, become a worker, so that the jobs waiting
+        behind the stalled ones go on. Ends when nothing is left to take or
+        send."""
+        with self.lock:
+            while True:
+                if self.failure is not None or (not self.more and not self.queues):
+                    self.watcher = None
+                    return
+                if self.stalled(time.monotonic()):
+                    self.watcher = None
+                    break
+                self.watch.wait(SLOW_HOP_S / 2)
+        self.work()
+
     def work(self) -> None:
         """One worker's loop; the calling thread of ``run_per_host`` is the
         first worker."""
@@ -266,12 +335,13 @@ class _Frontier(Generic[Hop, Answer, Result]):
                 with self.lock:
                     if sent is not None:
                         self.release(sent, started)
+                        sent = None
                     picked = self.pick(self.settle(own))
                     if picked is None:
                         return
                     job, hop, sent = picked
                     if hop is not None:
-                        self.wake_for_waiting_hops()
+                        self.leaving()
                 if hop is None:
                     own = self.advance(job, None)
                     continue
@@ -317,18 +387,23 @@ def run_per_host(
     As in Mercator's frontier (Heydon and Najork, 1999), the hops that wait
     for a host form one queue, and the host serves one hop at a time, its
     starts at least ``min_interval_ms`` apart; ``host(hop)`` names it.
-    - The calling thread is the first worker. Another starts, up to
-      ``workers`` threads, only when a hop waits for a host that is not
-      busy and no worker is idle. A worker never waits on a busy host: it
-      sends another hop, or starts the next job, or sleeps until a hop may
-      be sent. A hop waits only for a busy host or for its host's spacing,
-      so with ``min_interval_ms`` 0 one worker sends every hop, one after
-      another; more start where spacing or a slow host holds hops back.
+    - The calling thread is the first worker. A worker never waits on a
+      busy host: it sends another hop, or starts the next job, or sleeps
+      until a host's spacing ends. One idle worker keeps that time; the
+      others sleep until woken.
+    - One more thread, the watcher, looks every ``SLOW_HOP_S / 2`` for a
+      hop that has been in flight for ``SLOW_HOP_S`` while a job could be
+      taken or a hop sent. Then it becomes a worker, and the next hop sent
+      starts a new watcher, up to ``workers`` threads in all. So against
+      hosts that answer within ``SLOW_HOP_S``, as on loopback, one worker
+      sends every hop, one after another; slower hosts bring in one more
+      worker for each stall.
     - A worker holds a host from the moment it picks a hop to it until it
       has sent the answer into the job, and keeps the job on that job's
       next host when the host is free: a chain of hops to one host, or a
-      job whose next host is idle, stays on one thread. With one host,
-      every hop is sent on the calling thread.
+      job whose next host is idle, stays on one thread. With one host
+      that answers within ``SLOW_HOP_S``, every hop is sent on the calling
+      thread.
     - Jobs are taken from ``jobs`` one at a time, as workers need them, and
       at most ``WINDOW_PER_WORKER * workers`` are unwritten at once. Each
       result is passed to ``write``, in the order of ``jobs``, by whichever

@@ -36,13 +36,19 @@ def landscape() -> mockrdr.ScenarioScript:
     )
 
 
-def serve_on_hosts(serve_script, hosts: int = 3) -> mockrdr.MockHandle:
+def serve_on_hosts(
+    serve_script, hosts: int = 3, answer_after: float = 0.0
+) -> mockrdr.MockHandle:
     """The landscape, its DOIs sent on by the resolver with one 302 to one of
     ``hosts`` further hosts, repository by repository; each host serves
-    the rest of the chain and the Link targets, as a repository does."""
+    the rest of the chain and the Link targets, as a repository does, and
+    answers each request ``answer_after`` seconds late."""
     script = landscape()
     hub = serve_script(script)
-    targets = [serve_script(mockrdr.ScenarioScript()) for _ in range(hosts)]
+    targets = [
+        serve_script(mockrdr.ScenarioScript(response_delay=answer_after))
+        for _ in range(hosts)
+    ]
     for index, repo in enumerate(script.repositories):
         target = targets[index % hosts]
         target.blobs = hub.blobs
@@ -67,20 +73,26 @@ class Hops:
         self.threads: set[threading.Thread] = set()
         self.in_flight: dict[str, int] = defaultdict(int)
         self.most = 0
+        self.most_hosts = 0  # the most hosts with a hop in flight at once
+        self.busy_s = 0.0  # the hops' durations, summed
         original = http.Sessions.hop
 
         def hop(sessions, url, *args, **kwargs):
             host = urlsplit(url).netloc
+            started = time.monotonic()
             with self.lock:
-                self.starts[host].append(time.monotonic())
+                self.starts[host].append(started)
                 self.threads.add(threading.current_thread())
                 self.in_flight[host] += 1
                 self.most = max(self.most, self.in_flight[host])
+                hosts = sum(1 for count in self.in_flight.values() if count)
+                self.most_hosts = max(self.most_hosts, hosts)
             try:
                 return original(sessions, url, *args, **kwargs)
             finally:
                 with self.lock:
                     self.in_flight[host] -= 1
+                    self.busy_s += time.monotonic() - started
 
         monkeypatch.setattr(http.Sessions, "hop", hop)
 
@@ -113,10 +125,11 @@ def outliving(threads: set[threading.Thread]) -> list[threading.Thread]:
     return [t for t in threads if t.is_alive() and t is not threading.current_thread()]
 
 
+@pytest.mark.parametrize("answer_after", [0.0, 3 * DELAY_MS / 1000.0])
 def test_a_host_has_one_hop_in_flight_and_its_starts_spaced(
-    serve_script, make_config, monkeypatch
+    serve_script, make_config, monkeypatch, answer_after
 ):
-    hub = serve_on_hosts(serve_script)
+    hub = serve_on_hosts(serve_script, answer_after=answer_after)
     run = harvested(hub, make_config, workers_probe=4, per_host_delay=DELAY_MS)
     hops = Hops(monkeypatch)
     probe_fast_switching(run)
@@ -127,10 +140,56 @@ def test_a_host_has_one_hop_in_flight_and_its_starts_spaced(
     for starts in hops.starts.values():
         gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
         assert min(gaps) >= 0.9 * DELAY_MS / 1000.0
-    # more than one worker sent hops, and none outlived the step
-    assert 1 < len(hops.threads) <= 4
+    if answer_after:
+        # hosts slower than SLOW_HOP_S bring in more workers
+        assert 1 < len(hops.threads) <= 4
+    else:
+        # the step's own thread is back before each host's spacing ends
+        assert hops.threads == {threading.current_thread()}
     assert outliving(hops.threads) == []
     assert assessed_dois(run) == parsed_dois(run)
+
+
+def test_a_slow_repository_host_leaves_the_resolver_at_its_spacing(
+    serve_script, make_config, monkeypatch
+):
+    # every repository host answers three times slower than the spacing: a
+    # worker that waits for one must not hold back the next probe
+    hub = serve_on_hosts(serve_script, hosts=6, answer_after=3 * DELAY_MS / 1000.0)
+    run = harvested(hub, make_config, workers_probe=8, per_host_delay=DELAY_MS)
+    hops = Hops(monkeypatch)
+    probe_fast_switching(run)
+
+    assert run.manifest.steps[5].detail == {"probed": 24, "retrievable": 18}
+    assert hops.most == 1
+    resolver = hops.starts[urlsplit(hub.base_url).netloc]
+    gaps = sorted(later - earlier for earlier, later in zip(resolver, resolver[1:]))
+    assert len(resolver) == 24
+    assert gaps[0] >= 0.9 * DELAY_MS / 1000.0
+    # one probe after another would space them by a repository's chain
+    assert gaps[len(gaps) // 2] < 2 * DELAY_MS / 1000.0
+    assert assessed_dois(run) == parsed_dois(run)
+    assert outliving(hops.threads) == []
+
+
+def test_slow_hosts_are_waited_for_at_once_without_spacing(
+    serve_script, make_config, monkeypatch
+):
+    hub = serve_on_hosts(serve_script, hosts=6, answer_after=0.06)
+    run = harvested(hub, make_config, workers_probe=8, per_host_delay=0.0)
+    hops = Hops(monkeypatch)
+    began = time.monotonic()
+    probe_fast_switching(run)
+    took = time.monotonic() - began
+
+    assert run.manifest.steps[5].detail == {"probed": 24, "retrievable": 18}
+    assert hops.most == 1
+    assert hops.most_hosts > 1
+    assert 1 < len(hops.threads) <= 8
+    # one hop after another would take the sum of the hops' durations
+    assert took < 0.6 * hops.busy_s
+    assert assessed_dois(run) == parsed_dois(run)
+    assert outliving(hops.threads) == []
 
 
 @pytest.mark.parametrize("delay", [0.0, DELAY_MS])
