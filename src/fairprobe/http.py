@@ -9,14 +9,19 @@ reply is read through the connection's one buffered reader, its header
 lines read as ``http.client`` reads them.
 
 A request carries what a ``requests`` session with ``trust_env`` on would
-send: the same request target and header lines, proxy, ``~/.netrc``
-``Authorization`` and CA bundle. ``requests`` reads those from the
-environment on every request and every redirect; here an ``Origins`` cache
-reads them with requests' own helpers once per origin (scheme, host, port),
-and loads each CA bundle into one TLS context. The cache lives on a
-``Sessions`` object that each run creates, never in module state, so a
-second run in the same process reads the environment afresh. Changing those
-settings in the middle of a run has no effect.
+send, save credentials: the same request target and header lines, through
+the same proxy, trusting the same CA bundle. It sends no ``Authorization``:
+a run is an anonymous client, so ``~/.netrc`` and ``NETRC`` are never read,
+and a verdict does not depend on who runs it. What a run reads from the
+environment is the proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``,
+``ALL_PROXY``, ``NO_PROXY``) and the CA bundle (``REQUESTS_CA_BUNDLE``,
+``CURL_CA_BUNDLE``): they route and trust, and do not authenticate.
+``requests`` reads those on every request and every redirect; here an
+``Origins`` cache reads them with requests' own helpers once per origin
+(scheme, host, port), and loads each CA bundle into one TLS context. The
+cache lives on a ``Sessions`` object that each run creates, never in module
+state, so a second run in the same process reads the environment afresh.
+Changing those settings in the middle of a run has no effect.
 
 Connections are kept alive per route: the origin, or the proxy and the
 origin. Idle ones are bounded as a requests session's pools are:
@@ -133,10 +138,20 @@ class Reply:
     data: bytes = b""
 
 
+# a GET that a registry or OAI-PMH job yields: its URL and query parameters
+Request = tuple[str, dict[str, str] | None]
+# what a request got: the reply, or the request error that stands in for one
+Answer = tuple[Reply | None, BaseException | None]
+
+
+def request_url(request: Request) -> str:
+    """The URL a request goes to: the key of its politeness."""
+    return request[0]
+
+
 @dataclass(frozen=True)
 class OriginSettings:
     proxy: str | None  # the proxy URL that requests would choose, with its scheme
-    authorization: str | None  # from ~/.netrc
     proxy_authorization: str | None  # from the proxy URL's userinfo
     context: ssl.SSLContext | None  # https only: trusts the CA bundle
 
@@ -175,7 +190,6 @@ class Origins:
             user, password = get_auth_from_url(proxy)
             if user:
                 proxy_authorization = _basic(f"{user}:{password}")
-        netrc = requests.utils.get_netrc_auth(url)
         context = None
         if scheme == "https":
             bundle = (
@@ -188,7 +202,6 @@ class Origins:
                 context = self._contexts[bundle] = _tls_context(bundle)
         return OriginSettings(
             proxy=proxy or None,
-            authorization=None if netrc is None else _basic(":".join(netrc)),
             proxy_authorization=proxy_authorization,
             context=context,
         )
@@ -622,14 +635,14 @@ class Sessions:
 
         The request target is ``url`` with ``params`` as requests prepares
         it. The headers are requests' defaults with fairprobe's
-        ``User-Agent`` and ``accept``, the cookies of ``cookies`` and the
-        origin's netrc ``Authorization``, and the origin's proxy and CA
-        bundle apply. The reply's cookies go into ``cookies``. Any body but
-        a redirect's is read into ``Reply.data`` when ``read`` is set. Every
-        other body is drained (``_drained``) when it is small and arrives
-        in time, so that its connection is kept as a session's redirect
-        handling keeps it; otherwise the reply is closed unread with its
-        connection. Raises one of ``REQUEST_ERRORS`` when no reply arrives.
+        ``User-Agent`` and ``accept``, and the cookies of ``cookies``; the
+        origin's proxy and CA bundle apply. The reply's cookies go into
+        ``cookies``. Any body but a redirect's is read into ``Reply.data``
+        when ``read`` is set. Every other body is drained (``_drained``)
+        when it is small and arrives in time, so that its connection is kept
+        as a session's redirect handling keeps it; otherwise the reply is
+        closed unread with its connection. Raises one of ``REQUEST_ERRORS``
+        when no reply arrives.
         """
         target = _target(url, params)
         scheme = target.scheme
@@ -643,8 +656,6 @@ class Sessions:
         cookie = get_cookie_header(cookies, request) if cookies else None
         if cookie is not None:
             headers["Cookie"] = cookie
-        if found.authorization is not None:
-            headers["Authorization"] = found.authorization
         if found.proxy is not None and scheme != "https":
             # a forward proxy is sent the absolute form
             path = urldefragauth(target.url)
@@ -735,13 +746,11 @@ class Sessions:
     def get(self, url: str, params: dict[str, str] | None, timeout: float) -> Reply:
         """A GET that follows redirects as a ``requests`` session does.
 
-        Each hop is a ``_send`` with the jar of the ``Sessions``, so cookies,
-        proxy and netrc apply per hop. ``Authorization`` comes from the
-        hop's own origin, so a redirect to another origin never carries the
-        first one's, as ``requests.sessions.should_strip_auth`` has it.
-        Returns the final reply with its body read: ``reply.data`` is
-        decoded by its Content-Encoding. Raises one of ``REQUEST_ERRORS``:
-        ``TooManyRedirects`` for a redirect past the first ``MAX_REDIRECTS``.
+        Each hop is a ``_send`` with the jar of the ``Sessions``, so cookies
+        and the proxy apply per hop. Returns the final reply with its body
+        read: ``reply.data`` is decoded by its Content-Encoding. Raises one
+        of ``REQUEST_ERRORS``: ``TooManyRedirects`` for a redirect past the
+        first ``MAX_REDIRECTS``.
         """
         accept = self._headers["Accept"]
         redirects = 0
@@ -758,6 +767,15 @@ class Sessions:
                 raise TooManyRedirects(f"exceeded {MAX_REDIRECTS} redirects at {url}")
             redirects += 1
             url, params = redirect_url(url, location), None
+
+    def ask(self, request: Request, timeout: float) -> Answer:
+        """``get`` of a request that a job yielded; a request error is its
+        answer, not an exception."""
+        url, params = request
+        try:
+            return self.get(url, params, timeout), None
+        except REQUEST_ERRORS as exc:
+            return None, exc
 
     def close(self) -> None:
         with self._lock:

@@ -6,6 +6,13 @@ Retry-After, one full-chain restart after a bad resumption token, and 503
 flow control honoured only up to the request timeout. A request that meets
 more redirects than ``http.MAX_REDIRECTS`` is not retried. Anything beyond
 that ends the harvest as partial with honest counts rather than guessing.
+
+A request belongs to a job written as a generator of requests: ``formats``
+and ``walk_records`` yield each ``http.Request`` and are sent its answer,
+so that the pipeline schedules them per endpoint
+(``throttle.run_per_host``). ``list_metadata_formats``, ``harvest_records``
+and ``estimate_list_size`` send one job's requests in turn on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, TypeVar
 
 from . import http
 from .config import RunConfig
@@ -25,6 +32,8 @@ from .xmltree import child, children, local_name
 logger = logging.getLogger(__name__)
 
 ATTEMPTS = 2  # of one OAI request: the first and one retry
+
+Result = TypeVar("Result")
 
 
 class OaiError(Exception):
@@ -97,32 +106,29 @@ def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
 
 
 def _request(
-    endpoint: str,
-    params: dict[str, str],
-    config: RunConfig,
-    gate: HostGate,
-    sessions: http.Sessions,
-) -> http.Reply:
+    endpoint: str, params: dict[str, str], config: RunConfig
+) -> Generator[http.Request, http.Answer, http.Reply]:
     """One OAI request with one retry and 503 flow control.
 
-    Politeness is per endpoint: one in-flight request and a minimum delay
-    between request starts, independent of other endpoints on the host.
+    Yields each attempt's request and is sent its answer
+    (``http.Sessions.ask``). Politeness is the caller's, per endpoint: one
+    in-flight request and a minimum delay between request starts,
+    independent of other endpoints on the host. A ``Retry-After`` wait is
+    slept here, between two attempts.
     """
     attempts = ATTEMPTS
     waited_503 = 0.0
     last_error: Exception | None = None
     while attempts > 0:
-        try:
-            with gate.slot(endpoint):
-                reply = sessions.get(endpoint, params, config.timeout)
-        except http.TooManyRedirects as exc:
+        reply, error = yield endpoint, params
+        if isinstance(error, http.TooManyRedirects):
             # a redirect loop answers a retry with the same loop
-            raise EndpointUnresponsiveError(f"{endpoint}: {exc}") from exc
-        except http.REQUEST_ERRORS as exc:
+            raise EndpointUnresponsiveError(f"{endpoint}: {error}") from error
+        if reply is None:
             attempts -= 1
-            last_error = exc
+            last_error = error
             logger.warning("request to %s failed (%s), %d attempts left",
-                           endpoint, exc, attempts)
+                           endpoint, error, attempts)
             continue
         if reply.status == 503:
             # OAI-PMH mandates honouring Retry-After, but only within the
@@ -152,16 +158,27 @@ def _request(
     raise EndpointUnresponsiveError(f"{endpoint}: {last_error}")
 
 
-def list_metadata_formats(
-    endpoint: str,
+def _run(
+    job: Generator[http.Request, http.Answer, Result],
     config: RunConfig,
-    *,
     gate: HostGate,
     session: http.Sessions,
-) -> list[str]:
+) -> Result:
+    """A job of OAI requests run on the calling thread, each in its
+    endpoint's ``gate`` slot."""
+    return gate.run(
+        job,
+        send=lambda request: session.ask(request, config.timeout),
+        host=http.request_url,
+    )
+
+
+def formats(
+    endpoint: str, config: RunConfig
+) -> Generator[http.Request, http.Answer, list[str]]:
     """The metadata prefixes the endpoint advertises, in its order, each
-    once."""
-    reply = _request(endpoint, {"verb": "ListMetadataFormats"}, config, gate, session)
+    once, as the request that asks for them (see ``_request``)."""
+    reply = yield from _request(endpoint, {"verb": "ListMetadataFormats"}, config)
     try:
         root = ET.fromstring(http.xml_payload(reply))
     except ET.ParseError as exc:
@@ -181,6 +198,17 @@ def list_metadata_formats(
             continue
         prefixes.append(prefix)
     return prefixes
+
+
+def list_metadata_formats(
+    endpoint: str,
+    config: RunConfig,
+    *,
+    gate: HostGate,
+    session: http.Sessions,
+) -> list[str]:
+    """``formats`` on the calling thread."""
+    return _run(formats(endpoint, config), config, gate, session)
 
 
 def select_datacite_prefix(prefixes: list[str]) -> str | None:
@@ -244,19 +272,18 @@ def parse_page(body: bytes | str) -> tuple[list[RawRecord], str | None, int | No
     return records, token, size
 
 
-def harvest_records(
+def walk_records(
     endpoint: str,
     prefix: str,
     config: RunConfig,
     sink: Callable[[bytes | str, list[RawRecord]], None],
     *,
-    gate: HostGate,
-    session: http.Sessions,
     seen: set[str] | None = None,
     first_page_only: bool = False,
     token: str | None = None,
-) -> HarvestSummary:
-    """Walk the ListRecords chain, feeding each page to the sink.
+) -> Generator[http.Request, http.Answer, HarvestSummary]:
+    """Walk the ListRecords chain, feeding each page to the sink; yields
+    each request it makes (see ``_request``).
 
     The sink gets every parsed page once: its body as ``parse_page`` read
     it, and the records the page gave that were taken, in page order. A
@@ -284,7 +311,7 @@ def harvest_records(
 
     while True:
         try:
-            reply = _request(endpoint, params, config, gate, session)
+            reply = yield from _request(endpoint, params, config)
         except EndpointUnresponsiveError as exc:
             logger.warning("%s: %s, harvest is partial", endpoint, exc)
             return summary
@@ -336,6 +363,26 @@ def harvest_records(
             summary.token = token
             return summary
         params = {"verb": "ListRecords", "resumptionToken": token}
+
+
+def harvest_records(
+    endpoint: str,
+    prefix: str,
+    config: RunConfig,
+    sink: Callable[[bytes | str, list[RawRecord]], None],
+    *,
+    gate: HostGate,
+    session: http.Sessions,
+    seen: set[str] | None = None,
+    first_page_only: bool = False,
+    token: str | None = None,
+) -> HarvestSummary:
+    """``walk_records`` on the calling thread."""
+    walk = walk_records(
+        endpoint, prefix, config, sink,
+        seen=seen, first_page_only=first_page_only, token=token,
+    )
+    return _run(walk, config, gate, session)
 
 
 def estimate_list_size(

@@ -13,9 +13,8 @@ import dataclasses
 import logging
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import assessor, datacite, http, oaipmh, probe, registry, scoring, throttle
 from .config import RunConfig
@@ -34,7 +33,6 @@ from .store import (
     save_manifest,
     write_ndjson,
 )
-from .throttle import HostGate
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +137,10 @@ class PipelineRun:
             save_manifest(self.manifest, self.run_dir)
         self.store = CatalogueStore(self.run_dir)
         self.sessions = http.Sessions()
+        # when each OAI endpoint's next request may start: one spacing
+        # record for steps 2 and 3, so that a step or pass that begins
+        # waits out the delay of the one before it
+        self.endpoint_due: dict[str, float] = {}
 
     # -- manifest bookkeeping ---------------------------------------------
     # The manifest is saved only here, from the calling thread, when a step
@@ -204,26 +206,41 @@ class PipelineRun:
         )
         return STATUS_COMPLETE, {"repositories": len(repos)}
 
+    def _send_oai(
+        self,
+        jobs: Iterator[Generator[http.Request, http.Answer, object]],
+        write: Callable[[object], None],
+    ) -> None:
+        """Run OAI jobs (``oaipmh.formats``, ``oaipmh.walk_records``) through
+        the per-endpoint scheduler, their results to ``write`` in order: one
+        request in flight per endpoint, their starts ``politeness_delay``
+        apart across steps 2 and 3, and at most ``workers_harvest`` threads,
+        the step's own first."""
+        throttle.run_per_host(
+            jobs,
+            send=lambda request: self.sessions.ask(request, self.config.timeout),
+            host=http.request_url,
+            write=write,
+            workers=self.config.workers_harvest,
+            min_interval_ms=self.config.politeness_delay,
+            due=self.endpoint_due,
+        )
+
     def _step2_select_providers(self) -> tuple[str, dict]:
         descriptors = [
             registry.descriptor_from_dict(d)
             for d in read_ndjson(self.run_dir / REPOSITORIES_FILE)
         ]
         candidates = registry.filter_by_api(descriptors, "OAI-PMH")
-        gate = HostGate(self.config.politeness_delay)
 
-        def select(
-            repo: registry.RepositoryDescriptor,
-        ) -> dict | oaipmh.OaiError | None:
+        def select(repo: registry.RepositoryDescriptor):
             """The providers line of a candidate that serves Datacite, or the
             error that kept its formats from being listed."""
             endpoint = next(
                 ep.url for ep in repo.api_endpoints if ep.kind == "OAI-PMH"
             )
             try:
-                prefixes = oaipmh.list_metadata_formats(
-                    endpoint, self.config, gate=gate, session=self.sessions
-                )
+                prefixes = yield from oaipmh.formats(endpoint, self.config)
             except oaipmh.OaiError as exc:
                 logger.warning("%s: not usable (%s)", repo.registry_id, exc)
                 return exc
@@ -236,14 +253,15 @@ class PipelineRun:
                 "prefix": prefix,
             }
 
+        lines: list[dict | oaipmh.OaiError | None] = []
+        self._send_oai((select(repo) for repo in candidates), lines.append)
         providers: list[dict] = []
         unusable: list[str] = []
-        with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
-            for repo, line in zip(candidates, pool.map(select, candidates)):
-                if isinstance(line, oaipmh.OaiError):
-                    unusable.append(repo.registry_id)
-                elif line:
-                    providers.append(line)
+        for repo, line in zip(candidates, lines):
+            if isinstance(line, oaipmh.OaiError):
+                unusable.append(repo.registry_id)
+            elif line:
+                providers.append(line)
         write_ndjson(self.run_dir / PROVIDERS_FILE, providers)
         return STATUS_COMPLETE, {
             "candidates": len(candidates),
@@ -286,7 +304,6 @@ class PipelineRun:
         providers = self._providers()
         to_harvest = set(self.unfinished_repositories())
         pending = [p for p in providers if p["registry_id"] in to_harvest]
-        gate = HostGate(self.config.politeness_delay)
 
         def harvest(
             provider: dict,
@@ -294,7 +311,7 @@ class PipelineRun:
             *,
             first_page_only: bool = False,
             token: str | None = None,
-        ) -> oaipmh.HarvestSummary:
+        ):
             name = provider["registry_id"]
 
             # one page is one line, so a crash loses at most the page being
@@ -303,14 +320,12 @@ class PipelineRun:
                 if records:
                     self.store.append("raw", name, _page_line(name, body, records))
 
-            summary = oaipmh.harvest_records(
+            summary = yield from oaipmh.walk_records(
                 provider["endpoint"],
                 provider["prefix"],
                 self.config,
                 sink,
-                gate=gate,
                 seen=seen,
-                session=self.sessions,
                 first_page_only=first_page_only,
                 token=token,
             )
@@ -330,34 +345,38 @@ class PipelineRun:
         # left are deleted: a resumption token is not kept, so an unfinished
         # chain starts again at page 1 anyway. Page 1's completeListSize is
         # the size estimate; its token and ids are all that is kept
-        def start(provider: dict) -> _Chain | None:
+        def start(provider: dict):
             self.store.discard("raw", provider["registry_id"])
             seen: set[str] = set()
-            first = harvest(provider, seen, first_page_only=True)
+            first = yield from harvest(provider, seen, first_page_only=True)
             if first.token:
                 return _Chain(provider, first, seen)
             finish(provider, first)
             return None
 
-        # pass 2: the unfinished chains, largest first, on one shared queue.
-        # A chain continues on whichever worker is free, and sends the
-        # cookies its first page set: the step's workers share one jar.
-        # A waiting chain holds one page of ids. A token that expired while
-        # its chain waited is rejected, and the chain spends its one restart
-        # to start again at page 1.
-        def resume(chain: _Chain) -> None:
-            rest = harvest(chain.provider, chain.page_ids, token=chain.first.token)
+        # pass 2: the unfinished chains, largest first. The scheduler takes
+        # a chain when a worker has room for one, and a chain continues on
+        # whichever worker sends its next request, with the cookies its
+        # first page set: the step's workers share one jar. A waiting chain
+        # holds one page of ids. A token that expired while its chain
+        # waited is rejected, and the chain spends its one restart to start
+        # again at page 1.
+        def resume(chain: _Chain):
+            rest = yield from harvest(
+                chain.provider, chain.page_ids, token=chain.first.token
+            )
             finish(chain.provider, chain.first + rest)
 
-        with ThreadPoolExecutor(max_workers=self.config.workers_harvest) as pool:
-            unfinished = [chain for chain in pool.map(start, pending) if chain]
-            unfinished.sort(
-                key=lambda chain: (
-                    -(chain.first.complete_list_size or 0),
-                    chain.provider["registry_id"],
-                )
-            )
-            list(pool.map(resume, unfinished))
+        chains: list[_Chain | None] = []
+        self._send_oai((start(provider) for provider in pending), chains.append)
+        unfinished = sorted(
+            (chain for chain in chains if chain),
+            key=lambda chain: (
+                -(chain.first.complete_list_size or 0),
+                chain.provider["registry_id"],
+            ),
+        )
+        self._send_oai((resume(chain) for chain in unfinished), lambda _: None)
         outcomes = self._harvest_outcomes()
         incomplete = self.unfinished_repositories(outcomes)
         status = STATUS_PARTIAL if incomplete else STATUS_COMPLETE

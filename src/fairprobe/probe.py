@@ -77,7 +77,7 @@ def is_image(content_type: str | None) -> bool:
 # a probe's request: URL, Accept header, and the probe's own cookie jar
 Hop = tuple[str, str, CookieJar]
 # what a hop got: the reply, or the request error that stands in for one
-Answer = tuple[http.Reply | None, BaseException | None]
+Answer = http.Answer
 
 
 def _follow_chain(
@@ -229,15 +229,11 @@ def f_ret(
 ) -> tuple[bool, ProbeTrace]:
     """``hops`` run to its end on the calling thread, each hop in its host's
     ``gate`` slot."""
-    probe = hops(record, config)
-    answer = None
-    try:
-        while True:
-            hop = probe.send(answer)
-            with gate.slot(hop_host(hop)):
-                answer = ask(session, hop, config.timeout)
-    except StopIteration as done:
-        return done.value
+    return gate.run(
+        hops(record, config),
+        send=lambda hop: ask(session, hop, config.timeout),
+        host=hop_host,
+    )
 
 
 def trace_to_dict(trace: ProbeTrace) -> dict[str, Any]:

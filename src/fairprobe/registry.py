@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Generator, Sequence
 
-from . import http
+from . import http, throttle
 from .config import RunConfig, is_http_url
 from .xmltree import attr, local_name
 
@@ -161,9 +160,8 @@ def load_seed_file(path: str | Path) -> list[RepositoryDescriptor]:
 
 # --- fetching -----------------------------------------------------------------
 
-def _fetch(sessions: http.Sessions, url: str, config: RunConfig) -> bytes | str:
-    """The XML body at ``url``; an error status raises RegistryError."""
-    reply = sessions.get(url, None, config.timeout)
+def _payload(url: str, reply: http.Reply) -> bytes | str:
+    """The XML body of ``url``'s reply; an error status raises RegistryError."""
     if 400 <= reply.status < 600:
         raise RegistryError(f"{url}: HTTP {reply.status}")
     return http.xml_payload(reply)
@@ -180,8 +178,10 @@ def fetch_repository_list(
     from ``<base>/repository/<id>``. The network source is preferred. The
     seed, ``config.seed_file``, is read only when no registry is set, or
     when the registry is unreachable and ``config.allow_seed_fallback`` is
-    set. Requests wait ``config.timeout`` seconds; ``config.workers_harvest``
-    detail pages are fetched at once.
+    set. Requests wait ``config.timeout`` seconds. The detail fetches are
+    scheduled as ``throttle.run_per_host`` jobs, each keyed by its own URL,
+    so no host limit applies; ``config.workers_harvest`` is the most
+    threads they use, brought in only when a fetch stalls.
     """
     seed = config.seed_file
     if not config.registry_url:
@@ -191,8 +191,9 @@ def fetch_repository_list(
     base = config.registry_url.rstrip("/")
 
     try:
+        url = base + "/repositories"
         entries = parse_repository_list(
-            _fetch(session, base + "/repositories", config)
+            _payload(url, session.get(url, None, config.timeout))
         )
     except (*http.REQUEST_ERRORS, RegistryError) as exc:
         if seed and config.allow_seed_fallback:
@@ -202,20 +203,32 @@ def fetch_repository_list(
             return load_seed_file(seed)
         raise RegistryUnreachableError(str(exc)) from exc
 
-    def fetch_detail(entry: dict[str, str]) -> dict[str, Any] | None:
+    def fetch_detail(
+        entry: dict[str, str],
+    ) -> Generator[http.Request, http.Answer, dict[str, Any] | None]:
         url = base + "/repository/" + entry["registry_id"]
+        reply, error = yield url, None
         try:
-            return parse_repository_detail(_fetch(session, url, config))
-        except (*http.REQUEST_ERRORS, RegistryError, ET.ParseError) as exc:
-            logger.warning(
-                "registry entry %s: detail failed, skipped: %s",
-                entry["registry_id"],
-                exc,
-            )
-            return None
+            if reply is not None:
+                return parse_repository_detail(_payload(url, reply))
+        except (RegistryError, ET.ParseError) as exc:
+            error = exc
+        logger.warning(
+            "registry entry %s: detail failed, skipped: %s",
+            entry["registry_id"],
+            error,
+        )
+        return None
 
-    with ThreadPoolExecutor(max_workers=config.workers_harvest) as pool:
-        details = list(pool.map(fetch_detail, entries))
+    details: list[dict[str, Any] | None] = []
+    throttle.run_per_host(
+        (fetch_detail(entry) for entry in entries),
+        send=lambda request: session.ask(request, config.timeout),
+        host=http.request_url,
+        write=details.append,
+        workers=config.workers_harvest,
+        min_interval_ms=0.0,
+    )
 
     descriptors: list[RepositoryDescriptor] = []
     for detail, entry in zip(details, entries):

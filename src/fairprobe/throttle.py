@@ -1,11 +1,16 @@
 """Per-host politeness: at most one request in flight per host, and request
 starts to one host at least a minimum interval apart.
 
-``HostGate`` keeps it with a lock per host, for callers that make each
-request on a thread of their own: steps 2 and 3, and ``probe.f_ret``.
-``run_per_host`` keeps it by scheduling, for jobs written as generators of
-requests: step 5's probes. No worker of it ever waits on a busy host, and
-it adds workers only when a request stalls.
+Every request of a run's steps 1-3 and 5 belongs to a job written as a
+generator of requests: a registry detail, a ListMetadataFormats request, a
+ListRecords chain or a probe. ``run_per_host`` keeps politeness for the
+pipeline by scheduling such jobs. No worker of it ever waits on a busy
+host, and it adds workers only when a request stalls.
+
+``HostGate`` keeps it with a lock per host, and serves only the
+synchronous drivers: ``HostGate.run`` sends one job's requests in turn on
+the calling thread, as ``oaipmh.harvest_records``,
+``oaipmh.list_metadata_formats`` and ``probe.f_ret`` do for library use.
 """
 
 from __future__ import annotations
@@ -64,6 +69,23 @@ class HostGate:
             self._last_start[host] = time.monotonic()
             yield
 
+    def run(
+        self,
+        job: Generator[Hop, Answer, Result],
+        send: Callable[[Hop], Answer],
+        host: Callable[[Hop], str],
+    ) -> Result:
+        """A job of ``run_per_host``'s kind, run to its end on the calling
+        thread: each hop is sent in its host's ``slot``."""
+        answer = None
+        try:
+            while True:
+                hop = job.send(answer)
+                with self.slot(host(hop)):
+                    answer = send(hop)
+        except StopIteration as done:
+            return done.value
+
 
 class _Job:
     __slots__ = ("index", "steps", "done", "result")
@@ -91,6 +113,7 @@ class _Frontier(Generic[Hop, Answer, Result]):
         write: Callable[[Result], None],
         workers: int,
         min_interval_ms: float,
+        due: dict[str, float] | None,
     ) -> None:
         self.jobs = jobs
         self.send = send
@@ -114,7 +137,8 @@ class _Frontier(Generic[Hop, Answer, Result]):
         # hops that wait for their host, oldest first; no empty queue is kept
         self.queues: dict[str, deque[tuple[_Job, Hop, str]]] = {}
         self.busy: dict[str, float] = {}  # hosts with a hop in flight: since when
-        self.due: dict[str, float] = {}  # when each host's next start may be
+        # when each host's next start may be; may outlive this call
+        self.due: dict[str, float] = {} if due is None else due
         self.threads: list[threading.Thread] = []
         self.failure: BaseException | None = None
         self.failed_at = sys.maxsize  # jobs from this index on are dropped
@@ -380,6 +404,7 @@ def run_per_host(
     write: Callable[[Result], None],
     workers: int,
     min_interval_ms: float,
+    due: dict[str, float] | None = None,
 ) -> None:
     """Run jobs that are generators of hops: each yields a hop, is sent the
     answer ``send(hop)`` gives, and returns a result.
@@ -413,5 +438,8 @@ def run_per_host(
       from ``write``, stops the taking of jobs. The jobs taken before the
       one that failed are still run and written, later ones are dropped;
       the exception is raised once every worker has exited.
+    - ``due``, when given, is where the hosts' spacing is kept: when each
+      host's next start may be. Calls that share it keep the spacing
+      across them, as step 3's two passes do.
     """
-    _Frontier(jobs, send, host, write, workers, min_interval_ms).run()
+    _Frontier(jobs, send, host, write, workers, min_interval_ms, due).run()

@@ -15,7 +15,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from fairprobe import assessor, http, mockrdr, oaipmh, pipeline, probe, registry
+from fairprobe import assessor, http, mockrdr, oaipmh, pipeline, probe, throttle
 from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
@@ -296,20 +296,19 @@ def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch)
         for i in range(6)
     ]
     hub = serve_script(mockrdr.ScenarioScript(repositories=repos))
-    details = PeakCalls(monkeypatch, registry, "parse_repository_detail")
-    formats = PeakCalls(monkeypatch, oaipmh, "list_metadata_formats")
-    harvests = PeakCalls(monkeypatch, oaipmh, "harvest_records")
+    run = PipelineRun(make_config(hub, workers_harvest=2, workers_probe=3))
+    # workers_harvest bounds the requests each of steps 1-3 sends at once,
+    # workers_probe the hops step 5 sends at once
+    for step in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            gets = PeakCalls(patch, http.Sessions, "get")
+            run.run_step(step)
+        assert 1 <= gets.peak <= 2
+    run.run_step(4)
     hops = PeakCalls(monkeypatch, http.Sessions, "hop")
-    config = make_config(hub, workers_harvest=2, workers_probe=3)
-    run_dir = pipeline.run_all(config)
-    manifest = load_manifest(run_dir)
-    # workers_harvest bounds each pool of steps 1-3, workers_probe the hops
-    # step 5 sends at once
-    assert 1 <= details.peak <= 2
-    assert 1 <= formats.peak <= 2
-    assert 1 <= harvests.peak <= 2
+    run.run_step(5)
     assert 1 <= hops.peak <= 3
-    assert manifest.steps[5].detail["probed"] == 24
+    assert run.manifest.steps[5].detail["probed"] == 24
 
 
 def test_two_clean_runs_write_equal_manifests(fixtures_dir, serve_script, make_config):
@@ -526,12 +525,9 @@ def test_step3_continues_the_largest_chains_first(serve_script, make_config):
     assert order[5:] == ["bravo"] * 4 + ["echo"] * 4 + ["delta"] * 2 + ["alpha"]
 
 
-def test_token_that_expired_in_the_queue_costs_one_request(
-    serve_script, make_config
-):
-    # "small" waits behind the 30-page chain of "large" (at least 1.45 s at
-    # 50 ms spacing), longer than its tokens live; its chain then starts
-    # again at page 1
+def test_a_small_chain_does_not_wait_behind_a_large_one(serve_script, make_config):
+    # on one worker, the chains of pass 2 take turns at their endpoints'
+    # spacing, so "small" is done long before its tokens expire
     large = mockrdr.MockRepository(
         name="large",
         records=[mockrdr.MockRecord(doi=f"10.26/large-{i}") for i in range(30)],
@@ -544,6 +540,40 @@ def test_token_that_expired_in_the_queue_costs_one_request(
         token_ttl=0.8,
     )
     hub = serve_script(mockrdr.ScenarioScript(repositories=[large, small]))
+    run = PipelineRun(make_config(hub, workers_harvest=1, politeness_delay=50.0))
+    for step in (1, 2, 3):
+        run.run_step(step)
+    assert run.manifest.status(3) == STATUS_COMPLETE
+    assert run.manifest.steps[3].detail["repositories"]["small"] == {
+        "completed": True, "records": 6, "deleted": 0, "pages": 3,
+    }
+    assert list_records_requests(hub).count("small") == 3
+    finished = [line["repository"] for line in run.store.read("harvested", None)]
+    assert finished == ["small", "large"]
+
+
+def test_token_that_expired_in_the_queue_costs_one_request(
+    serve_script, make_config
+):
+    # one worker takes at most WINDOW_PER_WORKER chains at once, so "small"
+    # waits until the first of the larger chains ends: 29 more pages at
+    # 50 ms spacing, longer than its tokens live; its chain then starts
+    # again at page 1
+    larger = [
+        mockrdr.MockRepository(
+            name=f"large-{n}",
+            records=[mockrdr.MockRecord(doi=f"10.26/large-{n}-{i}") for i in range(30)],
+            page_size=1,
+        )
+        for n in range(throttle.WINDOW_PER_WORKER)
+    ]
+    small = mockrdr.MockRepository(
+        name="small",
+        records=[mockrdr.MockRecord(doi=f"10.26/small-{i}") for i in range(6)],
+        page_size=2,
+        token_ttl=0.8,
+    )
+    hub = serve_script(mockrdr.ScenarioScript(repositories=[*larger, small]))
     run = PipelineRun(make_config(hub, workers_harvest=1, politeness_delay=50.0))
     for step in (1, 2, 3):
         run.run_step(step)
@@ -728,7 +758,7 @@ def test_catalogue_handles_are_bounded_and_closed(
     # a second store reading mid-step saw every line appended so far
     assert unseen == []
     # handles are bounded by the files in progress, not by the six
-    # repositories: one raw partition per harvest worker, the harvested
+    # repositories: one raw partition per chain under way, the harvested
     # ledger beside them, and one ledger in each of steps 4 and 5
     assert 1 <= writers["raw"] <= POOL + 1
     assert 1 <= writers["harvested"] <= POOL
@@ -751,19 +781,19 @@ def fail_after(function, calls: int):
 
 
 def harvest_failing_after(pages: int):
-    """``oaipmh.harvest_records``, failing on page ``pages + 1`` over all
+    """``oaipmh.walk_records``, failing on page ``pages + 1`` over all
     repositories, before that page is stored."""
-    harvest = oaipmh.harvest_records
+    walk = oaipmh.walk_records
     trip = fail_after(lambda: None, pages)
 
-    def failing_harvest(endpoint, prefix, config, sink, **kwargs):
+    def failing_walk(endpoint, prefix, config, sink, **kwargs):
         def tripping_sink(body, records):
             trip()
             sink(body, records)
 
-        return harvest(endpoint, prefix, config, tripping_sink, **kwargs)
+        return walk(endpoint, prefix, config, tripping_sink, **kwargs)
 
-    return failing_harvest
+    return failing_walk
 
 
 @needs_proc
@@ -778,7 +808,7 @@ def test_failed_step_leaves_no_catalogue_file_open(
         run.run_step(earlier)
 
     if step == 3:
-        monkeypatch.setattr(oaipmh, "harvest_records", harvest_failing_after(5))
+        monkeypatch.setattr(oaipmh, "walk_records", harvest_failing_after(5))
     elif step == 4:
         monkeypatch.setattr(assessor, "assess", fail_after(assessor.assess, 5))
     else:
@@ -933,7 +963,7 @@ def test_resumed_step_counts_like_a_clean_run(
         if step == 3:
             # one worker: page 1 of each repository, then all of mixed-0,
             # then mixed-1 fails on its second page
-            patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
+            patch.setattr(oaipmh, "walk_records", harvest_failing_after(4))
         else:
             module, function = {4: (assessor, "assess"), 5: (probe, "hops")}[step]
             patch.setattr(module, function, fail_after(getattr(module, function), 5))
@@ -1039,7 +1069,7 @@ def test_a_crash_after_any_append_resumes_to_a_clean_run(
             crashed.run_step(number)
         with monkeypatch.context() as patch:
             if stage == "raw":
-                patch.setattr(oaipmh, "harvest_records", harvest_failing_after(k))
+                patch.setattr(oaipmh, "walk_records", harvest_failing_after(k))
             else:
                 patch.setattr(assessor, "assess", fail_after(assessor.assess, k))
             with pytest.raises(RuntimeError, match="injected failure"):
@@ -1066,7 +1096,7 @@ def test_a_resumed_harvest_that_fails_again_keeps_only_its_own_pages(
     # page 1 of each repository, then mixed-0 finishes; mixed-1 fails on its
     # second page
     with monkeypatch.context() as patch:
-        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
+        patch.setattr(oaipmh, "walk_records", harvest_failing_after(4))
         with pytest.raises(RuntimeError, match="injected failure"):
             first.run_step(3)
     assert first.store.partitions("raw") == ["mixed-0", "mixed-1", "mixed-2"]
@@ -1075,7 +1105,7 @@ def test_a_resumed_harvest_that_fails_again_keeps_only_its_own_pages(
     # of mixed-2, whose page from the first attempt is gone
     second = PipelineRun(config)
     with monkeypatch.context() as patch:
-        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(1))
+        patch.setattr(oaipmh, "walk_records", harvest_failing_after(1))
         with pytest.raises(RuntimeError, match="injected failure"):
             second.run_step(3)
     assert second.store.partitions("raw") == ["mixed-0", "mixed-1"]
@@ -1167,7 +1197,7 @@ def test_torn_page_line_is_fetched_again_on_resume(
     for number in (1, 2):
         crashed.run_step(number)
     with monkeypatch.context() as patch:
-        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(3))
+        patch.setattr(oaipmh, "walk_records", harvest_failing_after(3))
         with pytest.raises(RuntimeError, match="injected failure"):
             crashed.run_step(3)
     assert crashed.unfinished_repositories() == ["paged-1"]
@@ -1343,7 +1373,7 @@ def test_report_names_truncated_repositories_from_the_catalogue(
     for step in (1, 2):
         run.run_step(step)
     with monkeypatch.context() as patch:
-        patch.setattr(oaipmh, "harvest_records", harvest_failing_after(4))
+        patch.setattr(oaipmh, "walk_records", harvest_failing_after(4))
         with pytest.raises(RuntimeError, match="injected failure"):
             run.run_step(3)
     # the failed step wrote no detail; the harvested partitions know which
