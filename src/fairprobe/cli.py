@@ -28,10 +28,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory for runs")
     parser.add_argument("--workers-harvest", type=int, metavar="N",
-                        help="most threads that send requests in steps 1-3 "
+                        help="most requests in flight at once in steps 1-3 "
                         f"(default {_DEFAULTS.workers_harvest})")
     parser.add_argument("--workers-probe", type=int, metavar="N",
-                        help="most threads that send probe requests "
+                        help="most probe requests in flight at once "
                         f"(default {_DEFAULTS.workers_probe})")
     parser.add_argument("--timeout", type=float, metavar="SECONDS",
                         help=f"HTTP request timeout (default {_DEFAULTS.timeout:g})")

@@ -38,8 +38,8 @@ class RunConfig:
     seed_file: str | None = None
     out: str = "runs"
     run_id: str | None = None  # unset means a fresh run
-    workers_harvest: int = 4  # steps 1-3: most threads that send requests
-    workers_probe: int = 34  # step 5: most threads that send probe requests
+    workers_harvest: int = 4  # steps 1-3: most requests in flight at once
+    workers_probe: int = 34  # step 5: most probe requests in flight at once
     timeout: float = 20.0
     doi_resolver: str = "https://doi.org/"
     geo_require_coordinates: bool = False

@@ -3,10 +3,17 @@
 Every request of a run, registry, OAI-PMH and probe alike, is one GET that
 ``Sessions._send`` writes onto a connection of the run's ``Sessions``. The
 standard library's ``http.client`` only opens connections: TCP, TLS and a
-proxy's ``CONNECT`` tunnel. The request and the reply are framed here, as
-RFC 9112 sections 2-7 have it: the request goes out in one write, and each
-reply is read through the connection's one buffered reader, its header
-lines read as ``http.client`` reads them.
+proxy's ``CONNECT`` tunnel. The request is framed here, as RFC 9112
+sections 2-7 have it, and goes out in one write; ``wire`` reads each reply
+as ``http.client`` reads it.
+
+A request is an exchange (``wire.Exchange``): a generator that writes the
+request, then yields its socket each time it needs more of the reply, and
+returns the reply. So one thread can keep many requests in flight and wait
+on all their sockets at once, as ``throttle.run_per_host`` does;
+``Sessions.get`` and ``Sessions.hop`` run one on the calling thread
+(``wire.finish``). Opening a connection still waits on the calling
+thread.
 
 A request carries what a ``requests`` session with ``trust_env`` on would
 send, save credentials: the same request target and header lines, through
@@ -31,16 +38,16 @@ route closed first.
 ``Sessions.hop`` is a probe's request: no redirect followed, no body kept,
 and the probe's own cookie jar. ``Sessions.get`` serves the registry and
 OAI-PMH: it follows redirects as requests does, reads the body and keeps
-cookies in the one jar of the ``Sessions``, which every worker of a step
+cookies in the one jar of the ``Sessions``, which every request of a step
 shares, as threads sharing one ``requests.Session`` share its jar. Retries
 and 503 flow control belong to the OAI-PMH client, so neither path has a
 request policy. There is no private ``Sessions``: every fetching function
 takes the run's.
 
 A body that no caller reads, a redirect's or a probe's final reply's, is
-drained so that its connection can carry the next request (``_drained``),
+drained so that its connection can carry the next request (``wire.drained``),
 but only when it is small and arrives in time: a declared length of at most
-``DRAIN_BOUND`` bytes that arrives within the request's timeout. Any other
+``wire.DRAIN_BOUND`` bytes that arrives within the request's timeout. Any other
 body that no caller reads is closed unread with its connection. The
 transport holds no rule about media types.
 """
@@ -48,27 +55,20 @@ transport holds no rule about media types.
 from __future__ import annotations
 
 import base64
-import io
 import os
 import re
 import select
 import socket
 import ssl
 import threading
-import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.client import (
-    BadStatusLine,
     HTTPConnection,
     HTTPException,
     HTTPSConnection,
-    IncompleteRead,
     InvalidURL,
-    LineTooLong,
-    RemoteDisconnected,
-    UnknownProtocol,
 )
 from http.cookiejar import CookieJar
 from typing import NamedTuple
@@ -89,7 +89,8 @@ from requests.utils import (
     urldefragauth,
 )
 
-from . import __version__
+from . import __version__, wire
+from .wire import Exchange, finish
 
 # requests' HTTPAdapter defaults: 10 pools of at most 10 kept connections
 IDLE_PER_ROUTE = 10
@@ -97,17 +98,6 @@ ROUTES = 10
 DEFAULT_PORTS = {"http": 80, "https": 443}
 REDIRECT_CODES = (301, 302, 303, 307, 308)
 MAX_REDIRECTS = 30  # requests.models.DEFAULT_REDIRECT_LIMIT
-# http.client's bounds on a reply's head: a line's length with its line
-# feed, and the number of header lines with the empty line that ends them
-MAX_LINE = 65536
-MAX_HEADERS = 100
-CHUNKED = -1  # a reply's body length when it comes in chunks
-# the longest body read only to keep its connection. On loopback (2 vCPUs,
-# Python 3.11), a kept hop that drains 64 KiB cost the client 47 us of CPU,
-# against 152 us for a hop on a new TCP connection; draining costs more only
-# past 256 KiB. The bound stays well below that, because on a real network
-# each byte drained also costs transfer time.
-DRAIN_BOUND = 64 * 1024
 USER_AGENT = f"fairprobe/{__version__}"
 
 # (scheme, host, port, proxy URL or None)
@@ -320,192 +310,6 @@ def _request_head(target: str, host: str, headers: dict[str, str]) -> bytes:
         raise HTTPException(f"a header value is not ISO-8859-1: {exc}") from exc
 
 
-class _Wire(io.RawIOBase):
-    """A socket as the raw stream under a connection's reader; counts the
-    bytes that arrive."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.arrived = 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = self.sock.recv_into(buffer)
-        self.arrived += size
-        return size
-
-
-class _Conn:
-    """An open connection and the one buffered reader of its replies.
-
-    ``http.client`` opens the socket; ``close`` closes it with the reader.
-    """
-
-    __slots__ = ("sock", "_wire", "_reader", "_taken")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self._wire = _Wire(sock)
-        self._reader = io.BufferedReader(self._wire)
-        self._taken = 0  # bytes read from ``_reader``
-
-    def close(self) -> None:
-        self._reader.close()
-        self.sock.close()
-
-    def unread(self) -> bool:
-        """Whether bytes that arrived are left unread."""
-        return self._taken < self._wire.arrived
-
-    def readline(self, what: str) -> bytes:
-        """The next line with its line feed; what is left where the stream
-        ends first. Raises ``LineTooLong`` for a line of more than
-        ``MAX_LINE`` bytes, naming it ``what``."""
-        line = self._reader.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise LineTooLong(what)
-        self._taken += len(line)
-        return line
-
-    def read(self, size: int = -1) -> bytes:
-        """The next ``size`` bytes, or every byte until the stream ends;
-        fewer where it ends first."""
-        data = self._reader.read(size)
-        self._taken += len(data)
-        return data
-
-    def read1(self, size: int) -> bytes:
-        """At most ``size`` bytes, with at most one receive from the socket;
-        none where the stream has ended."""
-        data = self._reader.read1(size)
-        self._taken += len(data)
-        return data
-
-
-class _Head(NamedTuple):
-    """A reply's status line and header lines, and how its body is framed."""
-
-    status: int
-    fields: list[tuple[str, str]]  # header lines in order
-    length: int | None  # CHUNKED, a byte count, or None: until the connection closes
-    will_close: bool  # the connection closes after this reply
-
-
-def _read_head(conn: _Conn) -> _Head:
-    """A reply's head, read as ``http.client`` reads one.
-
-    A ``100 Continue`` is skipped. A 1xx, 204 or 304 reply has no body,
-    whatever its header lines say. Raises ``HTTPException`` or ``OSError``.
-    """
-    while True:
-        line = str(conn.readline("status line"), "iso-8859-1")
-        if not line:
-            raise RemoteDisconnected("Remote end closed connection without response")
-        words = line.split(None, 2)
-        if len(words) < 2 or not words[0].startswith("HTTP/"):
-            raise BadStatusLine(line)
-        try:
-            status = int(words[1])
-        except ValueError:
-            raise BadStatusLine(line) from None
-        if not 100 <= status <= 999:
-            raise BadStatusLine(line)
-        if status != 100:
-            break
-        _header_block(conn)
-    version = words[0]
-    if version in ("HTTP/1.0", "HTTP/0.9"):
-        http11 = False
-    elif version.startswith("HTTP/1."):
-        http11 = True
-    else:
-        raise UnknownProtocol(version)
-    fields = _fields(_header_block(conn))
-    first: dict[str, str] = {}
-    for name, value in fields:
-        first.setdefault(name.lower(), value)
-    coding = first.get("transfer-encoding")
-    chunked = bool(coding) and coding.lower() == "chunked"
-    will_close = _closes(http11, first)
-    length = None
-    if status < 200 or status in (204, 304):
-        length = 0
-    elif chunked:
-        length = CHUNKED
-    elif first.get("content-length"):
-        try:
-            length = int(first["content-length"])
-        except ValueError:
-            pass
-        else:
-            if length < 0:  # ignored, as http.client ignores it
-                length = None
-    if length is None:
-        will_close = True
-    return _Head(status, fields, length, will_close)
-
-
-def _header_block(conn: _Conn) -> str:
-    """The header lines up to an empty line or the end of the stream, as
-    ISO-8859-1 text."""
-    lines = []
-    while True:
-        line = conn.readline("header line")
-        lines.append(line)
-        if len(lines) > MAX_HEADERS:
-            raise HTTPException(f"got more than {MAX_HEADERS} headers")
-        if line in (b"\r\n", b"\n", b""):
-            return b"".join(lines).decode("iso-8859-1")
-
-
-# a line that email's feed parser takes for a header line: a Unix From
-# line, a name (maybe empty) and a colon, or a folded continuation
-_FIELD_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
-
-
-def _fields(block: str) -> list[tuple[str, str]]:
-    """The (name, value) pairs of a header block, as ``http.client`` reads
-    them with email's compat32 policy.
-
-    Lines end at CR, LF or CRLF. The first line that is neither a header
-    line nor a continuation ends the fields, as the empty line does. A
-    folded value keeps its line breaks and the continuations' leading
-    white space; a continuation with no field before it, a Unix From line
-    and a line with an empty name are dropped.
-    """
-    pairs: list[tuple[str, list[str]]] = []
-    value: list[str] | None = None  # the lines of the field being read
-    for line in io.StringIO(block, newline="").readlines():
-        if not _FIELD_LINE.match(line):
-            break
-        if line[0] in " \t":
-            if value is not None:
-                value.append(line)
-            continue
-        value = None
-        if line.startswith("From ") or line[0] == ":":
-            continue
-        name, rest = line.split(":", 1)
-        value = [rest.lstrip(" \t")]
-        pairs.append((name, value))
-    return [(name, "".join(value).rstrip("\r\n")) for name, value in pairs]
-
-
-def _closes(http11: bool, first: dict[str, str]) -> bool:
-    """Whether the connection closes after a reply with these header values
-    (first of each name, by lowercase name), as ``http.client`` decides."""
-    connection = first.get("connection", "").lower()
-    if http11:
-        return "close" in connection
-    return not (
-        first.get("keep-alive")
-        or "keep-alive" in connection
-        or "keep-alive" in first.get("proxy-connection", "").lower()
-    )
-
-
 def _joined(fields: list[tuple[str, str]]) -> CaseInsensitiveDict:
     """Header lines by name; repeated lines are joined by ", ", as
     urllib3's ``HTTPHeaderDict`` joins them."""
@@ -516,65 +320,12 @@ def _joined(fields: list[tuple[str, str]]) -> CaseInsensitiveDict:
     return headers
 
 
-def _read_body(conn: _Conn, length: int | None) -> bytes:
-    """A body framed by ``length`` (see ``_Head``), as ``http.client``
-    reads it: chunk extensions and trailer lines are skipped. Raises
-    ``IncompleteRead`` when it ends short or a chunk size is not hex."""
-    if length is None:
-        return conn.read()
-    if length != CHUNKED:
-        return _exactly(conn, length)
-    chunks = []
-    while True:
-        line = conn.readline("chunk size")
-        try:
-            size = int(line.split(b";", 1)[0], 16)
-        except ValueError:
-            raise IncompleteRead(b"".join(chunks)) from None
-        if size <= 0:
-            break
-        chunks.append(_exactly(conn, size))
-        _exactly(conn, 2)  # the CRLF that ends a chunk
-    if size < 0:
-        raise IncompleteRead(b"".join(chunks))
-    while conn.readline("trailer line") not in (b"\r\n", b"\n", b""):
-        pass
-    return b"".join(chunks)
-
-
-def _exactly(conn: _Conn, size: int) -> bytes:
-    data = conn.read(size)
-    if len(data) < size:
-        raise IncompleteRead(data, size - len(data))
-    return data
-
-
-def _drained(conn: _Conn, head: _Head, timeout: float) -> bool:
-    """Read a body only so that its connection can carry another request;
-    returns whether it arrived whole.
-
-    Only a declared length of at most ``DRAIN_BOUND`` bytes is read, and only
-    while it arrives within ``timeout`` seconds in all: a trickling body
-    must not hold a request for longer. A chunked or close-delimited body, a
-    longer one and a reply that closes its connection are left unread.
-    """
-    left = head.length
-    if head.will_close or not 0 <= left <= DRAIN_BOUND:
-        return False
-    deadline = time.monotonic() + timeout
+def answered(exchange: Exchange[Reply]) -> Exchange[Answer]:
+    """``exchange``, with a request error as its answer, not an exception."""
     try:
-        while left:
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                return False
-            conn.sock.settimeout(wait)
-            data = conn.read1(left)
-            if not data:  # the body ended short
-                return False
-            left -= len(data)
-    except OSError:
-        return False
-    return True
+        return (yield from exchange), None
+    except REQUEST_ERRORS as exc:
+        return None, exc
 
 
 class _Sent(NamedTuple):
@@ -614,7 +365,7 @@ class Sessions:
         self._lock = threading.Lock()
         self._cookies = CookieJar()
         # least recently used route first
-        self._idle: OrderedDict[Route, list[_Conn]] = OrderedDict()
+        self._idle: OrderedDict[Route, list[wire.Conn]] = OrderedDict()
         # offer only the codings that ``_decoded`` undoes; requests' default
         # offers br and zstd too where their modules are installed
         self._headers = dict(
@@ -630,19 +381,22 @@ class Sessions:
         timeout: float,
         cookies: CookieJar,
         read: bool,
-    ) -> Reply:
-        """One GET, with no redirect followed and no retry.
+    ) -> Exchange[Reply]:
+        """One GET, with no redirect followed and no retry, as an exchange.
 
         The request target is ``url`` with ``params`` as requests prepares
         it. The headers are requests' defaults with fairprobe's
         ``User-Agent`` and ``accept``, and the cookies of ``cookies``; the
-        origin's proxy and CA bundle apply. The reply's cookies go into
+        origin's proxy and CA bundle apply. The request goes out in one
+        write when the exchange is first advanced; opening a connection for
+        it waits on the calling thread. The reply's cookies go into
         ``cookies``. Any body but a redirect's is read into ``Reply.data``
-        when ``read`` is set. Every other body is drained (``_drained``)
+        when ``read`` is set. Every other body is drained (``wire.drained``)
         when it is small and arrives in time, so that its connection is kept
         as a session's redirect handling keeps it; otherwise the reply is
         closed unread with its connection. Raises one of ``REQUEST_ERRORS``
-        when no reply arrives.
+        when no reply arrives: ``TimeoutError`` when no byte of the head or
+        of a read body arrives for ``timeout`` seconds.
         """
         target = _target(url, params)
         scheme = target.scheme
@@ -668,8 +422,8 @@ class Sessions:
         route = (scheme, target.host, target.port or DEFAULT_PORTS[scheme], found.proxy)
         conn = self._checkout(route, found, timeout)
         try:
-            conn.sock.sendall(message)
-            head = _read_head(conn)
+            wire.write(conn.sock, message, timeout)
+            head = yield from wire.reply_head(conn, timeout)
         except BaseException:
             conn.close()
             raise
@@ -677,31 +431,33 @@ class Sessions:
         if "Set-Cookie" in reply.headers or "Set-Cookie2" in reply.headers:
             cookies.extract_cookies(_Received(head.fields), MockRequest(request))
         redirect = head.status in REDIRECT_CODES and bool(reply.headers.get("Location"))
-        if read and not redirect:
-            try:
-                body = _read_body(conn, head.length)
-            except BaseException:
-                conn.close()
-                raise
-            self._checkin(route, conn, head.will_close)
-            reply.data = _decoded(body, reply.headers.get("Content-Encoding", ""))
-        else:
-            # the reply stands whether or not its body arrives in time; a body
-            # that does not costs its connection, not the request
-            if _drained(conn, head, timeout):
-                self._checkin(route, conn, head.will_close)
+        try:
+            if read and not redirect:
+                body = yield from wire.reply_body(conn, head.length, timeout)
+                kept = True
             else:
-                conn.close()
+                # the reply stands whether or not its body arrives in time; a
+                # body that does not costs its connection, not the request
+                body = None
+                kept = yield from wire.drained(conn, head, timeout)
+        except BaseException:
+            conn.close()
+            raise
+        if kept:
+            self._checkin(route, conn, head.will_close)
+        else:
+            conn.close()
+        if body is not None:
+            reply.data = _decoded(body, reply.headers.get("Content-Encoding", ""))
         return reply
 
-    def _checkout(self, route: Route, found: OriginSettings, timeout: float) -> _Conn:
+    def _checkout(self, route: Route, found: OriginSettings, timeout: float) -> wire.Conn:
         """The route's most recently kept connection, or a new one."""
         with self._lock:
             idle = self._idle.get(route)
             conn = idle.pop() if idle else None
         if conn is not None:
             if not _readable(conn.sock):
-                conn.sock.settimeout(timeout)
                 return conn
             # the peer closed it while it was idle
             conn.close()
@@ -711,14 +467,16 @@ class Sessions:
         except BaseException:
             opener.close()
             raise
-        return _Conn(opener.sock)
+        return wire.Conn(opener.sock)
 
-    def _checkin(self, route: Route, conn: _Conn, will_close: bool) -> None:
+    def _checkin(self, route: Route, conn: wire.Conn, will_close: bool) -> None:
         """Keep a connection whose reply has been read, within the bounds,
         unless the reply closes it or more than the reply arrived."""
         if will_close or conn.unread():
             conn.close()
             return
+        conn.data.clear()
+        conn.pos = 0
         closing = []
         with self._lock:
             idle = self._idle.get(route)
@@ -735,7 +493,9 @@ class Sessions:
         for old in closing:
             old.close()
 
-    def hop(self, url: str, accept: str, timeout: float, cookies: CookieJar) -> Reply:
+    def hop_exchange(
+        self, url: str, accept: str, timeout: float, cookies: CookieJar
+    ) -> Exchange[Reply]:
         """A probe's request: ``_send`` with ``accept`` and ``cookies``.
 
         No body is kept: a small body that arrives in time is read only to
@@ -743,7 +503,13 @@ class Sessions:
         """
         return self._send(url, None, accept, timeout, cookies, read=False)
 
-    def get(self, url: str, params: dict[str, str] | None, timeout: float) -> Reply:
+    def hop(self, url: str, accept: str, timeout: float, cookies: CookieJar) -> Reply:
+        """``hop_exchange`` on the calling thread."""
+        return finish(self.hop_exchange(url, accept, timeout, cookies))
+
+    def get_exchange(
+        self, url: str, params: dict[str, str] | None, timeout: float
+    ) -> Exchange[Reply]:
         """A GET that follows redirects as a ``requests`` session does.
 
         Each hop is a ``_send`` with the jar of the ``Sessions``, so cookies
@@ -755,7 +521,9 @@ class Sessions:
         accept = self._headers["Accept"]
         redirects = 0
         while True:
-            reply = self._send(url, params, accept, timeout, self._cookies, read=True)
+            reply = yield from self._send(
+                url, params, accept, timeout, self._cookies, read=True
+            )
             location = (
                 reply.headers.get("Location")
                 if reply.status in REDIRECT_CODES
@@ -768,14 +536,15 @@ class Sessions:
             redirects += 1
             url, params = redirect_url(url, location), None
 
-    def ask(self, request: Request, timeout: float) -> Answer:
-        """``get`` of a request that a job yielded; a request error is its
-        answer, not an exception."""
+    def get(self, url: str, params: dict[str, str] | None, timeout: float) -> Reply:
+        """``get_exchange`` on the calling thread."""
+        return finish(self.get_exchange(url, params, timeout))
+
+    def ask(self, request: Request, timeout: float) -> Exchange[Answer]:
+        """``get_exchange`` of a request that a job yielded, with a request
+        error as its answer, not an exception."""
         url, params = request
-        try:
-            return self.get(url, params, timeout), None
-        except REQUEST_ERRORS as exc:
-            return None, exc
+        return answered(self.get_exchange(url, params, timeout))
 
     def close(self) -> None:
         with self._lock:

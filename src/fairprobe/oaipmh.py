@@ -26,7 +26,7 @@ from typing import Callable, Generator, TypeVar
 
 from . import http
 from .config import RunConfig
-from .throttle import HostGate
+from .throttle import HostGate, NotBefore
 from .xmltree import child, children, local_name
 
 logger = logging.getLogger(__name__)
@@ -107,20 +107,24 @@ def _verb_element(root: ET.Element, verb: str) -> ET.Element | None:
 
 def _request(
     endpoint: str, params: dict[str, str], config: RunConfig
-) -> Generator[http.Request, http.Answer, http.Reply]:
+) -> Generator[http.Request | NotBefore, http.Answer, http.Reply]:
     """One OAI request with one retry and 503 flow control.
 
     Yields each attempt's request and is sent its answer
     (``http.Sessions.ask``). Politeness is the caller's, per endpoint: one
     in-flight request and a minimum delay between request starts,
-    independent of other endpoints on the host. A ``Retry-After`` wait is
-    slept here, between two attempts.
+    independent of other endpoints on the host. The attempt after a
+    ``Retry-After`` is yielded as a ``throttle.NotBefore``, so that the
+    wait is its endpoint's alone, and nothing sleeps in the job.
     """
     attempts = ATTEMPTS
     waited_503 = 0.0
     last_error: Exception | None = None
+    later: float | None = None  # when the attempt after a Retry-After may start
     while attempts > 0:
-        reply, error = yield endpoint, params
+        request = endpoint, params
+        reply, error = yield request if later is None else NotBefore(request, later)
+        later = None
         if isinstance(error, http.TooManyRedirects):
             # a redirect loop answers a retry with the same loop
             raise EndpointUnresponsiveError(f"{endpoint}: {error}") from error
@@ -145,7 +149,7 @@ def _request(
                 )
             if delay > 0:
                 waited_503 += math.ceil(delay)
-                time.sleep(delay)
+                later = time.monotonic() + delay
                 continue
             # an immediate retry spends an attempt, or the loop has no bound
         if reply.status != 200:
@@ -159,7 +163,7 @@ def _request(
 
 
 def _run(
-    job: Generator[http.Request, http.Answer, Result],
+    job: Generator[http.Request | NotBefore, http.Answer, Result],
     config: RunConfig,
     gate: HostGate,
     session: http.Sessions,
@@ -175,7 +179,7 @@ def _run(
 
 def formats(
     endpoint: str, config: RunConfig
-) -> Generator[http.Request, http.Answer, list[str]]:
+) -> Generator[http.Request | NotBefore, http.Answer, list[str]]:
     """The metadata prefixes the endpoint advertises, in its order, each
     once, as the request that asks for them (see ``_request``)."""
     reply = yield from _request(endpoint, {"verb": "ListMetadataFormats"}, config)
@@ -281,7 +285,7 @@ def walk_records(
     seen: set[str] | None = None,
     first_page_only: bool = False,
     token: str | None = None,
-) -> Generator[http.Request, http.Answer, HarvestSummary]:
+) -> Generator[http.Request | NotBefore, http.Answer, HarvestSummary]:
     """Walk the ListRecords chain, feeding each page to the sink; yields
     each request it makes (see ``_request``).
 

@@ -208,14 +208,14 @@ class PipelineRun:
 
     def _send_oai(
         self,
-        jobs: Iterator[Generator[http.Request, http.Answer, object]],
+        jobs: Iterator[Generator[http.Request | throttle.NotBefore, http.Answer, object]],
         write: Callable[[object], None],
     ) -> None:
         """Run OAI jobs (``oaipmh.formats``, ``oaipmh.walk_records``) through
         the per-endpoint scheduler, their results to ``write`` in order: one
         request in flight per endpoint, their starts ``politeness_delay``
-        apart across steps 2 and 3, and at most ``workers_harvest`` threads,
-        the step's own first."""
+        apart across steps 2 and 3, and at most ``workers_harvest`` requests
+        in flight, all on the step's own thread."""
         throttle.run_per_host(
             jobs,
             send=lambda request: self.sessions.ask(request, self.config.timeout),
@@ -355,12 +355,11 @@ class PipelineRun:
             return None
 
         # pass 2: the unfinished chains, largest first. The scheduler takes
-        # a chain when a worker has room for one, and a chain continues on
-        # whichever worker sends its next request, with the cookies its
-        # first page set: the step's workers share one jar. A waiting chain
-        # holds one page of ids. A token that expired while its chain
-        # waited is rejected, and the chain spends its one restart to start
-        # again at page 1.
+        # a chain when its window has room for one, and a chain continues
+        # with the cookies its first page set: the step's requests share
+        # one jar. A waiting chain holds one page of ids. A token that
+        # expired while its chain waited is rejected, and the chain spends
+        # its one restart to start again at page 1.
         def resume(chain: _Chain):
             rest = yield from harvest(
                 chain.provider, chain.page_ids, token=chain.first.token
@@ -464,7 +463,7 @@ class PipelineRun:
             for entry in self.store.read("assessed", None)
         }
         parsed = self.store.read("parsed", None)
-        # probes are taken from the ledger as workers need them, and their
+        # probes are taken from the ledger as hosts free up, and their
         # lines appended in parsed order; a failed probe stops the step
         try:
             throttle.run_per_host(

@@ -22,7 +22,7 @@ from urllib.parse import urlparse
 
 from requests.utils import parse_header_links
 
-from . import http
+from . import http, wire
 from .config import RunConfig
 from .datacite import DataciteRecord
 from .throttle import HostGate
@@ -211,13 +211,11 @@ def hop_host(hop: Hop) -> str:
     return urlparse(hop[0]).netloc
 
 
-def ask(session: http.Sessions, hop: Hop, timeout: float) -> Answer:
-    """Send one hop; a request error is its answer, not an exception."""
+def ask(session: http.Sessions, hop: Hop, timeout: float) -> wire.Exchange[Answer]:
+    """One hop as an exchange; a request error is its answer, not an
+    exception."""
     url, accept, cookies = hop
-    try:
-        return session.hop(url, accept, timeout, cookies), None
-    except http.REQUEST_ERRORS as exc:
-        return None, exc
+    return http.answered(session.hop_exchange(url, accept, timeout, cookies))
 
 
 def f_ret(

@@ -180,8 +180,8 @@ def fetch_repository_list(
     when the registry is unreachable and ``config.allow_seed_fallback`` is
     set. Requests wait ``config.timeout`` seconds. The detail fetches are
     scheduled as ``throttle.run_per_host`` jobs, each keyed by its own URL,
-    so no host limit applies; ``config.workers_harvest`` is the most
-    threads they use, brought in only when a fetch stalls.
+    so no host limit applies; ``config.workers_harvest`` is the most of
+    them in flight at once.
     """
     seed = config.seed_file
     if not config.registry_url:

@@ -4,8 +4,9 @@ starts to one host at least a minimum interval apart.
 Every request of a run's steps 1-3 and 5 belongs to a job written as a
 generator of requests: a registry detail, a ListMetadataFormats request, a
 ListRecords chain or a probe. ``run_per_host`` keeps politeness for the
-pipeline by scheduling such jobs. No worker of it ever waits on a busy
-host, and it adds workers only when a request stalls.
+pipeline by scheduling such jobs on the calling thread: it writes the
+request of every free host, up to ``workers`` requests in flight, and waits
+on all their sockets at once (``wire.Exchange``).
 
 ``HostGate`` keeps it with a lock per host, and serves only the
 synchronous drivers: ``HostGate.run`` sends one job's requests in turn on
@@ -15,31 +16,46 @@ the calling thread, as ``oaipmh.harvest_records``,
 
 from __future__ import annotations
 
+import select
 import sys
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Generator, Generic, Iterator, TypeVar
+from typing import Callable, Generator, Generic, Iterator, NamedTuple, TypeVar
+
+from . import wire
 
 Hop = TypeVar("Hop")
 Answer = TypeVar("Answer")
 Result = TypeVar("Result")
 
-# jobs taken and not yet written, per worker: a job whose result waits for
-# an earlier one holds that result until then
+# jobs taken and not yet written, per request that may be in flight: a job
+# whose result waits for an earlier one holds that result until then
 WINDOW_PER_WORKER = 4
-# a hop in flight this long has stalled: its host is slower than a loopback
-# one, and the watcher becomes a worker so that other jobs go on meanwhile
-SLOW_HOP_S = 0.05
+
+
+class NotBefore(NamedTuple):
+    """What a job yields in place of ``hop`` when that hop must not start
+    before ``when`` (``time.monotonic``), as after a ``Retry-After``: its
+    host takes no request before then."""
+
+    hop: object
+    when: float
+
+
+def _sleep_until(when: float) -> None:
+    wait = when - time.monotonic()
+    if wait > 0:
+        time.sleep(wait)
 
 
 class HostGate:
     """Allows at most one in-flight request per host and keeps consecutive
     request starts to the same host at least ``min_interval_ms`` apart.
 
-    The gate is shared by all workers talking to the same set of hosts; a
-    worker enters ``slot(host)`` around each request it issues.
+    The gate is shared by all threads talking to the same set of hosts; a
+    thread enters ``slot(host)`` around each request it issues.
     """
 
     def __init__(self, min_interval_ms: float = 0.0):
@@ -63,26 +79,28 @@ class HostGate:
             if self.min_interval > 0:
                 last = self._last_start.get(host)
                 if last is not None:
-                    wait = last + self.min_interval - time.monotonic()
-                    if wait > 0:
-                        time.sleep(wait)
+                    _sleep_until(last + self.min_interval)
             self._last_start[host] = time.monotonic()
             yield
 
     def run(
         self,
         job: Generator[Hop, Answer, Result],
-        send: Callable[[Hop], Answer],
+        send: Callable[[Hop], wire.Exchange[Answer]],
         host: Callable[[Hop], str],
     ) -> Result:
         """A job of ``run_per_host``'s kind, run to its end on the calling
-        thread: each hop is sent in its host's ``slot``."""
+        thread: each hop's exchange is run in its host's ``slot``, after
+        the time a ``NotBefore`` names."""
         answer = None
         try:
             while True:
                 hop = job.send(answer)
+                if type(hop) is NotBefore:
+                    _sleep_until(hop.when)
+                    hop = hop.hop
                 with self.slot(host(hop)):
-                    answer = send(hop)
+                    answer = wire.finish(send(hop))
         except StopIteration as done:
             return done.value
 
@@ -97,18 +115,27 @@ class _Job:
         self.result = None
 
 
-# the host of an outcome (``_Frontier.advance``) whose job returned or raised
-_ENDED = object()
-_FAILED = object()
+class _Flight:
+    """A hop whose request is in flight: its exchange, and until when it
+    waits for its socket."""
+
+    __slots__ = ("job", "host", "exchange", "deadline")
+
+    def __init__(self, job: _Job, host: str, exchange: wire.Exchange) -> None:
+        self.job = job
+        self.host = host
+        self.exchange = exchange
+        self.deadline = 0.0
 
 
 class _Frontier(Generic[Hop, Answer, Result]):
-    """The state that ``run_per_host``'s workers share, under one lock."""
+    """``run_per_host``'s state: the jobs under way, the hops waiting for
+    their hosts, and the requests in flight."""
 
     def __init__(
         self,
         jobs: Iterator[Generator[Hop, Answer, Result]],
-        send: Callable[[Hop], Answer],
+        send: Callable[[Hop], wire.Exchange[Answer]],
         host: Callable[[Hop], str],
         write: Callable[[Result], None],
         workers: int,
@@ -121,29 +148,172 @@ class _Frontier(Generic[Hop, Answer, Result]):
         self.write = write
         self.workers = max(workers, 1)
         self.interval = max(min_interval_ms, 0.0) / 1000.0
-        self.lock = threading.Lock()
-        # an idle worker waits on ``clock`` until the next host's spacing
-        # ends, unless another one wakes by then; the others wait on ``rest``
-        self.clock = threading.Condition(self.lock)
-        self.rest = threading.Condition(self.lock)
-        self.deadlines: list[float] = []  # when the workers on ``clock`` wake
-        self.resting = 0  # workers waiting on ``rest``
-        # the thread, not yet a worker, that looks out for a stalled hop
-        self.watch = threading.Condition(self.lock)
-        self.watcher: threading.Thread | None = None
         self.window: deque[_Job] = deque()  # taken and unwritten, in order
         self.taken = 0
         self.more = True  # whether ``jobs`` may hold more
         # hops that wait for their host, oldest first; no empty queue is kept
-        self.queues: dict[str, deque[tuple[_Job, Hop, str]]] = {}
-        self.busy: dict[str, float] = {}  # hosts with a hop in flight: since when
+        self.queues: dict[str, deque[tuple[_Job, Hop]]] = {}
+        self.flying: dict[int, _Flight] = {}  # by their socket's descriptor
+        self.busy: set[str] = set()  # the hosts of ``flying``
+        self.poller = select.poll()  # the sockets of ``flying``
         # when each host's next start may be; may outlive this call
         self.due: dict[str, float] = {} if due is None else due
-        self.threads: list[threading.Thread] = []
         self.failure: BaseException | None = None
         self.failed_at = sys.maxsize  # jobs from this index on are dropped
 
-    # -- under the lock ---------------------------------------------------
+    def run(self) -> None:
+        try:
+            while True:
+                wake = self.start()
+                if self.flying:
+                    self.wait(wake)
+                elif wake is None:
+                    break
+                else:
+                    _sleep_until(wake)
+        finally:
+            for flight in self.flying.values():
+                flight.exchange.close()
+        if self.failure is not None:
+            raise self.failure
+
+    def start(self) -> float | None:
+        """Write the request of the oldest hop of each free host, taking
+        jobs while no host is free, up to ``workers`` requests in flight.
+        Returns when the spacing of the first host with a hop waiting ends,
+        or None when none waits or no request may start."""
+        queues, busy, due = self.queues, self.busy, self.due
+        while len(self.flying) < self.workers:
+            now = time.monotonic()
+            wake = None
+            for name, queue in queues.items():
+                if name in busy:
+                    continue
+                at = due.get(name, 0.0)
+                if at <= now:
+                    job, hop = queue.popleft()
+                    if not queue:
+                        del queues[name]
+                    self.launch(job, hop, name)
+                    break
+                if wake is None or at < wake:
+                    wake = at
+            else:
+                if not self.take():
+                    return wake
+        return None
+
+    def take(self) -> bool:
+        """Take the next job and run it to its first hop; False when none
+        may be taken now."""
+        if (
+            not self.more
+            or self.failure is not None
+            or len(self.window) >= WINDOW_PER_WORKER * self.workers
+        ):
+            return False
+        try:
+            steps = next(self.jobs)
+        except StopIteration:
+            self.more = False
+            return False
+        except Exception as exc:
+            self.fail(exc, self.taken)
+            return False
+        job = _Job(self.taken, steps)
+        self.taken += 1
+        self.window.append(job)
+        self.advance(job, None)
+        return True
+
+    def launch(self, job: _Job, hop: Hop, name: str) -> None:
+        """Write a hop's request, and date its host's next start from the
+        write."""
+        try:
+            exchange = self.send(hop)
+            wait = next(exchange)
+        except StopIteration as done:  # answered without waiting
+            self.advance(job, done.value)
+        except Exception as exc:
+            self.fail(exc, job.index)
+        else:
+            self.busy.add(name)
+            self.hold(_Flight(job, name, exchange), wait)
+        finally:
+            self.due[name] = time.monotonic() + self.interval
+
+    def hold(self, flight: _Flight, wait: wire.Wait) -> None:
+        sock, flight.deadline = wait
+        fd = sock.fileno()
+        self.flying[fd] = flight
+        self.poller.register(fd, select.POLLIN)
+
+    def wait(self, wake: float | None) -> None:
+        """Wait in one poll for the first socket to become readable, the
+        first deadline, or ``wake``; send each exchange what it waited for."""
+        until = min(flight.deadline for flight in self.flying.values())
+        timeout = until if wake is None or until < wake else wake
+        for fd, _ in self.poller.poll(wire.wait_ms(timeout)):
+            self.resume(fd, True)
+        now = time.monotonic()
+        if now >= until:
+            for fd in [fd for fd, flight in self.flying.items() if flight.deadline <= now]:
+                self.resume(fd, False)
+
+    def resume(self, fd: int, ready: bool) -> None:
+        """Send an exchange whether its socket became readable; keep waiting
+        on the socket it yields next, or answer its job when it returned."""
+        flight = self.flying[fd]
+        try:
+            sock, flight.deadline = flight.exchange.send(ready)
+        except StopIteration as done:
+            self.land(fd, flight)
+            self.advance(flight.job, done.value)
+        except Exception as exc:
+            self.land(fd, flight)
+            self.fail(exc, flight.job.index)
+        else:
+            if sock.fileno() != fd:  # a redirect went on another connection
+                del self.flying[fd]
+                self.poller.unregister(fd)
+                self.hold(flight, (sock, flight.deadline))
+
+    def land(self, fd: int, flight: _Flight) -> None:
+        del self.flying[fd]
+        self.poller.unregister(fd)
+        self.busy.discard(flight.host)
+
+    def advance(self, job: _Job, answer: Answer | None) -> None:
+        """Send ``answer`` into a job: queue the hop it yields next, unless
+        the job is dropped, or write or fail it when it returns or raises."""
+        try:
+            hop = job.steps.send(answer)
+            if type(hop) is NotBefore:
+                name = self.host(hop.hop)
+                self.due[name] = max(self.due.get(name, 0.0), hop.when)
+                hop = hop.hop
+            else:
+                name = self.host(hop)
+        except StopIteration as done:
+            self.end(job, done.value)
+            return
+        except Exception as exc:
+            self.fail(exc, job.index)
+            return
+        if job.index < self.failed_at:
+            self.queues.setdefault(name, deque()).append((job, hop))
+
+    def end(self, job: _Job, result: Result) -> None:
+        """Write the results that wait for no earlier job, in order."""
+        job.done, job.result = True, result
+        window = self.window
+        while window and window[0].done and window[0].index < self.failed_at:
+            first = window.popleft()
+            try:
+                self.write(first.result)
+            except BaseException as exc:
+                self.fail(exc, first.index)
+            first.result = None
 
     def fail(self, exc: BaseException, index: int) -> None:
         """Stop taking jobs, and drop the jobs from ``index`` on; the first
@@ -158,248 +328,12 @@ class _Frontier(Generic[Hop, Answer, Result]):
                     self.queues[name] = kept
                 else:
                     del self.queues[name]
-        self.wake_all()
-
-    def wake_all(self) -> None:
-        self.clock.notify_all()
-        self.rest.notify_all()
-        self.watch.notify_all()
-
-    def settle(self, outcome: tuple | None) -> tuple[_Job, Hop, str] | None:
-        """Write or fail a job that returned or raised; pass on the next
-        hop of a job that yielded one and is not dropped."""
-        if outcome is None:
-            return None
-        job, value, name = outcome
-        if name is _ENDED:
-            job.done, job.result = True, value
-            window = self.window
-            # the oldest unwritten job holds back the results after it
-            while window and window[0].done and window[0].index < self.failed_at:
-                first = window.popleft()
-                try:
-                    self.write(first.result)
-                except BaseException as exc:
-                    self.fail(exc, first.index)
-                first.result = None
-            return None
-        if name is _FAILED:
-            self.fail(value, job.index)
-            return None
-        return outcome if job.index < self.failed_at else None
-
-    def room(self) -> bool:
-        """Whether a job may be taken now."""
-        return (
-            self.more
-            and self.failure is None
-            and len(self.window) < WINDOW_PER_WORKER * self.workers
-        )
-
-    def take(self) -> _Job | None:
-        """The next job, taken in order, or None when none may be taken now."""
-        if not self.room():
-            return None
-        try:
-            steps = next(self.jobs)
-        except StopIteration:
-            self.more = False
-            return None
-        except Exception as exc:
-            self.fail(exc, self.taken)
-            return None
-        job = _Job(self.taken, steps)
-        self.taken += 1
-        self.window.append(job)
-        return job
-
-    def pick(
-        self, own: tuple[_Job, Hop, str] | None
-    ) -> tuple[_Job, Hop | None, str | None] | None:
-        """What the calling worker does next, waiting while there is nothing
-        to do: ``(job, hop, host)`` sends a hop, its host claimed here;
-        ``(job, None, None)`` starts a job; None ends the worker.
-
-        ``own`` is the next hop of the job the worker advanced last: the
-        worker sends it itself when its host is free, so that a job changes
-        threads only when hosts are contended. Otherwise it waits in its
-        host's queue, and the worker sends the oldest hop whose host is
-        free, or else starts the next job.
-        """
-        if own is not None:
-            if self.free(own[2], time.monotonic()):
-                return self.claim(own)
-            self.queues.setdefault(own[2], deque()).append(own)
-        while True:
-            now = time.monotonic()
-            found = self.oldest_sendable(now)
-            if found is not None:
-                return self.claim(found)
-            job = self.take()
-            if job is not None:
-                return job, None, None
-            if not self.queues and (not self.more or self.failure is not None):
-                self.wake_all()
-                return None
-            self.idle(now)
-
-    def claim(self, hop: tuple[_Job, Hop, str]) -> tuple[_Job, Hop, str]:
-        self.busy[hop[2]] = time.monotonic()
-        return hop
-
-    def release(self, name: str, started: float) -> None:
-        """A host's hop is answered; its next may start ``interval`` after
-        this one did."""
-        del self.busy[name]
-        self.due[name] = started + self.interval
-
-    def free(self, name: str, now: float) -> bool:
-        return name not in self.busy and self.due.get(name, 0.0) <= now
-
-    def oldest_sendable(self, now: float) -> tuple[_Job, Hop, str] | None:
-        """The oldest waiting hop of a free host, taken off its queue."""
-        for name, queue in self.queues.items():
-            if self.free(name, now):
-                found = queue.popleft()
-                if not queue:
-                    del self.queues[name]
-                return found
-        return None
-
-    def next_due(self) -> float | None:
-        """When the spacing ends of the first host that is not busy and has
-        a hop waiting; None when no such host."""
-        return min(
-            (self.due.get(name, 0.0) for name in self.queues if name not in self.busy),
-            default=None,
-        )
-
-    def covered(self, wake: float) -> bool:
-        """Whether a worker on ``clock`` wakes by ``wake``."""
-        return bool(self.deadlines) and min(self.deadlines) <= wake
-
-    def idle(self, now: float) -> None:
-        """Wait for work: on ``clock`` until ``next_due`` when no worker
-        wakes by then, else on ``rest`` until woken."""
-        wake = self.next_due()
-        if wake is not None and not self.covered(wake):
-            self.deadlines.append(wake)
-            self.clock.wait(wake - now)
-            self.deadlines.remove(wake)
-        else:
-            self.resting += 1
-            self.rest.wait()
-            self.resting -= 1
-
-    def leaving(self) -> None:
-        """Before a worker sends a hop, and so may be away long: wake a
-        resting worker for the next host's spacing unless one wakes for it,
-        and start the watcher when there is none and room for a thread."""
-        wake = self.next_due()
-        if wake is not None and self.resting and not self.covered(wake):
-            self.rest.notify()
-        if (
-            self.watcher is None
-            and len(self.threads) + 1 < self.workers
-            and self.failure is None
-            and (self.more or self.queues)
-        ):
-            self.watcher = threading.Thread(
-                target=self.look_out, name=f"fairprobe-hops-{len(self.threads) + 1}"
-            )
-            self.threads.append(self.watcher)
-            self.watcher.start()
-
-    def stalled(self, now: float) -> bool:
-        """Whether a hop has been in flight for ``SLOW_HOP_S`` while a job
-        may be taken or a hop may be sent."""
-        if not self.busy or min(self.busy.values()) + SLOW_HOP_S > now:
-            return False
-        due = self.next_due()
-        return self.room() or (due is not None and due <= now)
-
-    # -- outside the lock ---------------------------------------------------
-
-    def advance(self, job: _Job, answer: Answer | None) -> tuple:
-        """Send ``answer`` into a job. The outcome is ``(job, hop, host)``
-        for its next hop, ``(job, result, _ENDED)`` when it returned, and
-        ``(job, exception, _FAILED)`` when it raised."""
-        try:
-            hop = job.steps.send(answer)
-            return job, hop, self.host(hop)
-        except StopIteration as done:
-            return job, done.value, _ENDED
-        except Exception as exc:
-            return job, exc, _FAILED
-
-    def look_out(self) -> None:
-        """The watcher's loop: every half ``SLOW_HOP_S``, see whether a hop
-        has stalled; if one has, become a worker, so that the jobs waiting
-        behind the stalled ones go on. Ends when nothing is left to take or
-        send."""
-        with self.lock:
-            while True:
-                if self.failure is not None or (not self.more and not self.queues):
-                    self.watcher = None
-                    return
-                if self.stalled(time.monotonic()):
-                    self.watcher = None
-                    break
-                self.watch.wait(SLOW_HOP_S / 2)
-        self.work()
-
-    def work(self) -> None:
-        """One worker's loop; the calling thread of ``run_per_host`` is the
-        first worker."""
-        own = None  # the outcome of the job this worker advanced last
-        sent = None  # the host of the hop sent last, still claimed
-        started = 0.0  # when that hop was sent
-        try:
-            while True:
-                with self.lock:
-                    if sent is not None:
-                        self.release(sent, started)
-                        sent = None
-                    picked = self.pick(self.settle(own))
-                    if picked is None:
-                        return
-                    job, hop, sent = picked
-                    if hop is not None:
-                        self.leaving()
-                if hop is None:
-                    own = self.advance(job, None)
-                    continue
-                try:
-                    started = time.monotonic()
-                    answer = self.send(hop)
-                except Exception as exc:
-                    own = job, exc, _FAILED
-                else:
-                    own = self.advance(job, answer)
-        except BaseException as exc:
-            with self.lock:
-                if sent is not None:
-                    self.release(sent, started)
-                self.fail(exc, -1)
-
-    def run(self) -> None:
-        try:
-            self.work()
-        finally:
-            while True:
-                with self.lock:
-                    if not self.threads:
-                        break
-                    thread = self.threads.pop()
-                thread.join()
-        if self.failure is not None:
-            raise self.failure
 
 
 def run_per_host(
     jobs: Iterator[Generator[Hop, Answer, Result]],
     *,
-    send: Callable[[Hop], Answer],
+    send: Callable[[Hop], wire.Exchange[Answer]],
     host: Callable[[Hop], str],
     write: Callable[[Result], None],
     workers: int,
@@ -407,37 +341,34 @@ def run_per_host(
     due: dict[str, float] | None = None,
 ) -> None:
     """Run jobs that are generators of hops: each yields a hop, is sent the
-    answer ``send(hop)`` gives, and returns a result.
+    answer that the exchange ``send(hop)`` returns, and returns a result.
 
     As in Mercator's frontier (Heydon and Najork, 1999), the hops that wait
     for a host form one queue, and the host serves one hop at a time, its
     starts at least ``min_interval_ms`` apart; ``host(hop)`` names it.
-    - The calling thread is the first worker. A worker never waits on a
-      busy host: it sends another hop, or starts the next job, or sleeps
-      until a host's spacing ends. One idle worker keeps that time; the
-      others sleep until woken.
-    - One more thread, the watcher, looks every ``SLOW_HOP_S / 2`` for a
-      hop that has been in flight for ``SLOW_HOP_S`` while a job could be
-      taken or a hop sent. Then it becomes a worker, and the next hop sent
-      starts a new watcher, up to ``workers`` threads in all. So against
-      hosts that answer within ``SLOW_HOP_S``, as on loopback, one worker
-      sends every hop, one after another; slower hosts bring in one more
-      worker for each stall.
-    - A worker holds a host from the moment it picks a hop to it until it
-      has sent the answer into the job, and keeps the job on that job's
-      next host when the host is free: a chain of hops to one host, or a
-      job whose next host is idle, stays on one thread. With one host
-      that answers within ``SLOW_HOP_S``, every hop is sent on the calling
-      thread.
-    - Jobs are taken from ``jobs`` one at a time, as workers need them, and
-      at most ``WINDOW_PER_WORKER * workers`` are unwritten at once. Each
-      result is passed to ``write``, in the order of ``jobs``, by whichever
-      worker ends the oldest unwritten job, so what was written is always a
-      prefix of ``jobs``.
+    - Everything runs on the calling thread, and no thread is started. The
+      request of each free host's oldest hop is written at once, up to
+      ``workers`` requests in flight; then one poll waits for the first
+      reply, the end of the next host's spacing, or the first deadline, as
+      a crawler with asynchronous sockets waits (Shkapenyuk and Suel,
+      2002). The answer is sent into its job, whose own work, such as a
+      page parse or a store append, runs there; meanwhile the other hosts
+      go on serving the requests in flight.
+    - A host's next start is dated from the write of its last request. A
+      job that yields ``NotBefore(hop, when)`` keeps its host from any
+      start before ``when``; nothing sleeps for it but the loop, when no
+      request is in flight.
+    - Opening a connection (name lookup, TCP, TLS, a proxy's ``CONNECT``)
+      still waits on the calling thread; a kept-alive connection needs no
+      opening.
+    - Jobs are taken from ``jobs`` one at a time, when no waiting hop can
+      start, and at most ``WINDOW_PER_WORKER * workers`` are unwritten at
+      once. Each result is passed to ``write``, in the order of ``jobs``,
+      so what was written is always a prefix of ``jobs``.
     - The first exception, from taking a job, from a job, from ``send`` or
       from ``write``, stops the taking of jobs. The jobs taken before the
       one that failed are still run and written, later ones are dropped;
-      the exception is raised once every worker has exited.
+      the exception is raised once no request is in flight.
     - ``due``, when given, is where the hosts' spacing is kept: when each
       host's next start may be. Calls that share it keep the spacing
       across them, as step 3's two passes do.

@@ -185,7 +185,7 @@ def test_help_texts_name_the_built_in_defaults(capsys):
         assert re.search(rf"{flag} [^(]*\(default {re.escape(str(value))}\)", text), flag
     assert "--max-pages" not in text and "--retries" not in text
     assert "--workers-select" not in text
-    assert "most threads that send requests in steps 1-3" in text
+    assert "most requests in flight at once in steps 1-3" in text
 
 
 def test_step_without_any_run_is_an_error(tmp_path, capsys):

@@ -37,23 +37,27 @@ def landscape(
 
 
 class Gets:
-    """Wraps ``http.Sessions.get``: when each request to each URL (without
-    its query) started, the threads that sent requests, and the most
-    requests one URL, and the most URLs, had in flight at once, and the most
-    threads that were sending at once."""
+    """Wraps ``http.Sessions._send``, the exchange of every request: when
+    each request to each URL (without its query) was written and when it
+    was answered, the threads that wrote requests, and the most requests
+    one URL, the most URLs, and the most requests in all had in flight at
+    once."""
 
     def __init__(self, monkeypatch) -> None:
         self.lock = threading.Lock()
         self.starts: dict[str, list[float]] = defaultdict(list)
+        self.ends: list[float] = []
         self.threads: set[threading.Thread] = set()
         self.in_flight: dict[str, int] = defaultdict(int)
         self.most = 0
         self.most_urls = 0
-        self.most_threads = 0
+        self.most_in_flight = 0
         self.busy_s = 0.0  # the requests' durations, summed
-        original = http.Sessions.get
+        original = http.Sessions._send
 
-        def get(sessions, url, *args, **kwargs):
+        def send(sessions, url, *args, **kwargs):
+            steps = original(sessions, url, *args, **kwargs)
+            wait = next(steps)  # the request is written here
             started = time.monotonic()
             with self.lock:
                 self.starts[url].append(started)
@@ -62,16 +66,23 @@ class Gets:
                 self.most = max(self.most, self.in_flight[url])
                 urls = sum(1 for count in self.in_flight.values() if count)
                 self.most_urls = max(self.most_urls, urls)
-                threads = len(pipeline_threads()) + 1  # the step's own
-                self.most_threads = max(self.most_threads, threads)
+                self.most_in_flight = max(self.most_in_flight, sum(self.in_flight.values()))
             try:
-                return original(sessions, url, *args, **kwargs)
+                while True:
+                    wait = steps.send((yield wait))
+            except StopIteration as done:
+                return done.value
             finally:
+                ended = time.monotonic()
                 with self.lock:
                     self.in_flight[url] -= 1
-                    self.busy_s += time.monotonic() - started
+                    self.busy_s += ended - started
+                    self.ends.append(ended)
 
-        monkeypatch.setattr(http.Sessions, "get", get)
+        monkeypatch.setattr(http.Sessions, "_send", send)
+
+    def first_written(self, count: int) -> list[float]:
+        return sorted(start for starts in self.starts.values() for start in starts)[:count]
 
 
 def fast_switching(run: PipelineRun, step: int) -> float:
@@ -119,6 +130,7 @@ def test_a_loopback_harvest_is_sent_on_the_steps_own_thread(
     # the registry list and six details, six formats requests, 18 pages
     assert sum(map(len, gets.starts.values())) == 1 + 6 + 6 + 18
     assert gets.threads == {threading.current_thread()}
+    assert gets.most_in_flight <= 4
 
 
 def test_an_endpoint_has_one_request_in_flight_and_its_starts_spaced(
@@ -134,7 +146,7 @@ def test_an_endpoint_has_one_request_in_flight_and_its_starts_spaced(
     assert run.manifest.status(3) == "complete"
     assert len(gets.starts) == 6
     assert gets.most == 1
-    assert gets.most_threads <= 4
+    assert gets.most_in_flight <= 4
     for endpoint, starts in gets.starts.items():
         # the formats request, page 1 in pass 1, the rest in pass 2
         gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
@@ -153,8 +165,11 @@ def test_slow_endpoints_are_waited_for_at_once(serve_script, make_config, monkey
     assert run.manifest.status(3) == "complete"
     assert gets.most == 1
     assert gets.most_urls > 1
-    assert len(gets.threads) > 1
-    assert gets.most_threads <= 4
+    assert 1 < gets.most_in_flight <= 4
+    # the first four requests are written before any of them is answered:
+    # no request waits for another to stall
+    assert max(gets.first_written(4)) < min(gets.ends)
+    assert gets.threads == {threading.current_thread()}
     # one request after another would take the sum of their durations
     assert took < 0.6 * gets.busy_s
     assert pipeline_threads() == []
@@ -182,7 +197,7 @@ def test_a_retry_after_holds_up_only_its_own_chain(
     others = [at[repo.name] - began for repo in script.repositories if repo is not largest]
     assert max(others) < 0.5
     assert gets.most == 1
-    assert gets.most_threads <= 2
+    assert gets.most_in_flight <= 2
     assert pipeline_threads() == []
 
 
@@ -196,24 +211,24 @@ def test_no_thread_outlives_a_step_that_fails(
         run.run_step(earlier)
         assert pipeline_threads() == []
     lock = threading.Lock()
-    made = {"gets": 0}
-    get = http.Sessions.get
+    made = {"sends": 0}
+    send = http.Sessions._send
 
     def failing(sessions, *args, **kwargs):
         with lock:
-            made["gets"] += 1
-            fails = made["gets"] == 5
+            made["sends"] += 1
+            fails = made["sends"] == 5
         if fails:
             raise RuntimeError("injected failure")
-        return get(sessions, *args, **kwargs)
+        return send(sessions, *args, **kwargs)
 
-    monkeypatch.setattr(http.Sessions, "get", failing)
+    monkeypatch.setattr(http.Sessions, "_send", failing)
     with pytest.raises(RuntimeError, match="injected failure"):
         fast_switching(run, step)
     assert pipeline_threads() == []
 
     # the step runs again to its end, and leaves no thread either
-    monkeypatch.setattr(http.Sessions, "get", get)
+    monkeypatch.setattr(http.Sessions, "_send", send)
     fast_switching(run, step)
     assert run.manifest.status(step) == "complete"
     assert pipeline_threads() == []

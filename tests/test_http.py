@@ -34,6 +34,7 @@ from fairprobe.config import RunConfig
 from fairprobe.datacite import DataciteRecord
 from fairprobe.probe import ProbeTrace, f_ret
 from fairprobe.throttle import HostGate
+from fairprobe.wire import DRAIN_BOUND, Conn, finish, reply_body, reply_head
 
 from open_files import needs_proc, sockets_to
 
@@ -1006,11 +1007,11 @@ READ_RULE = {
     "404": (sized("404 Not Found", "text/plain", b"no such DOI"), False, True, NON_200),
     "406": (sized("406 Not Acceptable", "text/html", b"no image"), False, True, NON_200),
     "body at the bound": (
-        sized("200 OK", "text/html", b"x" * http.DRAIN_BOUND), False, True, NO_IMAGE
+        sized("200 OK", "text/html", b"x" * DRAIN_BOUND), False, True, NO_IMAGE
     ),
     "image": (sized("200 OK", "image/png", b"png"), False, True, (True, None)),
     "image past the bound": (
-        sized("200 OK", "image/png", b"x" * (http.DRAIN_BOUND + 1)), False, False, (True, None)
+        sized("200 OK", "image/png", b"x" * (DRAIN_BOUND + 1)), False, False, (True, None)
     ),
     "image with Connection: close": (
         raw_reply("200 OK", "Content-Type: image/png\r\nConnection: close\r\n"
@@ -1027,7 +1028,7 @@ READ_RULE = {
         True, False, NO_IMAGE,
     ),
     "body past the bound": (
-        sized("200 OK", "text/html", b"x" * (http.DRAIN_BOUND + 1)), False, False, NO_IMAGE
+        sized("200 OK", "text/html", b"x" * (DRAIN_BOUND + 1)), False, False, NO_IMAGE
     ),
     "Connection: close": (
         raw_reply("200 OK", "Content-Type: text/html\r\nConnection: close\r\n"
@@ -1178,11 +1179,12 @@ def read_with_http_client(sock: socket.socket):
 
 
 def read_with_http(sock: socket.socket):
-    """The reply on ``sock`` as ``Sessions`` reads it, in the same shape."""
-    conn = http._Conn(sock)
+    """The reply on ``sock`` as ``Sessions`` reads it, in the same shape:
+    each part once it has arrived."""
+    conn = Conn(sock)
     try:
-        head = http._read_head(conn)
-        body = http._read_body(conn, head.length)
+        head = finish(reply_head(conn, 5.0))
+        body = finish(reply_body(conn, head.length, 5.0))
     except Exception as exc:
         return type(exc)
     return head.status, head.fields, body, head.will_close
@@ -1273,6 +1275,37 @@ def test_a_reply_reads_as_http_client_reads_it(raw):
     assert served(raw, read_with_http) == served(raw, read_with_http_client)
 
 
+def trickled(raw: bytes, read):
+    """``read`` of a socket on which ``raw`` arrives in 20 pieces a
+    millisecond apart, and then the stream ends."""
+    ours, theirs = socket.socketpair()
+    size = max(len(raw) // 20, 1)
+
+    def send() -> None:
+        try:
+            for start in range(0, len(raw), size):
+                theirs.sendall(raw[start : start + size])
+                time.sleep(0.001)
+            theirs.shutdown(socket.SHUT_WR)
+        except OSError:  # the reader gave up and closed its end
+            pass
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        return read(ours)
+    finally:
+        ours.close()
+        sender.join(timeout=10)
+        theirs.close()
+        assert not sender.is_alive()
+
+
+@pytest.mark.parametrize("raw", REPLIES.values(), ids=REPLIES.keys())
+def test_a_reply_that_arrives_in_pieces_reads_as_one_that_arrives_at_once(raw):
+    assert trickled(raw, read_with_http) == served(raw, read_with_http_client)
+
+
 @pytest.mark.parametrize(
     "status, headers",
     [(204, b"Transfer-Encoding: chunked\r\n"), (304, b"Content-Length: 3\r\n"), (102, b"")],
@@ -1281,10 +1314,10 @@ def test_a_reply_without_a_body_keeps_its_connection(status, headers):
     raw = b"HTTP/1.1 %d X\r\n%s\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n" % (status, headers)
 
     def read_twice(sock):
-        conn = http._Conn(sock)
-        first = http._read_head(conn)
-        assert http._read_body(conn, first.length) == b""
-        return first.will_close, http._read_head(conn).status
+        conn = Conn(sock)
+        first = finish(reply_head(conn, 5.0))
+        assert finish(reply_body(conn, first.length, 5.0)) == b""
+        return first.will_close, finish(reply_head(conn, 5.0)).status
 
     assert served(raw, read_twice) == (False, 200)
 

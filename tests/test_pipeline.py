@@ -261,27 +261,33 @@ def test_catalogue_stages_nest(fixtures_dir, serve_script, make_config):
         assert assessed_dois == parsed_dois
 
 
-class PeakCalls:
-    """Replaces ``owner.name`` with a wrapper that keeps the most calls that
-    were running in it at once."""
+class PeakInFlight:
+    """Wraps ``http.Sessions._send``, the exchange of every request, and
+    keeps the most requests in flight at once: from a request's write to
+    its answer."""
 
-    def __init__(self, monkeypatch, owner, name: str) -> None:
+    def __init__(self, monkeypatch) -> None:
         self._lock = threading.Lock()
         self._running = 0
         self.peak = 0
-        original = getattr(owner, name)
+        original = http.Sessions._send
 
         def counted(*args, **kwargs):
+            steps = original(*args, **kwargs)
+            wait = next(steps)  # the request is written here
             with self._lock:
                 self._running += 1
                 self.peak = max(self.peak, self._running)
             try:
-                return original(*args, **kwargs)
+                while True:
+                    wait = steps.send((yield wait))
+            except StopIteration as done:
+                return done.value
             finally:
                 with self._lock:
                     self._running -= 1
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(http.Sessions, "_send", counted)
 
 
 def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch):
@@ -301,11 +307,11 @@ def test_worker_pools_stay_within_bounds(serve_script, make_config, monkeypatch)
     # workers_probe the hops step 5 sends at once
     for step in (1, 2, 3):
         with monkeypatch.context() as patch:
-            gets = PeakCalls(patch, http.Sessions, "get")
+            gets = PeakInFlight(patch)
             run.run_step(step)
         assert 1 <= gets.peak <= 2
     run.run_step(4)
-    hops = PeakCalls(monkeypatch, http.Sessions, "hop")
+    hops = PeakInFlight(monkeypatch)
     run.run_step(5)
     assert 1 <= hops.peak <= 3
     assert run.manifest.steps[5].detail["probed"] == 24

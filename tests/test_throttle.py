@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+import socketserver
 import sys
 import threading
 import time
@@ -63,22 +65,27 @@ def serve_on_hosts(
 
 
 class Hops:
-    """Wraps ``http.Sessions.hop``: when each hop to each host started, the
-    threads that sent hops, and the most hops one host had in flight at
-    once."""
+    """Wraps ``http.Sessions._send``, the exchange of every request: when
+    each hop to each host was written and when it was answered, the threads
+    that wrote hops, the most hops one host had in flight at once, and the
+    most hops in flight at once in all."""
 
     def __init__(self, monkeypatch) -> None:
         self.lock = threading.Lock()
         self.starts: dict[str, list[float]] = defaultdict(list)
+        self.ends: dict[str, list[float]] = defaultdict(list)
         self.threads: set[threading.Thread] = set()
         self.in_flight: dict[str, int] = defaultdict(int)
         self.most = 0
         self.most_hosts = 0  # the most hosts with a hop in flight at once
+        self.most_in_flight = 0
         self.busy_s = 0.0  # the hops' durations, summed
-        original = http.Sessions.hop
+        original = http.Sessions._send
 
-        def hop(sessions, url, *args, **kwargs):
+        def send(sessions, url, *args, **kwargs):
             host = urlsplit(url).netloc
+            steps = original(sessions, url, *args, **kwargs)
+            wait = next(steps)  # the request is written here
             started = time.monotonic()
             with self.lock:
                 self.starts[host].append(started)
@@ -87,14 +94,20 @@ class Hops:
                 self.most = max(self.most, self.in_flight[host])
                 hosts = sum(1 for count in self.in_flight.values() if count)
                 self.most_hosts = max(self.most_hosts, hosts)
+                self.most_in_flight = max(self.most_in_flight, sum(self.in_flight.values()))
             try:
-                return original(sessions, url, *args, **kwargs)
+                while True:
+                    wait = steps.send((yield wait))
+            except StopIteration as done:
+                return done.value
             finally:
+                ended = time.monotonic()
                 with self.lock:
                     self.in_flight[host] -= 1
-                    self.busy_s += time.monotonic() - started
+                    self.busy_s += ended - started
+                    self.ends[host].append(ended)
 
-        monkeypatch.setattr(http.Sessions, "hop", hop)
+        monkeypatch.setattr(http.Sessions, "_send", send)
 
 
 def harvested(hub, make_config, **settings) -> PipelineRun:
@@ -140,13 +153,12 @@ def test_a_host_has_one_hop_in_flight_and_its_starts_spaced(
     for starts in hops.starts.values():
         gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
         assert min(gaps) >= 0.9 * DELAY_MS / 1000.0
+    # every hop is written on the step's own thread, at most four at once
+    assert hops.threads == {threading.current_thread()}
+    assert hops.most_in_flight <= 4
     if answer_after:
-        # hosts slower than SLOW_HOP_S bring in more workers
-        assert 1 < len(hops.threads) <= 4
-    else:
-        # the step's own thread is back before each host's spacing ends
-        assert hops.threads == {threading.current_thread()}
-    assert outliving(hops.threads) == []
+        # hosts that answer late have their hops in flight together
+        assert hops.most_in_flight > 1
     assert assessed_dois(run) == parsed_dois(run)
 
 
@@ -169,7 +181,8 @@ def test_a_slow_repository_host_leaves_the_resolver_at_its_spacing(
     # one probe after another would space them by a repository's chain
     assert gaps[len(gaps) // 2] < 2 * DELAY_MS / 1000.0
     assert assessed_dois(run) == parsed_dois(run)
-    assert outliving(hops.threads) == []
+    assert hops.threads == {threading.current_thread()}
+    assert hops.most_in_flight <= 8
 
 
 def test_slow_hosts_are_waited_for_at_once_without_spacing(
@@ -185,11 +198,81 @@ def test_slow_hosts_are_waited_for_at_once_without_spacing(
     assert run.manifest.steps[5].detail == {"probed": 24, "retrievable": 18}
     assert hops.most == 1
     assert hops.most_hosts > 1
-    assert 1 < len(hops.threads) <= 8
+    assert 1 < hops.most_in_flight <= 8
+    assert hops.threads == {threading.current_thread()}
+    # the first hop to each of the six slow hosts is written before any of
+    # them is answered: no hop waits for another to stall
+    resolver = urlsplit(hub.base_url).netloc
+    slow = [host for host in hops.starts if host != resolver]
+    assert len(slow) == 6
+    first_answer = min(min(hops.ends[host]) for host in slow)
+    assert max(min(hops.starts[host]) for host in slow) < first_answer
     # one hop after another would take the sum of the hops' durations
     assert took < 0.6 * hops.busy_s
     assert assessed_dois(run) == parsed_dois(run)
-    assert outliving(hops.threads) == []
+
+
+class TrickleHost(socketserver.ThreadingTCPServer):
+    """A host that answers each request with ``head``, three bytes every
+    quarter of a second, and then closes the connection."""
+
+    daemon_threads = True
+
+    def __init__(self, head: bytes):
+        class Handler(socketserver.StreamRequestHandler):
+            disable_nagle_algorithm = True
+
+            def handle(self):
+                while self.rfile.readline() not in (b"\r\n", b"\n", b""):
+                    pass  # the request head
+                try:
+                    for start in range(0, len(head), 3):
+                        time.sleep(0.25)
+                        self.wfile.write(head[start : start + 3])
+                except OSError:  # the client closed the connection
+                    pass
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture
+def trickle_host():
+    server = TrickleHost(b"HTTP/1.1 404 \r\n\r\n")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def test_a_trickling_host_holds_up_no_other(
+    serve_script, make_config, monkeypatch, trickle_host
+):
+    hub = serve_on_hosts(serve_script)
+    # the last repository's first record: every probe after it fits in the
+    # window beside it
+    trickled = "10.22/hosts-5-0"
+    hub.routes[trickled] = [mockrdr.RouteHop(302, location=trickle_host.url + "/x")]
+    run = harvested(hub, make_config, workers_probe=4)
+    hops = Hops(monkeypatch)
+    probe_fast_switching(run)
+
+    assert run.manifest.steps[5].detail["probed"] == 24
+    slow = urlsplit(trickle_host.url).netloc
+    assert len(hops.ends[slow]) == 1
+    # the head takes 1.5 s to arrive, and meanwhile every other host's hops
+    # are written and answered
+    assert hops.ends[slow][0] - hops.starts[slow][0] >= 1.4
+    others = [end for host, ends in hops.ends.items() if host != slow for end in ends]
+    assert max(others) < hops.ends[slow][0]
+    # the verdict is the one of a 404 that arrives at once
+    entry = next(e for e in run.store.read("assessed", None) if e["doi"] == trickled)
+    assert not entry["ret"]
+    assert entry["probe_trace"]["reason"] == "non-200"
+    assert [step["status"] for step in entry["probe_trace"]["steps"]] == [302, 404]
+    assert assessed_dois(run) == parsed_dois(run)
 
 
 @pytest.mark.parametrize("delay", [0.0, DELAY_MS])
@@ -203,8 +286,9 @@ def test_assessed_follows_parsed_across_hosts(
 
     assert run.manifest.steps[5].detail == {"probed": 24, "retrievable": 18}
     assert hops.most == 1
+    assert hops.most_in_flight <= 4
     assert assessed_dois(run) == parsed_dois(run)
-    assert outliving(hops.threads) == []
+    assert hops.threads == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("delay", [0.0, DELAY_MS])
@@ -219,6 +303,8 @@ def test_one_host_is_probed_on_the_steps_own_thread(
     assert run.manifest.steps[5].detail == {"probed": 24, "retrievable": 18}
     assert sum(len(starts) for starts in hops.starts.values()) == 24 + 6 * 2 + 6
     assert hops.threads == {threading.current_thread()}
+    # one host takes one hop at a time
+    assert hops.most_in_flight == 1
     assert assessed_dois(run) == parsed_dois(run)
 
 
@@ -260,6 +346,21 @@ def test_a_failed_probe_stops_taking_probes_and_leaves_a_prefix(
     assert assessed_dois(run) == parsed_dois(run)
 
 
+def answered_at_once(hop):
+    """An exchange that answers None without waiting."""
+    return None
+    yield
+
+
+def answered_after(seconds: float, sock: socket.socket):
+    """An exchange that answers None once ``seconds`` have passed: it
+    waits on ``sock``, on which nothing arrives, until its deadline."""
+    deadline = time.monotonic() + seconds
+    assert not (yield sock, deadline)
+    assert time.monotonic() >= deadline
+    return None
+
+
 def test_a_slow_first_job_holds_back_at_most_the_window():
     workers = 3
     window = throttle.WINDOW_PER_WORKER * workers
@@ -281,7 +382,8 @@ def test_a_slow_first_job_holds_back_at_most_the_window():
 
     def send(hop):
         if hop == ("own-0", 0):
-            time.sleep(0.3)
+            return answered_after(0.3, quiet)
+        return answered_at_once(hop)
 
     def write(index):
         # what is taken and not yet written never exceeds the window
@@ -291,10 +393,15 @@ def test_a_slow_first_job_holds_back_at_most_the_window():
             assert sorted(ended) == list(range(window))
         written.append(index)
 
-    throttle.run_per_host(
-        jobs(), send=send, host=lambda hop: hop[0], write=write,
-        workers=workers, min_interval_ms=1.0,
-    )
+    quiet, other_end = socket.socketpair()
+    try:
+        throttle.run_per_host(
+            jobs(), send=send, host=lambda hop: hop[0], write=write,
+            workers=workers, min_interval_ms=1.0,
+        )
+    finally:
+        quiet.close()
+        other_end.close()
     assert written == list(range(40))
 
 
@@ -312,7 +419,7 @@ def test_a_failed_write_stops_the_writes_and_is_raised():
 
     with pytest.raises(OSError, match="disk full"):
         throttle.run_per_host(
-            (job(index) for index in range(10)), send=lambda hop: None,
+            (job(index) for index in range(10)), send=answered_at_once,
             host=lambda hop: hop[0], write=write, workers=2, min_interval_ms=0.0,
         )
     assert written == [0, 1, 2]
