@@ -2,18 +2,17 @@
 
 Every request of a run, registry, OAI-PMH and probe alike, is one GET that
 ``Sessions._send`` writes onto a connection of the run's ``Sessions``. The
-standard library's ``http.client`` only opens connections: TCP, TLS and a
-proxy's ``CONNECT`` tunnel. The request is framed here, as RFC 9112
-sections 2-7 have it, and goes out in one write; ``wire`` reads each reply
-as ``http.client`` reads it.
+request is framed here, as RFC 9112 sections 2-7 have it, and goes out in
+one write; ``wire`` opens connections (TCP, a proxy's ``CONNECT`` tunnel,
+TLS) and reads each reply as ``http.client`` does.
 
-A request is an exchange (``wire.Exchange``): a generator that writes the
-request, then yields its socket each time it needs more of the reply, and
-returns the reply. So one thread can keep many requests in flight and wait
-on all their sockets at once, as ``throttle.run_per_host`` does;
-``Sessions.get`` and ``Sessions.hop`` run one on the calling thread
-(``wire.finish``). Opening a connection still waits on the calling
-thread.
+A request is an exchange (``wire.Exchange``): a generator that opens a
+connection when no kept one is idle, writes the request, reads the reply,
+yields its socket each time it cannot go on, and returns the reply. So one
+thread can keep many requests in flight and wait on all their sockets at
+once, as ``throttle.run_per_host`` does; ``Sessions.get`` and
+``Sessions.hop`` run one on the calling thread (``wire.finish``). Only a
+name lookup waits where it is made.
 
 A request carries what a ``requests`` session with ``trust_env`` on would
 send, save credentials: the same request target and header lines, through
@@ -64,12 +63,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.client import (
-    HTTPConnection,
-    HTTPException,
-    HTTPSConnection,
-    InvalidURL,
-)
+from http.client import HTTPException, InvalidURL
 from http.cookiejar import CookieJar
 from typing import NamedTuple
 from urllib.parse import urlencode, urljoin, urlsplit
@@ -388,15 +382,16 @@ class Sessions:
         it. The headers are requests' defaults with fairprobe's
         ``User-Agent`` and ``accept``, and the cookies of ``cookies``; the
         origin's proxy and CA bundle apply. The request goes out in one
-        write when the exchange is first advanced; opening a connection for
-        it waits on the calling thread. The reply's cookies go into
+        write when the exchange is first advanced, or once the connection
+        that it opens then is open. The reply's cookies go into
         ``cookies``. Any body but a redirect's is read into ``Reply.data``
         when ``read`` is set. Every other body is drained (``wire.drained``)
         when it is small and arrives in time, so that its connection is kept
         as a session's redirect handling keeps it; otherwise the reply is
         closed unread with its connection. Raises one of ``REQUEST_ERRORS``
         when no reply arrives: ``TimeoutError`` when no byte of the head or
-        of a read body arrives for ``timeout`` seconds.
+        of a read body arrives for ``timeout`` seconds, or a step of opening
+        a connection takes longer.
         """
         target = _target(url, params)
         scheme = target.scheme
@@ -420,9 +415,11 @@ class Sessions:
             path, host = target.path, target.authority
         message = _request_head(path, host, headers)
         route = (scheme, target.host, target.port or DEFAULT_PORTS[scheme], found.proxy)
-        conn = self._checkout(route, found, timeout)
+        conn = self._checkout(route)
+        if conn is None:
+            conn = wire.Conn((yield from _open(route, found, timeout)))
         try:
-            wire.write(conn.sock, message, timeout)
+            yield from wire.write(conn.sock, message, timeout)
             head = yield from wire.reply_head(conn, timeout)
         except BaseException:
             conn.close()
@@ -451,23 +448,16 @@ class Sessions:
             reply.data = _decoded(body, reply.headers.get("Content-Encoding", ""))
         return reply
 
-    def _checkout(self, route: Route, found: OriginSettings, timeout: float) -> wire.Conn:
-        """The route's most recently kept connection, or a new one."""
+    def _checkout(self, route: Route) -> wire.Conn | None:
+        """The route's most recently kept connection, unless there is none
+        or its peer closed it while it was idle."""
         with self._lock:
             idle = self._idle.get(route)
             conn = idle.pop() if idle else None
-        if conn is not None:
-            if not _readable(conn.sock):
-                return conn
-            # the peer closed it while it was idle
+        if conn is not None and _readable(conn.sock):
             conn.close()
-        opener = _opener(route, found, timeout)
-        try:
-            opener.connect()
-        except BaseException:
-            opener.close()
-            raise
-        return wire.Conn(opener.sock)
+            return None
+        return conn
 
     def _checkin(self, route: Route, conn: wire.Conn, will_close: bool) -> None:
         """Keep a connection whose reply has been read, within the bounds,
@@ -555,28 +545,31 @@ class Sessions:
                 conn.close()
 
 
-def _opener(route: Route, found: OriginSettings, timeout: float) -> HTTPConnection:
-    """An ``http.client`` connection, not yet open, that reaches the
-    route's origin: directly, through a forward proxy, or through a
-    proxy's ``CONNECT`` tunnel for HTTPS."""
+def _open(route: Route, found: OriginSettings, timeout: float) -> Exchange[socket.socket]:
+    """A new connection that reaches the route's origin, opened as
+    ``http.client`` opens one: directly, through a forward proxy, or
+    through a proxy's ``CONNECT`` tunnel for HTTPS, with TLS for HTTPS.
+    Only the name lookup waits on the calling thread."""
     scheme, host, port, proxy = route
     if proxy is None:
-        if scheme == "https":
-            return HTTPSConnection(host, port, timeout=timeout, context=found.context)
-        return HTTPConnection(host, port, timeout=timeout)
-    where = urlsplit(proxy)
-    if where.scheme != "http":
-        raise HTTPException(f"not an http:// proxy: {proxy}")
+        peer, peer_port = host, port
+    else:
+        where = urlsplit(proxy)
+        if where.scheme != "http":
+            raise HTTPException(f"not an http:// proxy: {proxy}")
+        peer, peer_port = where.hostname, where.port or 80
+    if _NOT_IN_TARGET.search(peer):
+        raise InvalidURL(f"URL can't contain control characters. {peer!r}")
+    sock = yield from wire.connect(peer, peer_port, timeout)
     if scheme != "https":
-        return HTTPConnection(where.hostname, where.port or 80, timeout=timeout)
-    conn = HTTPSConnection(
-        where.hostname, where.port or 80, timeout=timeout, context=found.context
-    )
-    tunnel = found.proxy_authorization
-    conn.set_tunnel(
-        host, port, headers=None if tunnel is None else {"Proxy-Authorization": tunnel}
-    )
-    return conn
+        return sock
+    try:
+        if proxy is not None:
+            yield from wire.tunnel(sock, host, port, found.proxy_authorization, timeout)
+    except BaseException:
+        sock.close()
+        raise
+    return (yield from wire.handshake(sock, found.context, host, timeout))
 
 
 def _readable(sock: socket.socket) -> bool:

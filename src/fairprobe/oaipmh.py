@@ -26,7 +26,7 @@ from typing import Callable, Generator, TypeVar
 
 from . import http
 from .config import RunConfig
-from .throttle import HostGate, NotBefore
+from .throttle import HostGate, NotBefore, run_alone
 from .xmltree import child, children, local_name
 
 logger = logging.getLogger(__name__)
@@ -170,10 +170,11 @@ def _run(
 ) -> Result:
     """A job of OAI requests run on the calling thread, each in its
     endpoint's ``gate`` slot."""
-    return gate.run(
+    return run_alone(
         job,
         send=lambda request: session.ask(request, config.timeout),
         host=http.request_url,
+        gate=gate,
     )
 
 

@@ -25,7 +25,7 @@ from requests.utils import parse_header_links
 from . import http, wire
 from .config import RunConfig
 from .datacite import DataciteRecord
-from .throttle import HostGate
+from .throttle import HostGate, run_alone
 
 logger = logging.getLogger(__name__)
 
@@ -227,10 +227,11 @@ def f_ret(
 ) -> tuple[bool, ProbeTrace]:
     """``hops`` run to its end on the calling thread, each hop in its host's
     ``gate`` slot."""
-    return gate.run(
+    return run_alone(
         hops(record, config),
         send=lambda hop: ask(session, hop, config.timeout),
         host=hop_host,
+        gate=gate,
     )
 
 

@@ -4,14 +4,15 @@ starts to one host at least a minimum interval apart.
 Every request of a run's steps 1-3 and 5 belongs to a job written as a
 generator of requests: a registry detail, a ListMetadataFormats request, a
 ListRecords chain or a probe. ``run_per_host`` keeps politeness for the
-pipeline by scheduling such jobs on the calling thread: it writes the
+pipeline by scheduling such jobs on the calling thread: it starts the
 request of every free host, up to ``workers`` requests in flight, and waits
 on all their sockets at once (``wire.Exchange``).
 
-``HostGate`` keeps it with a lock per host, and serves only the
-synchronous drivers: ``HostGate.run`` sends one job's requests in turn on
-the calling thread, as ``oaipmh.harvest_records``,
-``oaipmh.list_metadata_formats`` and ``probe.f_ret`` do for library use.
+``HostGate`` keeps it with a lock per host for library callers whose
+threads share one gate: ``run_alone`` runs one job through
+``run_per_host`` with each request in its host's ``HostGate.slot``, as
+``oaipmh.harvest_records``, ``oaipmh.list_metadata_formats`` and
+``probe.f_ret`` do.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ class HostGate:
     request starts to the same host at least ``min_interval_ms`` apart.
 
     The gate is shared by all threads talking to the same set of hosts; a
-    thread enters ``slot(host)`` around each request it issues.
+    thread enters ``slot(host)`` around each request it issues, as
+    ``run_alone`` does. The pipeline's steps use ``run_per_host`` instead,
+    which keeps the same rules on one thread.
     """
 
     def __init__(self, min_interval_ms: float = 0.0):
@@ -83,26 +86,28 @@ class HostGate:
             self._last_start[host] = time.monotonic()
             yield
 
-    def run(
-        self,
-        job: Generator[Hop, Answer, Result],
-        send: Callable[[Hop], wire.Exchange[Answer]],
-        host: Callable[[Hop], str],
-    ) -> Result:
-        """A job of ``run_per_host``'s kind, run to its end on the calling
-        thread: each hop's exchange is run in its host's ``slot``, after
-        the time a ``NotBefore`` names."""
-        answer = None
-        try:
-            while True:
-                hop = job.send(answer)
-                if type(hop) is NotBefore:
-                    _sleep_until(hop.when)
-                    hop = hop.hop
-                with self.slot(host(hop)):
-                    answer = wire.finish(send(hop))
-        except StopIteration as done:
-            return done.value
+
+def run_alone(
+    job: Generator[Hop, Answer, Result],
+    *,
+    send: Callable[[Hop], wire.Exchange[Answer]],
+    host: Callable[[Hop], str],
+    gate: HostGate,
+) -> Result:
+    """One job of ``run_per_host``'s kind run to its end by ``run_per_host``
+    on the calling thread, each request in its host's ``gate.slot``, so
+    that threads that share ``gate`` keep its politeness between them."""
+
+    def in_slot(hop: Hop) -> wire.Exchange[Answer]:
+        with gate.slot(host(hop)):
+            return (yield from send(hop))
+
+    results: list[Result] = []
+    run_per_host(
+        iter([job]), send=in_slot, host=host, write=results.append,
+        workers=1, min_interval_ms=0.0,
+    )
+    return results[0]
 
 
 class _Job:
@@ -116,15 +121,16 @@ class _Job:
 
 
 class _Flight:
-    """A hop whose request is in flight: its exchange, and until when it
-    waits for its socket."""
+    """A hop whose request is in flight: its exchange, what it waits for on
+    its socket (``wire.READ`` or ``wire.WRITE``), and until when."""
 
-    __slots__ = ("job", "host", "exchange", "deadline")
+    __slots__ = ("job", "host", "exchange", "events", "deadline")
 
     def __init__(self, job: _Job, host: str, exchange: wire.Exchange) -> None:
         self.job = job
         self.host = host
         self.exchange = exchange
+        self.events = 0
         self.deadline = 0.0
 
 
@@ -227,30 +233,36 @@ class _Frontier(Generic[Hop, Answer, Result]):
         return True
 
     def launch(self, job: _Job, hop: Hop, name: str) -> None:
-        """Write a hop's request, and date its host's next start from the
-        write."""
+        """Start a hop's request, writing it or opening its connection, and
+        date its host's next start from then."""
+        answered = failed = None
         try:
             exchange = self.send(hop)
             wait = next(exchange)
         except StopIteration as done:  # answered without waiting
-            self.advance(job, done.value)
+            answered = done
         except Exception as exc:
-            self.fail(exc, job.index)
+            failed = exc
+        finally:
+            # before the job goes on, which may put off this host further
+            self.due[name] = time.monotonic() + self.interval
+        if answered is not None:
+            self.advance(job, answered.value)
+        elif failed is not None:
+            self.fail(failed, job.index)
         else:
             self.busy.add(name)
             self.hold(_Flight(job, name, exchange), wait)
-        finally:
-            self.due[name] = time.monotonic() + self.interval
 
     def hold(self, flight: _Flight, wait: wire.Wait) -> None:
-        sock, flight.deadline = wait
+        sock, flight.events, flight.deadline = wait
         fd = sock.fileno()
         self.flying[fd] = flight
-        self.poller.register(fd, select.POLLIN)
+        self.poller.register(fd, flight.events)
 
     def wait(self, wake: float | None) -> None:
-        """Wait in one poll for the first socket to become readable, the
-        first deadline, or ``wake``; send each exchange what it waited for."""
+        """Wait in one poll for the first socket to become ready, the first
+        deadline, or ``wake``; send each exchange what it waited for."""
         until = min(flight.deadline for flight in self.flying.values())
         timeout = until if wake is None or until < wake else wake
         for fd, _ in self.poller.poll(wire.wait_ms(timeout)):
@@ -261,11 +273,11 @@ class _Frontier(Generic[Hop, Answer, Result]):
                 self.resume(fd, False)
 
     def resume(self, fd: int, ready: bool) -> None:
-        """Send an exchange whether its socket became readable; keep waiting
-        on the socket it yields next, or answer its job when it returned."""
+        """Send an exchange whether its socket became ready; keep waiting on
+        what it yields next, or answer its job when it returned."""
         flight = self.flying[fd]
         try:
-            sock, flight.deadline = flight.exchange.send(ready)
+            wait = flight.exchange.send(ready)
         except StopIteration as done:
             self.land(fd, flight)
             self.advance(flight.job, done.value)
@@ -273,10 +285,14 @@ class _Frontier(Generic[Hop, Answer, Result]):
             self.land(fd, flight)
             self.fail(exc, flight.job.index)
         else:
-            if sock.fileno() != fd:  # a redirect went on another connection
+            sock, events, flight.deadline = wait
+            if sock.fileno() != fd:  # a redirect or a new connection
                 del self.flying[fd]
                 self.poller.unregister(fd)
-                self.hold(flight, (sock, flight.deadline))
+                self.hold(flight, wait)
+            elif events != flight.events:  # a connection opened, now written
+                flight.events = events
+                self.poller.modify(fd, events)
 
     def land(self, fd: int, flight: _Flight) -> None:
         del self.flying[fd]
@@ -347,20 +363,21 @@ def run_per_host(
     for a host form one queue, and the host serves one hop at a time, its
     starts at least ``min_interval_ms`` apart; ``host(hop)`` names it.
     - Everything runs on the calling thread, and no thread is started. The
-      request of each free host's oldest hop is written at once, up to
+      request of each free host's oldest hop is started at once, up to
       ``workers`` requests in flight; then one poll waits for the first
       reply, the end of the next host's spacing, or the first deadline, as
       a crawler with asynchronous sockets waits (Shkapenyuk and Suel,
       2002). The answer is sent into its job, whose own work, such as a
       page parse or a store append, runs there; meanwhile the other hosts
       go on serving the requests in flight.
-    - A host's next start is dated from the write of its last request. A
+    - A host's next start is dated from its last request's start. A
       job that yields ``NotBefore(hop, when)`` keeps its host from any
       start before ``when``; nothing sleeps for it but the loop, when no
       request is in flight.
-    - Opening a connection (name lookup, TCP, TLS, a proxy's ``CONNECT``)
-      still waits on the calling thread; a kept-alive connection needs no
-      opening.
+    - A request starts when it is written, or when the connection it
+      needs starts to open: connecting, a proxy's ``CONNECT`` and the TLS
+      handshake are waited for in the same poll. Only a name lookup waits
+      on the calling thread.
     - Jobs are taken from ``jobs`` one at a time, when no waiting hop can
       start, and at most ``WINDOW_PER_WORKER * workers`` are unwritten at
       once. Each result is passed to ``write``, in the order of ``jobs``,

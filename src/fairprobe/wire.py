@@ -1,14 +1,17 @@
-"""HTTP/1.1 replies read off sockets that never block the reader.
+"""HTTP/1.1 exchanges on sockets that never block the caller.
 
 A request of ``http.Sessions`` is an exchange (``Exchange``): a generator
-that writes the request (``write``), then yields its socket each time it
-needs more of the reply, and returns what it got. No read waits: ``Conn``
-takes the bytes that have arrived into its buffer, and the head and a
-body that is read are parsed only once the bytes they need are there
+that opens a connection if it needs one (``connect``, ``tunnel``,
+``handshake``), writes the request (``write``), reads the reply, and
+yields its socket each time it cannot go on. Nothing waits inside it:
+``Conn`` takes the bytes that have arrived into its buffer, and the head
+and a body that is read are parsed only once the bytes they need are there
 (``reply_head``, ``reply_body``), as ``http.client`` parses them (RFC 9112
-sections 2-7). So one thread can keep many requests in flight and wait on
-all their sockets at once, as ``throttle.run_per_host`` does; ``finish``
-runs one exchange on the calling thread.
+sections 2-7). So one thread can keep many requests in flight, opening
+connections among them, and wait on all their sockets at once, as
+``throttle.run_per_host`` does; ``finish`` runs one exchange on the
+calling thread. Only a name lookup (``socket.getaddrinfo``) waits where it
+is made.
 
 A body that no caller reads is drained so that its connection can carry
 the next request (``drained``), but only when it is small and arrives in
@@ -18,7 +21,9 @@ within the request's timeout.
 
 from __future__ import annotations
 
+import errno
 import io
+import os
 import re
 import select
 import socket
@@ -32,7 +37,7 @@ from http.client import (
     RemoteDisconnected,
     UnknownProtocol,
 )
-from typing import Generator, NamedTuple, TypeVar
+from typing import Callable, Generator, NamedTuple, TypeVar
 
 # http.client's bounds on a reply's head: a line's length with its line
 # feed, and the number of header lines with the empty line that ends them
@@ -50,14 +55,19 @@ RECV_SIZE = 64 * 1024  # the most bytes one receive takes in
 # milliseconds, and a longer wait is made of several
 LONGEST_WAIT_MS = 3_600_000.0
 
+# what an exchange waits for on its socket, as ``select.poll`` names it
+READ = select.POLLIN
+WRITE = select.POLLOUT
+
 T = TypeVar("T")
-# what an exchange waits for: the socket its reply arrives on, and the time
-# (``time.monotonic``) after which it stops waiting
-Wait = tuple[socket.socket, float]
-# a request on the wire, written when the generator is first advanced. It
-# yields a ``Wait`` each time it needs more of its reply, is sent True once
-# the socket is readable and False when the deadline passed first, and
-# returns what it got
+# what an exchange waits for: a socket, whether to become readable (READ)
+# or writable (WRITE), and the time (``time.monotonic``) after which it
+# stops waiting
+Wait = tuple[socket.socket, int, float]
+# a request on the wire, started when the generator is first advanced. It
+# yields a ``Wait`` each time it cannot go on, opening its connection,
+# writing or reading, is sent True once the socket is ready and False when
+# the deadline passed first, and returns what it got
 Exchange = Generator[Wait, bool, T]
 
 
@@ -69,10 +79,9 @@ class _Short(Exception):
 class Conn:
     """An open connection and the bytes of its replies that have arrived.
 
-    ``http.client`` opens the socket; from then on no call on it waits:
-    ``fill`` takes in what has arrived, and the readers read from that,
-    raising ``_Short`` where a read needs more and the stream has not ended.
-    ``close`` closes the socket.
+    No call on the socket waits: ``fill`` takes in what has arrived, and
+    the readers read from that, raising ``_Short`` where a read needs more
+    and the stream has not ended. ``close`` closes the socket.
     """
 
     __slots__ = ("sock", "data", "pos", "ended", "_tls")
@@ -155,22 +164,10 @@ def read_head(conn: Conn) -> Head:
     whatever its header lines say. Raises ``HTTPException`` or ``OSError``.
     """
     while True:
-        line = str(conn.readline("status line"), "iso-8859-1")
-        if not line:
-            raise RemoteDisconnected("Remote end closed connection without response")
-        words = line.split(None, 2)
-        if len(words) < 2 or not words[0].startswith("HTTP/"):
-            raise BadStatusLine(line)
-        try:
-            status = int(words[1])
-        except ValueError:
-            raise BadStatusLine(line) from None
-        if not 100 <= status <= 999:
-            raise BadStatusLine(line)
+        version, status, _ = _status_line(conn)
         if status != 100:
             break
         _header_block(conn)
-    version = words[0]
     if version in ("HTTP/1.0", "HTTP/0.9"):
         http11 = False
     elif version.startswith("HTTP/1."):
@@ -202,23 +199,37 @@ def read_head(conn: Conn) -> Head:
     return Head(status, fields, length, will_close)
 
 
-# where a header block ends: a line feed, then an empty line
-_BLOCK_END = re.compile(rb"\n\r?\n")
+def _status_line(conn: Conn) -> tuple[str, int, str]:
+    """A reply's version, status and reason, read as ``http.client`` reads
+    them. Raises ``HTTPException``."""
+    line = str(conn.readline("status line"), "iso-8859-1")
+    if not line:
+        raise RemoteDisconnected("Remote end closed connection without response")
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise BadStatusLine(line)
+    try:
+        status = int(words[1])
+    except ValueError:
+        raise BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise BadStatusLine(line)
+    return words[0], status, words[2] if len(words) > 2 else ""
+
+
+def _tunnel_reply(conn: Conn) -> None:
+    """A proxy's reply to ``CONNECT``, read as ``http.client`` reads it: a
+    status other than 200 raises ``OSError``, and header lines are skipped."""
+    _, status, reason = _status_line(conn)
+    if status != 200:
+        raise OSError(f"Tunnel connection failed: {status} {reason.strip()}")
+    while conn.readline("header line") not in (b"\r\n", b"\n", b""):
+        pass
 
 
 def _header_block(conn: Conn) -> str:
     """The header lines up to an empty line or the end of the stream, as
     ISO-8859-1 text."""
-    data, start = conn.data, conn.pos
-    # taken whole where it has arrived and no line of it can be refused
-    if data.startswith((b"\r\n", b"\n"), start):
-        end = data.index(b"\n", start) + 1
-    else:
-        found = _BLOCK_END.search(data, start)
-        end = found.end() if found else 0
-    if start < end <= start + MAX_LINE and data.count(b"\n", start, end) <= MAX_HEADERS:
-        conn.pos = end
-        return data[start:end].decode("iso-8859-1")
     lines = []
     while True:
         line = conn.readline("header line")
@@ -344,18 +355,26 @@ def reply_head(conn: Conn, timeout: float) -> Exchange[Head]:
     arrived as that reads: the empty line that ends it, a line longer than
     ``MAX_LINE``, or the end of the stream. Raises ``TimeoutError`` when no
     byte arrives for ``timeout`` seconds."""
+    return _parsed(conn, read_head, timeout)
+
+
+def _parsed(conn: Conn, parse: Callable[[Conn], T], timeout: float) -> Exchange[T]:
+    """``parse(conn)``, a reader of lines, run again whenever a line feed
+    arrives, a line passes ``MAX_LINE`` or the stream ends, until it needs
+    no more bytes. Raises ``TimeoutError`` when no byte arrives for
+    ``timeout`` seconds."""
     start = line = seen = conn.pos  # ``line``: where the line read last starts
     deadline = time.monotonic() + timeout
     while True:
         data = conn.data
         if conn.ended or data.find(b"\n", seen) >= 0 or len(data) - line > MAX_LINE:
             try:
-                return read_head(conn)
+                return parse(conn)
             except _Short as short:
                 conn.pos = start
                 line = short.args[0]
         seen = len(data)
-        if not (yield conn.sock, deadline):
+        if not (yield conn.sock, READ, deadline):
             raise TimeoutError("timed out")
         if conn.fill():
             deadline = time.monotonic() + timeout
@@ -375,7 +394,7 @@ def reply_body(conn: Conn, length: int | None, timeout: float) -> Exchange[bytes
                 break
         elif length is not None and len(conn.data) - conn.pos >= length:
             break
-        if not (yield conn.sock, deadline):
+        if not (yield conn.sock, READ, deadline):
             raise TimeoutError("timed out")
         if conn.fill():
             deadline = time.monotonic() + timeout
@@ -397,7 +416,7 @@ def drained(conn: Conn, head: Head, timeout: float) -> Exchange[bool]:
     deadline = time.monotonic() + timeout
     try:
         while len(conn.data) - conn.pos < length:
-            if conn.ended or not (yield conn.sock, deadline):
+            if conn.ended or not (yield conn.sock, READ, deadline):
                 return False  # the body ended short, or not in time
             conn.fill()
     except OSError:
@@ -412,9 +431,9 @@ def finish(exchange: Exchange[T]) -> T:
     try:
         wait = next(exchange)
         while True:
-            sock, deadline = wait
+            sock, events, deadline = wait
             poller = select.poll()
-            poller.register(sock, select.POLLIN)
+            poller.register(sock, events)
             while True:
                 ready = bool(poller.poll(wait_ms(deadline)))
                 if ready or time.monotonic() >= deadline:
@@ -430,17 +449,98 @@ def wait_ms(deadline: float) -> float:
     return min(max((deadline - time.monotonic()) * 1000.0, 0.0), LONGEST_WAIT_MS)
 
 
-def write(sock: socket.socket, message: bytes, timeout: float) -> None:
+def write(sock: socket.socket, message: bytes, timeout: float) -> Exchange[None]:
     """Write ``message`` whole: in one send where the socket's buffer takes
-    it, as it takes a request head, else waiting up to ``timeout`` seconds
-    for each part."""
-    try:
-        sent = sock.send(message)
-    except (BlockingIOError, ssl.SSLWantWriteError):
-        sent = 0
-    if sent < len(message):
-        sock.settimeout(timeout)
+    it, as it takes a request head, else the rest as the socket takes it,
+    waiting up to ``timeout`` seconds for each part."""
+    while True:
+        events = WRITE
         try:
-            sock.sendall(message[sent:])
-        finally:
-            sock.settimeout(0.0)
+            sent = sock.send(message)
+        except (BlockingIOError, ssl.SSLWantWriteError):
+            sent = 0
+        except ssl.SSLWantReadError:  # TLS has to read first
+            sent, events = 0, READ
+        if sent == len(message):
+            return
+        message = message[sent:]
+        if not (yield sock, events, time.monotonic() + timeout):
+            raise TimeoutError("timed out")
+
+
+def connect(host: str, port: int, timeout: float) -> Exchange[socket.socket]:
+    """A TCP connection to ``host``, as ``http.client`` opens one with
+    ``socket.create_connection``: each address that the name resolves to
+    is tried in turn, for up to ``timeout`` seconds, and the last one's
+    error is raised when none connects; small writes go out at once
+    (``TCP_NODELAY``). The name lookup waits on the calling thread; a
+    connect is waited for as a reply is."""
+    error: OSError | None = None
+    for family, kind, proto, _, address in socket.getaddrinfo(
+        host, port, 0, socket.SOCK_STREAM
+    ):
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            code = sock.connect_ex(address)
+            if code == errno.EINPROGRESS:
+                if not (yield sock, WRITE, time.monotonic() + timeout):
+                    raise TimeoutError("timed out")
+                code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if code:
+                raise OSError(code, os.strerror(code))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            sock.close()
+            error = exc
+            continue
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+    raise error if error is not None else OSError("getaddrinfo returns an empty list")
+
+
+def tunnel(
+    sock: socket.socket, host: str, port: int, authorization: str | None, timeout: float
+) -> Exchange[None]:
+    """Ask the proxy at the other end of ``sock`` for a tunnel to ``host``
+    and ``port``, as ``http.client`` asks: ``CONNECT`` with the proxy's
+    ``Proxy-Authorization``, if any. Raises ``OSError`` when the proxy
+    refuses."""
+    head = [b"CONNECT %s:%d HTTP/1.0\r\n" % (host.encode("ascii"), port)]
+    if authorization is not None:
+        head.append(f"Proxy-Authorization: {authorization}\r\n".encode("latin-1"))
+    head.append(b"\r\n")
+    yield from write(sock, b"".join(head), timeout)
+    # no byte follows the reply before the client's TLS hello, so reading
+    # it into a buffer of its own leaves nothing of the origin's behind
+    yield from _parsed(Conn(sock), _tunnel_reply, timeout)
+
+
+def handshake(
+    sock: socket.socket, context: ssl.SSLContext, host: str, timeout: float
+) -> Exchange[ssl.SSLSocket]:
+    """``sock`` wrapped by ``context`` for server name ``host``, as
+    ``http.client`` wraps it; the handshake is waited for as a reply is,
+    for up to ``timeout`` seconds at each step. ``sock`` is closed when the
+    handshake fails."""
+    try:
+        tls = context.wrap_socket(sock, server_hostname=host, do_handshake_on_connect=False)
+    except BaseException:
+        sock.close()
+        raise
+    try:
+        while True:
+            try:
+                tls.do_handshake()
+                return tls
+            except ssl.SSLWantReadError:
+                events = READ
+            except ssl.SSLWantWriteError:
+                events = WRITE
+            if not (yield tls, events, time.monotonic() + timeout):
+                raise TimeoutError("The handshake operation timed out")
+    except BaseException:
+        tls.close()
+        raise

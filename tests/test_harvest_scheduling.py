@@ -38,7 +38,7 @@ def landscape(
 
 class Gets:
     """Wraps ``http.Sessions._send``, the exchange of every request: when
-    each request to each URL (without its query) was written and when it
+    each request to each URL (without its query) started and when it
     was answered, the threads that wrote requests, and the most requests
     one URL, the most URLs, and the most requests in all had in flight at
     once."""
@@ -57,7 +57,7 @@ class Gets:
 
         def send(sessions, url, *args, **kwargs):
             steps = original(sessions, url, *args, **kwargs)
-            wait = next(steps)  # the request is written here
+            wait = next(steps)  # written, or its connection opening
             started = time.monotonic()
             with self.lock:
                 self.starts[url].append(started)

@@ -396,6 +396,53 @@ def test_a_certificate_for_another_host_name_fails_the_probe(
     assert (trace.steps[0].status, trace.reason) == (0, "transport")
 
 
+class TunnelProxy(socketserver.ThreadingTCPServer):
+    """A proxy that answers ``CONNECT`` with 200 and then relays bytes both
+    ways between the client and the host named; logs each request line."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        log = self.log = []
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                line = self.rfile.readline().decode("latin-1").rstrip("\r\n")
+                log.append(line)
+                while self.rfile.readline() not in (b"\r\n", b"\n", b""):
+                    pass
+                host, port = line.split()[1].rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=5) as origin:
+                    self.wfile.write(b"HTTP/1.0 200 Connection established\r\n\r\n")
+                    back = threading.Thread(target=relay, args=(origin, self.connection))
+                    back.start()
+                    relay(self.connection, origin)
+                    back.join(timeout=5)
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+def relay(source: socket.socket, sink: socket.socket) -> None:
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+def test_an_https_probe_goes_through_a_proxys_tunnel(
+    tls_origin, clean_env, serve, sessions, gate
+):
+    origin, cert = tls_origin
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
+    proxy = serve(TunnelProxy())
+    clean_env.setenv("HTTPS_PROXY", proxy.url)
+    assert probe(origin + "/", sessions, gate)
+    assert proxy.log == [f"CONNECT {origin[len('https://'):]} HTTP/1.0"]
+
+
 def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch, gate):
     origin, cert = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))

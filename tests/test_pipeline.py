@@ -9,13 +9,12 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
-from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 
-from fairprobe import assessor, http, mockrdr, oaipmh, pipeline, probe, throttle
+from fairprobe import assessor, http, mockrdr, oaipmh, pipeline, probe, throttle, wire
 from fairprobe.cli import main
 from fairprobe.config import RunConfig
 from fairprobe.pipeline import PipelineRun, PipelineError, PredecessorIncompleteError
@@ -274,7 +273,7 @@ class PeakInFlight:
 
         def counted(*args, **kwargs):
             steps = original(*args, **kwargs)
-            wait = next(steps)  # the request is written here
+            wait = next(steps)  # written, or its connection opening
             with self._lock:
                 self._running += 1
                 self.peak = max(self.peak, self._running)
@@ -886,13 +885,13 @@ def test_probes_of_one_host_share_one_connection(serve_script, make_config, monk
     for step in (1, 2, 3, 4):
         run.run_step(step)
     connects = []
-    connect = HTTPConnection.connect
+    connect = wire.connect
 
-    def counted(conn):
-        connects.append((conn.host, conn.port))
-        connect(conn)
+    def counted(host, port, timeout):
+        connects.append((host, port))
+        return connect(host, port, timeout)
 
-    monkeypatch.setattr(HTTPConnection, "connect", counted)
+    monkeypatch.setattr(wire, "connect", counted)
     run.run_step(5)
     detail = run.manifest.steps[5].detail
     assert (detail["probed"], detail["retrievable"]) == (24, 24)

@@ -12,7 +12,7 @@ from urllib.parse import quote, urlsplit
 
 import pytest
 
-from fairprobe import http, mockrdr, probe, throttle
+from fairprobe import http, mockrdr, probe, throttle, wire
 from fairprobe.pipeline import PipelineRun
 
 STYLES = ("client", "redirect", "link", "landing")
@@ -66,7 +66,7 @@ def serve_on_hosts(
 
 class Hops:
     """Wraps ``http.Sessions._send``, the exchange of every request: when
-    each hop to each host was written and when it was answered, the threads
+    each hop to each host started and when it was answered, the threads
     that wrote hops, the most hops one host had in flight at once, and the
     most hops in flight at once in all."""
 
@@ -85,7 +85,7 @@ class Hops:
         def send(sessions, url, *args, **kwargs):
             host = urlsplit(url).netloc
             steps = original(sessions, url, *args, **kwargs)
-            wait = next(steps)  # the request is written here
+            wait = next(steps)  # written, or its connection opening
             started = time.monotonic()
             with self.lock:
                 self.starts[host].append(started)
@@ -275,6 +275,72 @@ def test_a_trickling_host_holds_up_no_other(
     assert assessed_dois(run) == parsed_dois(run)
 
 
+class SilentHost(socketserver.ThreadingTCPServer):
+    """A host that takes each connection and never sends a byte: a TLS
+    handshake or a ``CONNECT`` sent to it waits out its timeout."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                try:
+                    while self.request.recv(4096):
+                        pass
+                except OSError:
+                    pass
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture
+def silent_host():
+    server = SilentHost()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("stall", ["handshake", "tunnel"])
+def test_a_connection_that_does_not_open_holds_up_no_other(
+    serve_script, make_config, monkeypatch, silent_host, stall
+):
+    hub = serve_on_hosts(serve_script)
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    if stall == "handshake":
+        # the host never answers the TLS client hello
+        target = silent_host.url.replace("http:", "https:")
+    else:
+        # the proxy never answers the CONNECT
+        target = "https://repo.example"
+        monkeypatch.setenv("HTTPS_PROXY", silent_host.url)
+    trickled = "10.22/hosts-5-0"
+    hub.routes[trickled] = [mockrdr.RouteHop(302, location=target + "/x")]
+    run = harvested(hub, make_config, workers_probe=4, timeout=1.5)
+    hops = Hops(monkeypatch)
+    probe_fast_switching(run)
+
+    assert run.manifest.steps[5].detail["probed"] == 24
+    slow = urlsplit(target).netloc
+    assert len(hops.ends[slow]) == 1
+    # the connection takes the whole timeout not to open, and meanwhile
+    # every other host's hops are written and answered
+    assert hops.ends[slow][0] - hops.starts[slow][0] >= 1.4
+    others = [end for host, ends in hops.ends.items() if host != slow for end in ends]
+    assert max(others) < hops.ends[slow][0]
+    entry = next(e for e in run.store.read("assessed", None) if e["doi"] == trickled)
+    assert not entry["ret"]
+    assert entry["probe_trace"]["reason"] == "timeout"
+    assert [step["status"] for step in entry["probe_trace"]["steps"]] == [302, 0]
+    assert assessed_dois(run) == parsed_dois(run)
+
+
 @pytest.mark.parametrize("delay", [0.0, DELAY_MS])
 def test_assessed_follows_parsed_across_hosts(
     serve_script, make_config, monkeypatch, delay
@@ -356,7 +422,7 @@ def answered_after(seconds: float, sock: socket.socket):
     """An exchange that answers None once ``seconds`` have passed: it
     waits on ``sock``, on which nothing arrives, until its deadline."""
     deadline = time.monotonic() + seconds
-    assert not (yield sock, deadline)
+    assert not (yield sock, wire.READ, deadline)
     assert time.monotonic() >= deadline
     return None
 
