@@ -4,7 +4,10 @@ Every request of a run, registry, OAI-PMH and probe alike, is one GET that
 ``Sessions._send`` writes onto a connection of the run's ``Sessions``. The
 request is framed here, as RFC 9112 sections 2-7 have it, and goes out in
 one write; ``wire`` opens connections (TCP, a proxy's ``CONNECT`` tunnel,
-TLS) and reads each reply as ``http.client`` does.
+TLS) and reads each reply as ``http.client`` does. A reply's header lines
+reach the caller as one map (``Reply.headers``): each lowercase name to
+its value, repeated names joined by ``", "`` as a requests session joins
+them, so a lookup names a header in lowercase.
 
 A request is an exchange (``wire.Exchange``): a generator that opens a
 connection when no kept one is idle, writes the request, reads the reply,
@@ -32,7 +35,9 @@ Changing those settings in the middle of a run has no effect.
 Connections are kept alive per route: the origin, or the proxy and the
 origin. Idle ones are bounded as a requests session's pools are:
 ``IDLE_PER_ROUTE`` per route and ``ROUTES`` routes, the least recently used
-route closed first.
+route closed first. Before an idle connection carries a request, one read
+that does not wait (``wire.Conn.fill``) tells whether its peer closed it
+or sent anything meanwhile; either closes it, TLS or not.
 
 ``Sessions.hop`` is a probe's request: no redirect followed, no body kept,
 and the probe's own cookie jar. ``Sessions.get`` serves the registry and
@@ -56,7 +61,6 @@ from __future__ import annotations
 import base64
 import os
 import re
-import select
 import socket
 import ssl
 import threading
@@ -72,7 +76,6 @@ import certifi
 import requests
 from requests.compat import chardet
 from requests.cookies import MockRequest, get_cookie_header
-from requests.structures import CaseInsensitiveDict
 from requests.utils import (
     default_headers,
     get_auth_from_url,
@@ -113,12 +116,13 @@ REQUEST_ERRORS = (OSError, HTTPException)
 class Reply:
     """A reply's status and header lines; for ``Sessions.get``, its body.
 
-    ``headers`` is case-insensitive, and repeated lines are joined by
-    ``", "``. ``data`` is the body decoded by its Content-Encoding.
+    ``headers`` maps each lowercase name to its value, repeated lines
+    joined by ``", "`` (``wire.Head.headers``), so a lookup names a header
+    in lowercase. ``data`` is the body decoded by its Content-Encoding.
     """
 
     status: int
-    headers: CaseInsensitiveDict
+    headers: dict[str, str]
     data: bytes = b""
 
 
@@ -304,16 +308,6 @@ def _request_head(target: str, host: str, headers: dict[str, str]) -> bytes:
         raise HTTPException(f"a header value is not ISO-8859-1: {exc}") from exc
 
 
-def _joined(fields: list[tuple[str, str]]) -> CaseInsensitiveDict:
-    """Header lines by name; repeated lines are joined by ", ", as
-    urllib3's ``HTTPHeaderDict`` joins them."""
-    headers: CaseInsensitiveDict = CaseInsensitiveDict()
-    for name, value in fields:
-        seen = headers.get(name)
-        headers[name] = value if seen is None else f"{seen}, {value}"
-    return headers
-
-
 def answered(exchange: Exchange[Reply]) -> Exchange[Answer]:
     """``exchange``, with a request error as its answer, not an exception."""
     try:
@@ -424,10 +418,10 @@ class Sessions:
         except BaseException:
             conn.close()
             raise
-        reply = Reply(head.status, _joined(head.fields))
-        if "Set-Cookie" in reply.headers or "Set-Cookie2" in reply.headers:
+        reply = Reply(head.status, head.headers)
+        if "set-cookie" in head.headers or "set-cookie2" in head.headers:
             cookies.extract_cookies(_Received(head.fields), MockRequest(request))
-        redirect = head.status in REDIRECT_CODES and bool(reply.headers.get("Location"))
+        redirect = head.status in REDIRECT_CODES and bool(head.headers.get("location"))
         try:
             if read and not redirect:
                 body = yield from wire.reply_body(conn, head.length, timeout)
@@ -445,19 +439,25 @@ class Sessions:
         else:
             conn.close()
         if body is not None:
-            reply.data = _decoded(body, reply.headers.get("Content-Encoding", ""))
+            reply.data = _decoded(body, reply.headers.get("content-encoding", ""))
         return reply
 
     def _checkout(self, route: Route) -> wire.Conn | None:
         """The route's most recently kept connection, unless there is none
-        or its peer closed it while it was idle."""
+        or it went bad while it was idle: its peer closed it, or bytes or an
+        error arrived on it."""
         with self._lock:
             idle = self._idle.get(route)
             conn = idle.pop() if idle else None
-        if conn is not None and _readable(conn.sock):
-            conn.close()
+        if conn is None:
             return None
-        return conn
+        try:
+            if not conn.fill():  # nothing arrived, as on a live idle connection
+                return conn
+        except OSError:
+            pass
+        conn.close()
+        return None
 
     def _checkin(self, route: Route, conn: wire.Conn, will_close: bool) -> None:
         """Keep a connection whose reply has been read, within the bounds,
@@ -515,7 +515,7 @@ class Sessions:
                 url, params, accept, timeout, self._cookies, read=True
             )
             location = (
-                reply.headers.get("Location")
+                reply.headers.get("location")
                 if reply.status in REDIRECT_CODES
                 else None
             )
@@ -570,14 +570,6 @@ def _open(route: Route, found: OriginSettings, timeout: float) -> Exchange[socke
         sock.close()
         raise
     return (yield from wire.handshake(sock, found.context, host, timeout))
-
-
-def _readable(sock: socket.socket) -> bool:
-    """Whether an idle connection has something to read: its peer closed
-    it, as urllib3's ``is_connection_dropped`` tells."""
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
 
 
 def _decoded(body: bytes, codings: str) -> bytes:
@@ -645,7 +637,7 @@ def xml_payload(reply: Reply) -> bytes | str:
     decode them as ISO-8859-1.
     """
     body = reply.data
-    if "charset" not in reply.headers.get("Content-Type", "").lower():
+    if "charset" not in reply.headers.get("content-type", "").lower():
         return body
     if not body:
         return ""

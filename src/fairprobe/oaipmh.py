@@ -140,7 +140,7 @@ def _request(
             # budget counts RFC 9110 delay-seconds, a fraction rounded up, so
             # each wait spends at least a second of it.
             try:
-                delay = float(reply.headers.get("Retry-After", ""))
+                delay = float(reply.headers.get("retry-after", ""))
             except ValueError:
                 delay = math.nan
             if not math.isfinite(delay) or delay < 0 or waited_503 + delay > config.timeout:

@@ -104,15 +104,15 @@ def _follow_chain(
             method="GET",
             request_accept=accept,
             status=0 if reply is None else reply.status,
-            content_type=headers.get("Content-Type"),
-            link_header=headers.get("Link"),
+            content_type=headers.get("content-type"),
+            link_header=headers.get("link"),
         ))
         if reply is None:
             # a refused connect or a failed name lookup is a transport failure
             timed_out = isinstance(failure, TimeoutError)
             return None, REASON_TIMEOUT if timed_out else REASON_TRANSPORT
         if reply.status in http.REDIRECT_CODES:
-            location = reply.headers.get("Location")
+            location = reply.headers.get("location")
             if not location:
                 return reply, REASON_NON_200
             if redirects_left == 0:
@@ -169,13 +169,13 @@ def hops(
         )
 
         if reply is not None and reason is None:
-            if reply.status == 200 and is_image(reply.headers.get("Content-Type")):
+            if reply.status == 200 and is_image(reply.headers.get("content-type")):
                 trace.outcome = OUTCOME_CLIENT
                 return True, trace
             reason = REASON_NO_IMAGE if reply.status == 200 else REASON_NON_200
 
         # server-side fallback: only with a failed phase 1 and a Link header
-        link_header = reply.headers.get("Link") if reply is not None else None
+        link_header = reply.headers.get("link") if reply is not None else None
         if link_header:
             match = _match_link(link_header, record.formats)
             if match is None:
@@ -189,7 +189,7 @@ def hops(
             if reply2 is not None and reason2 is None:
                 # the matched format is an image type, so a reply of exactly
                 # that type is an image
-                served = _bare_type(reply2.headers.get("Content-Type") or "")
+                served = _bare_type(reply2.headers.get("content-type") or "")
                 matched = _bare_type(matched_format)
                 if reply2.status == 200 and served == matched:
                     trace.outcome = OUTCOME_LINK

@@ -3,15 +3,22 @@
 A request of ``http.Sessions`` is an exchange (``Exchange``): a generator
 that opens a connection if it needs one (``connect``, ``tunnel``,
 ``handshake``), writes the request (``write``), reads the reply, and
-yields its socket each time it cannot go on. Nothing waits inside it:
-``Conn`` takes the bytes that have arrived into its buffer, and the head
-and a body that is read are parsed only once the bytes they need are there
-(``reply_head``, ``reply_body``), as ``http.client`` parses them (RFC 9112
-sections 2-7). So one thread can keep many requests in flight, opening
-connections among them, and wait on all their sockets at once, as
-``throttle.run_per_host`` does; ``finish`` runs one exchange on the
-calling thread. Only a name lookup (``socket.getaddrinfo``) waits where it
-is made.
+yields its socket each time it cannot go on. So one thread can keep many
+requests in flight, opening connections among them, and wait on all their
+sockets at once, as ``throttle.run_per_host`` does; ``finish`` runs one
+exchange on the calling thread. Only a name lookup
+(``socket.getaddrinfo``) waits where it is made.
+
+A reply is read as ``http.client`` reads one (RFC 9112 sections 2-7),
+each part once, as it arrives. ``Conn`` takes in the bytes that have
+arrived, and the reader of each part (the head, a body, a chunk-size line,
+a chunk, a trailer line, a proxy's reply to ``CONNECT``) waits (``_more``)
+until the bytes it needs are there. A head ends at its first empty line,
+which is searched for in what has arrived, not line by line; its bounds
+are checked on what has arrived, so a line too long, or one too many,
+fails at once, even on a connection left open. Its header lines become
+one map, lowercase name to value, repeated names joined by ``", "``
+(``Head.headers``).
 
 A body that no caller reads is drained so that its connection can carry
 the next request (``drained``), but only when it is small and arrives in
@@ -22,7 +29,6 @@ within the request's timeout.
 from __future__ import annotations
 
 import errno
-import io
 import os
 import re
 import select
@@ -37,7 +43,7 @@ from http.client import (
     RemoteDisconnected,
     UnknownProtocol,
 )
-from typing import Callable, Generator, NamedTuple, TypeVar
+from typing import Generator, NamedTuple, TypeVar
 
 # http.client's bounds on a reply's head: a line's length with its line
 # feed, and the number of header lines with the empty line that ends them
@@ -71,17 +77,12 @@ Wait = tuple[socket.socket, int, float]
 Exchange = Generator[Wait, bool, T]
 
 
-class _Short(Exception):
-    """A read on a ``Conn`` needs bytes that have not arrived yet; the
-    argument is where the line that it reads starts."""
-
-
 class Conn:
     """An open connection and the bytes of its replies that have arrived.
 
     No call on the socket waits: ``fill`` takes in what has arrived, and
-    the readers read from that, raising ``_Short`` where a read needs more
-    and the stream has not ended. ``close`` closes the socket.
+    the readers read from that, from ``pos`` on. ``close`` closes the
+    socket.
     """
 
     __slots__ = ("sock", "data", "pos", "ended", "_tls")
@@ -103,7 +104,7 @@ class Conn:
 
     def fill(self) -> bool:
         """Take in the bytes that have arrived, without waiting; returns
-        whether any did or the stream ended."""
+        whether any did or the stream ended. Raises ``OSError``."""
         try:
             chunk = self.sock.recv(RECV_SIZE)
             # TLS may hold decrypted bytes that the socket does not show
@@ -117,67 +118,133 @@ class Conn:
             self.ended = True
         return True
 
-    def readline(self, what: str) -> bytearray:
-        """The next line with its line feed; what is left where the stream
-        ends first. Raises ``LineTooLong`` for a line of more than
-        ``MAX_LINE`` bytes, naming it ``what``."""
-        data, pos = self.data, self.pos
-        end = data.find(b"\n", pos, pos + MAX_LINE + 1) + 1
-        if not end:
-            if len(data) - pos > MAX_LINE:
-                raise LineTooLong(what)
-            if not self.ended:
-                raise _Short(pos)
-            end = len(data)
-        if end - pos > MAX_LINE:
-            raise LineTooLong(what)
-        self.pos = end
-        return data[pos:end]
 
-    def read(self, size: int = -1) -> bytes:
-        """The next ``size`` bytes, or every byte until the stream ends;
-        fewer where it ends first."""
-        data, pos = self.data, self.pos
-        end = len(data) if size < 0 else pos + size
-        if end >= len(data):
-            if not self.ended and (size < 0 or end > len(data)):
-                raise _Short(pos)
+def _more(conn: Conn, deadline: float) -> Exchange[None]:
+    """Wait until more bytes arrive on ``conn`` or its stream ends. Raises
+    ``TimeoutError`` when neither happens before ``deadline``."""
+    while True:
+        if not (yield conn.sock, READ, deadline):
+            raise TimeoutError("timed out")
+        if conn.fill():
+            return
+
+
+def _line(conn: Conn, what: str, timeout: float) -> Exchange[bytes]:
+    """The next line with its line feed, once it has arrived; what is left
+    where the stream ends first. Raises ``LineTooLong``, naming the line
+    ``what``, as soon as more than ``MAX_LINE`` bytes of it have arrived."""
+    data, pos = conn.data, conn.pos
+    look = pos
+    while not (end := data.find(b"\n", look, pos + MAX_LINE) + 1):
+        if len(data) - pos > MAX_LINE:
+            raise LineTooLong(what)
+        if conn.ended:
             end = len(data)
-        self.pos = end
-        with memoryview(data) as view:
-            return bytes(view[pos:end])
+            break
+        look = len(data)
+        yield from _more(conn, time.monotonic() + timeout)
+    conn.pos = end
+    return bytes(data[pos:end])
+
+
+def _take(conn: Conn, size: int | None, timeout: float) -> Exchange[bytes]:
+    """The next ``size`` bytes once they have arrived, or with None every
+    byte until the stream ends. Raises ``IncompleteRead`` when the stream
+    ends first."""
+    data, pos = conn.data, conn.pos
+    while not conn.ended and (size is None or len(data) - pos < size):
+        yield from _more(conn, time.monotonic() + timeout)
+    end = len(data) if size is None else min(pos + size, len(data))
+    conn.pos = end
+    with memoryview(data) as view:
+        got = bytes(view[pos:end])
+    if size is not None and len(got) < size:
+        raise IncompleteRead(got, size - len(got))
+    return got
+
+
+def _block(conn: Conn, timeout: float) -> Exchange[bytes]:
+    """The header lines after a status line, up to the empty line that
+    ends them, with it, or up to the end of the stream, once they have
+    arrived.
+
+    Each line is held to ``http.client``'s bounds as soon as it arrives:
+    ``LineTooLong`` for one of more than ``MAX_LINE`` bytes, its line feed
+    included, even before that arrives; ``HTTPException`` past
+    ``MAX_HEADERS`` lines, with the empty line, or the end of the stream,
+    that ends them.
+    """
+    data, start = conn.data, conn.pos
+    line, lines = start, 0  # where the line not yet counted starts, and the lines before it
+    look = start - 1  # the status line's line feed
+    while True:
+        # the first empty line, searched from the line feed before it
+        crlf = data.find(b"\n\r\n", look)
+        lf = data.find(b"\n\n", look, len(data) if crlf < 0 else crlf + 1)
+        found = lf >= 0 or crlf >= 0
+        end = lf + 2 if lf >= 0 else crlf + 3 if found else len(data)
+        while (feed := data.find(b"\n", line, min(end, line + MAX_LINE))) >= 0:
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise HTTPException(f"got more than {MAX_HEADERS} headers")
+            line = feed + 1
+        if end - line > MAX_LINE:
+            raise LineTooLong("header line")
+        if found:
+            break
+        if conn.ended:
+            # a last line without its line feed, then the end of the stream
+            if lines + (end > line) + 1 > MAX_HEADERS:
+                raise HTTPException(f"got more than {MAX_HEADERS} headers")
+            break
+        look = max(end - 2, start - 1)  # an empty line may straddle two arrivals
+        yield from _more(conn, time.monotonic() + timeout)
+    conn.pos = end
+    return bytes(data[start:end])
 
 
 class Head(NamedTuple):
-    """A reply's status line and header lines, and how its body is framed."""
+    """A reply's status and header lines, and how its body is framed."""
 
     status: int
     fields: list[tuple[str, str]]  # header lines in order
+    headers: dict[str, str]  # lowercase name: values joined by ", "
     length: int | None  # CHUNKED, a byte count, or None: until the connection closes
     will_close: bool  # the connection closes after this reply
 
 
-def read_head(conn: Conn) -> Head:
-    """A reply's head, read as ``http.client`` reads one.
+def reply_head(conn: Conn, timeout: float) -> Exchange[Head]:
+    """The next reply's head on ``conn``, read as ``http.client`` reads one
+    once it has arrived.
 
     A ``100 Continue`` is skipped. A 1xx, 204 or 304 reply has no body,
-    whatever its header lines say. Raises ``HTTPException`` or ``OSError``.
+    whatever its header lines say. Raises ``HTTPException`` or ``OSError``:
+    ``TimeoutError`` when no byte arrives for ``timeout`` seconds.
     """
     while True:
-        version, status, _ = _status_line(conn)
+        version, status, _ = yield from _status_line(conn, timeout)
         if status != 100:
             break
-        _header_block(conn)
+        yield from _block(conn, timeout)
     if version in ("HTTP/1.0", "HTTP/0.9"):
         http11 = False
     elif version.startswith("HTTP/1."):
         http11 = True
     else:
         raise UnknownProtocol(version)
-    fields = _fields(_header_block(conn))
-    first: dict[str, str] = {}
+    fields = _fields((yield from _block(conn, timeout)))
+    headers: dict[str, str] = {}
+    repeated: dict[str, str] = {}  # the first value of each name that repeats
     for name, value in fields:
-        first.setdefault(name.lower(), value)
+        name = name.lower()
+        seen = headers.get(name)
+        if seen is None:
+            headers[name] = value
+        else:
+            repeated.setdefault(name, seen)
+            headers[name] = f"{seen}, {value}"
+    # http.client frames a body by the first value of each name
+    first = headers | repeated
     coding = first.get("transfer-encoding")
     chunked = bool(coding) and coding.lower() == "chunked"
     will_close = _closes(http11, first)
@@ -196,13 +263,13 @@ def read_head(conn: Conn) -> Head:
                 length = None
     if length is None:
         will_close = True
-    return Head(status, fields, length, will_close)
+    return Head(status, fields, headers, length, will_close)
 
 
-def _status_line(conn: Conn) -> tuple[str, int, str]:
+def _status_line(conn: Conn, timeout: float) -> Exchange[tuple[str, int, str]]:
     """A reply's version, status and reason, read as ``http.client`` reads
     them. Raises ``HTTPException``."""
-    line = str(conn.readline("status line"), "iso-8859-1")
+    line = str((yield from _line(conn, "status line", timeout)), "iso-8859-1")
     if not line:
         raise RemoteDisconnected("Remote end closed connection without response")
     words = line.split(None, 2)
@@ -217,37 +284,14 @@ def _status_line(conn: Conn) -> tuple[str, int, str]:
     return words[0], status, words[2] if len(words) > 2 else ""
 
 
-def _tunnel_reply(conn: Conn) -> None:
-    """A proxy's reply to ``CONNECT``, read as ``http.client`` reads it: a
-    status other than 200 raises ``OSError``, and header lines are skipped."""
-    _, status, reason = _status_line(conn)
-    if status != 200:
-        raise OSError(f"Tunnel connection failed: {status} {reason.strip()}")
-    while conn.readline("header line") not in (b"\r\n", b"\n", b""):
-        pass
-
-
-def _header_block(conn: Conn) -> str:
-    """The header lines up to an empty line or the end of the stream, as
-    ISO-8859-1 text."""
-    lines = []
-    while True:
-        line = conn.readline("header line")
-        lines.append(line)
-        if len(lines) > MAX_HEADERS:
-            raise HTTPException(f"got more than {MAX_HEADERS} headers")
-        if line in (b"\r\n", b"\n", b""):
-            return b"".join(lines).decode("iso-8859-1")
-
-
 # a line that email's feed parser takes for a header line: a Unix From
 # line, a name (maybe empty) and a colon, or a folded continuation
 _FIELD_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
 
 
-def _fields(block: str) -> list[tuple[str, str]]:
-    """The (name, value) pairs of a header block, as ``http.client`` reads
-    them with email's compat32 policy.
+def _fields(block: bytes) -> list[tuple[str, str]]:
+    """The (name, value) pairs of a header block, read as ISO-8859-1 text
+    as ``http.client`` reads them with email's compat32 policy.
 
     Lines end at CR, LF or CRLF. The first line that is neither a header
     line nor a continuation ends the fields, as the empty line does. A
@@ -257,7 +301,9 @@ def _fields(block: str) -> list[tuple[str, str]]:
     """
     pairs: list[tuple[str, list[str]]] = []
     value: list[str] | None = None  # the lines of the field being read
-    for line in io.StringIO(block, newline="").readlines():
+    # bytes split at CR, LF and CRLF alone, as email's parser splits
+    for line in block.splitlines(True):
+        line = str(line, "iso-8859-1")
         if not _FIELD_LINE.match(line):
             break
         if line[0] in " \t":
@@ -286,119 +332,30 @@ def _closes(http11: bool, first: dict[str, str]) -> bool:
     )
 
 
-def read_body(conn: Conn, length: int | None) -> bytes:
-    """A body framed by ``length`` (see ``Head``), as ``http.client``
-    reads it: chunk extensions and trailer lines are skipped. Raises
-    ``IncompleteRead`` when it ends short or a chunk size is not hex."""
-    if length is None:
-        return conn.read()
+def reply_body(conn: Conn, length: int | None, timeout: float) -> Exchange[bytes]:
+    """A body framed by ``length`` (see ``Head``), read as ``http.client``
+    reads it once it has arrived: chunk extensions and trailer lines are
+    skipped. Raises ``IncompleteRead`` when it ends short or a chunk size is
+    not hex, ``LineTooLong`` for a chunk-size or trailer line too long, and
+    ``TimeoutError`` when no byte arrives for ``timeout`` seconds."""
     if length != CHUNKED:
-        return _exactly(conn, length)
+        return (yield from _take(conn, length, timeout))
     chunks = []
     while True:
-        line = conn.readline("chunk size")
+        line = yield from _line(conn, "chunk size", timeout)
         try:
             size = int(line.split(b";", 1)[0], 16)
         except ValueError:
             raise IncompleteRead(b"".join(chunks)) from None
         if size <= 0:
             break
-        chunks.append(_exactly(conn, size))
-        _exactly(conn, 2)  # the CRLF that ends a chunk
+        chunks.append((yield from _take(conn, size, timeout)))
+        yield from _take(conn, 2, timeout)  # the CRLF that ends a chunk
     if size < 0:
         raise IncompleteRead(b"".join(chunks))
-    while conn.readline("trailer line") not in (b"\r\n", b"\n", b""):
+    while (yield from _line(conn, "trailer line", timeout)) not in (b"\r\n", b"\n", b""):
         pass
     return b"".join(chunks)
-
-
-def _exactly(conn: Conn, size: int) -> bytes:
-    data = conn.read(size)
-    if len(data) < size:
-        raise IncompleteRead(data, size - len(data))
-    return data
-
-
-def _chunks(data: bytearray, pos: int) -> tuple[bool, int]:
-    """Whether the chunked body from ``pos`` on has arrived up to the empty
-    line after its last chunk, or is broken where ``read_body`` raises;
-    and where to look again: the size line of the first chunk that has not
-    arrived whole."""
-    while True:
-        end = data.find(b"\n", pos, pos + MAX_LINE + 1)
-        if end < 0:
-            return len(data) - pos > MAX_LINE, pos
-        if end - pos >= MAX_LINE:
-            return True, pos
-        try:
-            size = int(data[pos : end + 1].split(b";", 1)[0], 16)
-        except ValueError:
-            return True, pos
-        if size <= 0:
-            break
-        if end + size + 3 > len(data):  # the chunk and the CRLF after it
-            return False, pos
-        pos = end + size + 3
-    line = end + 1
-    while size == 0:  # the trailer lines
-        end = data.find(b"\n", line, line + MAX_LINE + 1)
-        if end < 0:
-            return len(data) - line > MAX_LINE, pos
-        if end - line >= MAX_LINE or data[line : end + 1] in (b"\r\n", b"\n"):
-            break
-        line = end + 1
-    return True, pos
-
-
-def reply_head(conn: Conn, timeout: float) -> Exchange[Head]:
-    """``read_head`` of the next reply on ``conn``, once as much of it has
-    arrived as that reads: the empty line that ends it, a line longer than
-    ``MAX_LINE``, or the end of the stream. Raises ``TimeoutError`` when no
-    byte arrives for ``timeout`` seconds."""
-    return _parsed(conn, read_head, timeout)
-
-
-def _parsed(conn: Conn, parse: Callable[[Conn], T], timeout: float) -> Exchange[T]:
-    """``parse(conn)``, a reader of lines, run again whenever a line feed
-    arrives, a line passes ``MAX_LINE`` or the stream ends, until it needs
-    no more bytes. Raises ``TimeoutError`` when no byte arrives for
-    ``timeout`` seconds."""
-    start = line = seen = conn.pos  # ``line``: where the line read last starts
-    deadline = time.monotonic() + timeout
-    while True:
-        data = conn.data
-        if conn.ended or data.find(b"\n", seen) >= 0 or len(data) - line > MAX_LINE:
-            try:
-                return parse(conn)
-            except _Short as short:
-                conn.pos = start
-                line = short.args[0]
-        seen = len(data)
-        if not (yield conn.sock, READ, deadline):
-            raise TimeoutError("timed out")
-        if conn.fill():
-            deadline = time.monotonic() + timeout
-
-
-def reply_body(conn: Conn, length: int | None, timeout: float) -> Exchange[bytes]:
-    """``read_body`` of a body framed by ``length``, once it has arrived:
-    ``length`` bytes, the last chunk and its trailer, or the end of the
-    stream; a broken framing counts as arrived. Raises ``TimeoutError``
-    when no byte arrives for ``timeout`` seconds."""
-    scan = conn.pos  # chunked: where the first chunk not yet whole starts
-    deadline = time.monotonic() + timeout
-    while not conn.ended:
-        if length == CHUNKED:
-            whole, scan = _chunks(conn.data, scan)
-            if whole:
-                break
-        elif length is not None and len(conn.data) - conn.pos >= length:
-            break
-        if not (yield conn.sock, READ, deadline):
-            raise TimeoutError("timed out")
-        if conn.fill():
-            deadline = time.monotonic() + timeout
-    return read_body(conn, length)
 
 
 def drained(conn: Conn, head: Head, timeout: float) -> Exchange[bool]:
@@ -416,10 +373,10 @@ def drained(conn: Conn, head: Head, timeout: float) -> Exchange[bool]:
     deadline = time.monotonic() + timeout
     try:
         while len(conn.data) - conn.pos < length:
-            if conn.ended or not (yield conn.sock, READ, deadline):
-                return False  # the body ended short, or not in time
-            conn.fill()
-    except OSError:
+            if conn.ended:
+                return False  # the body ended short
+            yield from _more(conn, deadline)
+    except OSError:  # not in time, or the connection failed
         return False
     conn.pos += length
     return True
@@ -515,7 +472,12 @@ def tunnel(
     yield from write(sock, b"".join(head), timeout)
     # no byte follows the reply before the client's TLS hello, so reading
     # it into a buffer of its own leaves nothing of the origin's behind
-    yield from _parsed(Conn(sock), _tunnel_reply, timeout)
+    conn = Conn(sock)
+    _, status, reason = yield from _status_line(conn, timeout)
+    if status != 200:
+        raise OSError(f"Tunnel connection failed: {status} {reason.strip()}")
+    # header lines, skipped; past MAX_HEADERS they fail, as from Python 3.12
+    yield from _block(conn, timeout)
 
 
 def handshake(

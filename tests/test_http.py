@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPException, HTTPResponse, InvalidURL
 from http.cookiejar import CookieJar
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, NamedTuple
 from urllib.parse import urlencode, urlsplit
 
 import pytest
@@ -319,10 +320,18 @@ def test_a_proxy_with_userinfo_is_sent_what_a_session_sends(clean_env, wire, sch
     assert ("Proxy-Authorization", "Basic Y2Fyb2w6cCB3") in headers
 
 
+class TLSOrigin(NamedTuple):
+    url: str
+    cert: Path
+    closed: threading.Semaphore  # released whenever the origin closes a connection
+
+
 @pytest.fixture
 def tls_origin(tmp_path):
-    """An HTTPS origin on loopback with a self-signed certificate; yields its
-    URL and the certificate's file."""
+    """An HTTPS origin on loopback with a self-signed certificate; yields a
+    ``TLSOrigin``. It answers as HTTP/1.0 and closes each connection after
+    one reply; ``/hang-up`` is answered as HTTP/1.1 without a
+    ``Connection: close`` line, and then the connection closes too."""
     openssl = shutil.which("openssl")
     if openssl is None:
         pytest.skip("no openssl to make a certificate")
@@ -340,22 +349,32 @@ def tls_origin(tmp_path):
             pass
 
         def do_GET(self):
+            if self.path == "/hang-up":
+                self.protocol_version = "HTTP/1.1"
             self.send_response(200)
             self.send_header("Content-Type", "image/png")
             self.send_header("Content-Length", "0")
             self.end_headers()
 
+    closed = threading.Semaphore(0)
+
+    class Server(ThreadingHTTPServer):
+        daemon_threads = True
+
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            closed.release()
+
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(cert, key)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.daemon_threads = True
+    server = Server(("127.0.0.1", 0), Handler)
     server.socket = context.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     try:
-        yield f"https://127.0.0.1:{server.server_address[1]}", cert
+        yield TLSOrigin(f"https://127.0.0.1:{server.server_address[1]}", cert, closed)
     finally:
         server.shutdown()
         thread.join(timeout=5)
@@ -365,7 +384,7 @@ def tls_origin(tmp_path):
 def test_a_probe_verifies_against_the_environment_ca_bundle(
     tls_origin, clean_env, sessions, gate
 ):
-    origin, cert = tls_origin
+    origin, cert, _ = tls_origin
     clean_env.delenv("REQUESTS_CA_BUNDLE", raising=False)
     clean_env.delenv("CURL_CA_BUNDLE", raising=False)
     # certifi's bundle does not hold the self-signed certificate
@@ -382,7 +401,7 @@ def test_a_probe_verifies_against_the_environment_ca_bundle(
 def test_a_certificate_for_another_host_name_fails_the_probe(
     tls_origin, clean_env, sessions, gate
 ):
-    origin, cert = tls_origin
+    origin, cert, _ = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     config = RunConfig(
         doi_resolver=origin.replace("127.0.0.1", "localhost") + "/",
@@ -435,7 +454,7 @@ def relay(source: socket.socket, sink: socket.socket) -> None:
 def test_an_https_probe_goes_through_a_proxys_tunnel(
     tls_origin, clean_env, serve, sessions, gate
 ):
-    origin, cert = tls_origin
+    origin, cert, _ = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     proxy = serve(TunnelProxy())
     clean_env.setenv("HTTPS_PROXY", proxy.url)
@@ -444,7 +463,7 @@ def test_an_https_probe_goes_through_a_proxys_tunnel(
 
 
 def test_a_run_loads_its_ca_bundle_once(tls_origin, clean_env, monkeypatch, gate):
-    origin, cert = tls_origin
+    origin, cert, _ = tls_origin
     clean_env.setenv("REQUESTS_CA_BUNDLE", str(cert))
     loads = []
     load = ssl.SSLContext.load_verify_locations
@@ -845,6 +864,18 @@ def test_a_connection_closed_while_idle_is_not_reused(wire, clean_env):
     assert [number for number, _, _ in server.log] == [0, 1]
 
 
+def test_a_tls_connection_closed_while_idle_is_not_reused(tls_origin, clean_env):
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(tls_origin.cert))
+    sessions = http.Sessions()
+    try:
+        assert sessions.get(tls_origin.url + "/hang-up", None, 5.0).status == 200
+        assert tls_origin.closed.acquire(timeout=5)
+        # the kept connection would end this request without a reply
+        assert sessions.get(tls_origin.url + "/hang-up", None, 5.0).status == 200
+    finally:
+        sessions.close()
+
+
 def chunked(body: bytes) -> bytes:
     """``body`` in two chunks, as Transfer-Encoding: chunked frames it."""
     half = len(body) // 2
@@ -1213,7 +1244,9 @@ def test_every_request_names_fairprobe_as_its_user_agent(
 
 def read_with_http_client(sock: socket.socket):
     """The reply on ``sock`` as ``http.client.HTTPResponse`` reads it:
-    (status, header lines, body, will_close), or the class it raised."""
+    (status, header lines, header map, body, will_close), or the class it
+    raised. The map joins a name's lines by ", ", as urllib3 joins them for
+    requests."""
     response = HTTPResponse(sock)
     try:
         response.begin()
@@ -1222,7 +1255,9 @@ def read_with_http_client(sock: socket.socket):
         return type(exc)
     finally:
         response.close()
-    return response.status, response.msg.items(), body, response.will_close
+    msg = response.msg
+    headers = {name.lower(): ", ".join(msg.get_all(name)) for name in msg.keys()}
+    return response.status, msg.items(), headers, body, response.will_close
 
 
 def read_with_http(sock: socket.socket):
@@ -1234,17 +1269,23 @@ def read_with_http(sock: socket.socket):
         body = finish(reply_body(conn, head.length, 5.0))
     except Exception as exc:
         return type(exc)
-    return head.status, head.fields, body, head.will_close
+    return head.status, head.fields, head.headers, body, head.will_close
 
 
-def served(raw: bytes, read):
-    """``read`` of a socket on which ``raw`` arrives and then the stream ends."""
+def sent_in(pieces: list[bytes], read, end: bool = True):
+    """``read`` of a socket on which ``pieces`` arrive a millisecond apart,
+    and then, with ``end``, the stream ends; without it the other end stays
+    open until ``read`` returns."""
     ours, theirs = socket.socketpair()
 
     def send() -> None:
         try:
-            theirs.sendall(raw)
-            theirs.shutdown(socket.SHUT_WR)
+            for number, piece in enumerate(pieces):
+                if number:
+                    time.sleep(0.001)
+                theirs.sendall(piece)
+            if end:
+                theirs.shutdown(socket.SHUT_WR)
         except OSError:  # the reader gave up and closed its end
             pass
 
@@ -1257,6 +1298,11 @@ def served(raw: bytes, read):
         sender.join(timeout=10)
         theirs.close()
         assert not sender.is_alive()
+
+
+def served(raw: bytes, read):
+    """``read`` of a socket on which ``raw`` arrives and then the stream ends."""
+    return sent_in([raw], read)
 
 
 LONG = b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n"  # 65,536 bytes
@@ -1303,6 +1349,9 @@ REPLIES = {
     "status line of 65,537 bytes": b"HTTP/1.1 200 " + b"O" * 65524 + b"\r\n\r\n",
     "99 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 98 + b"Content-Length: 0\r\n\r\n",
     "100 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 99 + b"Content-Length: 0\r\n\r\n",
+    # the end of the stream counts as a line, and so does a line cut by it
+    "cut after 99 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 99,
+    "cut in the 100th header line": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 99 + b"X: 1",
     "short body": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
     "cut in the head": b"HTTP/1.1 200 OK\r\nContent-Type: te",
     "line feeds only": b"HTTP/1.1 200 OK\nContent-Length: 2\nX-A: 1\n\nok",
@@ -1325,32 +1374,52 @@ def test_a_reply_reads_as_http_client_reads_it(raw):
 def trickled(raw: bytes, read):
     """``read`` of a socket on which ``raw`` arrives in 20 pieces a
     millisecond apart, and then the stream ends."""
-    ours, theirs = socket.socketpair()
     size = max(len(raw) // 20, 1)
-
-    def send() -> None:
-        try:
-            for start in range(0, len(raw), size):
-                theirs.sendall(raw[start : start + size])
-                time.sleep(0.001)
-            theirs.shutdown(socket.SHUT_WR)
-        except OSError:  # the reader gave up and closed its end
-            pass
-
-    sender = threading.Thread(target=send)
-    sender.start()
-    try:
-        return read(ours)
-    finally:
-        ours.close()
-        sender.join(timeout=10)
-        theirs.close()
-        assert not sender.is_alive()
+    return sent_in([raw[start : start + size] for start in range(0, len(raw), size)], read)
 
 
 @pytest.mark.parametrize("raw", REPLIES.values(), ids=REPLIES.keys())
 def test_a_reply_that_arrives_in_pieces_reads_as_one_that_arrives_at_once(raw):
     assert trickled(raw, read_with_http) == served(raw, read_with_http_client)
+
+
+SHORT = ["folded and repeated", "chunked", "continue", "line feeds only", "bare carriage return"]
+
+
+@pytest.mark.parametrize("case", SHORT)
+def test_every_two_piece_split_reads_as_the_whole_reply(case):
+    raw = REPLIES[case]
+    whole = served(raw, read_with_http_client)
+    assert whole[0] == 200
+    for cut in range(1, len(raw)):
+        assert sent_in([raw[:cut], raw[cut:]], read_with_http) == whole, cut
+
+
+# replies that break a bound of the head or of a chunk-size line before
+# they end; their server keeps the connection open
+OPEN_BOUNDS = {
+    "101 header lines": b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 101,
+    "header line of 65,537 bytes": b"HTTP/1.1 200 OK\r\nX" + LONG,
+    "status line of 65,537 bytes": b"HTTP/1.1 200 " + b"O" * 65522 + b"\r\n",
+    "chunk-size line of 65,537 bytes": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"0" * 65535 + b"\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("raw", OPEN_BOUNDS.values(), ids=OPEN_BOUNDS.keys())
+def test_a_bound_breaks_at_once_on_a_connection_left_open(raw):
+    def timed(sock: socket.socket):
+        started = time.monotonic()
+        return read_with_http(sock), time.monotonic() - started
+
+    def blocking(sock: socket.socket):
+        sock.settimeout(5.0)  # http.client's reads block
+        return read_with_http_client(sock)
+
+    ours, took = sent_in([raw], timed, end=False)
+    assert ours == sent_in([raw], blocking, end=False)
+    assert issubclass(ours, HTTPException) and took < 1.0
 
 
 @pytest.mark.parametrize(
